@@ -1,7 +1,8 @@
-"""Benchmark the shooting sweep: numba-compiled kernel vs Python fallback.
+"""Benchmark the shooting kernels: RK4 propagator build and 2x2 sweep.
 
-The per-step RK4 propagators are built with vectorized numpy either way;
-only the sequential 2x2 sweep differs.  Usage:
+The closed-form propagators are built with vectorized numpy; the sequential
+sweep runs as the Python fallback and, when numba is importable, also as the
+compiled kernel.  Times are the best of --repeats calls.  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 5]
 """
@@ -15,7 +16,7 @@ from pdmorse import kernels
 from pdmorse.units import HBAR2_EV_AMU_A2
 
 
-def build_problem(points: int):
+def build_tables(points: int):
     mol = get_molecule("H2")
     mm = MassModel.for_molecule(mol, 0.0)
     grid = GridSpec(-0.7, 10.0, points)
@@ -24,16 +25,20 @@ def build_problem(points: int):
     e_trial = -4.4
     q_nodes = 2.0 * mm.mass(xs) * (u_eff(mm, WEYL, mol, xs) - e_trial) / HBAR2_EV_AMU_A2
     q_mids = 2.0 * mm.mass(xm) * (u_eff(mm, WEYL, mol, xm) - e_trial) / HBAR2_EV_AMU_A2
-    return kernels.rk4_propagators(q_nodes, q_mids, grid.h)
+    return q_nodes, q_mids, grid.h
 
 
-def time_sweep(fn, props, repeats: int) -> float:
+def best_time(fn, args, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(*props, 0.0, 1.0)
+        fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def report(label: str, seconds: float, steps: int) -> None:
+    print(f"{label:16s}: {seconds * 1e3:8.3f} ms  ({seconds / steps * 1e9:7.1f} ns/step)")
 
 
 def main() -> None:
@@ -42,16 +47,19 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    props = build_problem(args.points)
+    tables = build_tables(args.points)
+    props = kernels.rk4_propagators(*tables)
     steps = len(props[0])
+    print(f"points          : {args.points} ({steps} steps)")
 
-    t_py = time_sweep(kernels.sweep_python, props, args.repeats)
-    print(f"python fallback : {t_py * 1e3:8.3f} ms  ({steps / t_py / 1e6:6.1f} Msteps/s)")
+    report("propagators", best_time(kernels.rk4_propagators, tables, args.repeats), steps)
+    t_py = best_time(kernels.sweep_python, (*props, 0.0, 1.0), args.repeats)
+    report("python sweep", t_py, steps)
 
     if kernels.HAS_NUMBA:
         kernels.sweep_numba(*props, 0.0, 1.0)  # compile outside the timing
-        t_nb = time_sweep(kernels.sweep_numba, props, args.repeats)
-        print(f"numba kernel    : {t_nb * 1e3:8.3f} ms  ({steps / t_nb / 1e6:6.1f} Msteps/s)")
+        t_nb = best_time(kernels.sweep_numba, (*props, 0.0, 1.0), args.repeats)
+        report("numba sweep", t_nb, steps)
         print(f"speedup         : {t_py / t_nb:8.1f}x")
         py_out = kernels.sweep_python(*props, 0.0, 1.0)
         nb_out = kernels.sweep_numba(*props, 0.0, 1.0)
@@ -60,7 +68,7 @@ def main() -> None:
                  and np.isclose(py_out[1], nb_out[1], rtol=1e-13))
         print(f"paths agree     : {agree}")
     else:
-        print("numba not installed; only the fallback path was timed")
+        print("numba not installed; only the fallback sweep was timed")
     print(f"active path     : {'numba' if kernels.USE_NUMBA else 'python'} "
           f"(PDMORSE_DISABLE_NUMBA to force the fallback)")
 

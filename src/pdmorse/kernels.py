@@ -1,11 +1,12 @@
 """Hot inner loop of the shooting integrator.
 
-The coefficient arrays and per-step RK4 propagators are built with
-vectorized numpy; the only sequential piece is the 2x2 propagation sweep
-below.  It is compiled with numba when available, with a pure-Python
-fallback selected automatically or forced via the environment flag
-``PDMORSE_DISABLE_NUMBA=1``.  Both paths perform the identical arithmetic.
-Run ``benchmarks/bench_shooting.py`` to compare them.
+The per-step RK4 propagators come from closed-form expressions in the
+coefficient table, evaluated with vectorized numpy; the only sequential
+piece is the 2x2 propagation sweep below.  It is compiled with numba when
+available, with a pure-Python fallback selected automatically or forced via
+the environment flag ``PDMORSE_DISABLE_NUMBA=1``.  Both sweep paths perform
+the identical arithmetic.  Run ``benchmarks/bench_shooting.py`` to time the
+propagators and compare the sweeps.
 """
 from __future__ import annotations
 
@@ -88,31 +89,25 @@ def sweep(m00, m01, m10, m11, phi0: float, dphi0: float):
 def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     """Per-step RK4 propagator entries for the linear system phi'' = q(x) phi.
 
-    For a linear ODE every RK4 step is a 2x2 matrix acting on (phi, phi');
-    composing the stage operators vectorizes over all steps at once.
+    For a linear ODE every classical RK4 step is a 2x2 matrix acting on
+    (phi, phi').  Expanding the four stages symbolically gives each entry in
+    closed form in the step's start, midpoint and end values qi, qm, qp:
+
+        m00 = 1 + h^2 (qi/6 + qm/3) + h^4 qi qm / 24
+        m01 = h + h^3 qm / 6
+        m10 = h (qi/6 + 2 qm/3 + qp/6) + h^3 qm (qi + qp) / 12
+        m11 = 1 + h^2 (qm/3 + qp/6) + h^4 qm qp / 24
+
     q_nodes holds q at the sweep points (N,), q_mids at midpoints (N-1,);
     h is the signed step.  Returns four (N-1,) arrays.
     """
     qi = q_nodes[:-1]
     qm = q_mids
     qp = q_nodes[1:]
-    n = qi.shape[0]
-    a_i = np.zeros((n, 2, 2))
-    a_i[:, 0, 1] = 1.0
-    a_i[:, 1, 0] = qi
-    a_m = np.zeros((n, 2, 2))
-    a_m[:, 0, 1] = 1.0
-    a_m[:, 1, 0] = qm
-    a_p = np.zeros((n, 2, 2))
-    a_p[:, 0, 1] = 1.0
-    a_p[:, 1, 0] = qp
-    ident = np.zeros((n, 2, 2))
-    ident[:, 0, 0] = 1.0
-    ident[:, 1, 1] = 1.0
-    k1 = a_i
-    k2 = a_m @ (ident + (h / 2.0) * k1)
-    k3 = a_m @ (ident + (h / 2.0) * k2)
-    k4 = a_p @ (ident + h * k3)
-    m = ident + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return (np.ascontiguousarray(m[:, 0, 0]), np.ascontiguousarray(m[:, 0, 1]),
-            np.ascontiguousarray(m[:, 1, 0]), np.ascontiguousarray(m[:, 1, 1]))
+    h2 = h * h
+    h2qm = h2 * qm
+    m00 = 1.0 + h2 * (qi / 6.0 + qm / 3.0) + (h2qm * h2 * qi) / 24.0
+    m01 = h + h * h2qm / 6.0
+    m10 = h * (qi / 6.0 + (2.0 / 3.0) * qm + qp / 6.0) + (h * h2qm * (qi + qp)) / 12.0
+    m11 = 1.0 + h2 * (qm / 3.0 + qp / 6.0) + (h2qm * h2 * qp) / 24.0
+    return m00, m01, m10, m11

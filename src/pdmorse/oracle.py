@@ -1,15 +1,32 @@
 """Independent numerical eigensolver for the position-space equation.
 
 Solves -(hbar^2 / 2 m(x)) phi'' + U_eff(x) phi = E phi on a finite grid with
-Dirichlet ends by shooting: a fixed-step 4th-order integrator propagates the
-solution, node counts locate the Sturm staircase, and bisection pins the
-eigenvalue.  Node counting uses a full left-to-right sweep (the interior
-node count of the one-sided solution is exactly the number of eigenvalues
-below E); the boundary defect reported alongside comes from integrating from
-both ends and matching log-derivatives at the potential minimum.
+Dirichlet ends by shooting with a fixed-step 4th-order integrator.
+
+Solve strategy, shared by every requested level of one grid:
+
+* **Sturm staircase.**  A full left-to-right sweep counts the interior nodes
+  of the one-sided solution, which is exactly the number of eigenvalues
+  below E.  Every count is kept as an (E, nodes) step, so each one tightens
+  the bracket of every level; the window ends are counted once.
+* **Isolation.**  A level's staircase bracket is bisected until it holds
+  that level alone: nodes(lo) == n and nodes(hi) == n + 1.
+* **Refinement.**  Inside the isolated bracket an Illinois (modified regula
+  falsi) iteration finds the zero of the scaled Pruefer-phase miss-distance,
+  built from the left and right half-sweeps that meet at the potential
+  minimum (Pryce 1993; Bailey, Everitt & Zettl, ACM TOMS 27, 2001).
+* **Certification.**  A refined E is returned only if nodes(E - tol/2) == n
+  and nodes(E + tol/2) == n + 1; otherwise the staircase bracket is
+  bisected down to tol and its midpoint returned.  Either way the returned
+  energy lies within tol/2 of the point where the node count steps from n
+  to n + 1.
+
+The boundary defect reported in a :class:`ShootingResult` compares the
+log-derivatives of the two half-sweeps at the matching point.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -20,7 +37,7 @@ from .errors import ConfigError, NoBracket, NonConvergence
 from .model import AmbiguityOrdering, MassModel, MoleculeSpec, potential_value
 from .units import HBAR2_EV_AMU_A2
 
-MAX_BISECTIONS = 200
+MAX_BISECTIONS = 200  # per level: bisection and Illinois steps together
 SINGULARITY_MARGIN = 0.01  # Angstrom
 
 
@@ -94,7 +111,7 @@ def physical_psi(mm: MassModel, x, phi_values):
 
 
 class _ShootingEngine:
-    """Precomputed coefficient tables for repeated energy evaluations."""
+    """Coefficient tables and the shared Sturm staircase for one solve."""
 
     def __init__(self, u_fn, m_fn, grid: GridSpec):
         self.xs = grid.xs()
@@ -110,24 +127,39 @@ class _ShootingEngine:
         im = int(np.argmin(self.u_nodes))
         pad = max(2, npts // 50)
         self.i_match = min(max(im, pad), npts - pad - 1)
+        # Sturm staircase: every full-sweep count, sorted by energy
+        self._stair_e: list[float] = []
+        self._stair_n: list[int] = []
+        # half-sweep states by energy: a bracket end is shared by two levels
+        self._matched: dict[float, tuple] = {}
 
     def _q(self, E: float):
         return (self.p_nodes * (self.u_nodes - E), self.p_mids * (self.u_mids - E))
 
     def count_nodes(self, E: float) -> int:
+        """Interior nodes of the left-anchored solution: eigenvalues below E."""
         qn, qm = self._q(E)
         props = kernels.rk4_propagators(qn, qm, self.h)
         _, _, nodes = kernels.sweep(*props, 0.0, 1.0)
+        i = bisect.bisect_left(self._stair_e, E)
+        self._stair_e.insert(i, E)
+        self._stair_n.insert(i, nodes)
         return nodes
+
+    def _half_sweeps(self, E: float):
+        """Left and right solutions at the matching point: ((phi, phi', nodes), ...)."""
+        if E not in self._matched:
+            qn, qm = self._q(E)
+            im = self.i_match
+            left = kernels.rk4_propagators(qn[:im + 1], qm[:im], self.h)
+            right = kernels.rk4_propagators(qn[im:][::-1], qm[im:][::-1], -self.h)
+            self._matched[E] = (kernels.sweep(*left, 0.0, 1.0),
+                                kernels.sweep(*right, 0.0, -1.0))
+        return self._matched[E]
 
     def mismatch(self, E: float) -> float:
         """Normalized log-derivative defect at the matching point."""
-        qn, qm = self._q(E)
-        im = self.i_match
-        left = kernels.rk4_propagators(qn[:im + 1], qm[:im], self.h)
-        pl, dl, _ = kernels.sweep(*left, 0.0, 1.0)
-        right = kernels.rk4_propagators(qn[im:][::-1], qm[im:][::-1], -self.h)
-        pr, dr, _ = kernels.sweep(*right, 0.0, -1.0)
+        (pl, dl, _), (pr, dr, _) = self._half_sweeps(E)
         if pl == 0.0 or pr == 0.0:
             return 0.0
         ld_l = dl / pl
@@ -135,27 +167,122 @@ class _ShootingEngine:
         denom = abs(ld_l) + abs(ld_r)
         return (ld_l - ld_r) / denom if denom > 0 else 0.0
 
-    def solve(self, n: int, e_lo: float, e_hi: float, tol_ev: float) -> ShootingResult:
+    def phase(self, E: float, k: float) -> float:
+        """Sum of the scaled left and right Pruefer phases at the matching point.
+
+        Each side contributes pi * nodes + atan2(s k phi, s dphi/dy), with
+        s = (-1)^nodes and y running from its anchor towards the matching
+        point.  For any fixed k > 0 the sum increases with E and equals
+        (n + 1) pi exactly where the log-derivatives match at level n; k near
+        the local wavenumber makes it close to linear in E.
+        """
+        (pl, dl, nl), (pr, dr, nr) = self._half_sweeps(E)
+        sl = -1.0 if nl % 2 else 1.0
+        sr = -1.0 if nr % 2 else 1.0
+        return (math.pi * (nl + nr) + math.atan2(sl * k * pl, sl * dl)
+                + math.atan2(sr * k * pr, -sr * dr))
+
+    def _bracket(self, n: int) -> tuple[float, int, float, int]:
+        """Tightest staircase bracket of level n: (lo, nodes(lo), hi, nodes(hi))."""
+        i = bisect.bisect_right(self._stair_n, n)
+        return self._stair_e[i - 1], self._stair_n[i - 1], self._stair_e[i], self._stair_n[i]
+
+    def _refine(self, n: int, lo: float, hi: float, tol_ev: float, spend):
+        """Illinois iteration on the phase miss-distance inside an isolated bracket.
+
+        Returns the estimated eigenvalue, or None when the phase does not
+        change sign across the bracket.
+        """
+        target = (n + 1) * math.pi
+        # phase scale: the local wavenumber at the matching point mid-bracket
+        im = self.i_match
+        k = math.sqrt(abs(self.p_nodes[im] * (self.u_nodes[im] - 0.5 * (lo + hi)))) or 1.0
+        a, fa = lo, self.phase(lo, k) - target
+        b, fb = hi, self.phase(hi, k) - target
+        if not fa < 0.0 < fb:
+            return None
+        side = 0
+        c = None
+        while b - a > tol_ev:
+            spend()
+            prev = c
+            c = b - fb * (b - a) / (fb - fa)
+            if not a < c < b:
+                c = 0.5 * (a + b)
+            fc = self.phase(c, k) - target
+            if fc == 0.0 or (prev is not None and abs(c - prev) <= 0.25 * tol_ev):
+                return c
+            if fc > 0.0:
+                b, fb = c, fc
+                if side == 1:
+                    fa *= 0.5
+                side = 1
+            else:
+                a, fa = c, fc
+                if side == -1:
+                    fb *= 0.5
+                side = -1
+        return 0.5 * (a + b)
+
+    def _level(self, n: int, tol_ev: float) -> float:
+        """Certified eigenvalue of level n (see the module docstring)."""
+        steps = 0
+
+        def spend():
+            nonlocal steps
+            if steps >= MAX_BISECTIONS:
+                raise NonConvergence(
+                    f"no convergence to {tol_ev} eV in {MAX_BISECTIONS} steps")
+            steps += 1
+
+        # isolate: bisect until the bracket holds level n alone
+        lo, n_lo, hi, n_hi = self._bracket(n)
+        while (n_lo, n_hi) != (n, n + 1) and hi - lo > tol_ev:
+            spend()
+            self.count_nodes(0.5 * (lo + hi))
+            lo, n_lo, hi, n_hi = self._bracket(n)
+        if hi - lo > tol_ev:
+            e = self._refine(n, lo, hi, tol_ev, spend)
+            if (e is not None and self.count_nodes(e - 0.5 * tol_ev) == n
+                    and self.count_nodes(e + 0.5 * tol_ev) == n + 1):
+                return e
+        # uncertified, or isolation already reached tol: bisect the staircase bracket
+        lo, _, hi, _ = self._bracket(n)
+        while hi - lo > tol_ev:
+            spend()
+            self.count_nodes(0.5 * (lo + hi))
+            lo, _, hi, _ = self._bracket(n)
+        return 0.5 * (lo + hi)
+
+    def solve(self, n_list, e_window, tol_ev: float) -> dict[int, float]:
+        """Eigenvalues of the requested levels, keyed by n."""
+        e_lo, e_hi = e_window
         n_lo = self.count_nodes(e_lo)
         n_hi = self.count_nodes(e_hi)
-        if not (n_lo <= n < n_hi):
-            raise NoBracket(
-                f"state n={n} not bracketed: nodes({e_lo:.6g})={n_lo}, "
-                f"nodes({e_hi:.6g})={n_hi}")
-        lo, hi = e_lo, e_hi
-        iterations = 0
-        while hi - lo > tol_ev:
-            if iterations >= MAX_BISECTIONS:
-                raise NonConvergence(
-                    f"no convergence to {tol_ev} eV in {MAX_BISECTIONS} bisections")
-            mid = 0.5 * (lo + hi)
-            if self.count_nodes(mid) >= n + 1:
-                hi = mid
-            else:
-                lo = mid
-            iterations += 1
-        e = 0.5 * (lo + hi)
-        return ShootingResult(E=e, nodes=self.count_nodes(e), mismatch=self.mismatch(e))
+        for n in n_list:
+            if not n_lo <= n < n_hi:
+                raise NoBracket(
+                    f"state n={n} not bracketed: nodes({e_lo:.6g})={n_lo}, "
+                    f"nodes({e_hi:.6g})={n_hi}")
+        return {n: self._level(n, tol_ev) for n in sorted(set(n_list))}
+
+    def result(self, E: float) -> ShootingResult:
+        """Shooting record at E: node count and matching defect."""
+        return ShootingResult(E=E, nodes=self.count_nodes(E), mismatch=self.mismatch(E))
+
+
+def _effective_engine(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
+                      grid: GridSpec, e_window):
+    """Engine for the effective-potential problem and its energy window.
+
+    The default window spans (min U_eff, 0).
+    """
+    grid.validate_against_mass(mm)
+    engine = _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
+    if e_window is None:
+        e_floor = float(np.min(engine.u_nodes))
+        e_window = (e_floor + abs(e_floor) * 1e-12, 0.0)
+    return engine, e_window
 
 
 def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window, tol_ev: float = 1e-7):
@@ -163,8 +290,10 @@ def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window, tol_ev: float = 
 
     Returns a list of (n, ShootingResult) in the order requested.
     """
+    n_list = list(n_list)
     engine = _ShootingEngine(u_fn, m_fn, grid)
-    return [(n, engine.solve(n, e_window[0], e_window[1], tol_ev)) for n in n_list]
+    levels = engine.solve(n_list, e_window, tol_ev)
+    return [(n, engine.result(levels[n])) for n in n_list]
 
 
 def scan_nodes(u_fn, m_fn, grid: GridSpec, energies) -> list[int]:
@@ -179,26 +308,21 @@ def solve_states(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
     """Eigenvalues of the effective-potential problem for the requested levels.
 
     The default energy window spans (min U_eff, 0); pass e_window explicitly
-    for wells whose continuum threshold is not at zero.
+    for wells whose continuum threshold is not at zero.  Results come back
+    in the order requested.
     """
-    grid.validate_against_mass(mm)
-    engine = _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
-    if e_window is None:
-        e_floor = float(np.min(engine.u_nodes))
-        e_window = (e_floor + abs(e_floor) * 1e-12, 0.0)
-    return [(n, engine.solve(n, e_window[0], e_window[1], tol_ev).E) for n in n_list]
+    n_list = list(n_list)
+    engine, e_window = _effective_engine(mm, ordering, mol, grid, e_window)
+    levels = engine.solve(n_list, e_window, tol_ev)
+    return [(n, levels[n]) for n in n_list]
 
 
 def shoot_state(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
                 grid: GridSpec, n: int, e_window: tuple[float, float] | None = None,
                 tol_ev: float = 1e-7) -> ShootingResult:
     """Full shooting record (energy, node count, matching defect) for one level."""
-    grid.validate_against_mass(mm)
-    engine = _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
-    if e_window is None:
-        e_floor = float(np.min(engine.u_nodes))
-        e_window = (e_floor + abs(e_floor) * 1e-12, 0.0)
-    return engine.solve(n, e_window[0], e_window[1], tol_ev)
+    engine, e_window = _effective_engine(mm, ordering, mol, grid, e_window)
+    return engine.result(engine.solve([n], e_window, tol_ev)[n])
 
 
 def default_domain(mol: MoleculeSpec, eta: float, e_floor_ev: float | None = None,

@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import fd_derivative
+from _oracles import bisect_level, fd_derivative, rk4_propagators_matmul
 from pdmorse import (LI_KUHN, WEYL, ConfigError, GridSpec, MassModel, NoBracket,
-                     constant_mass_epsilon, get_molecule, physical_psi,
-                     potential_value, reduce, shoot_state, solve_on_grid,
-                     solve_states, u_eff, u_ordering)
-from pdmorse import kernels
+                     NonConvergence, constant_mass_epsilon, default_domain,
+                     get_molecule, physical_psi, potential_value, reduce,
+                     shoot_state, solve_on_grid, solve_states, u_eff, u_ordering)
+from pdmorse import kernels, oracle
+from pdmorse.catalog import REFERENCE_ETAS
 from pdmorse.oracle import scan_nodes
 from pdmorse.units import HBAR2_EV_AMU_A2
 
@@ -23,6 +24,11 @@ def flat_potential(x):
 
 def const_mass(m0):
     return lambda x: np.full_like(np.asarray(x, dtype=float), m0)
+
+
+def box_level(n):
+    """Exact level n of a unit-mass particle in the box [0, 1] A (eV)."""
+    return HBAR2_EV_AMU_A2 * math.pi**2 * (n + 1) ** 2 / 2.0
 
 
 class TestUOrdering:
@@ -96,12 +102,77 @@ class TestBox:
         results = solve_on_grid(flat_potential, const_mass(1.0), grid,
                                 range(6), (1e-4, 3.0), tol_ev=1e-10)
         for n, res in results:
-            exact = HBAR2_EV_AMU_A2 * math.pi**2 * (n + 1) ** 2 / 2.0
+            exact = box_level(n)
             assert abs(res.E - exact) / exact < 1e-6
-            # converged midpoint sits within tol of the eigenvalue, so the
-            # staircase count is n (just below) or n+1 (just above)
+            # the certified energy sits within tol/2 of the node-count step,
+            # so the staircase count is n (just below) or n+1 (just above)
             assert res.nodes in (n, n + 1)
             assert abs(res.mismatch) < 1e-6
+
+
+def reference_domain(mol, eta):
+    return default_domain(mol, eta, left="singular" if eta > 0.0 else "physical")
+
+
+class TestSolver:
+    @pytest.mark.parametrize("eta", REFERENCE_ETAS)
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_matches_per_level_bisection(self, name, eta, monkeypatch):
+        mol = get_molecule(name)
+        mm = MassModel.for_molecule(mol, eta)
+        grid = GridSpec(*reference_domain(mol, eta), 2001)
+        tol = 1e-7
+        counts = []
+        count_nodes = oracle._ShootingEngine.count_nodes
+        monkeypatch.setattr(oracle._ShootingEngine, "count_nodes",
+                            lambda self, e: counts.append(e) or count_nodes(self, e))
+        solved = solve_states(mm, WEYL, mol, grid, range(5), tol_ev=tol)
+        # two window ends, two certificates per level and a few isolating
+        # bisections; a level that falls back to bisection needs ~20 more
+        assert len(counts) <= 2 + 4 * len(solved)
+        monkeypatch.undo()
+        engine, window = oracle._effective_engine(mm, WEYL, mol, grid, None)
+        for n, e in solved:
+            assert abs(e - bisect_level(engine.count_nodes, n, *window, tol)) <= tol
+
+    def test_results_follow_request_order(self, h2):
+        mm = MassModel.for_molecule(h2, 0.2)
+        grid = GridSpec(*reference_domain(h2, 0.2), 2001)
+        levels = dict(solve_states(mm, WEYL, h2, grid, [0, 1, 3]))
+        mixed = solve_states(mm, WEYL, h2, grid, [3, 0, 3, 1])
+        assert mixed == [(n, levels[n]) for n in (3, 0, 3, 1)]
+        assert levels[0] < levels[1] < levels[3]
+        box = solve_on_grid(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001),
+                            [2, 0, 2], (1e-4, 3.0))
+        assert [n for n, _ in box] == [2, 0, 2]
+        assert box[0][1] == box[2][1]
+
+    def test_failed_certification_falls_back_to_bisection(self, monkeypatch):
+        # a refinement that lands in the next level up must be caught by the
+        # node-count certificate and replaced by staircase bisection
+        refined = []
+
+        def wrong_level(self, n, lo, hi, tol_ev, spend):
+            refined.append(n)
+            return box_level(n + 1)
+
+        monkeypatch.setattr(oracle._ShootingEngine, "_refine", wrong_level)
+        grid = GridSpec(0.0, 1.0, 2001)
+        tol = 1e-9
+        results = solve_on_grid(flat_potential, const_mass(1.0), grid, range(4),
+                                (1e-4, 3.0), tol_ev=tol)
+        assert refined == [0, 1, 2, 3]
+        scan = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+        for n, res in results:
+            assert abs(res.E - box_level(n)) / box_level(n) < 1e-6
+            assert abs(res.E - bisect_level(scan.count_nodes, n, 1e-4, 3.0, tol)) <= tol
+            assert res.nodes in (n, n + 1)
+
+    def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_BISECTIONS", 2)
+        mm = MassModel.for_molecule(h2, 0.0)
+        with pytest.raises(NonConvergence):
+            solve_states(mm, WEYL, h2, GridSpec(-0.7, 10.0, 2001), [0])
 
 
 class TestMorseEta0:
@@ -191,6 +262,37 @@ class TestKernels:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=env, check=True)
         assert out.stdout.strip() == "False"
+
+    @staticmethod
+    def _q_tables():
+        # random tables keep one sign: with mixed signs m10 is a cancelling
+        # sum whose relative error no summation order can bound
+        rng = np.random.default_rng(11)
+        for lo, hi in ((0.0, 3000.0), (-3000.0, 0.0)):
+            yield f"random[{lo:g},{hi:g}]", rng.uniform(lo, hi, 513), rng.uniform(lo, hi, 512), 0.01
+        for name in ("H2", "LiH"):
+            mol = get_molecule(name)
+            for eta in (0.0, 0.4):
+                mm = MassModel.for_molecule(mol, eta)
+                grid = GridSpec(*reference_domain(mol, eta), 4001)
+                xs = grid.xs()
+                xm = 0.5 * (xs[:-1] + xs[1:])
+                for e in (-4.0, -1.0):
+                    p_n = 2.0 * mm.mass(xs) / HBAR2_EV_AMU_A2
+                    p_m = 2.0 * mm.mass(xm) / HBAR2_EV_AMU_A2
+                    yield (f"{name}/eta={eta}/E={e}", p_n * (u_eff(mm, WEYL, mol, xs) - e),
+                           p_m * (u_eff(mm, WEYL, mol, xm) - e), grid.h)
+
+    def test_closed_form_propagators_match_matmul_reference(self):
+        # bound fixed from float64 before measuring: a few ulp per entry
+        for label, q_nodes, q_mids, h in self._q_tables():
+            for qn, qm, step in ((q_nodes, q_mids, h), (q_nodes[::-1], q_mids[::-1], -h)):
+                got = kernels.rk4_propagators(qn, qm, step)
+                ref = rk4_propagators_matmul(qn, qm, step)
+                for a, b in zip(got, ref):
+                    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-14, label
+                assert (kernels.sweep_python(*got, 0.0, 1.0)[2]
+                        == kernels.sweep_python(*ref, 0.0, 1.0)[2]), label
 
     def test_rescaling_preserves_nodes(self):
         # a steep growth region must trigger renormalization without
