@@ -21,7 +21,7 @@ from .analytic import (BoundState, NuInternals, constant_mass_epsilon, energy_ev
 from .catalog import builtin_catalog, get_molecule, load_molecule_config, resolve_molecule
 from .errors import (ComplexBranch, ConfigError, DegenerateDenominator,
                      DomainUnsupported, MassSingularity, NoBracket, NonConvergence,
-                     PdmorseError, RealityViolation)
+                     NormOverflow, PdmorseError, QuadratureFailure, RealityViolation)
 from .model import (LI_KUHN, WEYL, AmbiguityOrdering, MassModel, MoleculeSpec,
                     ReducedSystem, mass_value, parse_ordering, potential_value, reduce)
 from .oracle import (GridSpec, ShootingResult, default_domain, physical_psi,

@@ -6,6 +6,7 @@ line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analytic import make_state
@@ -21,7 +22,9 @@ _CONVENTIONS = {"printed": SignConvention.PRINTED,
                 "normalizable": SignConvention.NORMALIZABLE}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args returns a fresh Namespace)."""
     parser = argparse.ArgumentParser(
         prog="pdmorse",
         description="Bound states of a position-dependent-mass generalized Morse well")

@@ -25,12 +25,20 @@ class DomainUnsupported(PdmorseError):
     """Closed-form normalization requested outside its gamma-function validity range."""
 
 
+class NormOverflow(DomainUnsupported):
+    """The normalization constant exceeds the largest float; no method can store it."""
+
+
 class NoBracket(PdmorseError):
     """Node counts never straddle the requested state; it is unbound on this grid."""
 
 
 class NonConvergence(PdmorseError):
     """Eigenvalue bisection failed to reach tolerance within the iteration cap."""
+
+
+class QuadratureFailure(PdmorseError):
+    """Adaptive quadrature met a non-finite integrand or ran out of panels."""
 
 
 class ConfigError(PdmorseError):

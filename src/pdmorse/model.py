@@ -82,8 +82,11 @@ class AmbiguityOrdering:
         if self.a == -1.0:
             raise ConfigError("ordering parameter a = -1 is singular (1+a divides)")
         object.__setattr__(self, "beta_order", -1.0 - self.alpha - self.gamma)
-        # exact by construction up to float re-association
-        assert abs(self.alpha + self.beta_order + self.gamma + 1.0) <= 1e-12
+        # exact by construction up to float re-association; fails for nan/inf or
+        # parameters so large that the sum loses the constraint
+        if not abs(self.alpha + self.beta_order + self.gamma + 1.0) <= 1e-12:
+            raise ConfigError(f"ordering parameters alpha={self.alpha!r}, gamma={self.gamma!r} "
+                              "do not satisfy alpha + beta + gamma = -1 in floating point")
 
     @property
     def c_ord(self) -> float:
@@ -248,5 +251,7 @@ def reduce(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering,
                         A1=ordering.A1, A2=ordering.A2, eps1=eps1, eps2=eps2,
                         e_scale=scale / 2.0)
     # Algebraic identity linking the ordering combinations to the eps1 bracket.
-    assert abs(sys.A1 + sys.A2 - (c_ord - 0.25)) <= 1e-12 * max(1.0, abs(c_ord))
+    if not abs(sys.A1 + sys.A2 - (c_ord - 0.25)) <= 1e-12 * max(1.0, abs(c_ord)):
+        raise ConfigError(f"ordering {ordering_label(ordering)} breaks the identity "
+                          "A1 + A2 = c_ord - 1/4 in floating point")
     return sys

@@ -1,7 +1,11 @@
 """Adaptive Gauss quadrature used as the independent normalization oracle."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import QuadratureFailure
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
@@ -19,7 +23,8 @@ def adaptive_gauss(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 
     """Integrate a vectorized callable on [a, b] to absolute tolerance tol.
 
     Panels are bisected where the low/high-order Gauss rules disagree, with
-    the error budget split proportionally to panel width.
+    the error budget split proportionally to panel width.  A non-finite panel
+    value or more than max_panels panels raises QuadratureFailure.
     """
     stack = [(a, b, tol)]
     total = 0.0
@@ -28,8 +33,10 @@ def adaptive_gauss(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 
         lo, hi, budget = stack.pop()
         value, err = _panel(f, lo, hi)
         panels += 1
+        if not math.isfinite(value):
+            raise QuadratureFailure(f"integrand not finite on [{lo:.6g}, {hi:.6g}]")
         if panels > max_panels:
-            raise RuntimeError("adaptive quadrature exceeded panel budget")
+            raise QuadratureFailure(f"adaptive quadrature exceeded {max_panels} panels")
         if err <= budget or (hi - lo) < 1e-14:
             total += value
         else:

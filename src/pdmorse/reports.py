@@ -27,6 +27,7 @@ SPECTRUM_COLUMNS = ("n", "eps_nl", "E_eV", "E_paper_eV", "delta_eV")
 WAVEFUNCTION_COLUMNS = ("z", "x_angstrom", "phi", "psi_physical")
 ORACLE_COLUMNS = ("molecule", "eta", "ordering", "n", "E_analytic_eV",
                   "E_oracle_eV", "delta_eV", "domain", "grid_points")
+_SPECTRUM_ROW = "%d,%.17g,%.17g,%s,%s\n"
 
 
 def fmt(value) -> str:
@@ -38,6 +39,18 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def float_rows(*columns) -> str:
+    """CSV rows of equal-length float columns, cell for cell the bytes of fmt().
+
+    One '%.17g' template formats every row: printf-style '%.17g' and
+    format(x, '.17g') produce the same digits, without a call and a join
+    per cell.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(("%.17g",) * table.shape[1]) + "\n"
+    return (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -156,9 +169,11 @@ def spectrum_csv(report: SpectrumReport, include_provenance: bool = True) -> str
     if include_provenance:
         _write_provenance(buf, report.provenance)
     buf.write(",".join(SPECTRUM_COLUMNS) + "\n")
-    for row in report.rows:
-        buf.write(",".join(fmt(v) for v in
-                           (row.n, row.eps_nl, row.E_eV, row.E_paper_eV, row.delta_eV)) + "\n")
+    # one template for all rows; fmt() only for the optional reference columns
+    cells = []
+    for r in report.rows:
+        cells += (r.n, r.eps_nl, r.E_eV, fmt(r.E_paper_eV), fmt(r.delta_eV))
+    buf.write((_SPECTRUM_ROW * len(report.rows)) % tuple(cells))
     return buf.getvalue()
 
 
@@ -206,7 +221,7 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
     """Sampled eigenfunction export: z, x (Angstrom), phi, and psi = sqrt(m) phi."""
     mm = MassModel.for_molecule(mol, sys.eta)
     state = attach_norm(sys, state, convention)
-    z = np.array([(k + 1) / (samples + 1) for k in range(samples)])
+    z = np.arange(1, samples + 1) / (samples + 1)
     if sys.eta == 0.0:
         values = phi_eta0(sys, state, z)
     else:
@@ -222,8 +237,7 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
             norm_const=fmt(state.norm_const))
         _write_provenance(buf, prov)
     buf.write(",".join(WAVEFUNCTION_COLUMNS) + "\n")
-    for zi, xi, fi, pi in zip(z, x, values, psi):
-        buf.write(",".join(fmt(v) for v in (zi, xi, fi, pi)) + "\n")
+    buf.write(float_rows(z, x, values, psi))
     return buf.getvalue()
 
 

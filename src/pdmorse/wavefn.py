@@ -26,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import BoundState, a_tilde
-from .errors import ComplexBranch, DomainUnsupported
+from .errors import ComplexBranch, DomainUnsupported, NormOverflow
 from .model import ReducedSystem
 from .quadrature import integrate_with_endpoint_power
 
 JACOBI_MAX_DEGREE = 200
+_RESCALE_AT = 1e150
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class SignConvention(enum.Enum):
@@ -122,16 +124,27 @@ def jacobi(n: int, p: float, q: float, x):
     return float(cur[0]) if scalar else cur
 
 
-def _laguerre(n: int, alpha: float, t):
-    """Generalized Laguerre L_n^{(alpha)}(t) (used for the eta = 0 limit)."""
-    t = np.asarray(t, dtype=float)
-    if n == 0:
-        return np.ones_like(t)
+def _scaled_laguerre(n: int, alpha: float, t: np.ndarray):
+    """Generalized Laguerre L_n^{(alpha)}(t) as (mantissa, log scale) per point.
+
+    L_n = mantissa * exp(log_scale).  The three-term recurrence is divided
+    through at a point whenever |L_k| passes 1e150 there, so deep levels
+    neither overflow nor lose their sign.
+    """
     prev = np.ones_like(t)
+    log_scale = np.zeros_like(t)
+    if n == 0:
+        return prev, log_scale
     cur = 1.0 + alpha - t
     for k in range(2, n + 1):
         prev, cur = cur, ((2 * k - 1 + alpha - t) * cur - (k - 1 + alpha) * prev) / k
-    return cur
+        big = np.abs(cur) > _RESCALE_AT
+        if big.any():
+            factor = np.where(big, np.abs(cur), 1.0)
+            cur /= factor
+            prev /= factor
+            log_scale += np.log(factor)
+    return cur, log_scale
 
 
 def _check_z_open_unit(z) -> np.ndarray:
@@ -193,7 +206,13 @@ def phi(sys: ReducedSystem, state: BoundState, z,
 
 
 def phi_eta0(sys: ReducedSystem, state: BoundState, z):
-    """Constant-mass eigenfunction z^{s} exp(-W z) L_n^{(2s)}(2 W z), W = sqrt(eps1)."""
+    """Constant-mass eigenfunction N z^{s} exp(-W z) L_n^{(2s)}(2 W z), W = sqrt(eps1).
+
+    N is state.norm_const (1 when unset).  The amplitude is assembled in log
+    space, sign(L) exp(log N + s log z - W z + log|L~| + log scale), with L~
+    the rescaled Laguerre recurrence, so a deep level whose factors overflow
+    or underflow on their own still evaluates to its finite product.
+    """
     if sys.eta != 0.0:
         raise ValueError("phi_eta0 requires an eta = 0 system")
     zz = np.atleast_1d(np.asarray(z, dtype=float))
@@ -202,7 +221,11 @@ def phi_eta0(sys: ReducedSystem, state: BoundState, z):
     s = math.sqrt(state.eps_nl)
     w = math.sqrt(sys.eps1)
     norm = state.norm_const if state.norm_const is not None else 1.0
-    out = norm * zz**s * np.exp(-w * zz) * _laguerre(state.n, 2.0 * s, 2.0 * w * zz)
+    lag, log_scale = _scaled_laguerre(state.n, 2.0 * s, 2.0 * w * zz)
+    with np.errstate(divide="ignore"):
+        log_amp = (np.log(abs(norm)) + s * np.log(zz) - w * zz
+                   + np.log(np.abs(lag)) + log_scale)
+    out = math.copysign(1.0, norm) * np.sign(lag) * np.exp(log_amp)
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -238,6 +261,28 @@ def _gamma_args(params: EigenfunctionParams) -> tuple[float, ...]:
     return (n + p + 1.0, n + q + 1.0, n + p + q + 1.0, 2.0 * n + p + q + 1.0, p + q + 2.0)
 
 
+def _norm_from_log(log_norm: float, what: str) -> float:
+    if log_norm > _LOG_FLOAT_MAX:
+        raise NormOverflow(
+            f"normalization constant exp({log_norm:.6g}) overflows a float for {what}")
+    return math.exp(log_norm)
+
+
+def norm_const_eta0(sys: ReducedSystem, state: BoundState) -> float:
+    """Closed-form eta = 0 normalization of :func:`phi_eta0` over z in (0, inf).
+
+    Laguerre orthogonality (DLMF 18.3) gives
+    int z^{2s} e^{-2Wz} [L_n^{(2s)}(2Wz)]^2 dz = Gamma(n+2s+1) / (n! (2W)^{2s+1}),
+    so log N = [(2s+1) log 2W + lgamma(n+1) - lgamma(n+2s+1)] / 2.  Raises
+    NormOverflow (a DomainUnsupported) when N exceeds the largest float.
+    """
+    n = state.n
+    two_s = 2.0 * math.sqrt(state.eps_nl)
+    log_norm = 0.5 * ((two_s + 1.0) * math.log(2.0 * math.sqrt(sys.eps1))
+                      + math.lgamma(n + 1.0) - math.lgamma(n + two_s + 1.0))
+    return _norm_from_log(log_norm, f"eta = 0 level n={n}")
+
+
 def norm_const(params: EigenfunctionParams) -> float:
     """Closed-form normalization constant b'_n for the unit z-integral.
 
@@ -247,7 +292,8 @@ def norm_const(params: EigenfunctionParams) -> float:
     (the extra (1-x) moment of the xi^2 factor).  The identity treats the
     z-range as the full orthogonality interval (0, 1/eta); for eta -> 1 this
     coincides with (0, 1) and the constant matches direct quadrature.  Raises
-    DomainUnsupported whenever a gamma argument is non-positive.
+    DomainUnsupported whenever a gamma argument is non-positive, and its
+    subclass NormOverflow when the constant exceeds the largest float.
     """
     p, q, n = params.jacobi_p, params.jacobi_q, params.n
     if any(arg <= 0.0 for arg in _gamma_args(params)):
@@ -266,7 +312,7 @@ def norm_const(params: EigenfunctionParams) -> float:
         raise DomainUnsupported(f"non-positive norm integral for n={n}")
     log_i = (-(q + 1.0) * math.log(2.0 * params.eta) - (1.0 + p) * math.log(2.0)
              + log_h + math.log(one_minus_bn))
-    return math.exp(-0.5 * log_i)
+    return _norm_from_log(-0.5 * log_i, f"n={n}, p={p:.6g}, q={q:.6g}")
 
 
 def norm_const_quadrature(params: EigenfunctionParams, tol: float = 1e-10) -> float:
@@ -285,6 +331,8 @@ def norm_const_quadrature(params: EigenfunctionParams, tol: float = 1e-10) -> fl
         return val * val
 
     integral = integrate_with_endpoint_power(f, power, upper=1.0, tol=tol)
+    if not integral > 0.0:
+        raise DomainUnsupported(f"phi^2 integral {integral:.3g} is not positive for n={params.n}")
     return 1.0 / math.sqrt(integral)
 
 
@@ -293,36 +341,33 @@ def attach_norm(sys: ReducedSystem, state: BoundState,
                 method: str = "auto") -> BoundState:
     """Return the state with norm_const filled.
 
-    method 'closed' forces the gamma closed form, 'quadrature' the oracle,
-    'auto' tries the closed form first and falls back to quadrature.  For
-    eta = 0 the Laguerre-form amplitude is normalized by quadrature on a
-    finite z window.
+    At eta = 0 the constant is always the closed form :func:`norm_const_eta0`
+    (the Laguerre norm is exact; convention and method do not apply).  For
+    eta > 0, method 'closed' forces the gamma closed form :func:`norm_const`,
+    'quadrature' the oracle :func:`norm_const_quadrature`, and 'auto' tries
+    the closed form first and falls back to quadrature outside its gamma
+    domain.  An overflowing closed form (NormOverflow) is final: the integral
+    the quadrature would have to resolve is about 1/N^2 < 1/max_float^2,
+    which is below the smallest positive float.
     """
     from dataclasses import replace
 
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     if sys.eta == 0.0:
-        w = math.sqrt(sys.eps1)
-        span = (4.0 * state.n + 2.0 * math.sqrt(state.eps_nl) + 8.0) / (2.0 * w) * 1.5
-
-        def f(z):
-            val = phi_eta0(sys, state, z)
-            return val * val
-
-        integral = integrate_with_endpoint_power(f, 2.0 * math.sqrt(state.eps_nl), upper=span)
-        return replace(state, norm_const=1.0 / math.sqrt(integral))
-
+        return replace(state, norm_const=norm_const_eta0(sys, state))
     params = EigenfunctionParams.from_state(sys, state, convention)
     if method == "closed":
         value = norm_const(params)
     elif method == "quadrature":
         value = norm_const_quadrature(params)
-    elif method == "auto":
+    else:
         try:
             value = norm_const(params)
+        except NormOverflow:
+            raise
         except DomainUnsupported:
             value = norm_const_quadrature(params)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return replace(state, norm_const=value)
 
 

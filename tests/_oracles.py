@@ -2,9 +2,10 @@
 
 These deliberately avoid the library code paths they check: the Jacobi
 oracle is the explicit finite sum, derivatives come from Richardson-style
-central differences, integrals from the composite trapezoid rule, RK4
-propagators from composed stage matrices, and eigenvalues from plain
-per-level bisection on node counts.
+central differences, integrals from the composite trapezoid or fixed-order
+Gauss-Legendre rules, RK4 propagators from composed stage matrices,
+eigenvalues from plain per-level bisection on node counts, and CSV rows from
+per-cell formatting.
 """
 from __future__ import annotations
 
@@ -93,3 +94,25 @@ def bisect_level(count_nodes, n: int, e_lo: float, e_hi: float, tol_ev: float) -
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def gauss_legendre_integral(f, a: float, b: float, panels: int, order: int = 20) -> float:
+    """Composite fixed-order Gauss-Legendre rule for a vectorized f on [a, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return float(np.sum(half * weights * f((half * nodes + mid).ravel()).reshape(half.shape[0], -1)))
+
+
+def csv_row_reference(values) -> str:
+    """One CSV row formatted cell by cell: '' for None, str() for ints, 17 digits for floats."""
+    cells = []
+    for value in values:
+        if value is None:
+            cells.append("")
+        elif isinstance(value, (int, np.integer)):
+            cells.append(str(int(value)))
+        else:
+            cells.append(format(float(value), ".17g"))
+    return ",".join(cells) + "\n"

@@ -1,18 +1,24 @@
 """Catalog, config ingestion, report serialization, and the CLI surface."""
 import json
+import math
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
+
+from _oracles import csv_row_reference
 
 from pdmorse import (WEYL, ConfigError, builtin_catalog, get_molecule,
                      load_molecule_config, reduce, resolve_molecule)
 from pdmorse.analytic import make_state
 from pdmorse.catalog import REFERENCE_ENERGIES, reference_energy
-from pdmorse.cli import main
-from pdmorse.reports import (build_spectrum_report, oracle_compare_rows,
-                             oracle_csv, parse_spectrum_csv, spectrum_csv,
-                             spectrum_json, table1_report, wavefunction_csv)
+from pdmorse.cli import _build_parser, main
+from pdmorse.reports import (SpectrumReport, SpectrumRow, build_spectrum_report,
+                             float_rows, oracle_compare_rows, oracle_csv,
+                             parse_spectrum_csv, spectrum_csv, spectrum_json,
+                             table1_report, wavefunction_csv)
 from pdmorse.wavefn import SignConvention
 
 GOOD_CONFIG = """\
@@ -268,3 +274,109 @@ class TestSpectrumOrderingOption:
         b = build_spectrum_report(h2, 0.4, LI_KUHN)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.E_eV == pytest.approx(rb.E_eV, rel=1e-14)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**52,
+               1e16, 1e17, 123456789012345678.0, 0.1, 1 / 3, math.pi * 1e-300,
+               math.inf, -math.inf, math.nan]
+
+
+class TestRowTemplates:
+    """The one-template serializers give fmt()'s bytes, cell for cell."""
+
+    def test_float_rows_edge_values(self):
+        cols = [np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1]),
+                -np.array(EDGE_FLOATS), np.roll(EDGE_FLOATS, 5)]
+        expected = "".join(csv_row_reference(row) for row in zip(*cols))
+        assert float_rows(*cols) == expected
+
+    def test_float_rows_random_bits(self):
+        rng = np.random.default_rng(2)
+        values = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)][:3000].reshape(-1, 2)
+        expected = "".join(csv_row_reference(row) for row in values)
+        assert float_rows(values[:, 0], values[:, 1]) == expected
+
+    def test_float_rows_empty(self):
+        assert float_rows(np.array([]), np.array([])) == ""
+
+    @staticmethod
+    def spectrum_body(rows) -> str:
+        report = SpectrumReport(molecule="m", eta=0.0, ordering="weyl", rows=tuple(rows))
+        return spectrum_csv(report, include_provenance=False).split("\n", 1)[1]
+
+    @staticmethod
+    def spectrum_reference(rows) -> str:
+        return "".join(csv_row_reference((r.n, r.eps_nl, r.E_eV, r.E_paper_eV, r.delta_eV))
+                       for r in rows)
+
+    def test_spectrum_rows_with_and_without_references(self):
+        rows = [SpectrumRow(0, -0.0, 5e-324, None, None),
+                SpectrumRow(1, 289.0, -4.5277740052579727, -4.528, 0.000226),
+                SpectrumRow(12, 1.7976931348623157e308, -2.0, None, None),
+                SpectrumRow(13, 1e-300, -1e17, 3.0, -0.0)]
+        assert self.spectrum_body(rows) == self.spectrum_reference(rows)
+        assert self.spectrum_body([]) == ""
+
+    def test_spectrum_csv_body(self, h2):
+        rows = build_spectrum_report(h2, 0.4, WEYL).rows
+        assert self.spectrum_body(rows) == self.spectrum_reference(rows)
+
+
+class TestParser:
+    def test_built_once_with_fresh_namespaces(self):
+        assert _build_parser() is _build_parser()
+        a = _build_parser().parse_args(["spectrum", "--molecule", "H2", "--eta", "0.2"])
+        b = _build_parser().parse_args(["spectrum", "--molecule", "LiH", "--eta", "0.4",
+                                        "--format", "json"])
+        assert a is not b
+        assert (a.molecule, a.eta, a.format) == ("H2", 0.2, "csv")
+        assert (b.molecule, b.eta, b.format) == ("LiH", 0.4, "json")
+
+    def test_usage_error_leaves_parser_usable(self, capsys):
+        assert main(["wavefunction", "--molecule", "H2"]) == 2
+        assert main(["spectrum", "--molecule", "H2", "--eta", "0.2"]) == 0
+
+
+DEEP_CORNER = "name = deep\nD_eV = 8\nr0_angstrom = 2.5\nm0_amu = 40\nalpha_prime = 0.8\n"
+# ROADMAP item 4's reproducer: raw ZeroDivisionError before the closed form
+HEAVY = "name = heavy\nD_eV = 8\nr0_angstrom = 2\nm0_amu = 100\nalpha_prime = 1\n"
+
+
+class TestDeepLevels:
+    """Deep levels either export finite rows or fail with one typed line."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        def write(text):
+            path = tmp_path / "mol.cfg"
+            path.write_text(text)
+            return str(path)
+        return write
+
+    def test_deep_corner_eta0_exports_finite_rows(self, config, capsys):
+        argv = ["wavefunction", "--molecule", config(DEEP_CORNER), "--eta", "0",
+                "--ordering", "likuhn", "--n", "458", "--no-provenance"]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 257
+        values = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert np.all(np.isfinite(values))
+        assert np.abs(values[:, 2]).max() > 0.1
+
+    @pytest.mark.parametrize("text, eta, ordering, n", [
+        (DEEP_CORNER, "0", "likuhn", "152"),     # eta = 0 norm beyond the largest float
+        (HEAVY, "0", "weyl", "100"),             # was a raw ZeroDivisionError
+        (DEEP_CORNER, "0.1", "likuhn", "161"),   # was a raw OverflowError
+    ])
+    def test_overflowing_norm_is_one_error_line(self, config, capsys, text, eta, ordering, n):
+        argv = ["wavefunction", "--molecule", config(text), "--eta", eta,
+                "--ordering", ordering, "--n", n]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")

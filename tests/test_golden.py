@@ -1,0 +1,71 @@
+"""Golden CLI outputs: stdout with provenance off must not change by a byte.
+
+The goldens cover ``table1``; ``spectrum`` CSV and JSON for H2 and LiH at
+every reference eta with both named orderings (plus one explicit triple);
+one eta > 0 ``wavefunction`` per sign convention; and one small
+``oracle-compare``.  Regenerate them only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from pdmorse.catalog import REFERENCE_ETAS
+from pdmorse.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
+
+
+def _cases() -> list[tuple[str, ...]]:
+    cases = [("table1",)]
+    for molecule in ("H2", "LiH"):
+        for eta in REFERENCE_ETAS:
+            for ordering in ("weyl", "likuhn"):
+                for fmt in ("csv", "json"):
+                    cases.append(("spectrum", "--molecule", molecule, "--eta", str(eta),
+                                  "--ordering", ordering, "--format", fmt,
+                                  "--no-provenance"))
+    cases.append(("spectrum", "--molecule", "H2", "--eta", "0.2", "--ordering",
+                  "0.5,-0.25,-0.25", "--no-provenance"))
+    for convention, n in (("normalizable", "1"), ("printed", "17")):
+        cases.append(("wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", n,
+                      "--samples", "64", "--convention", convention, "--no-provenance"))
+    cases.append(("oracle-compare", "--molecule", "H2", "--eta", "0.2", "--grid", "2001",
+                  "--n-max", "1", "--no-provenance"))
+    return cases
+
+
+CASES = _cases()
+
+
+def run_cli(argv: tuple[str, ...]) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(" ".join(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_stdout_matches_golden(golden, argv):
+    assert run_cli(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({" ".join(argv): run_cli(argv) for argv in CASES},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(CASES)} outputs to {GOLDEN}")

@@ -97,6 +97,13 @@ class TestOrdering:
         with pytest.raises(ConfigError):
             AmbiguityOrdering(a=-1.0, alpha=0.0, gamma=0.0)
 
+    @pytest.mark.parametrize("alpha, gamma", [(math.nan, 0.0), (math.inf, 0.0),
+                                              (1e17, 1.0)])
+    def test_broken_constraint_is_config_error(self, alpha, gamma):
+        # a typed error, not an assert, so it also holds under python -O
+        with pytest.raises(ConfigError, match="alpha \\+ beta \\+ gamma = -1"):
+            AmbiguityOrdering(a=0.0, alpha=alpha, gamma=gamma)
+
     def test_parse(self):
         assert parse_ordering("weyl") is WEYL
         assert parse_ordering("likuhn") is LI_KUHN
@@ -170,6 +177,11 @@ class TestReduce:
                      V2=0.4 * h2.alpha_prime**2 * h2.E0 / 2)
         assert sys.v1 == pytest.approx(0.25, rel=1e-12)
         assert sys.v2 == pytest.approx(0.4, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_broken_combination_identity_is_config_error(self, h2, a):
+        with pytest.raises(ConfigError, match="A1 \\+ A2 = c_ord - 1/4"):
+            reduce(h2, 0.2, AmbiguityOrdering(a=a, alpha=0.0, gamma=0.0))
 
     def test_eta_out_of_range(self, h2):
         with pytest.raises(ConfigError):

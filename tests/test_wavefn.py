@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import jacobi_finite_sum
-from pdmorse import (WEYL, DomainUnsupported, EigenfunctionParams, SignConvention,
+from _oracles import gauss_legendre_integral, jacobi_finite_sum
+from pdmorse import (WEYL, DomainUnsupported, EigenfunctionParams, NormOverflow,
+                     SignConvention,
                      attach_norm, jacobi, make_state, node_count, norm_const,
                      norm_const_quadrature, nu_consistent_state, ode_residual, phi,
                      phi_eta0, reduce, rodrigues_psi, weight_rho, xi_part)
-from pdmorse.analytic import a_tilde, nu_consistent_epsilon
-from pdmorse.wavefn import make_z_grid
+from pdmorse.analytic import a_tilde, nu_consistent_epsilon, spectrum
+from pdmorse.wavefn import make_z_grid, norm_const_eta0
 
 PRINTED = SignConvention.PRINTED
 NORMALIZABLE = SignConvention.NORMALIZABLE
@@ -289,3 +290,164 @@ class TestPhiEta0:
         vals = phi_eta0(h2_eta0, st, z)
         signs = np.sign(vals)
         assert int(np.sum(signs[1:] * signs[:-1] < 0)) == 3
+
+
+def eta0_levels(molecule):
+    sys_ = reduce(molecule, 0.0, WEYL)
+    return [(sys_, st) for st in spectrum(sys_)]
+
+
+class TestEta0Normalization:
+    """Closed-form Laguerre norm at eta = 0, against mpmath and unit probability."""
+
+    @pytest.fixture(scope="class", params=["h2", "lih"])
+    def levels(self, request):
+        return eta0_levels(request.getfixturevalue(request.param))
+
+    def test_closed_form_against_mpmath(self, levels):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for sys_, st in levels:
+                two_s = 2 * mpmath.sqrt(mpmath.mpf(st.eps_nl))
+                two_w = 2 * mpmath.sqrt(mpmath.mpf(sys_.eps1))
+                ref = mpmath.sqrt(two_w ** (two_s + 1) * mpmath.factorial(st.n)
+                                  / mpmath.gamma(st.n + two_s + 1))
+                got = attach_norm(sys_, st).norm_const
+                assert abs(got / ref - 1) < 1e-13, st.n
+
+    def test_unit_probability(self, levels):
+        # z = u^4 smooths the z^{2s} endpoint power; the tail beyond t = 2Wz =
+        # 4n + 4s + 80 is below double precision
+        k = 4
+        for sys_, st in levels:
+            st = attach_norm(sys_, st)
+            t_max = 4 * st.n + 4 * math.sqrt(st.eps_nl) + 80
+            u_max = (t_max / (2 * math.sqrt(sys_.eps1))) ** (1 / k)
+            total = gauss_legendre_integral(
+                lambda u: phi_eta0(sys_, st, u**k) ** 2 * k * u ** (k - 1), 0.0, u_max, 400)
+            assert abs(total - 1.0) < 1e-12, st.n
+
+    def test_laguerre_identity_by_mpmath_quadrature(self, lih):
+        # the identity itself, for the level the old finite-window quadrature
+        # missed by 20%; L_n from its explicit finite sum
+        mpmath = pytest.importorskip("mpmath")
+        sys_, st = eta0_levels(lih)[12]
+        n = st.n
+        with mpmath.workdps(50):
+            s = mpmath.sqrt(mpmath.mpf(st.eps_nl))
+            w = mpmath.sqrt(mpmath.mpf(sys_.eps1))
+            coeffs = [(-1) ** k * mpmath.binomial(n + 2 * s, n - k) / mpmath.factorial(k)
+                      for k in range(n, -1, -1)]
+            integral = mpmath.quad(
+                lambda z: z ** (2 * s) * mpmath.exp(-2 * w * z)
+                * mpmath.polyval(coeffs, 2 * w * z) ** 2,
+                mpmath.linspace(0, 4 * (n + s + 15) / (2 * w), 8) + [mpmath.inf])
+            ref = 1 / mpmath.sqrt(integral)
+        assert abs(norm_const_eta0(sys_, st) / ref - 1) < 1e-13
+
+    def test_method_and_convention_do_not_apply(self, h2_eta0):
+        st = make_state(h2_eta0, 2)
+        expected = norm_const_eta0(h2_eta0, st)
+        for method in ("auto", "closed", "quadrature"):
+            for conv in (PRINTED, NORMALIZABLE):
+                assert attach_norm(h2_eta0, st, conv, method).norm_const == expected
+        with pytest.raises(ValueError, match="unknown method"):
+            attach_norm(h2_eta0, st, method="trapezoid")
+
+    def test_overflowing_norm_is_typed(self, h2_eta0):
+        from dataclasses import replace
+
+        # a fictitious deep level: log N ~ 1e3, beyond the largest float
+        st = replace(make_state(h2_eta0, 0), eps_nl=1000.0**2)
+        deep = replace(h2_eta0, eps1=1100.0**2)
+        with pytest.raises(NormOverflow, match="overflows a float") as info:
+            norm_const_eta0(deep, st)
+        assert isinstance(info.value, DomainUnsupported)
+
+    def test_deep_level_stays_finite(self, h2_eta0):
+        from dataclasses import replace
+
+        # L_400 at t ~ 1e3 passes 1e300: the scaled recurrence keeps the
+        # product with the envelope finite and the node count exact
+        st = replace(make_state(h2_eta0, 0), n=400, eps_nl=150.0**2, norm_const=None)
+        sys_ = replace(h2_eta0, eps1=550.5**2)
+        st = attach_norm(sys_, st)
+        z = np.linspace(1e-4, 4.0, 40001)
+        with np.errstate(over="raise", invalid="raise"):
+            vals = phi_eta0(sys_, st, z)
+        assert np.all(np.isfinite(vals)) and np.abs(vals).max() > 1e-3
+        signs = np.sign(vals[vals != 0])
+        assert int(np.sum(signs[1:] * signs[:-1] < 0)) == 400
+
+    @pytest.mark.parametrize("n, alpha, ts", [
+        (12, 30.0, [1.0, 20.0, 60.0]),
+        (400, 300.0, [50.0, 400.0, 1000.0, 1500.0, 2500.0]),  # rescaled, up to e^694
+    ])
+    def test_scaled_laguerre_against_mpmath(self, n, alpha, ts):
+        from pdmorse.wavefn import _scaled_laguerre
+
+        mpmath = pytest.importorskip("mpmath")
+        mantissa, log_scale = _scaled_laguerre(n, alpha, np.array(ts))
+        with mpmath.workdps(50):
+            for i, t in enumerate(ts):
+                ref = mpmath.laguerre(n, alpha, t)
+                assert np.sign(mantissa[i]) == mpmath.sign(ref)
+                got = math.log(abs(mantissa[i])) + log_scale[i]
+                assert abs(got - float(mpmath.log(abs(ref)))) < 1e-12, t
+
+    def test_scalar_and_signed_norm(self, h2_eta0):
+        from dataclasses import replace
+
+        st = attach_norm(h2_eta0, make_state(h2_eta0, 1))
+        z = np.array([0.05, 0.2, 0.6])
+        vals = phi_eta0(h2_eta0, st, z)
+        assert phi_eta0(h2_eta0, st, 0.2) == vals[1]
+        flipped = phi_eta0(h2_eta0, replace(st, norm_const=-st.norm_const), z)
+        np.testing.assert_array_equal(flipped, -vals)
+        zero = phi_eta0(h2_eta0, replace(st, norm_const=0.0), z)
+        np.testing.assert_array_equal(zero, 0.0)
+
+
+class TestTypedFailures:
+    def test_quadrature_panel_budget(self):
+        from pdmorse import PdmorseError, QuadratureFailure
+        from pdmorse.quadrature import adaptive_gauss
+
+        with pytest.raises(QuadratureFailure, match="exceeded 3 panels") as info:
+            adaptive_gauss(lambda x: np.sin(40.0 * x) ** 2, 0.0, 10.0, max_panels=3)
+        assert isinstance(info.value, PdmorseError)
+
+    def test_quadrature_non_finite_integrand_fails_fast(self):
+        from pdmorse import QuadratureFailure
+        from pdmorse.quadrature import adaptive_gauss
+
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            adaptive_gauss(f, 0.0, 1.0)
+        assert len(calls) == 2  # one panel, not the whole budget
+
+    def test_eta_positive_closed_form_overflow_is_typed(self, tmp_path, monkeypatch):
+        from pdmorse import load_molecule_config
+        from pdmorse import wavefn
+        from pdmorse.model import LI_KUHN
+
+        path = tmp_path / "deep.cfg"
+        path.write_text("name = deep\nD_eV = 8\nr0_angstrom = 2.5\n"
+                        "m0_amu = 40\nalpha_prime = 0.8\n")
+        sys_ = reduce(load_molecule_config(path), 0.1, LI_KUHN)
+        st = make_state(sys_, 161)
+        params = EigenfunctionParams.from_state(sys_, st, NORMALIZABLE)
+        with pytest.raises(NormOverflow, match="overflows a float"):
+            norm_const(params)
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("an overflowing closed form must not fall back")
+
+        monkeypatch.setattr(wavefn, "norm_const_quadrature", no_fallback)
+        with pytest.raises(NormOverflow):
+            attach_norm(sys_, st)
