@@ -2,88 +2,99 @@
 
 The per-step RK4 propagators come from closed-form expressions in the
 coefficient table, evaluated with vectorized numpy; the only sequential
-piece is the 2x2 propagation sweep below.  It is compiled with numba when
-available, with a pure-Python fallback selected automatically or forced via
-the environment flag ``PDMORSE_DISABLE_NUMBA=1``.  Both sweep paths perform
-the identical arithmetic.  Run ``benchmarks/bench_shooting.py`` to time the
-propagators and compare the sweeps.
+piece is the 2x2 propagation sweep, one pure-Python loop.  It counts a node
+when phi changes sign strictly (+ -> 0 -> - counts none) and rescales
+(phi, phi') by 1e-250 once |phi| passes 1e250.  While phi keeps one sign
+the loop tests only whether the next phi leaves (0, 1e250] (or its mirror);
+such a step, and every step from a zero phi, takes the plain branch.  NaN
+stays NaN and counts nothing on either branch, so every result is bit for
+bit that of one plain loop.
+
+Settled tail (Sturm comparison, Pryce 1993).  Suppose that from step t on
+every propagator entry is >= 0 (NaN counts as negative).  If phi, phi' >= 0
+then p = m00 phi + m01 phi' and d = m10 phi + m11 phi' are >= 0 (or NaN),
+rescaling keeps signs, and NaN stays NaN and counts nothing; by induction
+phi never again falls below zero, so no later step counts a node.  The same
+holds with both <= 0.  A node-count-only sweep therefore stops at the first
+such state at or after t.  In the forbidden right tail (h > 0, q > 0) all
+four entries are positive.  Run ``benchmarks/bench_shooting.py`` to time
+the propagators and both sweeps.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - environment dependent
-    njit = None
-    HAS_NUMBA = False
-
-_DISABLE = os.environ.get("PDMORSE_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-USE_NUMBA = HAS_NUMBA and not _DISABLE
+USE_NUMBA = False  # recorded by e2ebench/run.py; there is no compiled path
 
 # Renormalization threshold; rescaling both components leaves nodes and
 # log-derivatives unchanged while keeping the growing solution finite.
 _RESCALE_LIMIT = 1e250
 
 
-def sweep_python(m00, m01, m10, m11, phi0: float, dphi0: float):
-    """Propagate (phi, phi') through per-step 2x2 matrices, counting nodes."""
-    # list conversion: plain-float arithmetic is several times faster than
-    # numpy scalar indexing in the interpreter
-    a00 = m00.tolist()
-    a01 = m01.tolist()
-    a10 = m10.tolist()
-    a11 = m11.tolist()
-    phi = float(phi0)
-    dphi = float(dphi0)
-    nodes = 0
-    for i in range(len(a00)):
-        p = a00[i] * phi + a01[i] * dphi
-        d = a10[i] * phi + a11[i] * dphi
-        if (p < 0.0 and phi > 0.0) or (p > 0.0 and phi < 0.0):
-            nodes += 1
-        phi = p
-        dphi = d
-        if phi > _RESCALE_LIMIT or phi < -_RESCALE_LIMIT:
-            phi *= 1e-250
-            dphi *= 1e-250
-    return phi, dphi, nodes
+def _run(steps, phi: float, dphi: float, nodes: int, settle: bool = False):
+    """Propagate (phi, phi', nodes) through a one-pass iterator of step
+    entries (a, b, c, e); the sign runs advance that same iterator.
 
-
-if HAS_NUMBA:
-    @njit(cache=True)
-    def _sweep_numba(a00, a01, a10, a11, phi0, dphi0):  # pragma: no cover - jitted
-        phi = phi0
-        dphi = dphi0
-        nodes = 0
-        for i in range(a00.shape[0]):
-            p = a00[i] * phi + a01[i] * dphi
-            d = a10[i] * phi + a11[i] * dphi
+    With settle every step is plain, and the run stops before the first
+    state with phi and phi' both >= 0 or both <= 0.
+    """
+    lim = _RESCALE_LIMIT
+    for a, b, c, e in steps:
+        while True:  # plain step, then a sign run from the state it leaves
+            if settle and ((phi >= 0.0 and dphi >= 0.0) or (phi <= 0.0 and dphi <= 0.0)):
+                return phi, dphi, nodes
+            p = a * phi + b * dphi
+            d = c * phi + e * dphi
             if (p < 0.0 and phi > 0.0) or (p > 0.0 and phi < 0.0):
                 nodes += 1
             phi = p
             dphi = d
-            if phi > 1e250 or phi < -1e250:
+            if phi > lim or phi < -lim:
                 phi *= 1e-250
                 dphi *= 1e-250
+            if phi > 0.0 and not settle:
+                for a, b, c, e in steps:
+                    p = a * phi + b * dphi
+                    if p <= 0.0 or p > lim:
+                        break  # this step takes the plain branch
+                    dphi = c * phi + e * dphi
+                    phi = p
+                else:
+                    return phi, dphi, nodes
+            elif phi < 0.0 and not settle:
+                for a, b, c, e in steps:
+                    p = a * phi + b * dphi
+                    if p >= 0.0 or p < -lim:
+                        break
+                    dphi = c * phi + e * dphi
+                    phi = p
+                else:
+                    return phi, dphi, nodes
+            else:
+                break
+    return phi, dphi, nodes
+
+
+def sweep(m00, m01, m10, m11, phi0: float, dphi0: float, nodes_only: bool = False):
+    """Propagate (phi, phi') through per-step 2x2 matrices, counting nodes.
+
+    Returns (phi, phi', nodes) at the last point.  With nodes_only the sweep
+    stops in the settled tail (module docstring) and returns (None, None,
+    nodes), nodes being the count of the full sweep.
+    """
+    cols = [np.ascontiguousarray(m, dtype=float) for m in (m00, m01, m10, m11)]
+    end = len(cols[0])
+    if nodes_only:  # the settled tail starts after the last negative (or NaN) entry
+        negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
+        end = int(negative[-1]) + 1 if negative.size else 0
+    # memoryviews hand out plain floats without building four lists;
+    # plain-float arithmetic is several times faster than numpy scalars
+    views = [memoryview(m) for m in cols]
+    phi, dphi, nodes = _run(zip(*(v[:end] for v in views)), float(phi0), float(dphi0), 0)
+    if not nodes_only:
         return phi, dphi, nodes
-
-    def sweep_numba(m00, m01, m10, m11, phi0: float, dphi0: float):
-        return _sweep_numba(np.ascontiguousarray(m00), np.ascontiguousarray(m01),
-                            np.ascontiguousarray(m10), np.ascontiguousarray(m11),
-                            float(phi0), float(dphi0))
-else:  # pragma: no cover - environment dependent
-    sweep_numba = None
-
-
-def sweep(m00, m01, m10, m11, phi0: float, dphi0: float):
-    """Dispatch to the compiled sweep when enabled, else the Python fallback."""
-    if USE_NUMBA:
-        return sweep_numba(m00, m01, m10, m11, phi0, dphi0)
-    return sweep_python(m00, m01, m10, m11, phi0, dphi0)
+    nodes = _run(zip(*(v[end:] for v in views)), phi, dphi, nodes, settle=True)[2]
+    return None, None, nodes
 
 
 def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):

@@ -137,10 +137,14 @@ class _ShootingEngine:
         return (self.p_nodes * (self.u_nodes - E), self.p_mids * (self.u_mids - E))
 
     def count_nodes(self, E: float) -> int:
-        """Interior nodes of the left-anchored solution: eigenvalues below E."""
+        """Interior nodes of the left-anchored solution: eigenvalues below E.
+
+        Only the count is used, so the sweep stops in the settled tail where
+        no later step can change it (``kernels`` module docstring).
+        """
         qn, qm = self._q(E)
         props = kernels.rk4_propagators(qn, qm, self.h)
-        _, _, nodes = kernels.sweep(*props, 0.0, 1.0)
+        _, _, nodes = kernels.sweep(*props, 0.0, 1.0, nodes_only=True)
         i = bisect.bisect_left(self._stair_e, E)
         self._stair_e.insert(i, E)
         self._stair_n.insert(i, nodes)

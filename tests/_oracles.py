@@ -4,12 +4,14 @@ These deliberately avoid the library code paths they check: the Jacobi
 oracle is the explicit finite sum, derivatives come from Richardson-style
 central differences, integrals from the composite trapezoid or fixed-order
 Gauss-Legendre rules, RK4 propagators from composed stage matrices,
-eigenvalues from plain per-level bisection on node counts, and CSV rows from
-per-cell formatting.
+eigenvalues from plain per-level bisection on node counts, the node-counting
+sweep from a one-branch loop, and CSV rows from per-cell formatting.
 """
 from __future__ import annotations
 
 import numpy as np
+
+_RESCALE_LIMIT = 1e250  # sweep_reference: renormalization threshold
 
 
 def jacobi_finite_sum(n: int, p: float, q: float, x: float) -> float:
@@ -116,3 +118,31 @@ def csv_row_reference(values) -> str:
         else:
             cells.append(format(float(value), ".17g"))
     return ",".join(cells) + "\n"
+
+
+def sweep_reference(m00, m01, m10, m11, phi0: float, dphi0: float):
+    """Propagate (phi, phi') through per-step 2x2 matrices, counting nodes.
+
+    The plain one-branch loop that ``kernels.sweep`` must match bit for bit:
+    node on a strict sign change of phi, rescale by 1e-250 past 1e250.
+    """
+    # list conversion: plain-float arithmetic is several times faster than
+    # numpy scalar indexing in the interpreter
+    a00 = m00.tolist()
+    a01 = m01.tolist()
+    a10 = m10.tolist()
+    a11 = m11.tolist()
+    phi = float(phi0)
+    dphi = float(dphi0)
+    nodes = 0
+    for i in range(len(a00)):
+        p = a00[i] * phi + a01[i] * dphi
+        d = a10[i] * phi + a11[i] * dphi
+        if (p < 0.0 and phi > 0.0) or (p > 0.0 and phi < 0.0):
+            nodes += 1
+        phi = p
+        dphi = d
+        if phi > _RESCALE_LIMIT or phi < -_RESCALE_LIMIT:
+            phi *= 1e-250
+            dphi *= 1e-250
+    return phi, dphi, nodes

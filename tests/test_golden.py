@@ -2,8 +2,9 @@
 
 The goldens cover ``table1``; ``spectrum`` CSV and JSON for H2 and LiH at
 every reference eta with both named orderings (plus one explicit triple);
-one eta > 0 ``wavefunction`` per sign convention; and one small
-``oracle-compare``.  Regenerate them only for an intended output change:
+one eta > 0 ``wavefunction`` per sign convention; and three
+``oracle-compare`` runs: a small one, a 13-level LiH ladder at eta = 0.6 and
+a long-grid H2 run at eta = 0.  Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -36,6 +37,10 @@ def _cases() -> list[tuple[str, ...]]:
                       "--samples", "64", "--convention", convention, "--no-provenance"))
     cases.append(("oracle-compare", "--molecule", "H2", "--eta", "0.2", "--grid", "2001",
                   "--n-max", "1", "--no-provenance"))
+    cases.append(("oracle-compare", "--molecule", "LiH", "--eta", "0.6", "--ordering",
+                  "likuhn", "--grid", "2001", "--n-max", "12", "--no-provenance"))
+    cases.append(("oracle-compare", "--molecule", "H2", "--eta", "0", "--grid", "8001",
+                  "--n-max", "2", "--no-provenance"))
     return cases
 
 

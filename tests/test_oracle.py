@@ -1,13 +1,10 @@
 """Shooting-method eigensolver: sanity tests and cross-validation."""
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from _oracles import bisect_level, fd_derivative, rk4_propagators_matmul
+from _oracles import bisect_level, fd_derivative, rk4_propagators_matmul, sweep_reference
 from pdmorse import (LI_KUHN, WEYL, ConfigError, GridSpec, MassModel, NoBracket,
                      NonConvergence, constant_mass_epsilon, default_domain,
                      get_molecule, physical_psi, potential_value, reduce,
@@ -15,6 +12,7 @@ from pdmorse import (LI_KUHN, WEYL, ConfigError, GridSpec, MassModel, NoBracket,
 from pdmorse import kernels, oracle
 from pdmorse.catalog import REFERENCE_ETAS
 from pdmorse.oracle import scan_nodes
+from pdmorse.reports import oracle_compare_rows
 from pdmorse.units import HBAR2_EV_AMU_A2
 
 
@@ -135,6 +133,27 @@ class TestSolver:
         for n, e in solved:
             assert abs(e - bisect_level(engine.count_nodes, n, *window, tol)) <= tol
 
+    @pytest.mark.parametrize("eta", REFERENCE_ETAS)
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_staircase_counts_match_reference_sweep(self, name, eta, monkeypatch):
+        # every count a real oracle-compare solve stores (both domains, the
+        # certificates at E -+ tol/2 next to each level included) must equal
+        # the count of a full sweep of the reference loop at that energy
+        visits = []
+        count_nodes = oracle._ShootingEngine.count_nodes
+
+        def recording(self, e):
+            visits.append((self, e, count_nodes(self, e)))
+            return visits[-1][2]
+
+        monkeypatch.setattr(oracle._ShootingEngine, "count_nodes", recording)
+        rows = oracle_compare_rows(get_molecule(name), eta, WEYL, 2, 8001)
+        assert len({engine for engine, _, _ in visits}) == (2 if eta > 0.0 else 1)
+        assert len(visits) >= 2 * len(rows)
+        for engine, e, nodes in visits:
+            props = kernels.rk4_propagators(*engine._q(e), engine.h)
+            assert nodes == sweep_reference(*props, 0.0, 1.0)[2], (name, eta, e)
+
     def test_results_follow_request_order(self, h2):
         mm = MassModel.for_molecule(h2, 0.2)
         grid = GridSpec(*reference_domain(h2, 0.2), 2001)
@@ -242,27 +261,6 @@ class TestGridSpec:
 
 
 class TestKernels:
-    def test_python_and_numba_sweeps_agree(self):
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(7)
-        q_nodes = rng.uniform(-30.0, 30.0, 513)
-        q_mids = rng.uniform(-30.0, 30.0, 512)
-        props = kernels.rk4_propagators(q_nodes, q_mids, 0.01)
-        py = kernels.sweep_python(*props, 0.0, 1.0)
-        nb = kernels.sweep_numba(*props, 0.0, 1.0)
-        assert py[2] == nb[2]
-        assert py[0] == pytest.approx(nb[0], rel=1e-13)
-        assert py[1] == pytest.approx(nb[1], rel=1e-13)
-
-    def test_env_flag_disables_numba(self):
-        code = ("import pdmorse.kernels as k; "
-                "print(k.USE_NUMBA)")
-        env = dict(os.environ, PDMORSE_DISABLE_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env, check=True)
-        assert out.stdout.strip() == "False"
-
     @staticmethod
     def _q_tables():
         # random tables keep one sign: with mixed signs m10 is a cancelling
@@ -291,8 +289,68 @@ class TestKernels:
                 ref = rk4_propagators_matmul(qn, qm, step)
                 for a, b in zip(got, ref):
                     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-14, label
-                assert (kernels.sweep_python(*got, 0.0, 1.0)[2]
-                        == kernels.sweep_python(*ref, 0.0, 1.0)[2]), label
+                assert (kernels.sweep(*got, 0.0, 1.0)[2]
+                        == kernels.sweep(*ref, 0.0, 1.0)[2]), label
+
+    @staticmethod
+    def _random_tables(count: int, seed: int):
+        """Short step tables with mixed signs, signed zeros, NaN, +-inf and
+        magnitudes up to 1e200, so that sign changes land on rescale steps."""
+        rng = np.random.default_rng(seed)
+        starts = (0.0, 1.0, -1.0, 1e-300, math.nan)
+        sizes = rng.integers(1, 40, count)
+        top = np.repeat(rng.choice([1.0, 60.0, 200.0], count), sizes)
+        kind = rng.random((4, sizes.sum()))
+        mag = 10.0 ** (-2.0 + (top + 2.0) * rng.random(kind.shape))
+        mag[kind < 0.08] = 0.0
+        mag[(kind >= 0.08) & (kind < 0.09)] = math.nan
+        mag[(kind >= 0.09) & (kind < 0.10)] = math.inf
+        sign = rng.choice([-1.0, 1.0], kind.shape)
+        ends = np.cumsum(sizes)
+        # every other table ends in a run of non-negative entries (a settled tail)
+        pos = np.arange(sizes.sum()) - np.repeat(ends - sizes, sizes)
+        odd = np.repeat(np.arange(count) % 2 == 1, sizes)
+        sign[:, odd & (pos >= np.repeat(sizes // 2, sizes))] = 1.0
+        block = sign * mag
+        dphi0 = rng.choice([1.0, -1.0], count)
+        for i, (a, b) in enumerate(zip(ends - sizes, ends)):
+            yield tuple(block[:, a:b]), starts[i % len(starts)], float(dphi0[i])
+
+    @staticmethod
+    def _same(x: float, y: float) -> bool:
+        """Bit equality of results, with NaN matching NaN and -0.0 != 0.0."""
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+    def test_sweep_matches_reference_bit_for_bit(self):
+        for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
+            ref = sweep_reference(*cols, phi0, dphi0)
+            got = kernels.sweep(*cols, phi0, dphi0)
+            assert got[2] == ref[2], (cols, phi0, dphi0)
+            assert self._same(got[0], ref[0]) and self._same(got[1], ref[1]), (cols, phi0)
+
+    def test_nodes_only_count_matches_reference(self):
+        for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
+            got = kernels.sweep(*cols, phi0, dphi0, nodes_only=True)
+            assert got == (None, None, sweep_reference(*cols, phi0, dphi0)[2]), (cols, phi0)
+
+    @pytest.mark.parametrize("steps, phi0, expected", [
+        # + -> 0 -> - is no node; the zero state takes a plain step
+        ([(0.0, 0.0, 0.0, 1.0), (1.0, -1.0, 0.0, 1.0)], 1.0, 0),
+        # a node and a rescale on the same step
+        ([(-1e251, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0)], 1.0, 1),
+        ([(1e251, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)], -1.0, 1),
+        # a NaN state counts nothing from then on
+        ([(math.nan, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)], 1.0, 0),
+    ])
+    def test_edge_steps_match_reference(self, steps, phi0, expected):
+        cols = tuple(np.array(col) for col in zip(*steps))
+        ref = sweep_reference(*cols, phi0, 1.0)
+        got = kernels.sweep(*cols, phi0, 1.0)
+        assert ref[2] == got[2] == expected
+        assert self._same(got[0], ref[0]) and self._same(got[1], ref[1])
+        assert kernels.sweep(*cols, phi0, 1.0, nodes_only=True)[2] == expected
 
     def test_rescaling_preserves_nodes(self):
         # a steep growth region must trigger renormalization without
@@ -301,6 +359,6 @@ class TestKernels:
         q_nodes = np.full(n, 4000.0)   # strongly forbidden region
         q_mids = np.full(n - 1, 4000.0)
         props = kernels.rk4_propagators(q_nodes, q_mids, 0.01)
-        phi, dphi, nodes = kernels.sweep_python(*props, 0.0, 1.0)
+        phi, dphi, nodes = kernels.sweep(*props, 0.0, 1.0)
         assert np.isfinite(phi) and np.isfinite(dphi)
         assert nodes == 0
