@@ -19,7 +19,7 @@ discrepancy stays measurable.  At eta = 0 everything coincides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ComplexBranch, DegenerateDenominator, RealityViolation
 from .model import ReducedSystem
@@ -117,12 +117,15 @@ def reality_check(sys: ReducedSystem) -> bool:
     return sys.v1 / 2.0 > sys.eta**2 * (2.0 * sys.c_ord - 0.25)
 
 
+def _state(sys: ReducedSystem, n: int, eps: float) -> BoundState:
+    a = discriminant_root(sys, eps)
+    return BoundState(n=n, eps_nl=eps, E=-sys.e_scale * eps, A=a,
+                      A_tilde=a / sys.eta if sys.eta > 0 else None)
+
+
 def make_state(sys: ReducedSystem, n: int) -> BoundState:
     """BoundState at the public closed-form eigenvalue."""
-    eps = epsilon_nl(sys, n)
-    a = discriminant_root(sys, eps)
-    at = a / sys.eta if sys.eta > 0 else None
-    return BoundState(n=n, eps_nl=eps, E=-sys.e_scale * eps, A=a, A_tilde=at)
+    return _state(sys, n, epsilon_nl(sys, n))
 
 
 def spectrum(sys: ReducedSystem) -> list[BoundState]:
@@ -155,9 +158,7 @@ def spectrum(sys: ReducedSystem) -> list[BoundState]:
         e = -sys.e_scale * eps
         if e >= 0 or (prev_e is not None and e <= prev_e):
             break
-        a = discriminant_root(sys, eps)
-        at = a / sys.eta if sys.eta > 0 else None
-        states.append(BoundState(n=n, eps_nl=eps, E=e, A=a, A_tilde=at))
+        states.append(_state(sys, n, eps))
         prev_e = e
         n += 1
     return states
@@ -206,38 +207,6 @@ def nu_internals(sys: ReducedSystem, eps: float, n: int) -> NuInternals:
         lambda_=k2 + tau_slope / 2.0, lambda_pi=k2 + pi_slope, lambda_n=lambda_n)
 
 
-def nu_branch_internals(sys: ReducedSystem, eps: float, n: int,
-                        k_root: int = 2, pi_sign: int = -1) -> NuInternals:
-    """Exploration variant over all four (k-root, pi-sign) pairings.
-
-    Not used by the public spectrum path; k_root=2, pi_sign=-1 reproduces
-    :func:`nu_internals` up to the generic square-root factorization.
-    """
-    if k_root not in (1, 2) or pi_sign not in (-1, 1):
-        raise ValueError("k_root must be 1 or 2 and pi_sign +/-1")
-    s = math.sqrt(eps)
-    a = discriminant_root(sys, eps)
-    eta = sys.eta
-    base = -sys.eps2 - 2.0 * eta * eps
-    k2 = base - s * a
-    k1 = base + s * a
-    if k_root == 2:
-        c, d = a / 2.0 + eta * s, -s
-        k = k2
-    else:
-        # perfect-square factorization for the plus root: 2 c d = eps2 + k1
-        c = abs(a / 2.0 - eta * s)
-        d = s if a / 2.0 >= eta * s else -s
-        k = k1
-    pi_slope = -eta / 2.0 + pi_sign * c
-    pi_const = pi_sign * d
-    tau_slope = -eta + 2.0 * pi_slope
-    lambda_n = -n * tau_slope + eta * n * (n - 1)
-    return NuInternals(
-        k1=k1, k2=k2, pi_slope=pi_slope, pi_const=pi_const, tau_slope=tau_slope,
-        lambda_=k + tau_slope / 2.0, lambda_pi=k + pi_slope, lambda_n=lambda_n)
-
-
 def nu_consistent_epsilon(sys: ReducedSystem, n: int) -> float:
     """Eigenvalue at which lambda_pi closes against lambda_n.
 
@@ -262,11 +231,4 @@ def nu_consistent_epsilon(sys: ReducedSystem, n: int) -> float:
 
 def nu_consistent_state(sys: ReducedSystem, n: int) -> BoundState:
     """BoundState at the internally consistent quantization root."""
-    eps = nu_consistent_epsilon(sys, n)
-    a = discriminant_root(sys, eps)
-    at = a / sys.eta if sys.eta > 0 else None
-    return BoundState(n=n, eps_nl=eps, E=-sys.e_scale * eps, A=a, A_tilde=at)
-
-
-def with_norm(state: BoundState, norm_const: float) -> BoundState:
-    return replace(state, norm_const=norm_const)
+    return _state(sys, n, nu_consistent_epsilon(sys, n))

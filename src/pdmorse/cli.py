@@ -12,15 +12,11 @@ import sys
 from .analytic import make_state
 from .catalog import resolve_molecule
 from .errors import PdmorseError
-from .model import MassModel, parse_ordering, reduce
+from .model import parse_ordering, reduce
 from .reports import (build_spectrum_report, oracle_compare_rows, oracle_csv,
                       spectrum_csv, spectrum_json, table1_report,
                       wavefunction_csv)
 from .wavefn import SignConvention
-
-_CONVENTIONS = {"printed": SignConvention.PRINTED,
-                "normalizable": SignConvention.NORMALIZABLE}
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--n", type=int, required=True)
     wp.add_argument("--samples", type=int, default=256)
     wp.add_argument("--ordering", default="weyl")
-    wp.add_argument("--convention", choices=tuple(_CONVENTIONS), default="normalizable")
+    wp.add_argument("--convention", choices=[c.value for c in SignConvention],
+                    default="normalizable")
     wp.add_argument("--no-provenance", action="store_true")
     wp.add_argument("--output", default=None)
 
@@ -106,7 +103,7 @@ def _cmd_wavefunction(args) -> int:
     sys_ = reduce(mol, args.eta, ordering)
     state = make_state(sys_, args.n)
     text = wavefunction_csv(mol, sys_, state, args.samples,
-                            _CONVENTIONS[args.convention], not args.no_provenance)
+                            SignConvention(args.convention), not args.no_provenance)
     _emit(text, args.output)
     return 0
 
@@ -121,8 +118,6 @@ def _cmd_oracle_compare(args) -> int:
         except ValueError as exc:
             raise PdmorseError(f"malformed --domain {args.domain!r}; expected xmin,xmax") from exc
         domain = (x_min, x_max)
-    # validates eta range and reality up front
-    MassModel.for_molecule(mol, args.eta)
     rows = oracle_compare_rows(mol, args.eta, ordering, args.n_max, args.grid, domain)
     _emit(oracle_csv(rows, not args.no_provenance), args.output)
     return 0

@@ -161,36 +161,24 @@ class MassModel:
             return None
         return math.log(self.eta) / self.beta
 
-    def _u(self, x):
-        return 1.0 - self.eta * np.exp(-self.beta * np.asarray(x, dtype=float))
+    def _w_u(self, x):
+        """w = exp(-beta x) and u = 1 - eta w; MassSingularity within 1e-12 of the pole."""
+        w = np.exp(-self.beta * np.asarray(x, dtype=float))
+        u = 1.0 - self.eta * w
+        if np.any(np.abs(u) < 1e-12):
+            raise MassSingularity(f"mass singular at x = {self.singularity_x}")
+        return w, u
 
     def mass(self, x):
-        """m(x) in amu; raises MassSingularity within 1e-12 of the pole."""
-        u = self._u(x)
-        if np.any(np.abs(u) < 1e-12):
-            raise MassSingularity(f"mass singular at x = {self.singularity_x}")
-        return self.m0 / u**2
+        """m(x) in amu."""
+        return self.m0 / self._w_u(x)[1] ** 2
 
-    def mass_d1(self, x):
-        """dm/dx (amu / Angstrom)."""
-        w = np.exp(-self.beta * np.asarray(x, dtype=float))
-        u = 1.0 - self.eta * w
-        if np.any(np.abs(u) < 1e-12):
-            raise MassSingularity(f"mass singular at x = {self.singularity_x}")
-        return -2.0 * self.m0 * self.eta * self.beta * w / u**3
-
-    def mass_d2(self, x):
-        """d2m/dx2 (amu / Angstrom^2)."""
-        w = np.exp(-self.beta * np.asarray(x, dtype=float))
-        u = 1.0 - self.eta * w
-        if np.any(np.abs(u) < 1e-12):
-            raise MassSingularity(f"mass singular at x = {self.singularity_x}")
-        return 2.0 * self.m0 * self.eta * self.beta**2 * w * (1.0 + 2.0 * self.eta * w) / u**4
-
-
-def mass_value(mm: MassModel, x):
-    """m(x) for a mass model; see MassModel.mass."""
-    return mm.mass(x)
+    def mass_terms(self, x):
+        """m(x) (amu) with dm/dx (amu/A) and d2m/dx2 (amu/A^2)."""
+        w, u = self._w_u(x)
+        m0, eta, beta = self.m0, self.eta, self.beta
+        return (m0 / u**2, -2.0 * m0 * eta * beta * w / u**3,
+                2.0 * m0 * eta * beta**2 * w * (1.0 + 2.0 * eta * w) / u**4)
 
 
 def potential_value(mol: MoleculeSpec, x):
@@ -229,20 +217,16 @@ class ReducedSystem:
             raise ConfigError(f"eta out of range: {self.eta} (require 0 <= eta < 1)")
 
 
-def reduce(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering,
-           V1: float | None = None, V2: float | None = None) -> ReducedSystem:
+def reduce(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering) -> ReducedSystem:
     """Reduce physical parameters to the dimensionless system.
 
-    Optional V1/V2 (eV) override the molecule's well for synthetic tests.
     2 m0/(beta^2 hbar^2) equals 2/(alpha'^2 E0), so v1 = 2 V1/(alpha'^2 E0).
     """
     if not 0.0 <= eta < 1.0:
         raise ConfigError(f"eta out of range: {eta} (require 0 <= eta < 1)")
-    v1_e = mol.V1 if V1 is None else V1
-    v2_e = mol.V2 if V2 is None else V2
     scale = mol.alpha_prime**2 * mol.E0
-    v1 = 2.0 * v1_e / scale
-    v2 = 2.0 * v2_e / scale
+    v1 = 2.0 * mol.V1 / scale
+    v2 = 2.0 * mol.V2 / scale
     c_ord = ordering.c_ord
     c2_ord = ordering.c2_ord
     eps1 = v1 - 4.0 * eta**2 * (c_ord - 0.25)

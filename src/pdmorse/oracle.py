@@ -50,6 +50,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ConfigError(f"domain ends must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
             raise ConfigError("x_max must exceed x_min")
         if self.points < 501:
@@ -81,28 +83,27 @@ class ShootingResult:
     mismatch: float
 
 
-def u_ordering(mm: MassModel, ordering: AmbiguityOrdering, x):
-    """Ordering-dependent kinetic term (eV).
-
-    -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' + 2 (a - alpha gamma - alpha
-    - gamma) m'^2], with the analytic mass derivatives.
-    """
-    m = mm.mass(x)
-    m1 = mm.mass_d1(x)
-    m2 = mm.mass_d2(x)
+def _ordering_term(ordering: AmbiguityOrdering, m, m1, m2):
     c_mm = ordering.alpha + ordering.gamma - ordering.a
     c_m1 = ordering.a - ordering.alpha * ordering.gamma - ordering.alpha - ordering.gamma
     return -HBAR2_EV_AMU_A2 / (4.0 * m**3 * (ordering.a + 1.0)) * (
         c_mm * m * m2 + 2.0 * c_m1 * m1**2)
 
 
+def u_ordering(mm: MassModel, ordering: AmbiguityOrdering, x):
+    """Ordering-dependent kinetic term (eV).
+
+    -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' + 2 (a - alpha gamma - alpha
+    - gamma) m'^2], with the analytic mass derivatives.
+    """
+    return _ordering_term(ordering, *mm.mass_terms(x))
+
+
 def u_eff(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec, x):
     """Effective potential: ordering term + V(x) + wavefunction-redefinition term."""
-    m = mm.mass(x)
-    m1 = mm.mass_d1(x)
-    m2 = mm.mass_d2(x)
+    m, m1, m2 = mm.mass_terms(x)
     redef = HBAR2_EV_AMU_A2 / (4.0 * m**2) * (1.5 * m1**2 / m - m2)
-    return u_ordering(mm, ordering, x) + potential_value(mol, x) + redef
+    return _ordering_term(ordering, m, m1, m2) + potential_value(mol, x) + redef
 
 
 def physical_psi(mm: MassModel, x, phi_values):
@@ -276,17 +277,12 @@ class _ShootingEngine:
 
 
 def _effective_engine(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
-                      grid: GridSpec, e_window):
-    """Engine for the effective-potential problem and its energy window.
-
-    The default window spans (min U_eff, 0).
-    """
+                      grid: GridSpec):
+    """Engine for the effective-potential problem and its window (min U_eff, 0)."""
     grid.validate_against_mass(mm)
     engine = _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
-    if e_window is None:
-        e_floor = float(np.min(engine.u_nodes))
-        e_window = (e_floor + abs(e_floor) * 1e-12, 0.0)
-    return engine, e_window
+    e_floor = float(np.min(engine.u_nodes))
+    return engine, (e_floor + abs(e_floor) * 1e-12, 0.0)
 
 
 def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window, tol_ev: float = 1e-7):
@@ -300,47 +296,36 @@ def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window, tol_ev: float = 
     return [(n, engine.result(levels[n])) for n in n_list]
 
 
-def scan_nodes(u_fn, m_fn, grid: GridSpec, energies) -> list[int]:
-    """Node counts along an energy scan (Sturm staircase diagnostic)."""
-    engine = _ShootingEngine(u_fn, m_fn, grid)
-    return [engine.count_nodes(float(e)) for e in energies]
-
-
 def solve_states(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
-                 grid: GridSpec, n_list, e_window: tuple[float, float] | None = None,
-                 tol_ev: float = 1e-7) -> list[tuple[int, float]]:
+                 grid: GridSpec, n_list, tol_ev: float = 1e-7) -> list[tuple[int, float]]:
     """Eigenvalues of the effective-potential problem for the requested levels.
 
-    The default energy window spans (min U_eff, 0); pass e_window explicitly
-    for wells whose continuum threshold is not at zero.  Results come back
-    in the order requested.
+    The energy window spans (min U_eff, 0).  Results come back in the order
+    requested.
     """
     n_list = list(n_list)
-    engine, e_window = _effective_engine(mm, ordering, mol, grid, e_window)
+    engine, e_window = _effective_engine(mm, ordering, mol, grid)
     levels = engine.solve(n_list, e_window, tol_ev)
     return [(n, levels[n]) for n in n_list]
 
 
 def shoot_state(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
-                grid: GridSpec, n: int, e_window: tuple[float, float] | None = None,
-                tol_ev: float = 1e-7) -> ShootingResult:
+                grid: GridSpec, n: int, tol_ev: float = 1e-7) -> ShootingResult:
     """Full shooting record (energy, node count, matching defect) for one level."""
-    engine, e_window = _effective_engine(mm, ordering, mol, grid, e_window)
+    engine, e_window = _effective_engine(mm, ordering, mol, grid)
     return engine.result(engine.solve([n], e_window, tol_ev)[n])
 
 
-def default_domain(mol: MoleculeSpec, eta: float, e_floor_ev: float | None = None,
+def default_domain(mol: MoleculeSpec, eta: float,
                    left: str = "physical") -> tuple[float, float]:
     """Suggested solver domain.
 
     left='physical' anchors x_min at -0.95 r0 (eta = 0) or max(-0.95 r0,
     singularity + margin); left='boundary' uses x_min = 0; left='singular'
     hugs the mass singularity.  x_max is placed where |V| has dropped to
-    e_floor/1000 (default e_floor: 1% of the well depth).
+    1e-5 of the well depth.
     """
-    if e_floor_ev is None:
-        e_floor_ev = 0.01 * mol.D
-    x_max = math.log(1000.0 * mol.V2 / e_floor_ev) / mol.beta
+    x_max = math.log(1000.0 * mol.V2 / (0.01 * mol.D)) / mol.beta
     if left == "boundary":
         x_min = 0.0
     elif left == "singular":

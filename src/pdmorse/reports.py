@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .analytic import epsilon_nl, spectrum
-from .catalog import REFERENCE_ETAS, reference_energy
+from .analytic import energy_ev, spectrum
+from .catalog import REFERENCE_ENERGIES, REFERENCE_ETAS, builtin_catalog, reference_energy
 from .errors import PdmorseError
-from .model import (AmbiguityOrdering, MassModel, MoleculeSpec, ReducedSystem,
+from .model import (WEYL, AmbiguityOrdering, MassModel, MoleculeSpec, ReducedSystem,
                     ordering_label, reduce)
-from .oracle import GridSpec, default_domain, solve_states
-from .wavefn import SignConvention, attach_norm, phi, phi_eta0
+from .oracle import GridSpec, default_domain, physical_psi, solve_states
+from .wavefn import SignConvention, attach_norm, phi
 
 SPECTRUM_COLUMNS = ("n", "eps_nl", "E_eV", "E_paper_eV", "delta_eV")
 WAVEFUNCTION_COLUMNS = ("z", "x_angstrom", "phi", "psi_physical")
@@ -126,37 +126,26 @@ class Table1Summary:
         return not self.failures
 
 
-def table1_report(tolerance_ev: float = 0.005,
-                  molecules: tuple[MoleculeSpec, ...] | None = None) -> Table1Summary:
+def table1_report(tolerance_ev: float = 0.005) -> Table1Summary:
     """Recompute every reference cell with Weyl ordering and gate |delta|.
 
     Cells are evaluated directly at their quantum number (the reference table
     tabulates selected n, not a full enumeration).  Failures are report
     content, not exceptions.
     """
-    from .catalog import builtin_catalog
-    from .model import WEYL
-
-    if tolerance_ev <= 0:
-        raise ValueError("tolerance must be positive")
-    mols = molecules if molecules is not None else tuple(builtin_catalog())
+    if not 0.0 < tolerance_ev < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance_ev}")
     cells = []
-    for mol in mols:
+    for mol in builtin_catalog():
         for eta in REFERENCE_ETAS:
-            for n, ref in sorted((reference_cells(mol.name, eta)).items()):
-                sys = reduce(mol, eta, WEYL)
-                e = -sys.e_scale * epsilon_nl(sys, n)
+            sys = reduce(mol, eta, WEYL)
+            for n, ref in sorted(REFERENCE_ENERGIES[(mol.name, eta)].items()):
+                e = energy_ev(sys, n)
                 delta = e - ref
                 cells.append(Table1Cell(molecule=mol.name, eta=eta, n=n, E_eV=e,
                                         E_paper_eV=ref, delta_eV=delta,
                                         ok=abs(delta) <= tolerance_ev))
     return Table1Summary(tolerance_eV=tolerance_ev, cells=tuple(cells))
-
-
-def reference_cells(molecule: str, eta: float) -> dict[int, float]:
-    from .catalog import REFERENCE_ENERGIES
-
-    return dict(REFERENCE_ENERGIES.get((molecule, eta), {}))
 
 
 def _write_provenance(buf: io.StringIO, provenance: dict) -> None:
@@ -219,15 +208,14 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
                      convention: SignConvention,
                      include_provenance: bool = True) -> str:
     """Sampled eigenfunction export: z, x (Angstrom), phi, and psi = sqrt(m) phi."""
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     mm = MassModel.for_molecule(mol, sys.eta)
     state = attach_norm(sys, state, convention)
     z = np.arange(1, samples + 1) / (samples + 1)
-    if sys.eta == 0.0:
-        values = phi_eta0(sys, state, z)
-    else:
-        values = phi(sys, state, z, convention)
+    values = phi(sys, state, z, convention)
     x = -np.log(z) / mol.beta
-    psi = np.sqrt(mm.mass(x)) * values
+    psi = physical_psi(mm, x, values)
     buf = io.StringIO()
     if include_provenance:
         prov = base_provenance(
@@ -243,14 +231,16 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
 
 def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering,
                         n_max: int, points: int,
-                        domain: tuple[float, float] | None = None,
-                        tol_ev: float = 1e-6) -> list[dict]:
-    """Analytic vs shooting energies, per level and per domain choice.
+                        domain: tuple[float, float] | None = None) -> list[dict]:
+    """Analytic vs shooting energies (shooting to 1e-6 eV), per level and per domain choice.
 
     Without an explicit domain the study runs both left anchors the problem
     admits: the physical boundary x = 0 and (for eta > 0) a start just right
-    of the mass singularity; eta = 0 uses the deep -0.95 r0 anchor.
+    of the mass singularity; eta = 0 uses the deep -0.95 r0 anchor.  The
+    domain cell reads label[x_min;x_max].
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     sys = reduce(mol, eta, ordering)
     mm = MassModel.for_molecule(mol, eta)
     if domain is not None:
@@ -264,15 +254,15 @@ def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrderi
     for label, (x_min, x_max) in domains:
         grid = GridSpec(x_min=x_min, x_max=x_max, points=points)
         solved = dict(solve_states(mm, ordering, mol, grid, list(range(n_max + 1)),
-                                   tol_ev=tol_ev))
+                                   tol_ev=1e-6))
         for n in range(n_max + 1):
-            e_analytic = -sys.e_scale * epsilon_nl(sys, n)
+            e_analytic = energy_ev(sys, n)
             e_oracle = solved[n]
             rows.append({
                 "molecule": mol.name, "eta": eta, "ordering": ordering_label(ordering),
                 "n": n, "E_analytic_eV": e_analytic, "E_oracle_eV": e_oracle,
                 "delta_eV": e_oracle - e_analytic,
-                "domain": f"{label}[{x_min:.6g},{x_max:.6g}]", "grid_points": points})
+                "domain": f"{label}[{x_min:.6g};{x_max:.6g}]", "grid_points": points})
     return rows
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import BoundState, a_tilde
-from .errors import ComplexBranch, DomainUnsupported, NormOverflow
+from .errors import DomainUnsupported, NormOverflow
 from .model import ReducedSystem
 from .quadrature import integrate_with_endpoint_power
 
@@ -38,13 +38,6 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 class SignConvention(enum.Enum):
     PRINTED = "printed"
     NORMALIZABLE = "normalizable"
-
-    @classmethod
-    def parse(cls, text: str) -> "SignConvention":
-        for member in cls:
-            if member.value == text.strip().lower():
-                return member
-        raise ValueError(f"unknown sign convention {text!r}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +147,13 @@ def _check_z_open_unit(z) -> np.ndarray:
     return z
 
 
+def _branch(sys: ReducedSystem, eps: float, convention: SignConvention):
+    """(e, A_tilde): the z-exponent e = -/+ sqrt(eps) of xi by convention, and A_tilde."""
+    at = a_tilde(sys, eps)
+    s = math.sqrt(eps)
+    return (-s if convention is SignConvention.PRINTED else s), at
+
+
 def weight_rho(sys: ReducedSystem, eps: float, z,
                convention: SignConvention = SignConvention.PRINTED):
     """Weight function z^{2 e}(1 - eta z)^{A_tilde} with e the branch exponent.
@@ -161,8 +161,7 @@ def weight_rho(sys: ReducedSystem, eps: float, z,
     The printed convention gives the z^{-2 sqrt(eps)} form.
     """
     zz = _check_z_open_unit(z)
-    at = a_tilde(sys, eps)
-    e = -math.sqrt(eps) if convention is SignConvention.PRINTED else math.sqrt(eps)
+    e, at = _branch(sys, eps, convention)
     out = zz ** (2.0 * e) * (1.0 - sys.eta * zz) ** at
     return float(out[0]) if np.ndim(z) == 0 else out
 
@@ -175,8 +174,7 @@ def xi_part(sys: ReducedSystem, eps: float, z,
     EigenfunctionParams.bounded_at_origin for the flag.
     """
     zz = _check_z_open_unit(z)
-    at = a_tilde(sys, eps)
-    e = -math.sqrt(eps) if convention is SignConvention.PRINTED else math.sqrt(eps)
+    e, at = _branch(sys, eps, convention)
     out = zz**e * (1.0 - sys.eta * zz) ** (0.5 * (1.0 + at))
     return float(out[0]) if np.ndim(z) == 0 else out
 
@@ -195,7 +193,7 @@ def phi(sys: ReducedSystem, state: BoundState, z,
     """Assembled eigenfunction norm * xi(z) * P_n(2 eta z - 1).
 
     Uses state.norm_const when set, otherwise an unnormalized amplitude of 1.
-    For eta = 0 the Jacobi factor degenerates; use :func:`phi_eta0`.
+    For eta = 0 the Jacobi factor degenerates and :func:`phi_eta0` is returned.
     """
     if sys.eta == 0.0:
         return phi_eta0(sys, state, z)
@@ -227,33 +225,6 @@ def phi_eta0(sys: ReducedSystem, state: BoundState, z):
                    + np.log(np.abs(lag)) + log_scale)
     out = math.copysign(1.0, norm) * np.sign(lag) * np.exp(log_amp)
     return float(out[0]) if np.ndim(z) == 0 else out
-
-
-def rodrigues_psi(sys: ReducedSystem, eps: float, n: int, z,
-                  convention: SignConvention = SignConvention.PRINTED):
-    """Polynomial part from the n-th derivative of sigma^n rho, expanded for n <= 3.
-
-    Cross-checks :func:`jacobi`; proportional to P_n^{(A_tilde, 2e)}(2 eta z - 1)
-    with a z-independent constant.
-    """
-    if n > 3:
-        raise ValueError("rodrigues_psi supports n <= 3 only")
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    at = a_tilde(sys, eps)
-    e = -math.sqrt(eps) if convention is SignConvention.PRINTED else math.sqrt(eps)
-    a = 2.0 * e          # z-exponent of the weight
-    b = at               # (1 - eta z)-exponent of the weight
-    eta = sys.eta
-    total = np.zeros_like(zz)
-    for k in range(n + 1):
-        rk = 1.0
-        for j in range(k + 1, n + 1):
-            rk *= a + j
-        sk = 1.0
-        for j in range(k):
-            sk *= n + b - j
-        total = total + math.comb(n, k) * rk * sk * (-eta) ** k * zz**k * (1.0 - eta * zz) ** (n - k)
-    return float(total[0]) if np.ndim(z) == 0 else total
 
 
 def _gamma_args(params: EigenfunctionParams) -> tuple[float, ...]:
@@ -292,10 +263,14 @@ def norm_const(params: EigenfunctionParams) -> float:
     (the extra (1-x) moment of the xi^2 factor).  The identity treats the
     z-range as the full orthogonality interval (0, 1/eta); for eta -> 1 this
     coincides with (0, 1) and the constant matches direct quadrature.  Raises
-    DomainUnsupported whenever a gamma argument is non-positive, and its
-    subclass NormOverflow when the constant exceeds the largest float.
+    DomainUnsupported when phi^2 ~ z^q is not integrable at the origin
+    (q <= -1: the printed branch with sqrt_eps >= 1/2) or a gamma argument is
+    non-positive, and its subclass NormOverflow when the constant exceeds the
+    largest float.
     """
     p, q, n = params.jacobi_p, params.jacobi_q, params.n
+    if q <= -1.0:
+        raise DomainUnsupported(f"phi^2 ~ z^{q:.3g} not integrable at the origin")
     if any(arg <= 0.0 for arg in _gamma_args(params)):
         raise DomainUnsupported(
             f"gamma arguments non-positive for n={n}, p={p:.6g}, q={q:.6g}")
@@ -315,7 +290,7 @@ def norm_const(params: EigenfunctionParams) -> float:
     return _norm_from_log(-0.5 * log_i, f"n={n}, p={p:.6g}, q={q:.6g}")
 
 
-def norm_const_quadrature(params: EigenfunctionParams, tol: float = 1e-10) -> float:
+def norm_const_quadrature(params: EigenfunctionParams) -> float:
     """Normalization from direct quadrature of phi^2 over z in (0, 1).
 
     Independent oracle for :func:`norm_const`; requires the squared endpoint
@@ -330,51 +305,33 @@ def norm_const_quadrature(params: EigenfunctionParams, tol: float = 1e-10) -> fl
         val = _phi_params(params, z)
         return val * val
 
-    integral = integrate_with_endpoint_power(f, power, upper=1.0, tol=tol)
+    integral = integrate_with_endpoint_power(f, power, upper=1.0)
     if not integral > 0.0:
         raise DomainUnsupported(f"phi^2 integral {integral:.3g} is not positive for n={params.n}")
     return 1.0 / math.sqrt(integral)
 
 
 def attach_norm(sys: ReducedSystem, state: BoundState,
-                convention: SignConvention = SignConvention.NORMALIZABLE,
-                method: str = "auto") -> BoundState:
-    """Return the state with norm_const filled.
+                convention: SignConvention = SignConvention.NORMALIZABLE) -> BoundState:
+    """Return the state with norm_const filled from its closed form.
 
-    At eta = 0 the constant is always the closed form :func:`norm_const_eta0`
-    (the Laguerre norm is exact; convention and method do not apply).  For
-    eta > 0, method 'closed' forces the gamma closed form :func:`norm_const`,
-    'quadrature' the oracle :func:`norm_const_quadrature`, and 'auto' tries
-    the closed form first and falls back to quadrature outside its gamma
-    domain.  An overflowing closed form (NormOverflow) is final: the integral
-    the quadrature would have to resolve is about 1/N^2 < 1/max_float^2,
-    which is below the smallest positive float.
+    At eta = 0 this is the Laguerre constant :func:`norm_const_eta0` (the
+    convention does not apply), for eta > 0 the gamma constant
+    :func:`norm_const`.  Both raise DomainUnsupported where the state has no
+    finite constant; :func:`norm_const_quadrature` is the independent oracle
+    the tests compare against.
     """
-    from dataclasses import replace
-
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     if sys.eta == 0.0:
-        return replace(state, norm_const=norm_const_eta0(sys, state))
-    params = EigenfunctionParams.from_state(sys, state, convention)
-    if method == "closed":
-        value = norm_const(params)
-    elif method == "quadrature":
-        value = norm_const_quadrature(params)
+        value = norm_const_eta0(sys, state)
     else:
-        try:
-            value = norm_const(params)
-        except NormOverflow:
-            raise
-        except DomainUnsupported:
-            value = norm_const_quadrature(params)
+        value = norm_const(EigenfunctionParams.from_state(sys, state, convention))
     return replace(state, norm_const=value)
 
 
 def node_count(sys: ReducedSystem, state: BoundState,
                convention: SignConvention = SignConvention.NORMALIZABLE,
-               domain: str = "natural", samples: int = 10001) -> int:
-    """Count sign changes of phi on a sampled z-interval.
+               domain: str = "natural") -> int:
+    """Count sign changes of phi at 10001 samples of a z-interval.
 
     domain 'natural' spans (0, 1/eta), the full support of the polynomial
     weight, where the oscillation count of level n equals n.  domain
@@ -387,16 +344,11 @@ def node_count(sys: ReducedSystem, state: BoundState,
     if domain not in ("natural", "physical"):
         raise ValueError(f"unknown domain {domain!r}")
     pad = upper * 1e-9
-    z = np.linspace(pad, upper - pad, samples)
+    z = np.linspace(pad, upper - pad, 10001)
     params = EigenfunctionParams.from_state(sys, state, convention)
     vals = _phi_params(params, z)
     signs = np.sign(vals)
     return int(np.sum(signs[1:] * signs[:-1] < 0))
-
-
-def make_z_grid(points: int) -> np.ndarray:
-    """Uniform open grid of the unit interval with the given interior count."""
-    return np.linspace(0.0, 1.0, points + 2)[1:-1]
 
 
 def ode_residual(sys: ReducedSystem, state: BoundState, z_grid,
@@ -413,10 +365,7 @@ def ode_residual(sys: ReducedSystem, state: BoundState, z_grid,
     h = z[1] - z[0]
     if not np.allclose(np.diff(z), h, rtol=1e-9, atol=0.0):
         raise ValueError("z grid must be uniform")
-    if sys.eta == 0.0:
-        f = phi_eta0(sys, state, z)
-    else:
-        f = phi(sys, state, z, convention)
+    f = phi(sys, state, z, convention)
     i = np.arange(2, z.size - 2)
     d1 = (-f[i + 2] + 8 * f[i + 1] - 8 * f[i - 1] + f[i - 2]) / (12.0 * h)
     d2 = (-f[i + 2] + 16 * f[i + 1] - 30 * f[i] + 16 * f[i - 1] - f[i - 2]) / (12.0 * h * h)

@@ -5,11 +5,19 @@ oracle is the explicit finite sum, derivatives come from Richardson-style
 central differences, integrals from the composite trapezoid or fixed-order
 Gauss-Legendre rules, RK4 propagators from composed stage matrices,
 eigenvalues from plain per-level bisection on node counts, the node-counting
-sweep from a one-branch loop, and CSV rows from per-cell formatting.
+sweep from a one-branch loop, and CSV rows from per-cell formatting.  The
+Rodrigues expansion cross-checks the Jacobi recurrence, and the branch
+explorer spans all four (k-root, pi-sign) pairings of the quantization.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from pdmorse import oracle
+from pdmorse.analytic import NuInternals, a_tilde, discriminant_root
+from pdmorse.wavefn import SignConvention
 
 _RESCALE_LIMIT = 1e250  # sweep_reference: renormalization threshold
 
@@ -146,3 +154,68 @@ def sweep_reference(m00, m01, m10, m11, phi0: float, dphi0: float):
             phi *= 1e-250
             dphi *= 1e-250
     return phi, dphi, nodes
+
+
+def make_z_grid(points: int) -> np.ndarray:
+    """Uniform open grid of the unit interval with the given interior count."""
+    return np.linspace(0.0, 1.0, points + 2)[1:-1]
+
+
+def scan_nodes(u_fn, m_fn, grid, energies) -> list[int]:
+    """Node counts along an energy scan (Sturm staircase diagnostic)."""
+    engine = oracle._ShootingEngine(u_fn, m_fn, grid)
+    return [engine.count_nodes(float(e)) for e in energies]
+
+
+def rodrigues_psi(sys, eps: float, n: int, z, convention=SignConvention.PRINTED):
+    """Polynomial part from the n-th derivative of sigma^n rho, expanded for n <= 3.
+
+    Proportional to P_n^{(A_tilde, 2e)}(2 eta z - 1) with a z-independent
+    constant; e = -/+ sqrt(eps) by convention.
+    """
+    if n > 3:
+        raise ValueError("rodrigues_psi supports n <= 3 only")
+    zz = np.atleast_1d(np.asarray(z, dtype=float))
+    sign = -2.0 if convention is SignConvention.PRINTED else 2.0
+    a = sign * math.sqrt(eps)  # z-exponent of the weight
+    b = a_tilde(sys, eps)      # (1 - eta z)-exponent of the weight
+    eta = sys.eta
+    total = np.zeros_like(zz)
+    for k in range(n + 1):
+        rk = 1.0
+        for j in range(k + 1, n + 1):
+            rk *= a + j
+        sk = 1.0
+        for j in range(k):
+            sk *= n + b - j
+        total = total + math.comb(n, k) * rk * sk * (-eta) ** k * zz**k * (1.0 - eta * zz) ** (n - k)
+    return float(total[0]) if np.ndim(z) == 0 else total
+
+
+def nu_branch_internals(sys, eps: float, n: int, k_root: int, pi_sign: int) -> NuInternals:
+    """Quantization internals for any of the four (k-root, pi-sign) pairings.
+
+    k_root=2, pi_sign=-1 reproduces ``analytic.nu_internals`` up to the
+    generic square-root factorization.
+    """
+    s = math.sqrt(eps)
+    a = discriminant_root(sys, eps)
+    eta = sys.eta
+    base = -sys.eps2 - 2.0 * eta * eps
+    k2 = base - s * a
+    k1 = base + s * a
+    if k_root == 2:
+        c, d = a / 2.0 + eta * s, -s
+        k = k2
+    else:
+        # perfect-square factorization for the plus root: 2 c d = eps2 + k1
+        c = abs(a / 2.0 - eta * s)
+        d = s if a / 2.0 >= eta * s else -s
+        k = k1
+    pi_slope = -eta / 2.0 + pi_sign * c
+    pi_const = pi_sign * d
+    tau_slope = -eta + 2.0 * pi_slope
+    lambda_n = -n * tau_slope + eta * n * (n - 1)
+    return NuInternals(
+        k1=k1, k2=k2, pi_slope=pi_slope, pi_const=pi_const, tau_slope=tau_slope,
+        lambda_=k + tau_slope / 2.0, lambda_pi=k + pi_slope, lambda_n=lambda_n)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import jacobi_finite_sum
+from _oracles import jacobi_finite_sum, make_z_grid
 from pdmorse import (WEYL, AmbiguityOrdering, EigenfunctionParams, GridSpec,
                      MassModel, ReducedSystem, SignConvention, constant_mass_epsilon,
                      energy_ev, epsilon_nl, get_molecule, jacobi, make_state,
@@ -21,7 +21,6 @@ from pdmorse import (WEYL, AmbiguityOrdering, EigenfunctionParams, GridSpec,
 from pdmorse.catalog import REFERENCE_ENERGIES
 from pdmorse.reports import oracle_compare_rows, oracle_csv
 from pdmorse.units import HBAR2_EV_AMU_A2
-from pdmorse.wavefn import make_z_grid
 
 MOLECULES = (get_molecule("H2"), get_molecule("LiH"))
 PDM_ETAS = (0.2, 0.4, 0.6)

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import nu_branch_internals
 from pdmorse import (WEYL, AmbiguityOrdering, DegenerateDenominator,
                      RealityViolation, ReducedSystem, constant_mass_epsilon,
-                     energy_ev, epsilon_nl, make_state, nu_branch_internals,
-                     nu_consistent_epsilon, nu_internals, reality_check, reduce,
-                     spectrum)
+                     energy_ev, epsilon_nl, make_state, nu_consistent_epsilon,
+                     nu_internals, reality_check, reduce, spectrum)
 
 TABLE_GATE = 0.005  # eV; reference energies carry 3 printed decimals
 

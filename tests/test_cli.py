@@ -189,6 +189,8 @@ class TestOracleCompareReport:
                   if not ln.startswith("#")][0]
         assert header == ("molecule,eta,ordering,n,E_analytic_eV,E_oracle_eV,"
                           "delta_eV,domain,grid_points")
+        body = [ln for ln in oracle_csv(rows_a).splitlines() if not ln.startswith("#")][1:]
+        assert [ln.split(",")[7] for ln in body] == ["explicit[-0.5;5]"]
 
 
 class TestCliCommands:
@@ -380,3 +382,28 @@ class TestDeepLevels:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")
+
+
+class TestRejectedInput:
+    """Input the program cannot serve exits 1 with one typed line and no output."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--domain=nan,10"],
+         "domain ends must be finite"),
+        (["table1", "--tolerance", "nan"], "tolerance must be positive and finite"),
+        (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "1", "--samples", "0"],
+         "samples must be positive"),
+        (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "-1"],
+         "n_max must be non-negative"),
+        # sqrt(eps) = 2.09 on the printed branch: phi^2 ~ z^-4.18 at the origin
+        (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "17",
+          "--convention", "printed"], "not integrable at the origin"),
+    ], ids=["nan-domain", "nan-tolerance", "zero-samples", "negative-n-max",
+            "printed-divergent-level"])
+    def test_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")
+        assert message in lines[0]

@@ -2,7 +2,8 @@
 
 The goldens cover ``table1``; ``spectrum`` CSV and JSON for H2 and LiH at
 every reference eta with both named orderings (plus one explicit triple);
-one eta > 0 ``wavefunction`` per sign convention; and three
+one eta > 0 ``wavefunction`` per sign convention (the printed one at the
+only H2 eta = 0.2 level with sqrt(eps) < 1/2, where it is normalizable); and three
 ``oracle-compare`` runs: a small one, a 13-level LiH ladder at eta = 0.6 and
 a long-grid H2 run at eta = 0.  Regenerate them only for an intended output change:
 
@@ -32,7 +33,7 @@ def _cases() -> list[tuple[str, ...]]:
                                   "--no-provenance"))
     cases.append(("spectrum", "--molecule", "H2", "--eta", "0.2", "--ordering",
                   "0.5,-0.25,-0.25", "--no-provenance"))
-    for convention, n in (("normalizable", "1"), ("printed", "17")):
+    for convention, n in (("normalizable", "1"), ("printed", "19")):
         cases.append(("wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", n,
                       "--samples", "64", "--convention", convention, "--no-provenance"))
     cases.append(("oracle-compare", "--molecule", "H2", "--eta", "0.2", "--grid", "2001",

@@ -1,12 +1,13 @@
 """Unit reduction, potential, mass model, and ordering parameters."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _oracles import fd_derivative
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, MassModel,
-                     MassSingularity, MoleculeSpec, mass_value, parse_ordering,
+                     MassSingularity, MoleculeSpec, parse_ordering,
                      potential_value, reduce)
 
 # Direct arithmetic from the H2 parameter set (independent of reduce()).
@@ -38,16 +39,16 @@ class TestPotential:
 class TestMassModel:
     def test_constant_mass_limit(self):
         mm = MassModel(m0=1.5, eta=0.0, beta=2.0)
-        assert mass_value(mm, 0.7) == pytest.approx(1.5, rel=1e-15)
+        assert mm.mass(0.7) == pytest.approx(1.5, rel=1e-15)
 
     def test_quadruples_at_origin_for_half_eta(self):
         mm = MassModel(m0=2.0, eta=0.5, beta=1.0)
-        assert mass_value(mm, 0.0) == pytest.approx(8.0, rel=1e-14)
+        assert mm.mass(0.0) == pytest.approx(8.0, rel=1e-14)
 
     def test_singularity_raises(self):
         mm = MassModel(m0=1.0, eta=0.5, beta=1.3)
         with pytest.raises(MassSingularity):
-            mass_value(mm, math.log(0.5) / 1.3)
+            mm.mass(math.log(0.5) / 1.3)
 
     def test_eta_range_enforced(self):
         with pytest.raises(ConfigError):
@@ -61,13 +62,15 @@ class TestMassModel:
         for x in (0.0, 0.4, 2.0):
             d1 = fd_derivative(lambda t: float(mm.mass(t)), x, order=1)
             d2 = fd_derivative(lambda t: float(mm.mass(t)), x, order=2, h=1e-4)
-            assert float(mm.mass_d1(x)) == pytest.approx(d1, rel=1e-8)
-            assert float(mm.mass_d2(x)) == pytest.approx(d2, rel=1e-6)
+            m, m1, m2 = mm.mass_terms(x)
+            assert m == mm.mass(x)
+            assert float(m1) == pytest.approx(d1, rel=1e-8)
+            assert float(m2) == pytest.approx(d2, rel=1e-6)
 
     def test_strictly_decreasing_toward_m0(self):
         mm = MassModel(m0=1.0, eta=0.5, beta=1.942)
         xs = np.linspace(0.0, 8.0, 200)
-        ms = mass_value(mm, xs)
+        ms = mm.mass(xs)
         assert np.all(np.diff(ms) < 0)
         assert float(mm.mass(40.0)) == pytest.approx(1.0, rel=1e-12)
 
@@ -173,8 +176,9 @@ class TestReduce:
         assert b.e_scale == pytest.approx(a.e_scale * kappa, rel=1e-12)
 
     def test_explicit_well_override(self, h2):
-        sys = reduce(h2, 0.0, WEYL, V1=0.25 * h2.alpha_prime**2 * h2.E0 / 2,
-                     V2=0.4 * h2.alpha_prime**2 * h2.E0 / 2)
+        well = replace(h2, V1=0.25 * h2.alpha_prime**2 * h2.E0 / 2,
+                       V2=0.4 * h2.alpha_prime**2 * h2.E0 / 2)
+        sys = reduce(well, 0.0, WEYL)
         assert sys.v1 == pytest.approx(0.25, rel=1e-12)
         assert sys.v2 == pytest.approx(0.4, rel=1e-12)
 

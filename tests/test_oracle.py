@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import bisect_level, fd_derivative, rk4_propagators_matmul, sweep_reference
+from _oracles import (bisect_level, fd_derivative, rk4_propagators_matmul, scan_nodes,
+                      sweep_reference)
 from pdmorse import (LI_KUHN, WEYL, ConfigError, GridSpec, MassModel, NoBracket,
                      NonConvergence, constant_mass_epsilon, default_domain,
                      get_molecule, physical_psi, potential_value, reduce,
                      shoot_state, solve_on_grid, solve_states, u_eff, u_ordering)
 from pdmorse import kernels, oracle
 from pdmorse.catalog import REFERENCE_ETAS
-from pdmorse.oracle import scan_nodes
 from pdmorse.reports import oracle_compare_rows
 from pdmorse.units import HBAR2_EV_AMU_A2
 
@@ -129,7 +129,7 @@ class TestSolver:
         # bisections; a level that falls back to bisection needs ~20 more
         assert len(counts) <= 2 + 4 * len(solved)
         monkeypatch.undo()
-        engine, window = oracle._effective_engine(mm, WEYL, mol, grid, None)
+        engine, window = oracle._effective_engine(mm, WEYL, mol, grid)
         for n, e in solved:
             assert abs(e - bisect_level(engine.count_nodes, n, *window, tol)) <= tol
 

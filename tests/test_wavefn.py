@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import gauss_legendre_integral, jacobi_finite_sum
+from _oracles import gauss_legendre_integral, jacobi_finite_sum, make_z_grid, rodrigues_psi
 from pdmorse import (WEYL, DomainUnsupported, EigenfunctionParams, NormOverflow,
                      SignConvention,
                      attach_norm, jacobi, make_state, node_count, norm_const,
                      norm_const_quadrature, nu_consistent_state, ode_residual, phi,
-                     phi_eta0, reduce, rodrigues_psi, weight_rho, xi_part)
+                     phi_eta0, reduce, weight_rho, xi_part)
 from pdmorse.analytic import a_tilde, nu_consistent_epsilon, spectrum
-from pdmorse.wavefn import make_z_grid, norm_const_eta0
+from pdmorse.catalog import REFERENCE_ETAS, get_molecule
+from pdmorse.wavefn import norm_const_eta0
 
 PRINTED = SignConvention.PRINTED
 NORMALIZABLE = SignConvention.NORMALIZABLE
@@ -125,7 +126,7 @@ class TestPhi:
 
     def test_norm_const_scales_output(self, h2_eta02):
         st = make_state(h2_eta02, 0)
-        st_scaled = attach_norm(h2_eta02, st, NORMALIZABLE, method="quadrature")
+        st_scaled = attach_norm(h2_eta02, st, NORMALIZABLE)
         ratio = (phi(h2_eta02, st_scaled, 0.5, NORMALIZABLE)
                  / phi(h2_eta02, st, 0.5, NORMALIZABLE))
         assert ratio == pytest.approx(st_scaled.norm_const, rel=1e-12)
@@ -203,15 +204,32 @@ class TestNormalization:
         quad = norm_const_quadrature(params)
         assert abs(closed - quad) / quad > 0.01
 
-    def test_attach_norm_auto_falls_back(self, h2_eta02):
+    def test_attach_norm_is_the_closed_form(self, h2_eta02):
         st = make_state(h2_eta02, 0)
-        out = attach_norm(h2_eta02, st, NORMALIZABLE, method="auto")
-        by_quad = norm_const_quadrature(
-            EigenfunctionParams.from_state(h2_eta02, st, NORMALIZABLE))
-        # closed form is gamma-valid on the normalizable branch but assumes
-        # the full-interval range; auto keeps it, so only check positivity
-        assert out.norm_const > 0
-        assert by_quad > 0
+        out = attach_norm(h2_eta02, st, NORMALIZABLE)
+        params = EigenfunctionParams.from_state(h2_eta02, st, NORMALIZABLE)
+        assert out.norm_const == norm_const(params) > 0
+
+    @pytest.mark.parametrize("eta", [e for e in REFERENCE_ETAS if e > 0])
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_printed_branch_normalizable_iff_sqrt_eps_below_half(self, name, eta):
+        # phi^2 ~ z^{-2 sqrt(eps)} at the origin on the printed branch; the
+        # normalizable branch always has a constant unless it overflows
+        sys_ = reduce(get_molecule(name), eta, WEYL)
+        for st in spectrum(sys_):
+            printed = EigenfunctionParams.from_state(sys_, st, PRINTED)
+            if printed.sqrt_eps >= 0.5:
+                with pytest.raises(DomainUnsupported, match="not integrable"):
+                    norm_const(printed)
+                with pytest.raises(DomainUnsupported, match="not integrable"):
+                    attach_norm(sys_, st, PRINTED)
+            else:
+                assert attach_norm(sys_, st, PRINTED).norm_const == norm_const(printed) > 0
+            try:
+                value = attach_norm(sys_, st, NORMALIZABLE).norm_const
+            except NormOverflow:
+                continue
+            assert math.isfinite(value) and value > 0
 
 
 class TestOdeResidual:
@@ -345,14 +363,11 @@ class TestEta0Normalization:
             ref = 1 / mpmath.sqrt(integral)
         assert abs(norm_const_eta0(sys_, st) / ref - 1) < 1e-13
 
-    def test_method_and_convention_do_not_apply(self, h2_eta0):
+    def test_convention_does_not_apply(self, h2_eta0):
         st = make_state(h2_eta0, 2)
         expected = norm_const_eta0(h2_eta0, st)
-        for method in ("auto", "closed", "quadrature"):
-            for conv in (PRINTED, NORMALIZABLE):
-                assert attach_norm(h2_eta0, st, conv, method).norm_const == expected
-        with pytest.raises(ValueError, match="unknown method"):
-            attach_norm(h2_eta0, st, method="trapezoid")
+        for conv in (PRINTED, NORMALIZABLE):
+            assert attach_norm(h2_eta0, st, conv).norm_const == expected
 
     def test_overflowing_norm_is_typed(self, h2_eta0):
         from dataclasses import replace
