@@ -11,30 +11,28 @@ nodes_only line also gives the steps it propagated.  Usage:
 import argparse
 import time
 
-import numpy as np
-
 from pdmorse import GridSpec, MassModel, WEYL, get_molecule, solve_states, u_eff
-from pdmorse import kernels
-from pdmorse.units import HBAR2_EV_AMU_A2
+from pdmorse import kernels, oracle
 
 MOLECULE = get_molecule("H2")
 MASS = MassModel.for_molecule(MOLECULE, 0.0)
 
 
+def grid_for(points: int) -> GridSpec:
+    return GridSpec(-0.7, 10.0, points)
+
+
 def build_tables(points: int, e_trial: float = -4.4):
-    grid = GridSpec(-0.7, 10.0, points)
-    xs = grid.xs()
-    xm = 0.5 * (xs[:-1] + xs[1:])
-    q_nodes = 2.0 * MASS.mass(xs) * (u_eff(MASS, WEYL, MOLECULE, xs) - e_trial) / HBAR2_EV_AMU_A2
-    q_mids = 2.0 * MASS.mass(xm) * (u_eff(MASS, WEYL, MOLECULE, xm) - e_trial) / HBAR2_EV_AMU_A2
-    return q_nodes, q_mids, grid.h
+    """The oracle's own coefficient tables (q at nodes and midpoints) and step."""
+    engine = oracle._ShootingEngine(lambda x: u_eff(MASS, WEYL, MOLECULE, x), MASS.mass,
+                                    grid_for(points))
+    return (*engine._q(e_trial), engine.h)
 
 
 def propagated_steps(props, phi: float, dphi: float) -> int:
     """Steps a nodes_only sweep propagates: up to the start of the
     non-negative tail, then on to the first state with phi, phi' of one sign."""
-    negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in props]))
-    k = int(negative[-1]) + 1 if negative.size else 0
+    k = kernels._settled_start(props)
     phi, dphi, _ = kernels.sweep(*(m[:k] for m in props), phi, dphi)
     while k < len(props[0]) and not ((phi >= 0.0 and dphi >= 0.0)
                                      or (phi <= 0.0 and dphi <= 0.0)):
@@ -69,8 +67,7 @@ def main() -> None:
     report("propagators", best_time(kernels.rk4_propagators, tables, args.repeats), steps)
     report("sweep", best_time(kernels.sweep, (*props, 0.0, 1.0), args.repeats), steps)
 
-    grid = GridSpec(-0.7, 10.0, args.points)
-    (_, level), = solve_states(MASS, WEYL, MOLECULE, grid, [0])
+    (_, level), = solve_states(MASS, WEYL, MOLECULE, grid_for(args.points), [0])
     near = kernels.rk4_propagators(*build_tables(args.points, level + 5e-7))
     seconds = best_time(kernels.sweep, (*near, 0.0, 1.0), args.repeats, nodes_only=True)
     report("sweep, nodes_only", seconds, steps,

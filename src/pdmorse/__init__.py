@@ -23,8 +23,8 @@ from .errors import (ComplexBranch, ConfigError, DegenerateDenominator,
                      NormOverflow, PdmorseError, QuadratureFailure, RealityViolation)
 from .model import (LI_KUHN, WEYL, AmbiguityOrdering, MassModel, MoleculeSpec,
                     ReducedSystem, parse_ordering, potential_value, reduce)
-from .oracle import (GridSpec, ShootingResult, default_domain, physical_psi,
-                     shoot_state, solve_on_grid, solve_states, u_eff, u_ordering)
+from .oracle import (GridSpec, default_domain, physical_psi, shoot_state, solve_on_grid,
+                     solve_states, u_eff, u_ordering)
 from .wavefn import (EigenfunctionParams, SignConvention, attach_norm, jacobi,
                      node_count, norm_const, norm_const_quadrature, ode_residual,
                      phi, phi_eta0, weight_rho, xi_part)

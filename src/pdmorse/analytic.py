@@ -123,9 +123,36 @@ def _state(sys: ReducedSystem, n: int, eps: float) -> BoundState:
                       A_tilde=a / sys.eta if sys.eta > 0 else None)
 
 
+def _admitted_eps(sys: ReducedSystem, n: int, w: float, prev_e: float | None) -> float | None:
+    """eps of level n when it passes the admission conditions of :func:`spectrum`, else None.
+
+    w is sqrt(eps1 - eta^2/2); prev_e is E_{n-1} (None for n = 0).
+    """
+    try:
+        s = quantization_root_signed(sys, n)
+    except DegenerateDenominator:
+        return None
+    if s <= 0 or 2.0 * w - (2.0 * s + 2 * n + 1) * sys.eta < 0:
+        return None
+    eps = s * s
+    e = -sys.e_scale * eps
+    if e >= 0 or (prev_e is not None and e <= prev_e):
+        return None
+    return eps
+
+
 def make_state(sys: ReducedSystem, n: int) -> BoundState:
-    """BoundState at the public closed-form eigenvalue."""
-    return _state(sys, n, epsilon_nl(sys, n))
+    """BoundState at the public closed-form eigenvalue of a level :func:`spectrum` lists.
+
+    The admission conditions are checked at n (against E_{n-1}) without
+    enumerating the spectrum; a level they refuse, such as a root on the
+    spurious squared branch, raises RealityViolation.
+    """
+    prev_e = energy_ev(sys, n - 1) if n > 0 else None
+    eps = _admitted_eps(sys, n, _sqrt_w(sys), prev_e)
+    if eps is None:
+        raise RealityViolation(f"level n={n} is not a bound level of this system")
+    return _state(sys, n, eps)
 
 
 def spectrum(sys: ReducedSystem) -> list[BoundState]:
@@ -144,23 +171,9 @@ def spectrum(sys: ReducedSystem) -> list[BoundState]:
     w = _sqrt_w(sys)
     states: list[BoundState] = []
     prev_e = None
-    n = 0
-    while True:
-        try:
-            s = quantization_root_signed(sys, n)
-        except DegenerateDenominator:
-            break
-        if s <= 0:
-            break
-        if 2.0 * w - (2.0 * s + 2 * n + 1) * sys.eta < 0:
-            break
-        eps = s * s
-        e = -sys.e_scale * eps
-        if e >= 0 or (prev_e is not None and e <= prev_e):
-            break
-        states.append(_state(sys, n, eps))
-        prev_e = e
-        n += 1
+    while (eps := _admitted_eps(sys, len(states), w, prev_e)) is not None:
+        states.append(_state(sys, len(states), eps))
+        prev_e = states[-1].E
     return states
 
 

@@ -75,6 +75,12 @@ def _run(steps, phi: float, dphi: float, nodes: int, settle: bool = False):
     return phi, dphi, nodes
 
 
+def _settled_start(cols) -> int:
+    """Start of the settled tail: one past the last step with a negative (or NaN) entry."""
+    negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
+    return int(negative[-1]) + 1 if negative.size else 0
+
+
 def sweep(m00, m01, m10, m11, phi0: float, dphi0: float, nodes_only: bool = False):
     """Propagate (phi, phi') through per-step 2x2 matrices, counting nodes.
 
@@ -84,9 +90,8 @@ def sweep(m00, m01, m10, m11, phi0: float, dphi0: float, nodes_only: bool = Fals
     """
     cols = [np.ascontiguousarray(m, dtype=float) for m in (m00, m01, m10, m11)]
     end = len(cols[0])
-    if nodes_only:  # the settled tail starts after the last negative (or NaN) entry
-        negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
-        end = int(negative[-1]) + 1 if negative.size else 0
+    if nodes_only:
+        end = _settled_start(cols)
     # memoryviews hand out plain floats without building four lists;
     # plain-float arithmetic is several times faster than numpy scalars
     views = [memoryview(m) for m in cols]

@@ -20,9 +20,6 @@ Solve strategy, shared by every requested level of one grid:
   bisected down to tol and its midpoint returned.  Either way the returned
   energy lies within tol/2 of the point where the node count steps from n
   to n + 1.
-
-The boundary defect reported in a :class:`ShootingResult` compares the
-log-derivatives of the two half-sweeps at the matching point.
 """
 from __future__ import annotations
 
@@ -72,15 +69,6 @@ class GridSpec:
             raise ConfigError(
                 f"x_min = {self.x_min} must stay right of the mass singularity "
                 f"at {xs:.4f} + {SINGULARITY_MARGIN} A margin")
-
-
-@dataclass(frozen=True)
-class ShootingResult:
-    """One converged shot: energy (eV), node count, boundary defect."""
-
-    E: float
-    nodes: int
-    mismatch: float
 
 
 def _ordering_term(ordering: AmbiguityOrdering, m, m1, m2):
@@ -161,16 +149,6 @@ class _ShootingEngine:
             self._matched[E] = (kernels.sweep(*left, 0.0, 1.0),
                                 kernels.sweep(*right, 0.0, -1.0))
         return self._matched[E]
-
-    def mismatch(self, E: float) -> float:
-        """Normalized log-derivative defect at the matching point."""
-        (pl, dl, _), (pr, dr, _) = self._half_sweeps(E)
-        if pl == 0.0 or pr == 0.0:
-            return 0.0
-        ld_l = dl / pl
-        ld_r = dr / pr
-        denom = abs(ld_l) + abs(ld_r)
-        return (ld_l - ld_r) / denom if denom > 0 else 0.0
 
     def phase(self, E: float, k: float) -> float:
         """Sum of the scaled left and right Pruefer phases at the matching point.
@@ -259,8 +237,9 @@ class _ShootingEngine:
             lo, _, hi, _ = self._bracket(n)
         return 0.5 * (lo + hi)
 
-    def solve(self, n_list, e_window, tol_ev: float) -> dict[int, float]:
-        """Eigenvalues of the requested levels, keyed by n."""
+    def solve(self, n_list, e_window, tol_ev: float) -> list[tuple[int, float]]:
+        """Eigenvalues of the requested levels as (n, E), in the order requested."""
+        n_list = list(n_list)
         e_lo, e_hi = e_window
         n_lo = self.count_nodes(e_lo)
         n_hi = self.count_nodes(e_hi)
@@ -269,51 +248,35 @@ class _ShootingEngine:
                 raise NoBracket(
                     f"state n={n} not bracketed: nodes({e_lo:.6g})={n_lo}, "
                     f"nodes({e_hi:.6g})={n_hi}")
-        return {n: self._level(n, tol_ev) for n in sorted(set(n_list))}
-
-    def result(self, E: float) -> ShootingResult:
-        """Shooting record at E: node count and matching defect."""
-        return ShootingResult(E=E, nodes=self.count_nodes(E), mismatch=self.mismatch(E))
+        levels = {n: self._level(n, tol_ev) for n in sorted(set(n_list))}
+        return [(n, levels[n]) for n in n_list]
 
 
-def _effective_engine(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
-                      grid: GridSpec):
-    """Engine for the effective-potential problem and its window (min U_eff, 0)."""
-    grid.validate_against_mass(mm)
-    engine = _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
-    e_floor = float(np.min(engine.u_nodes))
-    return engine, (e_floor + abs(e_floor) * 1e-12, 0.0)
-
-
-def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window, tol_ev: float = 1e-7):
-    """Generic driver over an arbitrary potential/mass pair.
-
-    Returns a list of (n, ShootingResult) in the order requested.
-    """
-    n_list = list(n_list)
-    engine = _ShootingEngine(u_fn, m_fn, grid)
-    levels = engine.solve(n_list, e_window, tol_ev)
-    return [(n, engine.result(levels[n])) for n in n_list]
+def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window,
+                  tol_ev: float = 1e-7) -> list[tuple[int, float]]:
+    """Eigenvalues (n, E) of an arbitrary potential/mass pair inside e_window."""
+    return _ShootingEngine(u_fn, m_fn, grid).solve(n_list, e_window, tol_ev)
 
 
 def solve_states(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
                  grid: GridSpec, n_list, tol_ev: float = 1e-7) -> list[tuple[int, float]]:
-    """Eigenvalues of the effective-potential problem for the requested levels.
+    """Eigenvalues (n, E) of the effective-potential problem, in the order requested.
 
-    The energy window spans (min U_eff, 0).  Results come back in the order
-    requested.
+    The energy window spans (min U_eff, 0), read off the engine's own table.
     """
-    n_list = list(n_list)
-    engine, e_window = _effective_engine(mm, ordering, mol, grid)
-    levels = engine.solve(n_list, e_window, tol_ev)
-    return [(n, levels[n]) for n in n_list]
+    grid.validate_against_mass(mm)
+    engine = _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
+    e_floor = float(np.min(engine.u_nodes))
+    return engine.solve(n_list, (e_floor + abs(e_floor) * 1e-12, 0.0), tol_ev)
 
 
 def shoot_state(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
-                grid: GridSpec, n: int, tol_ev: float = 1e-7) -> ShootingResult:
-    """Full shooting record (energy, node count, matching defect) for one level."""
-    engine, e_window = _effective_engine(mm, ordering, mol, grid)
-    return engine.result(engine.solve([n], e_window, tol_ev)[n])
+                grid: GridSpec, n: int, tol_ev: float = 1e-7) -> float:
+    """Eigenvalue of one level: ``solve_states(..., [n], tol_ev)[0][1]``.
+
+    Kept only as a name the benchmark tracer (``e2ebench/tracing.py``) wraps.
+    """
+    return solve_states(mm, ordering, mol, grid, [n], tol_ev)[0][1]
 
 
 def default_domain(mol: MoleculeSpec, eta: float,

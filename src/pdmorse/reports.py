@@ -210,6 +210,8 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
     """Sampled eigenfunction export: z, x (Angstrom), phi, and psi = sqrt(m) phi."""
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if sys.eta == 0.0:  # phi_eta0 has only the bounded branch
+        convention = SignConvention.NORMALIZABLE
     mm = MassModel.for_molecule(mol, sys.eta)
     state = attach_norm(sys, state, convention)
     z = np.arange(1, samples + 1) / (samples + 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import nu_branch_internals
-from pdmorse import (WEYL, AmbiguityOrdering, DegenerateDenominator,
+from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, DegenerateDenominator,
                      RealityViolation, ReducedSystem, constant_mass_epsilon,
                      energy_ev, epsilon_nl, make_state, nu_consistent_epsilon,
                      nu_internals, reality_check, reduce, spectrum)
@@ -233,6 +233,20 @@ class TestBranchValidity:
         nu = nu_internals(sys, s16**2, 16)
         scale = max(1.0, abs(nu.lambda_n), abs(nu.k2))
         assert abs(nu.lambda_ - nu.lambda_n) / scale > 1e-6
+
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 0.4, 0.6, 0.9])
+    def test_make_state_serves_exactly_the_listed_levels(self, h2, lih, eta):
+        # a level past the listing (the squared branch included) is refused,
+        # not served as a state
+        orderings = (WEYL, LI_KUHN, AmbiguityOrdering(a=0.3, alpha=-0.2, gamma=0.1))
+        for mol in (h2, lih):
+            for ordering in orderings:
+                sys = reduce(mol, eta, ordering)
+                states = spectrum(sys)
+                assert [make_state(sys, st.n) for st in states] == states
+                for n in range(len(states), len(states) + 30):
+                    with pytest.raises(RealityViolation):
+                        make_state(sys, n)
 
 
 class TestDegenerateDenominator:

@@ -179,6 +179,18 @@ class TestWavefunctionExport:
         data = [ln for ln in lines if not ln.startswith("#")][1:]
         assert len(data) == 16
 
+    def test_eta0_provenance_names_the_bounded_branch(self, capsys):
+        # eta = 0 has only the bounded branch: whatever --convention asks
+        # for, the rows are the normalizable ones and the provenance says so
+        outputs = {}
+        for convention in ("printed", "normalizable"):
+            assert main(["wavefunction", "--molecule", "H2", "--eta", "0", "--n", "2",
+                         "--samples", "8", "--convention", convention]) == 0
+            outputs[convention] = capsys.readouterr().out
+        assert outputs["printed"] == outputs["normalizable"]
+        assert "# sign_convention: normalizable" in outputs["printed"].splitlines()
+        assert "# bounded_at_origin: True" in outputs["printed"].splitlines()
+
 
 class TestOracleCompareReport:
     def test_deterministic_rows_and_schema(self, h2):
@@ -398,8 +410,13 @@ class TestRejectedInput:
         # sqrt(eps) = 2.09 on the printed branch: phi^2 ~ z^-4.18 at the origin
         (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "17",
           "--convention", "printed"], "not integrable at the origin"),
+        # levels spectrum does not list: H2 has n <= 16 at eta 0, n <= 19 at eta 0.2
+        (["wavefunction", "--molecule", "H2", "--eta", "0", "--n", "25"], "not a bound level"),
+        (["wavefunction", "--molecule", "H2", "--eta", "0", "--n", "40"], "not a bound level"),
+        (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "20"], "not a bound level"),
+        (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "40"], "not a bound level"),
     ], ids=["nan-domain", "nan-tolerance", "zero-samples", "negative-n-max",
-            "printed-divergent-level"])
+            "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40"])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()

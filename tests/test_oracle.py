@@ -29,6 +29,22 @@ def box_level(n):
     return HBAR2_EV_AMU_A2 * math.pi**2 * (n + 1) ** 2 / 2.0
 
 
+def effective_engine(mm, mol, grid):
+    """A fresh engine on solve_states's tables, and its window (min U_eff (1 -+ 1e-12), 0)."""
+    engine = oracle._ShootingEngine(lambda x: u_eff(mm, WEYL, mol, x), mm.mass, grid)
+    e_floor = float(np.min(engine.u_nodes))
+    return engine, (e_floor + abs(e_floor) * 1e-12, 0.0)
+
+
+def assert_certified(engine, n, e, tol):
+    """Level n sits at e: the node count steps from n to n + 1 within tol/2 of
+    e, and the Pruefer phase minus (n + 1) pi changes sign within tol of e."""
+    assert engine.count_nodes(e - 0.5 * tol) == n
+    assert engine.count_nodes(e + 0.5 * tol) == n + 1
+    target = (n + 1) * math.pi
+    assert engine.phase(e - tol, 1.0) < target < engine.phase(e + tol, 1.0)
+
+
 class TestUOrdering:
     def test_constant_mass_vanishes(self):
         mm = MassModel(m0=1.0, eta=0.0, beta=1.5)
@@ -97,15 +113,14 @@ class TestPhysicalPsi:
 class TestBox:
     def test_levels_match_analytic(self):
         grid = GridSpec(0.0, 1.0, 2001)
+        tol = 1e-10
         results = solve_on_grid(flat_potential, const_mass(1.0), grid,
-                                range(6), (1e-4, 3.0), tol_ev=1e-10)
-        for n, res in results:
+                                range(6), (1e-4, 3.0), tol_ev=tol)
+        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+        for n, e in results:
             exact = box_level(n)
-            assert abs(res.E - exact) / exact < 1e-6
-            # the certified energy sits within tol/2 of the node-count step,
-            # so the staircase count is n (just below) or n+1 (just above)
-            assert res.nodes in (n, n + 1)
-            assert abs(res.mismatch) < 1e-6
+            assert abs(e - exact) / exact < 1e-6
+            assert_certified(fresh, n, e, tol)
 
 
 def reference_domain(mol, eta):
@@ -129,7 +144,7 @@ class TestSolver:
         # bisections; a level that falls back to bisection needs ~20 more
         assert len(counts) <= 2 + 4 * len(solved)
         monkeypatch.undo()
-        engine, window = oracle._effective_engine(mm, WEYL, mol, grid)
+        engine, window = effective_engine(mm, mol, grid)
         for n, e in solved:
             assert abs(e - bisect_level(engine.count_nodes, n, *window, tol)) <= tol
 
@@ -182,10 +197,35 @@ class TestSolver:
                                 (1e-4, 3.0), tol_ev=tol)
         assert refined == [0, 1, 2, 3]
         scan = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
-        for n, res in results:
-            assert abs(res.E - box_level(n)) / box_level(n) < 1e-6
-            assert abs(res.E - bisect_level(scan.count_nodes, n, 1e-4, 3.0, tol)) <= tol
-            assert res.nodes in (n, n + 1)
+        for n, e in results:
+            assert abs(e - box_level(n)) / box_level(n) < 1e-6
+            assert abs(e - bisect_level(scan.count_nodes, n, 1e-4, 3.0, tol)) <= tol
+        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+        for n, e in results:
+            assert_certified(fresh, n, e, tol)
+
+    @pytest.mark.parametrize("eta", REFERENCE_ETAS)
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_solve_on_grid_reproduces_solve_states(self, name, eta):
+        # the generic solver, given solve_states's tables and window, returns
+        # the same energies bit for bit
+        mol = get_molecule(name)
+        mm = MassModel.for_molecule(mol, eta)
+        grid = GridSpec(*reference_domain(mol, eta), 2001)
+        _, window = effective_engine(mm, mol, grid)
+        levels = [4, 0, 2, 1, 3]
+        generic = solve_on_grid(lambda x: u_eff(mm, WEYL, mol, x), mm.mass, grid,
+                                levels, window)
+        assert generic == solve_states(mm, WEYL, mol, grid, levels)
+
+    def test_u_eff_tables_built_once(self, h2, monkeypatch):
+        # one table at the nodes and one at the midpoints; the window is read
+        # off the node table
+        calls = []
+        monkeypatch.setattr(oracle, "u_eff", lambda *args: calls.append(args) or u_eff(*args))
+        mm = MassModel.for_molecule(h2, 0.2)
+        solve_states(mm, WEYL, h2, GridSpec(*reference_domain(h2, 0.2), 2001), [0])
+        assert len(calls) == 2
 
     def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_BISECTIONS", 2)
@@ -225,10 +265,13 @@ class TestMorseEta0:
         with pytest.raises(NoBracket):
             solve_states(mm, WEYL, h2, grid, [40])
 
-    def test_shoot_state_mismatch_small_at_eigenvalue(self, h2):
+    def test_shoot_state_energy_is_certified_and_phase_matched(self, h2):
         mm = MassModel.for_molecule(h2, 0.0)
-        res = shoot_state(mm, WEYL, h2, GridSpec(-0.7, 10.0, 4001), 1)
-        assert abs(res.mismatch) < 1e-4
+        grid = GridSpec(-0.7, 10.0, 4001)
+        tol = 1e-7
+        e = shoot_state(mm, WEYL, h2, grid, 1, tol)
+        assert e == solve_states(mm, WEYL, h2, grid, [1], tol)[0][1]
+        assert_certified(effective_engine(mm, h2, grid)[0], 1, e, tol)
 
 
 class TestSturmProperty:
