@@ -1,4 +1,4 @@
-"""Closed-form spectrum of the reduced problem and its quantization internals.
+"""Closed-form spectrum of the reduced problem.
 
 Two eigenvalue formulas coexist and are both exposed:
 
@@ -13,8 +13,9 @@ Two eigenvalue formulas coexist and are both exposed:
 For eta > 0 the two differ by a small, exactly characterized offset: at every
 ``epsilon_nl`` root the pi-slope pairing misses closure by exactly eta/2,
 while the assignment ``lambda = k + tau_slope/2`` closes to machine
-precision.  Both constants are carried in :class:`NuInternals` so the
-discrepancy stays measurable.  At eta = 0 everything coincides.
+precision.  The quantization internals that show this (both constants, the
+k-roots and the pi/tau slopes) are test oracles; the library keeps only the
+two eigenvalue formulas.  At eta = 0 everything coincides.
 """
 from __future__ import annotations
 
@@ -52,16 +53,6 @@ def discriminant_root(sys: ReducedSystem, eps: float) -> float:
     return math.sqrt(rad)
 
 
-def a_tilde(sys: ReducedSystem, eps: float) -> float:
-    """A_tilde = sqrt(1 + 4 eps + (4/eta)(eps2 + eps1/eta)); requires eta > 0."""
-    if sys.eta == 0.0:
-        raise ComplexBranch("A_tilde undefined at eta = 0")
-    rad = 1 + 4 * eps + (4 / sys.eta) * (sys.eps2 + sys.eps1 / sys.eta)
-    if rad < 0:
-        raise ComplexBranch(f"A_tilde radicand negative: {rad}")
-    return math.sqrt(rad)
-
-
 def _sqrt_w(sys: ReducedSystem) -> float:
     """sqrt(eps1 - eta^2/2); raises RealityViolation when the radicand <= 0."""
     rad = sys.eps1 - sys.eta**2 / 2.0
@@ -92,29 +83,9 @@ def epsilon_nl(sys: ReducedSystem, n: int) -> float:
     return quantization_root_signed(sys, n) ** 2
 
 
-def constant_mass_epsilon(sys: ReducedSystem, n: int) -> float:
-    """Constant-mass eigenvalue (1/4)[2n + 1 + eps2/sqrt(eps1)]^2; eta must be 0."""
-    if sys.eta != 0.0:
-        raise ValueError("constant_mass_epsilon requires a system reduced with eta = 0")
-    if sys.eps1 <= 0:
-        raise RealityViolation(f"eps1 = {sys.eps1} <= 0")
-    return 0.25 * (2 * n + 1 + sys.eps2 / math.sqrt(sys.eps1)) ** 2
-
-
 def energy_ev(sys: ReducedSystem, n: int) -> float:
     """Bound-state energy in eV: -e_scale * epsilon_nl."""
     return -sys.e_scale * epsilon_nl(sys, n)
-
-
-def reality_check(sys: ReducedSystem) -> bool:
-    """True when the parameters admit a real bound spectrum.
-
-    The inequality tested is v1/2 > eta^2 (2 c_ord - 1/4).  It is equivalent
-    to eps1 - eta^2/2 > 0: substituting eps1 = v1 - 4 eta^2 (c_ord - 1/4)
-    gives eps1 - eta^2/2 = v1 - 4 eta^2 c_ord + eta^2 - eta^2/2
-    = 2 [v1/2 - eta^2 (2 c_ord - 1/4)], so the two sides agree in sign.
-    """
-    return sys.v1 / 2.0 > sys.eta**2 * (2.0 * sys.c_ord - 0.25)
 
 
 def _state(sys: ReducedSystem, n: int, eps: float) -> BoundState:
@@ -164,10 +135,9 @@ def spectrum(sys: ReducedSystem) -> list[BoundState]:
     admits a spurious branch otherwise), (iii) E_n < 0, and (iv) E_n >
     E_{n-1} (strictly increasing toward the continuum).  Enumeration stops at
     the first violation.  For eta = 0 the resulting count equals the number
-    of n with 2n + 1 < -eps2/sqrt(eps1).
+    of n with 2n + 1 < -eps2/sqrt(eps1).  Parameters without a real spectrum
+    (eps1 - eta^2/2 <= 0) raise RealityViolation.
     """
-    if not reality_check(sys):
-        raise RealityViolation("no real spectrum; reality_check failed")
     w = _sqrt_w(sys)
     states: list[BoundState] = []
     prev_e = None
@@ -175,49 +145,6 @@ def spectrum(sys: ReducedSystem) -> list[BoundState]:
         states.append(_state(sys, len(states), eps))
         prev_e = states[-1].E
     return states
-
-
-@dataclass(frozen=True)
-class NuInternals:
-    """Internals of the quantization machinery at a given (eps, n).
-
-    k2 is the k-root whose minus-sign pairing keeps tau decreasing and is the
-    one the public spectrum derives from; k1 is the other root.  pi_slope and
-    pi_const describe the selected linear pi(z); tau_slope its induced tau
-    derivative (always negative here).  Two quantization constants are
-    carried: ``lambda_`` pairs k2 with tau_slope/2 and closes against
-    lambda_n at every public eigenvalue; ``lambda_pi`` pairs k2 with pi_slope
-    and exceeds lambda_ by exactly eta/2 (it closes at the
-    ``nu_consistent_epsilon`` root instead).
-    """
-
-    k1: float
-    k2: float
-    pi_slope: float
-    pi_const: float
-    tau_slope: float
-    lambda_: float
-    lambda_pi: float
-    lambda_n: float
-
-
-def nu_internals(sys: ReducedSystem, eps: float, n: int) -> NuInternals:
-    """Quantization internals with the production branch selection."""
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    s = math.sqrt(eps)
-    a = discriminant_root(sys, eps)
-    eta = sys.eta
-    base = -sys.eps2 - 2.0 * eta * eps
-    k2 = base - s * a
-    k1 = base + s * a
-    pi_slope = -(eta / 2.0 + a / 2.0 + eta * s)
-    pi_const = s
-    tau_slope = -2.0 * (a / 2.0 + eta * s + eta)
-    lambda_n = 2.0 * n * (a / 2.0 + eta * s + eta) + eta * n * (n - 1)
-    return NuInternals(
-        k1=k1, k2=k2, pi_slope=pi_slope, pi_const=pi_const, tau_slope=tau_slope,
-        lambda_=k2 + tau_slope / 2.0, lambda_pi=k2 + pi_slope, lambda_n=lambda_n)
 
 
 def nu_consistent_epsilon(sys: ReducedSystem, n: int) -> float:
@@ -240,8 +167,3 @@ def nu_consistent_epsilon(sys: ReducedSystem, n: int) -> float:
     if s <= 0:
         raise RealityViolation(f"level n={n} has no bound consistent root (s={s})")
     return s * s
-
-
-def nu_consistent_state(sys: ReducedSystem, n: int) -> BoundState:
-    """BoundState at the internally consistent quantization root."""
-    return _state(sys, n, nu_consistent_epsilon(sys, n))

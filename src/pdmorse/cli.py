@@ -69,8 +69,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise PdmorseError(f"cannot write --output {output!r}: {exc.strerror}") from exc
 
 
 def _cmd_spectrum(args) -> int:

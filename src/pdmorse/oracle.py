@@ -71,27 +71,20 @@ class GridSpec:
                 f"at {xs:.4f} + {SINGULARITY_MARGIN} A margin")
 
 
-def _ordering_term(ordering: AmbiguityOrdering, m, m1, m2):
+def u_eff(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec, x):
+    """Effective potential (eV): ordering term + V(x) + wavefunction-redefinition term.
+
+    The ordering term is -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' +
+    2 (a - alpha gamma - alpha - gamma) m'^2], with the analytic mass
+    derivatives.
+    """
+    m, m1, m2 = mm.mass_terms(x)
     c_mm = ordering.alpha + ordering.gamma - ordering.a
     c_m1 = ordering.a - ordering.alpha * ordering.gamma - ordering.alpha - ordering.gamma
-    return -HBAR2_EV_AMU_A2 / (4.0 * m**3 * (ordering.a + 1.0)) * (
+    kinetic = -HBAR2_EV_AMU_A2 / (4.0 * m**3 * (ordering.a + 1.0)) * (
         c_mm * m * m2 + 2.0 * c_m1 * m1**2)
-
-
-def u_ordering(mm: MassModel, ordering: AmbiguityOrdering, x):
-    """Ordering-dependent kinetic term (eV).
-
-    -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' + 2 (a - alpha gamma - alpha
-    - gamma) m'^2], with the analytic mass derivatives.
-    """
-    return _ordering_term(ordering, *mm.mass_terms(x))
-
-
-def u_eff(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec, x):
-    """Effective potential: ordering term + V(x) + wavefunction-redefinition term."""
-    m, m1, m2 = mm.mass_terms(x)
     redef = HBAR2_EV_AMU_A2 / (4.0 * m**2) * (1.5 * m1**2 / m - m2)
-    return _ordering_term(ordering, m, m1, m2) + potential_value(mol, x) + redef
+    return kinetic + potential_value(mol, x) + redef
 
 
 def physical_psi(mm: MassModel, x, phi_values):

@@ -8,16 +8,24 @@ eigenvalues from plain per-level bisection on node counts, the node-counting
 sweep from a one-branch loop, and CSV rows from per-cell formatting.  The
 Rodrigues expansion cross-checks the Jacobi recurrence, and the branch
 explorer spans all four (k-root, pi-sign) pairings of the quantization.
+
+The paper-form relations the library does not serve live here too: the
+printed reality condition, A_tilde from eps, the constant-mass eigenvalue,
+the quantization internals, the ordering term of U_eff, and the node count
+and equation residual of the assembled eigenfunction (both through ``phi``).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from pdmorse import oracle
-from pdmorse.analytic import NuInternals, a_tilde, discriminant_root
-from pdmorse.wavefn import SignConvention
+from pdmorse.analytic import _state, discriminant_root, nu_consistent_epsilon
+from pdmorse.errors import ComplexBranch, RealityViolation
+from pdmorse.units import HBAR2_EV_AMU_A2
+from pdmorse.wavefn import SignConvention, phi
 
 _RESCALE_LIMIT = 1e250  # sweep_reference: renormalization threshold
 
@@ -195,7 +203,7 @@ def rodrigues_psi(sys, eps: float, n: int, z, convention=SignConvention.PRINTED)
 def nu_branch_internals(sys, eps: float, n: int, k_root: int, pi_sign: int) -> NuInternals:
     """Quantization internals for any of the four (k-root, pi-sign) pairings.
 
-    k_root=2, pi_sign=-1 reproduces ``analytic.nu_internals`` up to the
+    k_root=2, pi_sign=-1 reproduces :func:`nu_internals` up to the
     generic square-root factorization.
     """
     s = math.sqrt(eps)
@@ -219,3 +227,140 @@ def nu_branch_internals(sys, eps: float, n: int, k_root: int, pi_sign: int) -> N
     return NuInternals(
         k1=k1, k2=k2, pi_slope=pi_slope, pi_const=pi_const, tau_slope=tau_slope,
         lambda_=k + tau_slope / 2.0, lambda_pi=k + pi_slope, lambda_n=lambda_n)
+
+
+def reality_check(sys) -> bool:
+    """The paper's reality condition v1/2 > eta^2 (2 c_ord - 1/4).
+
+    It is equivalent to eps1 - eta^2/2 > 0, the radicand ``spectrum`` tests:
+    substituting eps1 = v1 - 4 eta^2 (c_ord - 1/4) gives eps1 - eta^2/2
+    = v1 - 4 eta^2 c_ord + eta^2 - eta^2/2 = 2 [v1/2 - eta^2 (2 c_ord - 1/4)],
+    so the two sides agree in sign.
+    """
+    return sys.v1 / 2.0 > sys.eta**2 * (2.0 * sys.c_ord - 0.25)
+
+
+def a_tilde(sys, eps: float) -> float:
+    """A_tilde = sqrt(1 + 4 eps + (4/eta)(eps2 + eps1/eta)); requires eta > 0."""
+    if sys.eta == 0.0:
+        raise ComplexBranch("A_tilde undefined at eta = 0")
+    rad = 1 + 4 * eps + (4 / sys.eta) * (sys.eps2 + sys.eps1 / sys.eta)
+    if rad < 0:
+        raise ComplexBranch(f"A_tilde radicand negative: {rad}")
+    return math.sqrt(rad)
+
+
+def constant_mass_epsilon(sys, n: int) -> float:
+    """Constant-mass eigenvalue (1/4)[2n + 1 + eps2/sqrt(eps1)]^2; eta must be 0."""
+    if sys.eta != 0.0:
+        raise ValueError("constant_mass_epsilon requires a system reduced with eta = 0")
+    if sys.eps1 <= 0:
+        raise RealityViolation(f"eps1 = {sys.eps1} <= 0")
+    return 0.25 * (2 * n + 1 + sys.eps2 / math.sqrt(sys.eps1)) ** 2
+
+
+def nu_consistent_state(sys, n: int):
+    """BoundState at the internally consistent quantization root."""
+    return _state(sys, n, nu_consistent_epsilon(sys, n))
+
+
+@dataclass(frozen=True)
+class NuInternals:
+    """Internals of the quantization machinery at a given (eps, n).
+
+    k2 is the k-root whose minus-sign pairing keeps tau decreasing and is the
+    one the public spectrum derives from; k1 is the other root.  pi_slope and
+    pi_const describe the selected linear pi(z); tau_slope its induced tau
+    derivative (always negative here).  Two quantization constants are
+    carried: ``lambda_`` pairs k2 with tau_slope/2 and closes against
+    lambda_n at every public eigenvalue; ``lambda_pi`` pairs k2 with pi_slope
+    and exceeds lambda_ by exactly eta/2 (it closes at the
+    ``nu_consistent_epsilon`` root instead).
+    """
+
+    k1: float
+    k2: float
+    pi_slope: float
+    pi_const: float
+    tau_slope: float
+    lambda_: float
+    lambda_pi: float
+    lambda_n: float
+
+
+def nu_internals(sys, eps: float, n: int) -> NuInternals:
+    """Quantization internals with the branch selection the public spectrum uses."""
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    s = math.sqrt(eps)
+    a = discriminant_root(sys, eps)
+    eta = sys.eta
+    base = -sys.eps2 - 2.0 * eta * eps
+    k2 = base - s * a
+    k1 = base + s * a
+    pi_slope = -(eta / 2.0 + a / 2.0 + eta * s)
+    pi_const = s
+    tau_slope = -2.0 * (a / 2.0 + eta * s + eta)
+    lambda_n = 2.0 * n * (a / 2.0 + eta * s + eta) + eta * n * (n - 1)
+    return NuInternals(
+        k1=k1, k2=k2, pi_slope=pi_slope, pi_const=pi_const, tau_slope=tau_slope,
+        lambda_=k2 + tau_slope / 2.0, lambda_pi=k2 + pi_slope, lambda_n=lambda_n)
+
+
+def u_ordering(mm, ordering, x):
+    """Ordering-dependent kinetic term of U_eff (eV).
+
+    -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' + 2 (a - alpha gamma - alpha
+    - gamma) m'^2], with the analytic mass derivatives.
+    """
+    m, m1, m2 = mm.mass_terms(x)
+    c_mm = ordering.alpha + ordering.gamma - ordering.a
+    c_m1 = ordering.a - ordering.alpha * ordering.gamma - ordering.alpha - ordering.gamma
+    return -HBAR2_EV_AMU_A2 / (4.0 * m**3 * (ordering.a + 1.0)) * (
+        c_mm * m * m2 + 2.0 * c_m1 * m1**2)
+
+
+def node_count(sys, state, convention=SignConvention.NORMALIZABLE,
+               domain: str = "natural") -> int:
+    """Sign changes of phi at 10001 samples of a z-interval (eta > 0).
+
+    domain 'natural' spans (0, 1/eta), the full support of the polynomial
+    weight, where the oscillation count of level n equals n.  domain
+    'physical' restricts to (0, 1); nodes lying between z = 1 and the mass
+    singularity are then excluded from the count.
+    """
+    if sys.eta == 0.0:
+        raise ValueError("node_count requires eta > 0; use phi_eta0 directly")
+    if domain not in ("natural", "physical"):
+        raise ValueError(f"unknown domain {domain!r}")
+    upper = 1.0 / sys.eta if domain == "natural" else 1.0
+    pad = upper * 1e-9
+    signs = np.sign(phi(sys, state, np.linspace(pad, upper - pad, 10001), convention))
+    return int(np.sum(signs[1:] * signs[:-1] < 0))
+
+
+def ode_residual(sys, state, z_grid, convention=SignConvention.NORMALIZABLE) -> float:
+    """Max |equation residual| / max term magnitude of phi on a uniform z-grid.
+
+    phi'' and phi' come from 4th-order central differences; the residual is
+    the transformed equation evaluated at state.eps_nl.  Grids below 64
+    points are rejected.
+    """
+    z = np.asarray(z_grid, dtype=float)
+    if z.size < 64:
+        raise ValueError("z grid too coarse; need at least 64 points")
+    h = z[1] - z[0]
+    if not np.allclose(np.diff(z), h, rtol=1e-9, atol=0.0):
+        raise ValueError("z grid must be uniform")
+    f = phi(sys, state, z, convention)
+    i = np.arange(2, z.size - 2)
+    d1 = (-f[i + 2] + 8 * f[i + 1] - 8 * f[i - 1] + f[i - 2]) / (12.0 * h)
+    d2 = (-f[i + 2] + 16 * f[i + 1] - 30 * f[i] + 16 * f[i - 1] - f[i - 2]) / (12.0 * h * h)
+    zi = z[i]
+    sigma = zi * (1.0 - sys.eta * zi)
+    term1 = d2
+    term2 = d1 / zi
+    term3 = (-sys.eps1 * zi**2 - sys.eps2 * zi - state.eps_nl) / sigma**2 * f[i]
+    residual = np.abs(term1 + term2 + term3).max()
+    scale = max(np.abs(term1).max(), np.abs(term2).max(), np.abs(term3).max())
+    return residual / scale

@@ -11,13 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import jacobi_finite_sum, make_z_grid
-from pdmorse import (WEYL, AmbiguityOrdering, EigenfunctionParams, GridSpec,
-                     MassModel, ReducedSystem, SignConvention, constant_mass_epsilon,
-                     energy_ev, epsilon_nl, get_molecule, jacobi, make_state,
-                     node_count, norm_const, norm_const_quadrature,
-                     nu_consistent_state, nu_internals, ode_residual, reality_check,
-                     reduce, solve_on_grid, solve_states, spectrum)
+from _oracles import (constant_mass_epsilon, jacobi_finite_sum, make_z_grid, node_count,
+                      nu_consistent_state, nu_internals, ode_residual, reality_check)
+from pdmorse import (WEYL, AmbiguityOrdering, GridSpec, MassModel, ReducedSystem,
+                     SignConvention, energy_ev, epsilon_nl, get_molecule, jacobi,
+                     make_state, norm_const, norm_const_quadrature, reduce, solve_on_grid,
+                     solve_states, spectrum)
 from pdmorse.analytic import _state
 from pdmorse.catalog import REFERENCE_ENERGIES
 from pdmorse.reports import oracle_compare_rows, oracle_csv
@@ -213,11 +212,10 @@ def test_criterion_9_normalization():
     (sqrt(eps) = 0.3, A_tilde = 0.8, gamma-valid, printed convention)."""
     worst = 0.0
     for n in (0, 1):
-        params = EigenfunctionParams(n=n, sqrt_eps=0.3, A_tilde=0.8,
-                                     eta=1.0 - 1e-6,
-                                     sign_convention=SignConvention.PRINTED)
-        closed = norm_const(params)
-        quad = norm_const_quadrature(params)
+        # printed branch: p = A_tilde, q = -2 sqrt(eps)
+        params = (n, 0.8, -2.0 * 0.3, 1.0 - 1e-6)
+        closed = norm_const(*params)
+        quad = norm_const_quadrature(*params)
         worst = max(worst, abs(closed - quad) / quad)
     ok = worst < 1e-6
     report(9, ok, f"max relative normalization gap = {worst:.2e}")

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import nu_branch_internals
+from _oracles import constant_mass_epsilon, nu_branch_internals, nu_internals, reality_check
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, DegenerateDenominator,
-                     RealityViolation, ReducedSystem, constant_mass_epsilon,
-                     energy_ev, epsilon_nl, make_state, nu_consistent_epsilon,
-                     nu_internals, reality_check, reduce, spectrum)
+                     RealityViolation, ReducedSystem, energy_ev, epsilon_nl, make_state,
+                     nu_consistent_epsilon, reduce, spectrum)
 
 TABLE_GATE = 0.005  # eV; reference energies carry 3 printed decimals
 

@@ -1,16 +1,25 @@
-"""The library names the benchmark in ``e2ebench/`` reaches into stay in place.
+"""The library names the benchmarks reach into stay in place.
 
 The tracer wraps every entry point listed in ``tracing.BOUNDARIES`` at its
 ``pdmorse.<layer>`` home, the run record reads ``kernels.USE_NUMBA``, and the
-output checks import from the library.  A deletion that would break any of
-them fails here, not only in the benchmark's own self-test.
+output checks import from the library.  The micro-benchmark scripts under
+``benchmarks/`` reach private names (``oracle._ShootingEngine._q``,
+``kernels._settled_start``), so each runs here once at a small size.  A
+deletion or rename that would break any of them fails here, not only when a
+benchmark is run.
 """
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
-E2EBENCH = Path(__file__).resolve().parent.parent / "e2ebench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+E2EBENCH = ROOT / "e2ebench"
 
 
 def _load(name: str):
@@ -37,3 +46,23 @@ def test_run_record_reads_use_numba():
 
 def test_output_checks_import():
     assert callable(_load("checks").judge)
+
+
+@pytest.mark.parametrize("script, args, labels", [
+    ("bench_shooting.py", ["--points", "2001", "--repeats", "1"],
+     ["points", "propagators", "sweep", "sweep, nodes_only"]),
+    ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
+     ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
+      "_build_parser (cached)", "_build_parser (cold)"]),
+])
+def test_benchmark_script_runs(script, args, labels):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "benchmarks" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [re.split(r"\s*: ", line, maxsplit=1)[0] for line in lines] == labels
+    if script == "bench_shooting.py":
+        assert re.search(r"propagated \d+ of 2000 steps$", lines[-1])

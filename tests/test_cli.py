@@ -415,8 +415,14 @@ class TestRejectedInput:
         (["wavefunction", "--molecule", "H2", "--eta", "0", "--n", "40"], "not a bound level"),
         (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "20"], "not a bound level"),
         (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "40"], "not a bound level"),
+        # --output that cannot be opened for writing: a missing directory, a directory
+        (["spectrum", "--molecule", "H2", "--eta", "0.2", "--output", "/no/such/dir/x.csv"],
+         "cannot write --output '/no/such/dir/x.csv'"),
+        (["spectrum", "--molecule", "H2", "--eta", "0.2", "--output", "."],
+         "cannot write --output '.'"),
     ], ids=["nan-domain", "nan-tolerance", "zero-samples", "negative-n-max",
-            "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40"])
+            "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40",
+            "output-missing-dir", "output-is-dir"])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()

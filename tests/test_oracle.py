@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (bisect_level, fd_derivative, rk4_propagators_matmul, scan_nodes,
-                      sweep_reference)
-from pdmorse import (LI_KUHN, WEYL, ConfigError, GridSpec, MassModel, NoBracket,
-                     NonConvergence, constant_mass_epsilon, default_domain,
+from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative,
+                      rk4_propagators_matmul, scan_nodes, sweep_reference, u_ordering)
+from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, GridSpec, MassModel,
+                     NoBracket, NonConvergence, default_domain,
                      get_molecule, physical_psi, potential_value, reduce,
-                     shoot_state, solve_on_grid, solve_states, u_eff, u_ordering)
+                     shoot_state, solve_on_grid, solve_states, u_eff)
 from pdmorse import kernels, oracle
 from pdmorse.catalog import REFERENCE_ETAS
 from pdmorse.reports import oracle_compare_rows
@@ -63,6 +63,16 @@ class TestUOrdering:
         xs = np.linspace(-0.5, 6.0, 101)
         assert np.allclose(u_ordering(mm, WEYL, xs), u_ordering(mm, LI_KUHN, xs),
                            rtol=1e-13, atol=0.0)
+
+    def test_u_eff_carries_the_ordering_term(self, h2):
+        # U_eff minus the paper-form ordering term is the same for every ordering
+        mm = MassModel.for_molecule(h2, 0.3)
+        xs = np.linspace(-0.5, 6.0, 101)
+        rest = u_eff(mm, WEYL, h2, xs) - u_ordering(mm, WEYL, xs)
+        for o in (LI_KUHN, AmbiguityOrdering(a=0.3, alpha=-0.2, gamma=0.1),
+                  AmbiguityOrdering(a=-0.5, alpha=0.7, gamma=0.4)):
+            np.testing.assert_allclose(u_eff(mm, o, h2, xs) - u_ordering(mm, o, xs), rest,
+                                       rtol=1e-12, atol=1e-12 * np.abs(rest).max())
 
 
 class TestUEff:

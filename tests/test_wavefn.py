@@ -4,18 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import gauss_legendre_integral, jacobi_finite_sum, make_z_grid, rodrigues_psi
-from pdmorse import (WEYL, DomainUnsupported, EigenfunctionParams, NormOverflow,
-                     SignConvention,
-                     attach_norm, jacobi, make_state, node_count, norm_const,
-                     norm_const_quadrature, nu_consistent_state, ode_residual, phi,
-                     phi_eta0, reduce, weight_rho, xi_part)
-from pdmorse.analytic import a_tilde, nu_consistent_epsilon, spectrum
+from _oracles import (constant_mass_epsilon, gauss_legendre_integral, jacobi_finite_sum,
+                      make_z_grid, node_count, nu_consistent_state, ode_residual,
+                      rodrigues_psi)
+from pdmorse import (WEYL, DomainUnsupported, NormOverflow, SignConvention, attach_norm,
+                     jacobi, make_state, norm_const, norm_const_quadrature, phi, phi_eta0,
+                     reduce)
+from pdmorse.analytic import spectrum
 from pdmorse.catalog import REFERENCE_ETAS, get_molecule
 from pdmorse.wavefn import norm_const_eta0
 
 PRINTED = SignConvention.PRINTED
 NORMALIZABLE = SignConvention.NORMALIZABLE
+
+
+def paper_pq(st, convention):
+    """The paper's Jacobi parameters: p = A_tilde, q = -2 sqrt(eps) printed, +2 normalizable."""
+    q = 2.0 * math.sqrt(st.eps_nl)
+    return st.A_tilde, (-q if convention is PRINTED else q)
 
 
 class TestJacobi:
@@ -62,60 +68,21 @@ class TestJacobi:
         assert vals.shape == x.shape
 
 
-class TestWeightAndXi:
-    def test_weight_finite_at_right_edge(self, h2_eta02):
-        st = make_state(h2_eta02, 0)
-        val = weight_rho(h2_eta02, st.eps_nl, 1.0 - 1e-12)
-        assert np.isfinite(val) and val > 0
-
-    def test_weight_eps0_form(self, h2_eta02):
-        at = a_tilde(h2_eta02, 0.0)
-        z = 0.37
-        assert weight_rho(h2_eta02, 0.0, z) == pytest.approx(
-            (1 - h2_eta02.eta * z) ** at, rel=1e-12)
-
-    def test_weight_log_domain_crosscheck(self, h2_eta02):
-        st = make_state(h2_eta02, 0)
-        s = math.sqrt(st.eps_nl)
-        expected = math.exp(-2 * s * math.log(0.5) + st.A_tilde * math.log(0.9))
-        assert weight_rho(h2_eta02, st.eps_nl, 0.5) == pytest.approx(expected, rel=1e-10)
-
-    def test_weight_domain_error(self, h2_eta02):
-        with pytest.raises(ValueError):
-            weight_rho(h2_eta02, 1.0, 1.5)
-
-    def test_xi_eps0(self, h2_eta02):
-        at = a_tilde(h2_eta02, 0.0)
-        z = 0.61
-        expected = (1 - h2_eta02.eta * z) ** (0.5 * (1 + at))
-        assert xi_part(h2_eta02, 0.0, z, PRINTED) == pytest.approx(expected, rel=1e-12)
-
-    def test_xi_normalizable_vanishes_at_origin(self, h2_eta02):
-        st = make_state(h2_eta02, 0)
-        assert xi_part(h2_eta02, st.eps_nl, 1e-8, NORMALIZABLE) < 1e-100
-
-    def test_xi_printed_diverges_at_origin(self, h2_eta02):
-        st = make_state(h2_eta02, 0)
-        params = EigenfunctionParams.from_state(h2_eta02, st, PRINTED)
-        assert not params.bounded_at_origin
-        assert xi_part(h2_eta02, st.eps_nl, 1e-8, PRINTED) > 1e100
-
-    def test_params_invariants(self, h2_eta02):
-        st = make_state(h2_eta02, 1)
-        printed = EigenfunctionParams.from_state(h2_eta02, st, PRINTED)
-        assert printed.jacobi_p == st.A_tilde
-        assert printed.jacobi_q == -2.0 * printed.sqrt_eps
-        flipped = EigenfunctionParams.from_state(h2_eta02, st, NORMALIZABLE)
-        assert flipped.jacobi_q == +2.0 * flipped.sqrt_eps
-        assert flipped.bounded_at_origin
-
-
 class TestPhi:
     def test_ground_state_reduces_to_xi(self, h2_eta02):
+        # P_0 = 1, so phi is xi = z^{sqrt(eps)} (1 - eta z)^{(1 + A_tilde)/2}
         st = make_state(h2_eta02, 0)
         z = np.array([0.2, 0.5, 0.8])
-        assert phi(h2_eta02, st, z, NORMALIZABLE) == pytest.approx(
-            xi_part(h2_eta02, st.eps_nl, z, NORMALIZABLE), rel=1e-14)
+        xi = z ** math.sqrt(st.eps_nl) * (1 - h2_eta02.eta * z) ** (0.5 * (1 + st.A_tilde))
+        assert phi(h2_eta02, st, z, NORMALIZABLE) == pytest.approx(xi, rel=1e-14)
+
+    def test_normalizable_branch_vanishes_at_origin(self, h2_eta02):
+        st = make_state(h2_eta02, 0)
+        assert phi(h2_eta02, st, 1e-8, NORMALIZABLE) < 1e-100
+
+    def test_printed_branch_diverges_at_origin(self, h2_eta02):
+        st = make_state(h2_eta02, 0)
+        assert phi(h2_eta02, st, 1e-8, PRINTED) > 1e100
 
     def test_first_excited_has_one_node_in_unit_interval(self, h2_eta02):
         st = make_state(h2_eta02, 1)
@@ -174,41 +141,53 @@ class TestRodrigues:
             rodrigues_psi(h2_eta02, 1.0, 4, 0.5)
 
 
-def shallow_params(n, convention=PRINTED, eta=1.0 - 1e-6):
-    return EigenfunctionParams(n=n, sqrt_eps=0.3, A_tilde=0.8, eta=eta,
-                               sign_convention=convention)
+def shallow_params(n, eta=1.0 - 1e-6):
+    """(n, p, q, eta) of a printed-branch level with sqrt(eps) = 0.3, A_tilde = 0.8."""
+    return n, 0.8, -2.0 * 0.3, eta
 
 
 class TestNormalization:
+    # at eta = 0.2 the closed form's support (0, 1/eta) holds visibly more
+    # than (0, 1), so this also pins the quadrature's interval
+    @pytest.mark.parametrize("eta", [1.0 - 1e-6, 0.2])
     @pytest.mark.parametrize("n", [0, 1])
-    def test_closed_form_matches_quadrature(self, n):
-        params = shallow_params(n)
-        closed = norm_const(params)
-        quad = norm_const_quadrature(params)
+    def test_closed_form_matches_quadrature(self, n, eta):
+        params = shallow_params(n, eta)
+        closed = norm_const(*params)
+        quad = norm_const_quadrature(*params)
         assert abs(closed - quad) / quad < 1e-6
 
     def test_deep_state_unsupported(self, h2_eta02):
         st = make_state(h2_eta02, 0)  # -2 sqrt(eps) ~ -34
-        params = EigenfunctionParams.from_state(h2_eta02, st, PRINTED)
+        params = (0, *paper_pq(st, PRINTED), h2_eta02.eta)
         with pytest.raises(DomainUnsupported):
-            norm_const(params)
+            norm_const(*params)
         with pytest.raises(DomainUnsupported):
-            norm_const_quadrature(params)
+            norm_const_quadrature(*params)
 
-    def test_low_eta_interval_mismatch_is_measurable(self):
-        # the closed form treats the z-range as the full weight support
-        # (0, 1/eta); away from eta -> 1 it visibly disagrees with direct
-        # (0, 1) quadrature -- measured here, not reconciled
-        params = shallow_params(0, eta=0.2)
-        closed = norm_const(params)
-        quad = norm_const_quadrature(params)
-        assert abs(closed - quad) / quad > 0.01
+    @pytest.mark.parametrize("eta", [0.2, 0.4, 0.6])
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_quadrature_agrees_with_closed_form_on_every_level(self, name, eta):
+        # both normalize over the full support (0, 1/eta); the integral 1/N^2
+        # falls to ~1e-23 (LiH n = 0), so the quadrature tolerance is relative
+        levels = spectrum(reduce(get_molecule(name), eta, WEYL))
+        checked = 0
+        for st in levels:
+            for conv in (PRINTED, NORMALIZABLE):
+                params = (st.n, *paper_pq(st, conv), eta)
+                try:
+                    closed = norm_const(*params)
+                except DomainUnsupported:
+                    continue
+                assert norm_const_quadrature(*params) == pytest.approx(closed, rel=1e-11), \
+                    (st.n, conv)
+                checked += 1
+        assert checked >= len(levels)  # every normalizable level has a finite constant
 
     def test_attach_norm_is_the_closed_form(self, h2_eta02):
         st = make_state(h2_eta02, 0)
         out = attach_norm(h2_eta02, st, NORMALIZABLE)
-        params = EigenfunctionParams.from_state(h2_eta02, st, NORMALIZABLE)
-        assert out.norm_const == norm_const(params) > 0
+        assert out.norm_const == norm_const(0, *paper_pq(st, NORMALIZABLE), h2_eta02.eta) > 0
 
     @pytest.mark.parametrize("eta", [e for e in REFERENCE_ETAS if e > 0])
     @pytest.mark.parametrize("name", ["H2", "LiH"])
@@ -217,14 +196,14 @@ class TestNormalization:
         # normalizable branch always has a constant unless it overflows
         sys_ = reduce(get_molecule(name), eta, WEYL)
         for st in spectrum(sys_):
-            printed = EigenfunctionParams.from_state(sys_, st, PRINTED)
-            if printed.sqrt_eps >= 0.5:
+            printed = (st.n, *paper_pq(st, PRINTED), eta)
+            if math.sqrt(st.eps_nl) >= 0.5:
                 with pytest.raises(DomainUnsupported, match="not integrable"):
-                    norm_const(printed)
+                    norm_const(*printed)
                 with pytest.raises(DomainUnsupported, match="not integrable"):
                     attach_norm(sys_, st, PRINTED)
             else:
-                assert attach_norm(sys_, st, PRINTED).norm_const == norm_const(printed) > 0
+                assert attach_norm(sys_, st, PRINTED).norm_const == norm_const(*printed) > 0
             try:
                 value = attach_norm(sys_, st, NORMALIZABLE).norm_const
             except NormOverflow:
@@ -257,8 +236,6 @@ class TestOdeResidual:
     def test_eta0_laguerre_form(self, h2_eta0):
         from dataclasses import replace
 
-        from pdmorse import constant_mass_epsilon
-
         eps = constant_mass_epsilon(h2_eta0, 0)
         st = replace(make_state(h2_eta0, 0), eps_nl=eps, E=-h2_eta0.e_scale * eps)
         assert ode_residual(h2_eta0, st, make_z_grid(2048)) < 1e-6
@@ -283,8 +260,7 @@ class TestConventionSelection:
         st = nu_consistent_state(h2_eta02, 0)
         outcomes = {}
         for conv in (PRINTED, NORMALIZABLE):
-            params = EigenfunctionParams.from_state(h2_eta02, st, conv)
-            bounded = params.bounded_at_origin
+            bounded = abs(phi(h2_eta02, st, 1e-8, conv)) < 1.0
             residual = ode_residual(h2_eta02, st, grid, conv)
             outcomes[conv] = bounded and residual < 1e-6
         assert outcomes[NORMALIZABLE]
@@ -299,8 +275,6 @@ class TestPhiEta0:
 
     def test_node_count_matches_level(self, h2_eta0):
         from dataclasses import replace
-
-        from pdmorse import constant_mass_epsilon
 
         eps = constant_mass_epsilon(h2_eta0, 3)
         st = replace(make_state(h2_eta0, 3), eps_nl=eps)
@@ -456,9 +430,8 @@ class TestTypedFailures:
                         "m0_amu = 40\nalpha_prime = 0.8\n")
         sys_ = reduce(load_molecule_config(path), 0.1, LI_KUHN)
         st = make_state(sys_, 161)
-        params = EigenfunctionParams.from_state(sys_, st, NORMALIZABLE)
         with pytest.raises(NormOverflow, match="overflows a float"):
-            norm_const(params)
+            norm_const(161, *paper_pq(st, NORMALIZABLE), 0.1)
 
         def no_fallback(*args, **kwargs):
             raise AssertionError("an overflowing closed form must not fall back")
