@@ -1,10 +1,11 @@
-"""Benchmark the shooting kernels: RK4 propagator build and 2x2 sweeps.
+"""Benchmark the shooting kernels and the oracle's two kinds of sweep.
 
-Times the closed-form propagator build, the full sweep at a trial energy and
-the node-count-only sweep (``nodes_only=True``) at 5e-7 eV above the H2
-ground level of the same grid, where the oracle certifies a level.  Times
-are the best of --repeats calls, in ms per call and ns per table step; the
-nodes_only line also gives the steps it propagated.  Usage:
+Times the closed-form propagator build and the full sweep at a trial energy,
+then, at 5e-7 eV above the H2 ground level of the same grid, where the
+oracle certifies a level, one counting sweep (``count_nodes``) and one
+refinement half-sweep pair (propagators and both sweeps).  Times are the
+best of --repeats calls, in ms per call and ns per grid step; the last two
+lines also give the steps their sweeps propagated.  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
@@ -22,30 +23,28 @@ def grid_for(points: int) -> GridSpec:
     return GridSpec(-0.7, 10.0, points)
 
 
-def build_tables(points: int, e_trial: float = -4.4):
-    """The oracle's own coefficient tables (q at nodes and midpoints) and step."""
-    engine = oracle._ShootingEngine(lambda x: u_eff(MASS, WEYL, MOLECULE, x), MASS.mass,
-                                    grid_for(points))
-    return (*engine._q(e_trial), engine.h)
+def build_engine(points: int):
+    return oracle._ShootingEngine(lambda x: u_eff(MASS, WEYL, MOLECULE, x), MASS.mass,
+                                  grid_for(points))
 
 
-def propagated_steps(props, phi: float, dphi: float) -> int:
-    """Steps a nodes_only sweep propagates: up to the start of the
-    non-negative tail, then on to the first state with phi, phi' of one sign."""
-    k = kernels._settled_start(props)
-    phi, dphi, _ = kernels.sweep(*(m[:k] for m in props), phi, dphi)
-    while k < len(props[0]) and not ((phi >= 0.0 and dphi >= 0.0)
-                                     or (phi <= 0.0 and dphi <= 0.0)):
-        phi, dphi, _ = kernels.sweep(*(m[k:k + 1] for m in props), phi, dphi)
-        k += 1
-    return k
+def propagated_steps(fn) -> int:
+    """Steps the kernels.sweep calls made by fn() propagate."""
+    steps = []
+    sweep = kernels.sweep
+    kernels.sweep = lambda *args: steps.append(len(args[0])) or sweep(*args)
+    try:
+        fn()
+    finally:
+        kernels.sweep = sweep
+    return sum(steps)
 
 
-def best_time(fn, args, repeats: int, **kwargs) -> float:
+def best_time(fn, args, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(*args, **kwargs)
+        fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -60,7 +59,8 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=100)
     args = parser.parse_args()
 
-    tables = build_tables(args.points)
+    engine = build_engine(args.points)
+    tables = (*engine._q(-4.4), engine.h)
     props = kernels.rk4_propagators(*tables)
     steps = len(props[0])
     print(f"points           : {args.points} ({steps} steps)")
@@ -68,10 +68,18 @@ def main() -> None:
     report("sweep", best_time(kernels.sweep, (*props, 0.0, 1.0), args.repeats), steps)
 
     (_, level), = solve_states(MASS, WEYL, MOLECULE, grid_for(args.points), [0])
-    near = kernels.rk4_propagators(*build_tables(args.points, level + 5e-7))
-    seconds = best_time(kernels.sweep, (*near, 0.0, 1.0), args.repeats, nodes_only=True)
-    report("sweep, nodes_only", seconds, steps,
-           f"  propagated {propagated_steps(near, 0.0, 1.0)} of {steps} steps")
+    e_near = level + 5e-7
+
+    def count():
+        engine.count_nodes(e_near)
+
+    def half_sweep_pair():
+        engine._matched.clear()
+        engine._half_sweeps(e_near)
+
+    for label, fn in (("counting sweep", count), ("half-sweep pair", half_sweep_pair)):
+        report(label, best_time(fn, (), args.repeats), steps,
+               f"  propagated {propagated_steps(fn)} of {steps} steps")
 
 
 if __name__ == "__main__":

@@ -15,10 +15,11 @@ every propagator entry is >= 0 (NaN counts as negative).  If phi, phi' >= 0
 then p = m00 phi + m01 phi' and d = m10 phi + m11 phi' are >= 0 (or NaN),
 rescaling keeps signs, and NaN stays NaN and counts nothing; by induction
 phi never again falls below zero, so no later step counts a node.  The same
-holds with both <= 0.  A node-count-only sweep therefore stops at the first
-such state at or after t.  In the forbidden right tail (h > 0, q > 0) all
-four entries are positive.  Run ``benchmarks/bench_shooting.py`` to time
-the propagators and both sweeps.
+holds with both <= 0 (:func:`settled`).  A sweep that needs only the node
+count may therefore stop at the first such state at or after t.  For h > 0
+all four entries are >= 0 wherever q >= 0 at a step's three points, as in
+the forbidden right tail.  Run ``benchmarks/bench_shooting.py`` to time the
+propagators, the sweep and the oracle's counting and half-sweeps.
 """
 from __future__ import annotations
 
@@ -31,18 +32,13 @@ USE_NUMBA = False  # recorded by e2ebench/run.py; there is no compiled path
 _RESCALE_LIMIT = 1e250
 
 
-def _run(steps, phi: float, dphi: float, nodes: int, settle: bool = False):
+def _run(steps, phi: float, dphi: float, nodes: int):
     """Propagate (phi, phi', nodes) through a one-pass iterator of step
     entries (a, b, c, e); the sign runs advance that same iterator.
-
-    With settle every step is plain, and the run stops before the first
-    state with phi and phi' both >= 0 or both <= 0.
     """
     lim = _RESCALE_LIMIT
     for a, b, c, e in steps:
         while True:  # plain step, then a sign run from the state it leaves
-            if settle and ((phi >= 0.0 and dphi >= 0.0) or (phi <= 0.0 and dphi <= 0.0)):
-                return phi, dphi, nodes
             p = a * phi + b * dphi
             d = c * phi + e * dphi
             if (p < 0.0 and phi > 0.0) or (p > 0.0 and phi < 0.0):
@@ -52,7 +48,7 @@ def _run(steps, phi: float, dphi: float, nodes: int, settle: bool = False):
             if phi > lim or phi < -lim:
                 phi *= 1e-250
                 dphi *= 1e-250
-            if phi > 0.0 and not settle:
+            if phi > 0.0:
                 for a, b, c, e in steps:
                     p = a * phi + b * dphi
                     if p <= 0.0 or p > lim:
@@ -61,7 +57,7 @@ def _run(steps, phi: float, dphi: float, nodes: int, settle: bool = False):
                     phi = p
                 else:
                     return phi, dphi, nodes
-            elif phi < 0.0 and not settle:
+            elif phi < 0.0:
                 for a, b, c, e in steps:
                     p = a * phi + b * dphi
                     if p >= 0.0 or p < -lim:
@@ -75,31 +71,20 @@ def _run(steps, phi: float, dphi: float, nodes: int, settle: bool = False):
     return phi, dphi, nodes
 
 
-def _settled_start(cols) -> int:
-    """Start of the settled tail: one past the last step with a negative (or NaN) entry."""
-    negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
-    return int(negative[-1]) + 1 if negative.size else 0
+def settled(phi: float, dphi: float) -> bool:
+    """phi and phi' of one sign: in a non-negative tail no later step adds a node."""
+    return (phi >= 0.0 and dphi >= 0.0) or (phi <= 0.0 and dphi <= 0.0)
 
 
-def sweep(m00, m01, m10, m11, phi0: float, dphi0: float, nodes_only: bool = False):
+def sweep(m00, m01, m10, m11, phi0: float, dphi0: float):
     """Propagate (phi, phi') through per-step 2x2 matrices, counting nodes.
 
-    Returns (phi, phi', nodes) at the last point.  With nodes_only the sweep
-    stops in the settled tail (module docstring) and returns (None, None,
-    nodes), nodes being the count of the full sweep.
+    Returns (phi, phi', nodes) at the last point.
     """
     cols = [np.ascontiguousarray(m, dtype=float) for m in (m00, m01, m10, m11)]
-    end = len(cols[0])
-    if nodes_only:
-        end = _settled_start(cols)
     # memoryviews hand out plain floats without building four lists;
     # plain-float arithmetic is several times faster than numpy scalars
-    views = [memoryview(m) for m in cols]
-    phi, dphi, nodes = _run(zip(*(v[:end] for v in views)), float(phi0), float(dphi0), 0)
-    if not nodes_only:
-        return phi, dphi, nodes
-    nodes = _run(zip(*(v[end:] for v in views)), phi, dphi, nodes, settle=True)[2]
-    return None, None, nodes
+    return _run(zip(*(memoryview(m) for m in cols)), float(phi0), float(dphi0), 0)
 
 
 def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):

@@ -14,7 +14,11 @@ Solve strategy, shared by every requested level of one grid:
 * **Refinement.**  Inside the isolated bracket an Illinois (modified regula
   falsi) iteration finds the zero of the scaled Pruefer-phase miss-distance,
   built from the left and right half-sweeps that meet at the potential
-  minimum (Pryce 1993; Bailey, Everitt & Zettl, ACM TOMS 27, 2001).
+  minimum (Pryce 1993; Bailey, Everitt & Zettl, ACM TOMS 27, 2001).  The
+  right half-sweep starts where the WKB depth sum(kappa h) past the outer
+  turning point reaches TAIL_MARGIN, not at x_max (Cooley, Math. Comp. 15
+  (1961) 363; Le Roy, LEVEL, JQSRT 186 (2017) 167): the far wall then moves
+  the matching log-derivative by about exp(-2 TAIL_MARGIN), below rounding.
 * **Certification.**  A refined E is returned only if nodes(E - tol/2) == n
   and nodes(E + tol/2) == n + 1; otherwise the staircase bracket is
   bisected down to tol and its midpoint returned.  Either way the returned
@@ -36,6 +40,16 @@ from .units import HBAR2_EV_AMU_A2
 
 MAX_BISECTIONS = 200  # per level: bisection and Illinois steps together
 SINGULARITY_MARGIN = 0.01  # Angstrom
+# WKB depth sum(kappa h), kappa = sqrt(q), from the outer turning point to
+# the start of the right half-sweep.  The inward sweep grows the solution
+# that decays towards x_max by exp(depth) and shrinks the other one by
+# exp(-depth), so moving the Dirichlet wall from x_max in to the start
+# changes the matching log-derivative by a relative exp(-2 depth):
+# exp(-40) = 4e-18, below half an ulp (1.1e-16).
+TAIL_MARGIN = 20.0
+# First tail chunk of a counting sweep whose state is not yet settled: on H2
+# and LiH such a sweep settles about 300 steps into the tail on average.
+TAIL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -109,36 +123,79 @@ class _ShootingEngine:
         im = int(np.argmin(self.u_nodes))
         pad = max(2, npts // 50)
         self.i_match = min(max(im, pad), npts - pad - 1)
+        # Settled tail at E: from its start on, every step's three q values
+        # are >= 0 (NaN counts as negative).  Where p > 0 and p, U are finite,
+        # sign q = sign(U - E), so such a step qualifies iff E <= min U over
+        # its points; any other step never does.  The suffix minimum of that
+        # floor is non-decreasing: the tail at E starts at the first step
+        # whose suffix floor is >= E.
+        node_ok = (self.p_nodes > 0.0) & np.isfinite(self.p_nodes) & np.isfinite(self.u_nodes)
+        mid_ok = (self.p_mids > 0.0) & np.isfinite(self.p_mids) & np.isfinite(self.u_mids)
+        floor = np.minimum(np.minimum(self.u_nodes[:-1], self.u_mids), self.u_nodes[1:])
+        floor[~(node_ok[:-1] & mid_ok & node_ok[1:])] = -np.inf
+        self._tail_floor = np.minimum.accumulate(floor[::-1])[::-1]
         # Sturm staircase: every full-sweep count, sorted by energy
         self._stair_e: list[float] = []
         self._stair_n: list[int] = []
         # half-sweep states by energy: a bracket end is shared by two levels
         self._matched: dict[float, tuple] = {}
 
-    def _q(self, E: float):
-        return (self.p_nodes * (self.u_nodes - E), self.p_mids * (self.u_mids - E))
+    def _q(self, E: float, start: int = 0, stop: int | None = None):
+        """q = p (U - E) at nodes start..stop (default: the last) and the midpoints between."""
+        stop = self.xs.size - 1 if stop is None else stop
+        return (self.p_nodes[start:stop + 1] * (self.u_nodes[start:stop + 1] - E),
+                self.p_mids[start:stop] * (self.u_mids[start:stop] - E))
+
+    def _tail_start(self, E: float) -> int:
+        """First node of the settled tail at E: every later step has q >= 0."""
+        return int(np.searchsorted(self._tail_floor, E, side="left"))
 
     def count_nodes(self, E: float) -> int:
         """Interior nodes of the left-anchored solution: eigenvalues below E.
 
-        Only the count is used, so the sweep stops in the settled tail where
-        no later step can change it (``kernels`` module docstring).
+        The sweep runs to the settled tail, where every q is >= 0 and so, for
+        h > 0, every RK4 propagator entry is >= 0; from the first state there
+        with phi and phi' of one sign no step can add a node (``kernels``
+        module docstring).  Until such a state is reached the sweep goes on
+        through the tail in chunks of TAIL_CHUNK steps, doubling, whose
+        tables and propagators are built only when needed.  The count is
+        that of the full sweep.
         """
-        qn, qm = self._q(E)
-        props = kernels.rk4_propagators(qn, qm, self.h)
-        _, _, nodes = kernels.sweep(*props, 0.0, 1.0, nodes_only=True)
+        t = self._tail_start(E)
+        head = kernels.rk4_propagators(*self._q(E, 0, t), self.h)
+        phi, dphi, nodes = kernels.sweep(*head, 0.0, 1.0)
+        last, size = self.xs.size - 1, TAIL_CHUNK
+        while t < last and not kernels.settled(phi, dphi):
+            stop = min(t + size, last)
+            chunk = kernels.rk4_propagators(*self._q(E, t, stop), self.h)
+            phi, dphi, more = kernels.sweep(*chunk, phi, dphi)
+            nodes += more
+            t, size = stop, 2 * size
         i = bisect.bisect_left(self._stair_e, E)
         self._stair_e.insert(i, E)
         self._stair_n.insert(i, nodes)
         return nodes
+
+    def _right_start(self, E: float, qn: np.ndarray) -> int:
+        """Start node of the right half-sweep at E, given the node q table qn.
+
+        The first node past the outer turning point (the settled-tail start,
+        or the matching point if that lies further right) where the depth
+        h sum(sqrt q) reaches TAIL_MARGIN; the last node when it never does.
+        """
+        turn = max(self._tail_start(E), self.i_match)
+        depth = self.h * np.cumsum(np.sqrt(qn[turn + 1:]))
+        past = int(np.searchsorted(depth, TAIL_MARGIN))
+        return turn + 1 + past if past < depth.size else qn.size - 1
 
     def _half_sweeps(self, E: float):
         """Left and right solutions at the matching point: ((phi, phi', nodes), ...)."""
         if E not in self._matched:
             qn, qm = self._q(E)
             im = self.i_match
+            start = self._right_start(E, qn)
             left = kernels.rk4_propagators(qn[:im + 1], qm[:im], self.h)
-            right = kernels.rk4_propagators(qn[im:][::-1], qm[im:][::-1], -self.h)
+            right = kernels.rk4_propagators(qn[im:start + 1][::-1], qm[im:start][::-1], -self.h)
             self._matched[E] = (kernels.sweep(*left, 0.0, 1.0),
                                 kernels.sweep(*right, 0.0, -1.0))
         return self._matched[E]

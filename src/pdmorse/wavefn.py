@@ -31,9 +31,19 @@ from .errors import DomainUnsupported, NormOverflow
 from .model import ReducedSystem
 from .quadrature import integrate_with_endpoint_power
 
-JACOBI_MAX_DEGREE = 200
 _RESCALE_AT = 1e150
+# Jacobi rescaling test stride.  For |x| <= 1 and p, q in [-0.99, 1e6] one
+# recurrence step multiplies max(|P_k|, |P_{k-1}|) by at most
+# (|b1| + |b2| + |c|) / |a|, and any 16 consecutive steps by at most 1e85
+# (largest at p = q = 1e6; the Q_k form of _scaled_jacobi, 1e83), so values
+# last brought under 1e150 stay below 1e235, short of overflow (1.8e308).
+# Outside that range an overflow comes out non-finite, and _phi_pq raises.
+_JACOBI_RESCALE_STRIDE = 16
+# Up to this degree the Jacobi recurrence runs in the plain operation order,
+# so the outputs of those levels stay the same bit for bit.
+_PLAIN_DEGREE = 200
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_FLOAT_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 class SignConvention(enum.Enum):
@@ -44,29 +54,86 @@ class SignConvention(enum.Enum):
 def jacobi(n: int, p: float, q: float, x):
     """Jacobi polynomial P_n^{(p,q)}(x) by the three-term recurrence.
 
-    Pointwise evaluation for any real p, q; degree capped at 200 to guard
-    overflow of the recurrence coefficients.
+    Pointwise evaluation for any real p, q and degree: the rescaled
+    recurrence of :func:`_scaled_jacobi` times exp(log scale), which is inf
+    where |P_n(x)| exceeds the largest float.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if n > JACOBI_MAX_DEGREE:
-        raise ValueError(f"degree {n} above guard limit {JACOBI_MAX_DEGREE}")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if n == 0:
-        out = np.ones_like(x)
-        return float(out[0]) if scalar else out
+    mantissa, log_scale = _scaled_jacobi(n, p, q, np.atleast_1d(x))
+    out = mantissa * np.exp(log_scale)
+    return float(out[0]) if x.ndim == 0 else out
+
+
+def _rescale(cur: np.ndarray, prev: np.ndarray, log_scale: np.ndarray) -> None:
+    """Divide P_k and P_{k-1} through, in place, where either has passed 1e150.
+
+    Both are tested because near a root of P_k the larger one is P_{k-1}.
+    """
+    size = np.maximum(np.abs(cur), np.abs(prev))
+    big = size > _RESCALE_AT
+    if big.any():
+        factor = np.where(big, size, 1.0)
+        cur /= factor
+        prev /= factor
+        log_scale += np.log(factor)
+
+
+def _scaled_jacobi(n: int, p: float, q: float, x: np.ndarray):
+    """P_n^{(p,q)}(x) as (mantissa, log scale) per point of the 1-D array x.
+
+    P_n = mantissa * exp(log_scale).  Up to degree _PLAIN_DEGREE, and for
+    p or q <= -1, each step computes ((b1 + b2 x) P_k - c P_{k-1}) / a in
+    place with that operation order, so a point never rescaled (log scale
+    0) carries the plain recurrence's bits.  Higher degrees run the same
+    recurrence on Q_k = P_k / D_k with D_k = (c/a)_k D_{k-2}, D_0 = D_1 = 1:
+    Q_k = (alpha x + beta) Q_{k-1} - Q_{k-2} takes four array operations
+    instead of six, and log D_n joins the log scale (D_k > 0 for p, q > -1).
+    Every _JACOBI_RESCALE_STRIDE steps :func:`_rescale` runs.
+    """
     prev = np.ones_like(x)
+    log_scale = np.zeros_like(x)
+    if n == 0:
+        return prev, log_scale
     cur = 0.5 * ((p + q + 2.0) * x + (p - q))
-    for k in range(2, n + 1):
-        t = 2.0 * k + p + q
-        a = 2.0 * k * (k + p + q) * (t - 2.0)
-        b1 = (t - 1.0) * (p * p - q * q)
-        b2 = (t - 1.0) * t * (t - 2.0)
-        c = 2.0 * (k + p - 1.0) * (k + q - 1.0) * t
-        prev, cur = cur, ((b1 + b2 * x) * cur - c * prev) / a
-    return float(cur[0]) if scalar else cur
+    tmp = np.empty_like(x)
+    # step coefficients for k = 2..n, elementwise in the scalar formulas' order
+    ks = np.arange(2, n + 1)
+    t = 2.0 * ks + p + q
+    a = 2.0 * ks * (ks + p + q) * (t - 2.0)
+    b1 = (t - 1.0) * (p * p - q * q)
+    b2 = (t - 1.0) * t * (t - 2.0)
+    c = 2.0 * (ks + p - 1.0) * (ks + q - 1.0) * t
+    if n <= _PLAIN_DEGREE or not (p > -1.0 and q > -1.0):
+        for k, ak, b1k, b2k, ck in zip(ks.tolist(), a.tolist(), b1.tolist(), b2.tolist(),
+                                       c.tolist()):
+            np.multiply(b2k, x, out=tmp)
+            tmp += b1k
+            tmp *= cur
+            prev *= ck
+            tmp -= prev
+            tmp /= ak
+            prev, cur, tmp = cur, tmp, prev
+            if k % _JACOBI_RESCALE_STRIDE == 0:
+                _rescale(cur, prev, log_scale)
+        return cur, log_scale
+    ratio = np.empty(n - 1)  # D_k / D_{k-1} = (c/a)_k / (D_{k-1} / D_{k-2})
+    r = 1.0
+    for i, g in enumerate((c / a).tolist()):
+        r = g / r
+        ratio[i] = r
+    for k, alpha, beta in zip(ks.tolist(), (b2 / a / ratio).tolist(),
+                              (b1 / a / ratio).tolist()):
+        np.multiply(alpha, x, out=tmp)
+        tmp += beta
+        tmp *= cur
+        tmp -= prev
+        prev, cur, tmp = cur, tmp, prev
+        if k % _JACOBI_RESCALE_STRIDE == 0:
+            _rescale(cur, prev, log_scale)
+    log_scale += np.log(ratio).sum()
+    return cur, log_scale
 
 
 def _scaled_laguerre(n: int, alpha: float, t: np.ndarray):
@@ -104,12 +171,40 @@ def _jacobi_pq(state: BoundState, convention: SignConvention) -> tuple[float, fl
 
 
 def _phi_pq(n: int, p: float, q: float, eta: float, z, norm: float):
-    """norm * z^{q/2} (1 - eta z)^{(1+p)/2} P_n^{(p,q)}(2 eta z - 1) on (0, 1/eta)."""
+    """norm * z^{q/2} (1 - eta z)^{(1+p)/2} P_n^{(p,q)}(2 eta z - 1) on (0, 1/eta).
+
+    The plain product serves every point whose recurrence was never
+    rescaled, whose other factors stayed in the normal float range and
+    whose product is finite.  The other points are assembled in
+    log space, sign * exp(log|norm| + (q/2) log z + ((1+p)/2) log(1 - eta z)
+    + log|P~| + log scale); a value that is still not finite raises
+    DomainUnsupported.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z <= 0.0) or np.any(z * eta >= 1.0):
         raise ValueError("z must lie strictly inside (0, 1/eta)")
-    xi = z ** (q / 2.0) * (1.0 - eta * z) ** (0.5 * (1.0 + p))
-    return norm * xi * jacobi(n, p, q, 2.0 * eta * z - 1.0)
+    jac, log_scale = _scaled_jacobi(n, p, q, 2.0 * eta * z - 1.0)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        z_part = z ** (q / 2.0)
+        eta_part = (1.0 - eta * z) ** (0.5 * (1.0 + p))
+        xi = z_part * eta_part
+        amplitude = norm * xi
+        out = amplitude * jac
+        # the plain product is exact to rounding only where every factor
+        # before the last stayed in the normal float range
+        normal = ((z_part >= _FLOAT_TINY) & (eta_part >= _FLOAT_TINY) & (xi >= _FLOAT_TINY)
+                  & (np.abs(amplitude) >= _FLOAT_TINY))
+        redo = (log_scale != 0.0) | ~normal | ~np.isfinite(out)
+        if redo.any():
+            zr, jr = z[redo], jac[redo]
+            log_amp = (np.log(abs(norm)) + (q / 2.0) * np.log(zr)
+                       + (0.5 * (1.0 + p)) * np.log(1.0 - eta * zr)
+                       + np.log(np.abs(jr)) + log_scale[redo])
+            out[redo] = math.copysign(1.0, norm) * np.sign(jr) * np.exp(log_amp)
+    if not np.all(np.isfinite(out)):
+        raise DomainUnsupported(
+            f"eigenfunction n={n}, p={p:.6g}, q={q:.6g} is not finite in float range")
+    return out
 
 
 def phi(sys: ReducedSystem, state: BoundState, z,

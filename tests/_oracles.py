@@ -48,6 +48,22 @@ def jacobi_finite_sum(n: int, p: float, q: float, x: float) -> float:
     return total
 
 
+def jacobi_recurrence_mp(n: int, p: float, q: float, x: float):
+    """P_n^{(p,q)}(x) by the three-term recurrence in mpmath at the working precision."""
+    import mpmath
+
+    p, q, x = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(x)
+    prev, cur = mpmath.mpf(1), ((p + q + 2) * x + (p - q)) / 2
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        t = 2 * k + p + q
+        a = 2 * k * (k + p + q) * (t - 2)
+        b = (t - 1) * (p * p - q * q) + (t - 1) * t * (t - 2) * x
+        prev, cur = cur, (b * cur - 2 * (k + p - 1) * (k + q - 1) * t * prev) / a
+    return cur
+
+
 def fd_derivative(f, x: float, order: int = 1, h: float = 1e-5) -> float:
     """Central finite-difference first or second derivative with one Richardson step."""
     def d1(step):

@@ -10,9 +10,9 @@ import pytest
 
 from _oracles import csv_row_reference
 
-from pdmorse import (WEYL, ConfigError, builtin_catalog, get_molecule,
-                     load_molecule_config, reduce, resolve_molecule)
-from pdmorse.analytic import make_state
+from pdmorse import (WEYL, ConfigError, NormOverflow, attach_norm, builtin_catalog,
+                     get_molecule, load_molecule_config, reduce, resolve_molecule)
+from pdmorse.analytic import make_state, spectrum
 from pdmorse.catalog import REFERENCE_ENERGIES, reference_energy
 from pdmorse.cli import _build_parser, main
 from pdmorse.reports import (SpectrumReport, SpectrumRow, build_spectrum_report,
@@ -380,6 +380,33 @@ class TestDeepLevels:
         values = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
         assert np.all(np.isfinite(values))
         assert np.abs(values[:, 2]).max() > 0.1
+
+    @pytest.mark.parametrize("eta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    def test_deep_corner_levels_are_served_or_refused_once(self, config, capsys, eta):
+        # every eighth listed level and the top three: finite rows, or exactly
+        # one NormOverflow line; levels past degree 200 are served
+        path = config(DEEP_CORNER)
+        sys_ = reduce(load_molecule_config(path), eta, WEYL)
+        listed = [st.n for st in spectrum(sys_)]
+        served = []
+        for n in sorted(set(listed[::max(1, len(listed) // 8)] + listed[-3:])):
+            code = main(["wavefunction", "--molecule", path, "--eta", str(eta), "--n", str(n),
+                         "--samples", "256", "--no-provenance"])
+            captured = capsys.readouterr()
+            if code == 0:
+                lines = captured.out.splitlines()
+                assert len(lines) == 257 and captured.err == "", n
+                values = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+                assert np.all(np.isfinite(values)), n
+                served.append(n)
+                continue
+            lines = captured.err.splitlines()
+            assert code == 1 and captured.out == "", n
+            assert len(lines) == 1 and lines[0].startswith("pdmorse-error: "), n
+            with pytest.raises(NormOverflow):
+                attach_norm(sys_, make_state(sys_, n))
+        assert listed[-3:] == served[-3:]
+        assert max(served) > 1000
 
     @pytest.mark.parametrize("text, eta, ordering, n", [
         (DEEP_CORNER, "0", "likuhn", "152"),     # eta = 0 norm beyond the largest float

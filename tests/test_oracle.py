@@ -244,6 +244,93 @@ class TestSolver:
             solve_states(mm, WEYL, h2, GridSpec(-0.7, 10.0, 2001), [0])
 
 
+ORDERINGS = {"weyl": WEYL, "likuhn": LI_KUHN,
+             "(0.5,-0.25,-0.25)": AmbiguityOrdering(a=0.5, alpha=-0.25, gamma=-0.25)}
+
+
+def full_count(engine, e):
+    """Node count of one sweep over the full grid at e."""
+    return kernels.sweep(*kernels.rk4_propagators(*engine._q(e), engine.h), 0.0, 1.0)[2]
+
+
+class TestRightStart:
+    """The right half-sweep starts TAIL_MARGIN deep in the forbidden tail."""
+
+    @pytest.mark.parametrize("points", [2001, 8001])
+    @pytest.mark.parametrize("ordering", list(ORDERINGS))
+    @pytest.mark.parametrize("eta", REFERENCE_ETAS)
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_energies_match_uncut_reference(self, name, eta, ordering, points, monkeypatch):
+        # the uncut reference starts every right half-sweep at x_max
+        mol = get_molecule(name)
+        mm = MassModel.for_molecule(mol, eta)
+        tol = 1e-6
+        levels = range(3)
+        for left in (("boundary", "singular") if eta > 0.0 else ("physical", "boundary")):
+            grid = GridSpec(*default_domain(mol, eta, left=left), points)
+            cut = solve_states(mm, ORDERINGS[ordering], mol, grid, levels, tol)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "TAIL_MARGIN", math.inf)
+                uncut = solve_states(mm, ORDERINGS[ordering], mol, grid, levels, tol)
+            engine = oracle._ShootingEngine(
+                lambda x: u_eff(mm, ORDERINGS[ordering], mol, x), mm.mass, grid)
+            for (n, e), (_, e_ref) in zip(cut, uncut):
+                assert abs(e - e_ref) <= 1e-14, (left, n, e - e_ref)
+                for side, expected in ((e - 0.5 * tol, n), (e + 0.5 * tol, n + 1)):
+                    assert engine.count_nodes(side) == full_count(engine, side) == expected
+
+    @pytest.mark.parametrize("eta", REFERENCE_ETAS)
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_phase_propagates_under_half_the_grid(self, name, eta, monkeypatch):
+        mol = get_molecule(name)
+        mm = MassModel.for_molecule(mol, eta)
+        grid = GridSpec(*reference_domain(mol, eta), 8001)
+        engine, _ = effective_engine(mm, mol, grid)
+        levels = solve_states(mm, WEYL, mol, grid, range(3))
+        steps = []
+        sweep = kernels.sweep
+        monkeypatch.setattr(kernels, "sweep",
+                            lambda *args, **kw: steps.append(len(args[0])) or sweep(*args, **kw))
+        for _, e in levels:
+            steps.clear()
+            engine.phase(e + 1e-9, 1.0)
+            assert len(steps) == 2 and sum(steps) < (grid.points - 1) / 2, (e, steps)
+
+    def test_start_falls_back_to_x_max(self):
+        # a flat box has no forbidden tail: the sweep starts at the wall
+        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001))
+        assert engine._right_start(1.0, engine._q(1.0)[0]) == 1000
+
+    def test_start_reaches_the_margin(self, h2):
+        mm = MassModel.for_molecule(h2, 0.0)
+        engine, _ = effective_engine(mm, h2, GridSpec(-0.7, 10.0, 8001))
+        qn = engine._q(-4.0)[0]
+        start = engine._right_start(-4.0, qn)
+        turn = engine.i_match + np.flatnonzero(qn[engine.i_match:] < 0.0)[-1] + 1
+        assert turn == engine._tail_start(-4.0)
+        depth = engine.h * np.cumsum(np.sqrt(qn[turn + 1:start + 1]))
+        assert depth[-1] >= oracle.TAIL_MARGIN > depth[-2]
+        assert start < 0.25 * qn.size
+
+    def test_tail_start_follows_the_signs_of_q(self, h2):
+        # the settled tail starts one past the last step with a q < 0 or NaN
+        mm = MassModel.for_molecule(h2, 0.4)
+        grid = GridSpec(*reference_domain(h2, 0.4), 2001)
+        x_nan = grid.xs()[1500:1502].mean()  # one midpoint far out in the tail
+
+        def u(x):
+            return np.where(x == x_nan, math.nan, u_eff(mm, WEYL, h2, x))
+
+        engine = oracle._ShootingEngine(u, mm.mass, grid)
+        assert math.isnan(engine.u_mids[1500])
+        e_lo = float(np.nanmin(engine.u_nodes))
+        for e in np.concatenate([np.linspace(e_lo - 1.0, 0.5, 37), engine.u_nodes[::97]]):
+            qn, qm = engine._q(e)
+            bad = ~(np.minimum(np.minimum(qn[:-1], qm), qn[1:]) >= 0.0)
+            expected = int(np.flatnonzero(bad)[-1]) + 1 if bad.any() else 0
+            assert engine._tail_start(e) == expected, e
+
+
 class TestMorseEta0:
     def test_h2_ground_state(self, h2, h2_eta0):
         mm = MassModel.for_molecule(h2, 0.0)
@@ -383,10 +470,18 @@ class TestKernels:
             assert got[2] == ref[2], (cols, phi0, dphi0)
             assert self._same(got[0], ref[0]) and self._same(got[1], ref[1]), (cols, phi0)
 
-    def test_nodes_only_count_matches_reference(self):
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_count_stops_at_a_settled_state_in_the_tail(self, chunk):
+        # count_nodes's order: sweep to one past the last step with a negative
+        # (or NaN) entry, then on in chunks until phi and phi' share a sign
         for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
-            got = kernels.sweep(*cols, phi0, dphi0, nodes_only=True)
-            assert got == (None, None, sweep_reference(*cols, phi0, dphi0)[2]), (cols, phi0)
+            negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
+            t = int(negative[-1]) + 1 if negative.size else 0
+            phi, dphi, nodes = kernels.sweep(*(m[:t] for m in cols), phi0, dphi0)
+            while t < len(cols[0]) and not kernels.settled(phi, dphi):
+                phi, dphi, more = kernels.sweep(*(m[t:t + chunk] for m in cols), phi, dphi)
+                nodes, t = nodes + more, t + chunk
+            assert nodes == sweep_reference(*cols, phi0, dphi0)[2], (cols, phi0)
 
     @pytest.mark.parametrize("steps, phi0, expected", [
         # + -> 0 -> - is no node; the zero state takes a plain step
@@ -403,7 +498,6 @@ class TestKernels:
         got = kernels.sweep(*cols, phi0, 1.0)
         assert ref[2] == got[2] == expected
         assert self._same(got[0], ref[0]) and self._same(got[1], ref[1])
-        assert kernels.sweep(*cols, phi0, 1.0, nodes_only=True)[2] == expected
 
     def test_rescaling_preserves_nodes(self):
         # a steep growth region must trigger renormalization without

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from _oracles import (constant_mass_epsilon, gauss_legendre_integral, jacobi_finite_sum,
-                      make_z_grid, node_count, nu_consistent_state, ode_residual,
-                      rodrigues_psi)
+                      jacobi_recurrence_mp, make_z_grid, node_count, nu_consistent_state,
+                      ode_residual, rodrigues_psi)
 from pdmorse import (WEYL, DomainUnsupported, NormOverflow, SignConvention, attach_norm,
                      jacobi, make_state, norm_const, norm_const_quadrature, phi, phi_eta0,
                      reduce)
 from pdmorse.analytic import spectrum
 from pdmorse.catalog import REFERENCE_ETAS, get_molecule
-from pdmorse.wavefn import norm_const_eta0
+from pdmorse.wavefn import _phi_pq, _scaled_jacobi, norm_const_eta0
 
 PRINTED = SignConvention.PRINTED
 NORMALIZABLE = SignConvention.NORMALIZABLE
@@ -58,9 +58,60 @@ class TestJacobi:
             rhs = (-1.0) ** n * jacobi(n, q, p, x)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
 
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            jacobi(201, 0.0, 0.0, 0.5)
+    # log|P_n| from (mantissa, log scale) against mpmath; the deep corner's
+    # branch parameters reach p = 22,000 and q = 2,445 at degrees near 2,440
+    X_PROBE = np.array([-0.93, -0.4, 0.1, 0.77])
+
+    @staticmethod
+    def _assert_log_form(n, p, q, x, reference):
+        import mpmath
+
+        mantissa, log_scale = _scaled_jacobi(n, p, q, x)
+        for ref, m, scale in zip(reference, mantissa, log_scale):
+            assert math.copysign(1.0, m) == float(mpmath.sign(ref))
+            assert np.log(abs(m)) + scale == pytest.approx(float(mpmath.log(abs(ref))),
+                                                           abs=1e-11)
+
+    # (250, -1.5, 0.5) takes the plain order: the Q_k form needs p, q > -1
+    @pytest.mark.parametrize("n, p, q", [(201, 0.0, 0.0), (250, 0.5, 1.5), (400, 30.0, 5.0),
+                                         (250, -1.5, 0.5)])
+    def test_past_degree_200_matches_mpmath_jacobi(self, n, p, q):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            reference = [mpmath.jacobi(n, p, q, x) for x in self.X_PROBE]
+        self._assert_log_form(n, p, q, self.X_PROBE, reference)
+        assert jacobi(n, p, q, 0.1) == pytest.approx(float(reference[2]), rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, q", [(250, 30.0, 5.0), (600, 400.0, 12.0),
+                                         (1200, 5000.0, 20.0), (2440, 22000.0, 2444.0)])
+    def test_deep_degrees_match_60_digit_recurrence(self, n, p, q):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            reference = [jacobi_recurrence_mp(n, p, q, x) for x in self.X_PROBE[1:]]
+        self._assert_log_form(n, p, q, self.X_PROBE[1:], reference)
+
+    def test_unscaled_points_keep_the_plain_recurrence_bits(self):
+        # up to degree 200 and below 1e150 every point carries the bits of the
+        # plain recurrence ((b1 + b2 x) P_k - c P_{k-1}) / a, so those levels'
+        # outputs stay the same
+        x = np.linspace(-0.999, 0.999, 257)
+        for n, p, q in ((7, 1.3, -0.4), (150, 50.0, 3.0), (200, 12.0, 40.0)):
+            prev, cur = np.ones_like(x), 0.5 * ((p + q + 2.0) * x + (p - q))
+            for k in range(2, n + 1):
+                t = 2.0 * k + p + q
+                a = 2.0 * k * (k + p + q) * (t - 2.0)
+                b1 = (t - 1.0) * (p * p - q * q)
+                b2 = (t - 1.0) * t * (t - 2.0)
+                c = 2.0 * (k + p - 1.0) * (k + q - 1.0) * t
+                prev, cur = cur, ((b1 + b2 * x) * cur - c * prev) / a
+            mantissa, log_scale = _scaled_jacobi(n, p, q, x)
+            assert np.abs(cur).max() < 1e150 and not log_scale.any()
+            assert mantissa.tobytes() == cur.tobytes() == jacobi(n, p, q, x).tobytes()
+
+    def test_non_finite_eigenfunction_is_typed(self):
+        # a value past the largest float is refused, not printed as inf
+        with pytest.raises(DomainUnsupported, match="not finite"):
+            _phi_pq(30, 2.0, 3.0, 0.5, np.array([0.01, 0.5]), 1.7e308)  # phi(0.01) ~ 1.06 N
 
     def test_vectorized(self):
         x = np.linspace(-1, 1, 7)
@@ -97,6 +148,32 @@ class TestPhi:
         ratio = (phi(h2_eta02, st_scaled, 0.5, NORMALIZABLE)
                  / phi(h2_eta02, st, 0.5, NORMALIZABLE))
         assert ratio == pytest.approx(st_scaled.norm_const, rel=1e-12)
+
+
+class TestDeepLevelAssembly:
+    def test_deep_corner_matches_mpmath(self, tmp_path):
+        # D 8 eV, r0 2.5 A, m0 40 amu, alpha' 0.8 at eta 0.6, n = 20: p = 1606,
+        # q = 2429, N = 5.4e299.  At most of these z, z^{q/2} or
+        # (1 - eta z)^{(1+p)/2} falls below the normal float range while N P_n
+        # is huge, so phi must come from the log-space assembly
+        mpmath = pytest.importorskip("mpmath")
+        from pdmorse import load_molecule_config
+
+        path = tmp_path / "deep.cfg"
+        path.write_text("name = deep\nD_eV = 8\nr0_angstrom = 2.5\n"
+                        "m0_amu = 40\nalpha_prime = 0.8\n")
+        sys_ = reduce(load_molecule_config(path), 0.6, WEYL)
+        st = attach_norm(sys_, make_state(sys_, 20))
+        p, q = paper_pq(st, NORMALIZABLE)
+        z = np.array([0.3, 0.48878, 0.68390, 0.78146, 0.89366, 0.97659])
+        got = phi(sys_, st, z)
+        with mpmath.workdps(50):
+            for zi, value in zip(z, got):
+                zz = mpmath.mpf(zi)
+                ref = (mpmath.mpf(st.norm_const) * zz ** (mpmath.mpf(q) / 2)
+                       * (1 - mpmath.mpf(0.6) * zz) ** ((1 + mpmath.mpf(p)) / 2)
+                       * mpmath.jacobi(20, p, q, 2 * mpmath.mpf(0.6) * zz - 1))
+                assert value == pytest.approx(float(ref), rel=1e-11, abs=1e-300), zi
 
 
 class TestNodeCounts:
