@@ -1,18 +1,21 @@
 """Benchmark the shooting kernels and the oracle's two kinds of sweep.
 
-Times the closed-form propagator build and the full sweep at a trial energy,
-then, at 5e-7 eV above the H2 ground level of the same grid, where the
-oracle certifies a level, one counting sweep (``count_nodes``) and one
-refinement half-sweep pair (propagators and both sweeps).  Times are the
-best of --repeats calls, in ms per call and ns per grid step; the last two
-lines also give the steps their sweeps propagated.  Usage:
+Times the closed-form propagator build and the step-by-step sweep over the
+whole grid at a trial energy.  Then it solves the H2 ground level on an
+engine, which builds the blocked step tables over solve_states's window,
+and at 5e-7 eV above that level, where the oracle certifies it, times one
+counting sweep (``count_nodes``) and one refinement half-sweep pair (both
+sweeps and their block products).  Times are the best of --repeats calls,
+in ms per call and ns per grid step.  The block size line gives the steps
+per block; the last two lines give the Python states (blocks or steps) per
+sweep, the iterations of ``kernels.sweep``.  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
 import argparse
 import time
 
-from pdmorse import GridSpec, MassModel, WEYL, get_molecule, solve_states, u_eff
+from pdmorse import GridSpec, MassModel, WEYL, get_molecule, u_eff
 from pdmorse import kernels, oracle
 
 MOLECULE = get_molecule("H2")
@@ -28,16 +31,16 @@ def build_engine(points: int):
                                   grid_for(points))
 
 
-def propagated_steps(fn) -> int:
-    """Steps the kernels.sweep calls made by fn() propagate."""
-    steps = []
+def sweep_states(fn) -> tuple[int, int]:
+    """(sweeps, Python states) of the kernels.sweep calls fn() makes."""
+    states = []
     sweep = kernels.sweep
-    kernels.sweep = lambda *args: steps.append(len(args[0])) or sweep(*args)
+    kernels.sweep = lambda *args: states.append(len(args[0])) or sweep(*args)
     try:
         fn()
     finally:
         kernels.sweep = sweep
-    return sum(steps)
+    return len(states), sum(states)
 
 
 def best_time(fn, args, repeats: int) -> float:
@@ -67,7 +70,10 @@ def main() -> None:
     report("propagators", best_time(kernels.rk4_propagators, tables, args.repeats), steps)
     report("sweep", best_time(kernels.sweep, (*props, 0.0, 1.0), args.repeats), steps)
 
-    (_, level), = solve_states(MASS, WEYL, MOLECULE, grid_for(args.points), [0])
+    e_floor = float(engine.u_nodes.min())
+    window = (e_floor + abs(e_floor) * 1e-12, 0.0)  # as solve_states chooses it
+    (_, level), = engine.solve([0], window, 1e-7)
+    print(f"block size       : {engine._blocks.m} steps")
     e_near = level + 5e-7
 
     def count():
@@ -78,8 +84,9 @@ def main() -> None:
         engine._half_sweeps(e_near)
 
     for label, fn in (("counting sweep", count), ("half-sweep pair", half_sweep_pair)):
+        sweeps, states = sweep_states(fn)
         report(label, best_time(fn, (), args.repeats), steps,
-               f"  propagated {propagated_steps(fn)} of {steps} steps")
+               f"  {states / sweeps:.0f} states per sweep over {steps} steps")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,19 @@ phi never again falls below zero, so no later step counts a node.  The same
 holds with both <= 0 (:func:`settled`).  A sweep that needs only the node
 count may therefore stop at the first such state at or after t.  For h > 0
 all four entries are >= 0 wherever q >= 0 at a step's three points, as in
-the forbidden right tail.  Run ``benchmarks/bench_shooting.py`` to time the
-propagators, the sweep and the oracle's counting and half-sweeps.
+the forbidden right tail.
+
+Blocks (:func:`block_products`).  The sweep may walk products of m
+consecutive step matrices instead of single steps; it then sees phi only at
+block ends.  That count equals the per-step count when no block holds two
+nodes.  By Sturm comparison, zeros of a solution of phi'' = q phi lie at
+least pi / sqrt(max(-q)) apart, so blocks with m h sqrt(max(-q)) <= pi/2 hold
+at most one; the factor 2 of margin covers the RK4 phase error, a relative
+O((kh)^4) per step.  A product of non-negative matrices is non-negative, so
+the settled-tail argument holds block by block.
+
+Run ``benchmarks/bench_shooting.py`` to time the propagators, the sweep and
+the oracle's counting and half-sweeps.
 """
 from __future__ import annotations
 
@@ -112,3 +123,18 @@ def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     m10 = h * (qi / 6.0 + (2.0 / 3.0) * qm + qp / 6.0) + (h * h2qm * (qi + qp)) / 12.0
     m11 = 1.0 + h2 * (qm / 3.0 + qp / 6.0) + (h2qm * h2 * qp) / 24.0
     return m00, m01, m10, m11
+
+
+def block_products(steps: np.ndarray):
+    """Products of consecutive step matrices, one per block of m steps.
+
+    steps has shape (2, 2, m, nb): entry (i, j) of step k of block b, with m
+    a power of two and steps in sweep order along k.  The product
+    M_{m-1} ... M_1 M_0 of each block is taken as a pairwise tree, one
+    batched 2x2 product (``einsum``, the fastest numpy form measured for
+    these shapes) per halving of m.  Returns the four (nb,) entry arrays
+    m00, m01, m10, m11.
+    """
+    while steps.shape[2] > 1:
+        steps = np.einsum("ijkb,jlkb->ilkb", steps[:, :, 1::2], steps[:, :, 0::2])
+    return steps[0, 0, 0], steps[0, 1, 0], steps[1, 0, 0], steps[1, 1, 0]

@@ -11,19 +11,28 @@ Solve strategy, shared by every requested level of one grid:
   the bracket of every level; the window ends are counted once.
 * **Isolation.**  A level's staircase bracket is bisected until it holds
   that level alone: nodes(lo) == n and nodes(hi) == n + 1.
-* **Refinement.**  Inside the isolated bracket an Illinois (modified regula
-  falsi) iteration finds the zero of the scaled Pruefer-phase miss-distance,
-  built from the left and right half-sweeps that meet at the potential
-  minimum (Pryce 1993; Bailey, Everitt & Zettl, ACM TOMS 27, 2001).  The
-  right half-sweep starts where the WKB depth sum(kappa h) past the outer
-  turning point reaches TAIL_MARGIN, not at x_max (Cooley, Math. Comp. 15
-  (1961) 363; Le Roy, LEVEL, JQSRT 186 (2017) 167): the far wall then moves
-  the matching log-derivative by about exp(-2 TAIL_MARGIN), below rounding.
+* **Refinement.**  Inside the isolated bracket an Anderson-Bjorck regula
+  falsi (BIT 13, 1973) finds the zero of the scaled Pruefer-phase
+  miss-distance, built from the left and right half-sweeps that meet at the
+  potential minimum (Pryce 1993; Bailey, Everitt & Zettl, ACM TOMS 27,
+  2001).  It stops once the next secant estimate moves less than tol/4 and
+  returns that estimate unevaluated.  The right half-sweep starts where the
+  WKB depth sum(kappa h) past the outer turning point reaches TAIL_MARGIN,
+  not at x_max (Cooley, Math. Comp. 15 (1961) 363; Le Roy, LEVEL, JQSRT 186
+  (2017) 167): the far wall then moves the matching log-derivative by about
+  exp(-2 TAIL_MARGIN), below rounding.
 * **Certification.**  A refined E is returned only if nodes(E - tol/2) == n
   and nodes(E + tol/2) == n + 1; otherwise the staircase bracket is
   bisected down to tol and its midpoint returned.  Either way the returned
   energy lies within tol/2 of the point where the node count steps from n
   to n + 1.
+* **Blocked sweeps.**  Each solve tabulates the RK4 step matrices over its
+  energy window as quadratics in E and sweeps products of m <= MAX_BLOCK
+  consecutive steps, one Python iteration per block.  m h sqrt(max(-q))
+  <= pi/2 over the window leaves at most one node per block (Sturm
+  comparison), so every count is that of the step-by-step sweep; energies
+  outside the window, and ranges with non-finite or fast-growing steps, run
+  step by step.
 """
 from __future__ import annotations
 
@@ -47,9 +56,19 @@ SINGULARITY_MARGIN = 0.01  # Angstrom
 # changes the matching log-derivative by a relative exp(-2 depth):
 # exp(-40) = 4e-18, below half an ulp (1.1e-16).
 TAIL_MARGIN = 20.0
-# First tail chunk of a counting sweep whose state is not yet settled: on H2
-# and LiH such a sweep settles about 300 steps into the tail on average.
+# Steps a counting sweep takes into the settled tail before it first checks
+# for a settled state (then chunks of 2, 4, ... times as many): on H2 and LiH
+# such a sweep settles about 300 steps into the tail on average.
 TAIL_CHUNK = 256
+# Blocked sweeps: at most MAX_BLOCK steps per block, and a block whose steps
+# could grow the solution by more than exp(BLOCK_GROWTH) in all runs step by
+# step.  exp(50) = 5e21 keeps every block end far below the float range
+# above the sweep's 1e250 rescale threshold.
+MAX_BLOCK = 16
+BLOCK_GROWTH = 50.0
+# Steps per rk4_propagators call while the block tables are built.
+TABLE_CHUNK = 2048
+_IDENTITY = np.eye(2)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,78 @@ def physical_psi(mm: MassModel, x, phi_values):
     return np.sqrt(mm.mass(x)) * np.asarray(phi_values, dtype=float)
 
 
+class _BlockTables:
+    """RK4 step matrices as quadratics in E over one window, in blocks of m steps.
+
+    Every entry of an RK4 step is a quadratic in E (q = p (U - E) is linear
+    in E and the entries hold products of two q values), so the step
+    matrices at the two window ends and its midpoint give them at any E of
+    the window in Lagrange form.  Blocks are m consecutive steps from the
+    first; padding is identity.  A block is unusable when one of its steps
+    has a non-finite entry or its steps could together grow the solution by
+    more than exp(BLOCK_GROWTH) (h sum sqrt(max q) over the window); a range
+    that touches one is propagated step by step.
+    """
+
+    def __init__(self, energies, steps, growth, m: int):
+        """steps(E, start, stop) gives the four RK4 entry arrays of steps
+        start..stop-1 at E; growth holds h sqrt(max q) per step."""
+        n = growth.size
+        nb = -(-n // m)
+        self.energies = energies
+        e0, e1, e2 = energies
+        self._den = ((e0 - e1) * (e0 - e2), (e1 - e0) * (e1 - e2), (e2 - e0) * (e2 - e1))
+        # (energy, i, j, step in block, block): a sweep reads rows of blocks
+        self._table = np.empty((3, 2, 2, m, nb))
+        self._table[..., -1] = _IDENTITY  # padding of the last block
+        chunk = TABLE_CHUNK // m  # blocks per rk4_propagators call: bounds the temporaries
+        for k, e in enumerate(energies):
+            by_block = self._table[k].transpose(0, 1, 3, 2)
+            for b0 in range(0, nb, chunk):
+                entries = steps(e, b0 * m, min((b0 + chunk) * m, n))
+                for (i, j), entry in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
+                    full, rest = divmod(entry.size, m)
+                    by_block[i, j, b0:b0 + full] = entry[:full * m].reshape(full, m)
+                    if rest:  # the last block
+                        by_block[i, j, b0 + full, :rest] = entry[full * m:]
+        g = np.zeros(nb * m)
+        g[:n] = growth
+        # a non-finite entry makes its block's sum non-finite
+        usable = (np.isfinite(self._table.sum(axis=(0, 1, 2, 3)))
+                  & (g.reshape(nb, m).sum(axis=1) <= BLOCK_GROWTH))
+        self._unusable = np.concatenate([[0], np.cumsum(~usable)]).tolist()
+        self.m = m
+
+    def products(self, E: float, start: int, stop: int):
+        """Block matrices of steps start..stop-1 at E.
+
+        None when E lies outside the window, the range is empty, or it
+        touches an unusable block.
+        """
+        m = self.m
+        b0, b1 = start // m, -(-stop // m)
+        if not (self.energies[0] <= E <= self.energies[2] and start < stop
+                and self._unusable[b1] == self._unusable[b0]):
+            return None
+        e0, e1, e2 = self.energies
+        d0, d1, d2 = E - e0, E - e1, E - e2
+        t0, t1, t2 = (t[..., b0:b1] for t in self._table)
+        x = t0 * (d1 * d2 / self._den[0])
+        x += t1 * (d0 * d2 / self._den[1])
+        x += t2 * (d0 * d1 / self._den[2])
+        if start > b0 * m:
+            x[:, :, :start - b0 * m, 0] = _IDENTITY
+        if stop < b1 * m:
+            x[:, :, stop - (b1 - 1) * m:, -1] = _IDENTITY
+        return kernels.block_products(x)
+
+
+def _secant(a: float, fa: float, b: float, fb: float) -> float:
+    """Secant root of the bracket (a, fa < 0), (b, fb > 0); its midpoint if that falls outside."""
+    c = b - fb * (b - a) / (fb - fa)
+    return c if a < c < b else 0.5 * (a + b)
+
+
 class _ShootingEngine:
     """Coefficient tables and the shared Sturm staircase for one solve."""
 
@@ -139,6 +230,8 @@ class _ShootingEngine:
         self._stair_n: list[int] = []
         # half-sweep states by energy: a bracket end is shared by two levels
         self._matched: dict[float, tuple] = {}
+        # step tables in blocks over the window of the current solve
+        self._blocks: _BlockTables | None = None
 
     def _q(self, E: float, start: int = 0, stop: int | None = None):
         """q = p (U - E) at nodes start..stop (default: the last) and the midpoints between."""
@@ -153,28 +246,84 @@ class _ShootingEngine:
     def count_nodes(self, E: float) -> int:
         """Interior nodes of the left-anchored solution: eigenvalues below E.
 
-        The sweep runs to the settled tail, where every q is >= 0 and so, for
-        h > 0, every RK4 propagator entry is >= 0; from the first state there
-        with phi and phi' of one sign no step can add a node (``kernels``
-        module docstring).  Until such a state is reached the sweep goes on
-        through the tail in chunks of TAIL_CHUNK steps, doubling, whose
-        tables and propagators are built only when needed.  The count is
+        The sweep runs TAIL_CHUNK steps into the settled tail, where every q
+        is >= 0 and so, for h > 0, every RK4 propagator entry is >= 0; from
+        the first state there with phi and phi' of one sign no step can add
+        a node (``kernels`` module docstring).  Until such a state is reached
+        the sweep goes on through the tail in chunks of twice as many steps,
+        doubling, whose matrices are built only when needed.  The count is
         that of the full sweep.
         """
-        t = self._tail_start(E)
-        head = kernels.rk4_propagators(*self._q(E, 0, t), self.h)
-        phi, dphi, nodes = kernels.sweep(*head, 0.0, 1.0)
         last, size = self.xs.size - 1, TAIL_CHUNK
+        t = min(self._tail_start(E) + TAIL_CHUNK, last)
+        phi, dphi, nodes = kernels.sweep(*self._forward(E, 0, t), 0.0, 1.0)
         while t < last and not kernels.settled(phi, dphi):
             stop = min(t + size, last)
-            chunk = kernels.rk4_propagators(*self._q(E, t, stop), self.h)
-            phi, dphi, more = kernels.sweep(*chunk, phi, dphi)
+            phi, dphi, more = kernels.sweep(*self._forward(E, t, stop), phi, dphi)
             nodes += more
             t, size = stop, 2 * size
         i = bisect.bisect_left(self._stair_e, E)
         self._stair_e.insert(i, E)
         self._stair_n.insert(i, nodes)
         return nodes
+
+    def _forward(self, E: float, start: int, stop: int):
+        """Step (or block) matrices from node start to node stop at E."""
+        if self._blocks is not None:
+            products = self._blocks.products(E, start, stop)
+            if products is not None:
+                return products
+        return self._steps(E, start, stop)
+
+    def _steps(self, E: float, start: int, stop: int):
+        """RK4 step matrices from node start to node stop at E, one per step."""
+        return kernels.rk4_propagators(*self._q(E, start, stop), self.h)
+
+    def _backward(self, E: float, start: int):
+        """Step (or block) matrices from node start down to the matching point at E.
+
+        The RK4 step from x + h back to x is the adjugate [[m11, -m01],
+        [-m10, m00]] of the forward step over the same points (m10 up to
+        rounding), and adj(AB) = adj(B) adj(A): the blocks of the backward
+        sweep are the adjugates of the forward blocks, in reverse order.
+        """
+        if self._blocks is not None:
+            products = self._blocks.products(E, self.i_match, start)
+            if products is not None:
+                m00, m01, m10, m11 = products
+                return m11[::-1], -m01[::-1], -m10[::-1], m00[::-1]
+        qn, qm = self._q(E, self.i_match, start)
+        return kernels.rk4_propagators(qn[::-1], qm[::-1], -self.h)
+
+    def _build_blocks(self, e_window) -> None:
+        """Block tables over e_window, from the step matrices at its ends and midpoint."""
+        self._blocks = None
+        e_lo, e_hi = (float(e) for e in e_window)
+        if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
+            return
+        m, growth = self._block_size(e_lo, e_hi)
+        if m > 1:
+            self._blocks = _BlockTables((e_lo, 0.5 * (e_lo + e_hi), e_hi), self._steps,
+                                        growth, m)
+
+    def _block_size(self, e_lo: float, e_hi: float):
+        """Block size over [e_lo, e_hi] and the growth bound h sqrt(max q) of every step.
+
+        The block size m is the largest power of two up to MAX_BLOCK with
+        m h sqrt(max(-q)) <= pi/2 over the window: then no block holds two
+        nodes (``kernels`` module docstring).  q is linear in E, so its
+        extremes over the window lie at the window ends.
+        """
+        (lo_n, lo_m), (hi_n, hi_m) = self._q(e_lo), self._q(e_hi)
+        k2 = max(float(np.max(-q[np.isfinite(q)], initial=0.0))
+                 for q in (lo_n, lo_m, hi_n, hi_m))
+        m = MAX_BLOCK
+        while m > 1 and m * self.h * math.sqrt(k2) > 0.5 * math.pi:
+            m //= 2
+        q_max = np.maximum(lo_n[:-1], lo_n[1:])
+        for q in (lo_m, hi_n[:-1], hi_n[1:], hi_m):
+            np.maximum(q_max, q, out=q_max)
+        return m, self.h * np.sqrt(np.maximum(q_max, 0.0, out=q_max), out=q_max)
 
     def _right_start(self, E: float, qn: np.ndarray) -> int:
         """Start node of the right half-sweep at E, given the node q table qn.
@@ -191,11 +340,9 @@ class _ShootingEngine:
     def _half_sweeps(self, E: float):
         """Left and right solutions at the matching point: ((phi, phi', nodes), ...)."""
         if E not in self._matched:
-            qn, qm = self._q(E)
-            im = self.i_match
-            start = self._right_start(E, qn)
-            left = kernels.rk4_propagators(qn[:im + 1], qm[:im], self.h)
-            right = kernels.rk4_propagators(qn[im:start + 1][::-1], qm[im:start][::-1], -self.h)
+            qn = self.p_nodes * (self.u_nodes - E)
+            left = self._forward(E, 0, self.i_match)
+            right = self._backward(E, self._right_start(E, qn))
             self._matched[E] = (kernels.sweep(*left, 0.0, 1.0),
                                 kernels.sweep(*right, 0.0, -1.0))
         return self._matched[E]
@@ -221,9 +368,14 @@ class _ShootingEngine:
         return self._stair_e[i - 1], self._stair_n[i - 1], self._stair_e[i], self._stair_n[i]
 
     def _refine(self, n: int, lo: float, hi: float, tol_ev: float, spend):
-        """Illinois iteration on the phase miss-distance inside an isolated bracket.
+        """Anderson-Bjorck regula falsi on the phase miss-distance inside an isolated bracket.
 
-        Returns the estimated eigenvalue, or None when the phase does not
+        When a new point lands on the same side as the one before, the value
+        kept at the far end is scaled by 1 - f(new) / f(replaced) (by 1/2 if
+        that is not positive; Anderson & Bjorck, BIT 13, 1973), so neither end
+        sticks.  Once the next secant estimate moves less than tol/4 from the
+        last evaluated point, that estimate is returned without evaluating
+        it; certification checks it.  Returns None when the phase does not
         change sign across the bracket.
         """
         target = (n + 1) * math.pi
@@ -235,26 +387,26 @@ class _ShootingEngine:
         if not fa < 0.0 < fb:
             return None
         side = 0
-        c = None
+        c = _secant(a, fa, b, fb)
         while b - a > tol_ev:
             spend()
-            prev = c
-            c = b - fb * (b - a) / (fb - fa)
-            if not a < c < b:
-                c = 0.5 * (a + b)
             fc = self.phase(c, k) - target
-            if fc == 0.0 or (prev is not None and abs(c - prev) <= 0.25 * tol_ev):
+            if fc == 0.0:
                 return c
             if fc > 0.0:
-                b, fb = c, fc
                 if side == 1:
-                    fa *= 0.5
-                side = 1
+                    scale = 1.0 - fc / fb
+                    fa *= scale if scale > 0.0 else 0.5
+                b, fb, side = c, fc, 1
             else:
-                a, fa = c, fc
                 if side == -1:
-                    fb *= 0.5
-                side = -1
+                    scale = 1.0 - fc / fa
+                    fb *= scale if scale > 0.0 else 0.5
+                a, fa, side = c, fc, -1
+            estimate = _secant(a, fa, b, fb)
+            if abs(estimate - c) <= 0.25 * tol_ev:
+                return estimate
+            c = estimate
         return 0.5 * (a + b)
 
     def _level(self, n: int, tol_ev: float) -> float:
@@ -291,6 +443,7 @@ class _ShootingEngine:
         """Eigenvalues of the requested levels as (n, E), in the order requested."""
         n_list = list(n_list)
         e_lo, e_hi = e_window
+        self._build_blocks(e_window)
         n_lo = self.count_nodes(e_lo)
         n_hi = self.count_nodes(e_hi)
         for n in n_list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .analytic import energy_ev, spectrum
+from .analytic import energy_ev, make_state, spectrum
 from .catalog import REFERENCE_ENERGIES, REFERENCE_ETAS, builtin_catalog, reference_energy
 from .errors import PdmorseError
 from .model import (WEYL, AmbiguityOrdering, MassModel, MoleculeSpec, ReducedSystem,
@@ -239,11 +239,14 @@ def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrderi
     Without an explicit domain the study runs both left anchors the problem
     admits: the physical boundary x = 0 and (for eta > 0) a start just right
     of the mass singularity; eta = 0 uses the deep -0.95 r0 anchor.  The
-    domain cell reads label[x_min;x_max].
+    domain cell reads label[x_min;x_max].  A level that :func:`spectrum`
+    does not list raises RealityViolation before any solve.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     sys = reduce(mol, eta, ordering)
+    for n in range(n_max + 1):
+        make_state(sys, n)
     mm = MassModel.for_molecule(mol, eta)
     if domain is not None:
         domains = [("explicit", domain)]

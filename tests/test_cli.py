@@ -442,6 +442,12 @@ class TestRejectedInput:
         (["wavefunction", "--molecule", "H2", "--eta", "0", "--n", "40"], "not a bound level"),
         (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "20"], "not a bound level"),
         (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "40"], "not a bound level"),
+        # oracle-compare levels spectrum does not list: H2 at eta 0.6 has n <= 15;
+        # at eta 0.95 the closed-form n = 1 lies below n = 0
+        (["oracle-compare", "--molecule", "H2", "--eta", "0.6", "--n-max", "16",
+          "--grid", "2001"], "level n=16 is not a bound level"),
+        (["oracle-compare", "--molecule", "H2", "--eta", "0.95", "--n-max", "1",
+          "--grid", "2001"], "level n=1 is not a bound level"),
         # --output that cannot be opened for writing: a missing directory, a directory
         (["spectrum", "--molecule", "H2", "--eta", "0.2", "--output", "/no/such/dir/x.csv"],
          "cannot write --output '/no/such/dir/x.csv'"),
@@ -449,7 +455,7 @@ class TestRejectedInput:
          "cannot write --output '.'"),
     ], ids=["nan-domain", "nan-tolerance", "zero-samples", "negative-n-max",
             "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40",
-            "output-missing-dir", "output-is-dir"])
+            "oracle-eta06-n16", "oracle-eta095-n1", "output-missing-dir", "output-is-dir"])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -133,6 +133,19 @@ class TestBox:
             assert_certified(fresh, n, e, tol)
 
 
+    def test_blocked_levels_match_step_by_step(self, monkeypatch):
+        # the window (1e-4, 3) eV lies above the flat floor: every q < 0
+        grid = GridSpec(0.0, 1.0, 2001)
+        tol = 1e-10
+        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+        blocked = engine.solve(range(6), (1e-4, 3.0), tol)
+        assert engine._blocks.m == oracle.MAX_BLOCK
+        monkeypatch.setattr(oracle, "MAX_BLOCK", 1)
+        plain = solve_on_grid(flat_potential, const_mass(1.0), grid, range(6), (1e-4, 3.0), tol)
+        for (n, e), (_, e_plain) in zip(blocked, plain):
+            assert abs(e - e_plain) <= tol, (n, e - e_plain)
+
+
 def reference_domain(mol, eta):
     return default_domain(mol, eta, left="singular" if eta > 0.0 else "physical")
 
@@ -329,6 +342,134 @@ class TestRightStart:
             bad = ~(np.minimum(np.minimum(qn[:-1], qm), qn[1:]) >= 0.0)
             expected = int(np.flatnonzero(bad)[-1]) + 1 if bad.any() else 0
             assert engine._tail_start(e) == expected, e
+
+
+def smooth_potential(seed: int, length: float):
+    """A random smooth potential on [0, length]: six cosines of falling amplitude (eV)."""
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=6) * 40.0 / np.arange(1, 7)
+    phase = rng.uniform(0.0, 2.0 * math.pi, 6)
+
+    def u(x):
+        x = np.asarray(x, dtype=float)
+        return sum(a * np.cos(2.0 * math.pi * (j + 1) * x / length + f)
+                   for j, (a, f) in enumerate(zip(amp, phase)))
+    return u
+
+
+def reference_count(engine, e):
+    """Node count of the reference loop over the full grid, step by step."""
+    return sweep_reference(*kernels.rk4_propagators(*engine._q(e), engine.h), 0.0, 1.0)[2]
+
+
+class TestBlockedSweeps:
+    """Sweeps over blocks of up to MAX_BLOCK steps count what the step-by-step loop counts."""
+
+    @staticmethod
+    def _engine_at_the_bound(u, grid):
+        """An engine on u with unit mass, blocked over a window whose top puts
+        MAX_BLOCK h sqrt(max(-q)) at pi/2, less a rounding margin."""
+        engine = oracle._ShootingEngine(u, const_mass(1.0), grid)
+        k = (1.0 - 1e-9) * 0.5 * math.pi / (oracle.MAX_BLOCK * grid.h)
+        u_min = float(min(engine.u_nodes.min(), engine.u_mids.min()))
+        window = (u_min - 50.0, u_min + k * k / engine.p_nodes[0])
+        engine._build_blocks(window)
+        return engine, window
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_counts_match_reference_at_the_block_bound(self, seed):
+        grid = GridSpec(0.0, 1.0, 4001)
+        engine, (e_lo, e_hi) = self._engine_at_the_bound(smooth_potential(seed, 1.0), grid)
+        assert engine._blocks.m == oracle.MAX_BLOCK
+        energies = np.concatenate([np.linspace(e_lo, e_hi, 41),
+                                   np.random.default_rng(seed).uniform(e_lo, e_hi, 40)])
+        assert reference_count(engine, e_hi) > 50
+        for e in energies:
+            assert engine.count_nodes(e) == reference_count(engine, e), e
+            blocked = engine._half_sweeps(e)
+            saved, engine._blocks = engine._blocks, None
+            engine._matched.clear()
+            plain = engine._half_sweeps(e)
+            engine._blocks = saved
+            engine._matched.clear()
+            assert [side[2] for side in blocked] == [side[2] for side in plain], e
+
+    def test_block_products_match_sequential_products(self):
+        rng = np.random.default_rng(7)
+        for m in (2, 4, 8, 16):
+            steps = rng.uniform(-2.0, 2.0, (2, 2, m, 5))
+            expected = np.empty((2, 2, 5))
+            for b in range(5):
+                product = np.eye(2)
+                for k in range(m):
+                    product = steps[:, :, k, b] @ product
+                expected[:, :, b] = product
+            got = np.array(kernels.block_products(steps)).reshape(2, 2, 5)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_nan_and_wall_spikes_run_step_by_step(self):
+        # a NaN midpoint and 1e12 eV spikes make their blocks unusable; sweeps
+        # that touch them run step by step, the others stay blocked
+        grid = GridSpec(0.0, 1.0, 4001)
+        smooth = smooth_potential(6, 1.0)
+        xs = grid.xs()
+        x_nan, spikes = xs[2500:2502].mean(), xs[[900, 901, 3000]]
+
+        def u(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x == x_nan, math.nan, np.where(np.isin(x, spikes), 1e12, smooth(x)))
+
+        engine, (e_lo, e_hi) = self._engine_at_the_bound(u, grid)
+        blocks = engine._blocks
+        assert blocks.m == oracle.MAX_BLOCK and blocks._unusable[-1] == 3
+        assert blocks.products(e_hi, 0, 800) is not None
+        assert blocks.products(e_hi, 0, 901) is None
+        for e in np.linspace(e_lo, e_hi, 41):
+            assert engine.count_nodes(e) == reference_count(engine, e), e
+
+    def test_wide_window_forces_single_steps(self):
+        # a window so high that two steps can hold two nodes: no blocks
+        grid = GridSpec(0.0, 1.0, 1001)
+        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+        k = 1.01 * 0.25 * math.pi / grid.h
+        engine._build_blocks((0.0, k * k / engine.p_nodes[0]))
+        assert engine._blocks is None
+
+    def test_sweep_states_per_solve(self, h2, monkeypatch):
+        # H2, eta 0.2, levels 0-2 on the 8001-point singular domain: with
+        # blocks of 16 the sweeps walk 3,715 Python states (blocks or steps);
+        # sweeps that fell back to single steps would walk about 20x as many
+        mm = MassModel.for_molecule(h2, 0.2)
+        grid = GridSpec(*reference_domain(h2, 0.2), 8001)
+        states = []
+        sweep = kernels.sweep
+        monkeypatch.setattr(kernels, "sweep",
+                            lambda *args: states.append(len(args[0])) or sweep(*args))
+        solve_states(mm, WEYL, h2, grid, range(3), tol_ev=1e-6)
+        assert sum(states) <= 4500, (len(states), sum(states))
+
+
+class TestAgainstTightSolve:
+    """Every oracle-compare energy of the benchmark shapes is within 1e-9 eV of
+    a solve on the same grid to tol_ev = 1e-11 (the rows use 1e-6)."""
+
+    @pytest.mark.parametrize("points, n_max", [(2001, 12), (8001, 2)])
+    @pytest.mark.parametrize("eta", REFERENCE_ETAS)
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_rows_match_tight_solve(self, name, eta, points, n_max):
+        mol = get_molecule(name)
+        mm = MassModel.for_molecule(mol, eta)
+        rows = oracle_compare_rows(mol, eta, WEYL, n_max, points)
+        lefts = ("boundary", "singular") if eta > 0.0 else ("physical",)
+        checked = 0
+        for left in lefts:
+            grid = GridSpec(*default_domain(mol, eta, left=left), points)
+            tight = dict(solve_states(mm, WEYL, mol, grid, range(n_max + 1), tol_ev=1e-11))
+            for row in rows:
+                if row["domain"].startswith(left):
+                    assert abs(row["E_oracle_eV"] - tight[row["n"]]) <= 1e-9, (left, row["n"])
+                    checked += 1
+        assert checked == len(rows) == len(lefts) * (n_max + 1)
 
 
 class TestMorseEta0:
