@@ -103,7 +103,7 @@ def _admitted_eps(sys: ReducedSystem, n: int, w: float, prev_e: float | None) ->
         s = quantization_root_signed(sys, n)
     except DegenerateDenominator:
         return None
-    if s <= 0 or 2.0 * w - (2.0 * s + 2 * n + 1) * sys.eta < 0:
+    if not s > 0 or 2.0 * w - (2.0 * s + 2 * n + 1) * sys.eta < 0:
         return None
     eps = s * s
     e = -sys.e_scale * eps

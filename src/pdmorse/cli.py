@@ -89,13 +89,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_table1(args) -> int:
     summary = table1_report(tolerance_ev=args.tolerance)
     for cell in summary.cells:
-        status = "PASS" if cell.ok else "FAIL"
+        status = ("PASS" if cell.ok else "FAIL") if cell.listed else "UNLISTED"
         print(f"{status} {cell.molecule} eta={cell.eta:g} n={cell.n} "
               f"E={cell.E_eV:+.6f} reference={cell.E_paper_eV:+.3f} "
               f"delta={cell.delta_eV:+.6f}")
     verdict = "PASS" if summary.all_pass else "FAIL"
-    print(f"table1 {verdict}: {len(summary.cells) - len(summary.failures)}/"
-          f"{len(summary.cells)} cells within {summary.tolerance_eV:g} eV "
+    listed = len(summary.listed)
+    print(f"table1 {verdict}: {listed - len(summary.failures)}/{listed} listed cells within "
+          f"{summary.tolerance_eV:g} eV, {len(summary.cells) - listed} unlisted "
           f"(max |delta| = {summary.max_abs_delta:.6f} eV)")
     return 0 if summary.all_pass else 1
 

@@ -28,7 +28,7 @@ class MoleculeSpec:
     range parameter.  E0 = hbar^2/(m0 r0^2) (eV) may be supplied (it is then
     checked against the recomputed value to 0.5% relative) or left None to be
     computed.  V1/V2 default to D and 2D; explicit values allow synthetic
-    wells.
+    wells.  Every parameter must be finite.
     """
 
     name: str
@@ -43,22 +43,25 @@ class MoleculeSpec:
     def __post_init__(self):
         for label, value in (("D", self.D), ("r0", self.r0), ("m0", self.m0),
                              ("alpha_prime", self.alpha_prime)):
-            if not value > 0:
-                raise ConfigError(f"{label} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{label} must be positive and finite, got {value}")
         e0_ref = energy_scale_ev(self.m0, self.r0)
         if self.E0 is None:
             object.__setattr__(self, "E0", e0_ref)
-        else:
-            if not self.E0 > 0:
-                raise ConfigError(f"E0 must be positive, got {self.E0}")
-            if abs(self.E0 - e0_ref) / self.E0 > E0_CONSISTENCY_RTOL:
-                raise ConfigError(
-                    f"E0={self.E0} inconsistent with hbar^2/(m0 r0^2)={e0_ref:.6e} "
-                    f"beyond {E0_CONSISTENCY_RTOL:.1%}")
+        if not 0 < self.E0 < math.inf:
+            raise ConfigError(f"E0 must be positive and finite, got {self.E0}")
+        if abs(self.E0 - e0_ref) / self.E0 > E0_CONSISTENCY_RTOL:
+            raise ConfigError(
+                f"E0={self.E0} inconsistent with hbar^2/(m0 r0^2)={e0_ref:.6e} "
+                f"beyond {E0_CONSISTENCY_RTOL:.1%}")
         if self.V1 is None:
             object.__setattr__(self, "V1", self.D)
         if self.V2 is None:
             object.__setattr__(self, "V2", 2.0 * self.D)
+        for label, value in (("V1", self.V1), ("V2", self.V2)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{label} must be finite, got {value} "
+                                  "(V1 and V2 default to D and 2 D)")
 
     @property
     def beta(self) -> float:
@@ -221,6 +224,7 @@ def reduce(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering) -> Reduce
     """Reduce physical parameters to the dimensionless system.
 
     2 m0/(beta^2 hbar^2) equals 2/(alpha'^2 E0), so v1 = 2 V1/(alpha'^2 E0).
+    A reduced parameter that overflows (or is NaN) raises ConfigError.
     """
     if not 0.0 <= eta < 1.0:
         raise ConfigError(f"eta out of range: {eta} (require 0 <= eta < 1)")
@@ -238,4 +242,8 @@ def reduce(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering) -> Reduce
     if not abs(sys.A1 + sys.A2 - (c_ord - 0.25)) <= 1e-12 * max(1.0, abs(c_ord)):
         raise ConfigError(f"ordering {ordering_label(ordering)} breaks the identity "
                           "A1 + A2 = c_ord - 1/4 in floating point")
+    for label in ("v1", "v2", "eps1", "eps2", "e_scale"):
+        value = getattr(sys, label)
+        if not math.isfinite(value):
+            raise ConfigError(f"reduced parameter {label} = {value} is not finite")
     return sys

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .analytic import energy_ev, make_state, spectrum
 from .catalog import REFERENCE_ENERGIES, REFERENCE_ETAS, builtin_catalog, reference_energy
-from .errors import PdmorseError
+from .errors import PdmorseError, RealityViolation
 from .model import (WEYL, AmbiguityOrdering, MassModel, MoleculeSpec, ReducedSystem,
                     ordering_label, reduce)
 from .oracle import GridSpec, default_domain, physical_psi, solve_states
@@ -106,20 +106,27 @@ class Table1Cell:
     E_paper_eV: float
     delta_eV: float
     ok: bool
+    listed: bool  # False for a level that spectrum does not list
 
 
 @dataclass(frozen=True)
 class Table1Summary:
+    """Every reference cell; the gate, its count and max |delta| cover the listed ones."""
+
     tolerance_eV: float
     cells: tuple[Table1Cell, ...]
 
     @property
+    def listed(self) -> tuple[Table1Cell, ...]:
+        return tuple(c for c in self.cells if c.listed)
+
+    @property
     def max_abs_delta(self) -> float:
-        return max(abs(c.delta_eV) for c in self.cells)
+        return max(abs(c.delta_eV) for c in self.listed)
 
     @property
     def failures(self) -> tuple[Table1Cell, ...]:
-        return tuple(c for c in self.cells if not c.ok)
+        return tuple(c for c in self.listed if not c.ok)
 
     @property
     def all_pass(self) -> bool:
@@ -130,8 +137,10 @@ def table1_report(tolerance_ev: float = 0.005) -> Table1Summary:
     """Recompute every reference cell with Weyl ordering and gate |delta|.
 
     Cells are evaluated directly at their quantum number (the reference table
-    tabulates selected n, not a full enumeration).  Failures are report
-    content, not exceptions.
+    tabulates selected n, not a full enumeration).  A cell whose level
+    :func:`make_state` refuses (H2 at eta 0.2, n = 20, is a root on the
+    squared branch) is kept but marked unlisted, outside the gate.  Failures
+    are report content, not exceptions.
     """
     if not 0.0 < tolerance_ev < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance_ev}")
@@ -142,9 +151,14 @@ def table1_report(tolerance_ev: float = 0.005) -> Table1Summary:
             for n, ref in sorted(REFERENCE_ENERGIES[(mol.name, eta)].items()):
                 e = energy_ev(sys, n)
                 delta = e - ref
+                listed = True
+                try:
+                    make_state(sys, n)
+                except RealityViolation:
+                    listed = False
                 cells.append(Table1Cell(molecule=mol.name, eta=eta, n=n, E_eV=e,
                                         E_paper_eV=ref, delta_eV=delta,
-                                        ok=abs(delta) <= tolerance_ev))
+                                        ok=abs(delta) <= tolerance_ev, listed=listed))
     return Table1Summary(tolerance_eV=tolerance_ev, cells=tuple(cells))
 
 

@@ -1,4 +1,4 @@
-"""Jacobi polynomials and the analytic eigenfunctions of the reduced equation.
+"""Analytic eigenfunctions of the reduced equation and their normalization.
 
 The transformed equation (z = exp(-beta x), 0 < z < 1/eta natural range)
 
@@ -16,11 +16,16 @@ one branch (weight, xi factor and Jacobi parameter flip together;
   Bounded at the origin; at the ``nu_consistent_epsilon`` eigenvalue it
   solves the equation to the finite-difference floor.
 
+For eta > 0 the polynomial factor is a Jacobi polynomial; at eta = 0 (constant
+mass) it is a generalized Laguerre polynomial, and only the bounded branch
+exists.  Both families run through one rescaled three-term recurrence,
+:func:`_scaled_recurrence`, and one log-space assembly, :func:`_log_space`.
 Outputs must record which convention produced them.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import replace
 
@@ -32,15 +37,19 @@ from .model import ReducedSystem
 from .quadrature import integrate_with_endpoint_power
 
 _RESCALE_AT = 1e150
-# Jacobi rescaling test stride.  For |x| <= 1 and p, q in [-0.99, 1e6] one
-# recurrence step multiplies max(|P_k|, |P_{k-1}|) by at most
-# (|b1| + |b2| + |c|) / |a|, and any 16 consecutive steps by at most 1e85
-# (largest at p = q = 1e6; the Q_k form of _scaled_jacobi, 1e83), so values
-# last brought under 1e150 stay below 1e235, short of overflow (1.8e308).
-# Outside that range an overflow comes out non-finite, and _phi_pq raises.
-_JACOBI_RESCALE_STRIDE = 16
-# Up to this degree the Jacobi recurrence runs in the plain operation order,
-# so the outputs of those levels stay the same bit for bit.
+# Rescaling test stride.  One step of a_k y_k = (b1_k + b2_k x) y_{k-1} - c_k y_{k-2}
+# multiplies max(|y_k|, |y_{k-1}|) by at most max(1, (|b1| + |b2 x| + |c|) / |a|),
+# and any 16 consecutive steps by at most
+# * Jacobi, |x| <= 1 and p, q in [-0.99, 1e6]: 1e85 (largest at p = q = 1e6;
+#   the Q_k form of _scaled_recurrence, 1e83);
+# * Laguerre, t = 2 W z with z < 1 (the CLI samples z in (0, 1)) and
+#   alpha = 2 sqrt(eps) <= 2 W, W = sqrt(eps1): 1e78 for W <= 1e5 and 1e142
+#   for W <= 1e9 (the Q_k form, 1e71 and 1e135),
+# so values last brought under 1e150 stay short of overflow (1.8e308).
+# Outside these ranges an overflow comes out non-finite, and _log_space raises.
+_RESCALE_STRIDE = 16
+# Up to this degree the recurrence runs in the plain operation order, so the
+# outputs of those levels stay the same bit for bit.
 _PLAIN_DEGREE = 200
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_TINY = np.finfo(float).tiny  # smallest normal float
@@ -67,9 +76,9 @@ def jacobi(n: int, p: float, q: float, x):
 
 
 def _rescale(cur: np.ndarray, prev: np.ndarray, log_scale: np.ndarray) -> None:
-    """Divide P_k and P_{k-1} through, in place, where either has passed 1e150.
+    """Divide y_k and y_{k-1} through, in place, where either has passed 1e150.
 
-    Both are tested because near a root of P_k the larger one is P_{k-1}.
+    Both are tested because near a root of y_k the larger one is y_{k-1}.
     """
     size = np.maximum(np.abs(cur), np.abs(prev))
     big = size > _RESCALE_AT
@@ -80,83 +89,65 @@ def _rescale(cur: np.ndarray, prev: np.ndarray, log_scale: np.ndarray) -> None:
         log_scale += np.log(factor)
 
 
-def _scaled_jacobi(n: int, p: float, q: float, x: np.ndarray):
-    """P_n^{(p,q)}(x) as (mantissa, log scale) per point of the 1-D array x.
+def _scaled_recurrence(n: int, first: np.ndarray, a: np.ndarray, b1: np.ndarray,
+                       b2: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """y_n of a_k y_k = (b1_k + b2_k x) y_{k-1} - c_k y_{k-2}, y_0 = 1, y_1 = first.
 
-    P_n = mantissa * exp(log_scale).  Up to degree _PLAIN_DEGREE, and for
-    p or q <= -1, each step computes ((b1 + b2 x) P_k - c P_{k-1}) / a in
-    place with that operation order, so a point never rescaled (log scale
-    0) carries the plain recurrence's bits.  Higher degrees run the same
-    recurrence on Q_k = P_k / D_k with D_k = (c/a)_k D_{k-2}, D_0 = D_1 = 1:
-    Q_k = (alpha x + beta) Q_{k-1} - Q_{k-2} takes four array operations
-    instead of six, and log D_n joins the log scale (D_k > 0 for p, q > -1).
-    Every _JACOBI_RESCALE_STRIDE steps :func:`_rescale` runs.
+    The coefficients hold k = 2..n; first is overwritten.  Returns (mantissa,
+    log scale) per point of the 1-D array x, with :func:`_rescale` every
+    _RESCALE_STRIDE steps.  Up to degree _PLAIN_DEGREE, and wherever some
+    c_k/a_k <= 0, each step computes ((b1 + b2 x) y_{k-1} - c y_{k-2}) / a
+    in place in that order, so a point never rescaled (log scale 0) carries
+    the plain recurrence's bits.  Otherwise it runs on Q_k = y_k / D_k,
+    D_k = (c/a)_k D_{k-2} > 0, D_0 = D_1 = 1: Q_k = (b2 x + b1) Q_{k-1} - Q_{k-2}
+    with b1, b2 divided by a_k D_k / D_{k-1} takes four array operations per
+    step instead of six, and log D_n joins the log scale.
     """
     prev = np.ones_like(x)
     log_scale = np.zeros_like(x)
     if n == 0:
         return prev, log_scale
-    cur = 0.5 * ((p + q + 2.0) * x + (p - q))
-    tmp = np.empty_like(x)
-    # step coefficients for k = 2..n, elementwise in the scalar formulas' order
+    cur, tmp = first, np.empty_like(x)
+    g = c / a
+    plain = n <= _PLAIN_DEGREE or not np.all((g > 0.0) & (g < math.inf))
+    log_d = 0.0
+    if not plain:  # D_k / D_{k-1} = (c/a)_k / (D_{k-1} / D_{k-2})
+        ratio = np.array(list(itertools.accumulate(g.tolist(), lambda r, gk: gk / r,
+                                                   initial=1.0))[1:])
+        b1, b2 = b1 / a / ratio, b2 / a / ratio
+        log_d = np.log(ratio).sum()
+    for k, ak, b1k, b2k, ck in zip(range(2, n + 1), a.tolist(), b1.tolist(), b2.tolist(),
+                                   c.tolist()):
+        np.multiply(b2k, x, out=tmp)
+        tmp += b1k
+        tmp *= cur
+        if plain:
+            prev *= ck
+        tmp -= prev
+        if plain:
+            tmp /= ak
+        prev, cur, tmp = cur, tmp, prev
+        if k % _RESCALE_STRIDE == 0:
+            _rescale(cur, prev, log_scale)
+    log_scale += log_d
+    return cur, log_scale
+
+
+def _scaled_jacobi(n: int, p: float, q: float, x: np.ndarray):
+    """P_n^{(p,q)}(x) as (mantissa, log scale) per point of the 1-D array x."""
     ks = np.arange(2, n + 1)
     t = 2.0 * ks + p + q
-    a = 2.0 * ks * (ks + p + q) * (t - 2.0)
-    b1 = (t - 1.0) * (p * p - q * q)
-    b2 = (t - 1.0) * t * (t - 2.0)
-    c = 2.0 * (ks + p - 1.0) * (ks + q - 1.0) * t
-    if n <= _PLAIN_DEGREE or not (p > -1.0 and q > -1.0):
-        for k, ak, b1k, b2k, ck in zip(ks.tolist(), a.tolist(), b1.tolist(), b2.tolist(),
-                                       c.tolist()):
-            np.multiply(b2k, x, out=tmp)
-            tmp += b1k
-            tmp *= cur
-            prev *= ck
-            tmp -= prev
-            tmp /= ak
-            prev, cur, tmp = cur, tmp, prev
-            if k % _JACOBI_RESCALE_STRIDE == 0:
-                _rescale(cur, prev, log_scale)
-        return cur, log_scale
-    ratio = np.empty(n - 1)  # D_k / D_{k-1} = (c/a)_k / (D_{k-1} / D_{k-2})
-    r = 1.0
-    for i, g in enumerate((c / a).tolist()):
-        r = g / r
-        ratio[i] = r
-    for k, alpha, beta in zip(ks.tolist(), (b2 / a / ratio).tolist(),
-                              (b1 / a / ratio).tolist()):
-        np.multiply(alpha, x, out=tmp)
-        tmp += beta
-        tmp *= cur
-        tmp -= prev
-        prev, cur, tmp = cur, tmp, prev
-        if k % _JACOBI_RESCALE_STRIDE == 0:
-            _rescale(cur, prev, log_scale)
-    log_scale += np.log(ratio).sum()
-    return cur, log_scale
+    return _scaled_recurrence(n, 0.5 * ((p + q + 2.0) * x + (p - q)),
+                              2.0 * ks * (ks + p + q) * (t - 2.0),
+                              (t - 1.0) * (p * p - q * q), (t - 1.0) * t * (t - 2.0),
+                              2.0 * (ks + p - 1.0) * (ks + q - 1.0) * t, x)
 
 
 def _scaled_laguerre(n: int, alpha: float, t: np.ndarray):
-    """Generalized Laguerre L_n^{(alpha)}(t) as (mantissa, log scale) per point.
-
-    L_n = mantissa * exp(log_scale).  The three-term recurrence is divided
-    through at a point whenever |L_k| passes 1e150 there, so deep levels
-    neither overflow nor lose their sign.
-    """
-    prev = np.ones_like(t)
-    log_scale = np.zeros_like(t)
-    if n == 0:
-        return prev, log_scale
-    cur = 1.0 + alpha - t
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1 + alpha - t) * cur - (k - 1 + alpha) * prev) / k
-        big = np.abs(cur) > _RESCALE_AT
-        if big.any():
-            factor = np.where(big, np.abs(cur), 1.0)
-            cur /= factor
-            prev /= factor
-            log_scale += np.log(factor)
-    return cur, log_scale
+    """Generalized Laguerre L_n^{(alpha)}(t) as (mantissa, log scale) per point."""
+    ks = np.arange(2, n + 1)
+    return _scaled_recurrence(n, 1.0 + alpha - t, ks.astype(float), 2 * ks - 1 + alpha,
+                              np.full(ks.size, -1.0), ks - 1 + alpha, t)
 
 
 def _jacobi_pq(state: BoundState, convention: SignConvention) -> tuple[float, float]:
@@ -170,15 +161,30 @@ def _jacobi_pq(state: BoundState, convention: SignConvention) -> tuple[float, fl
     return state.A_tilde, (-two_s if convention is SignConvention.PRINTED else two_s)
 
 
+def _log_space(norm: float, log_factors, poly: np.ndarray, log_scale: np.ndarray,
+               what: str) -> np.ndarray:
+    """sign(norm) sign(P) exp(log|norm| + sum(log_factors) + log|P| + log scale).
+
+    P is a recurrence mantissa.  The terms are summed left to right in that
+    order; a value that is not finite raises DomainUnsupported.
+    """
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        log_amp = np.log(abs(norm))
+        for term in log_factors:
+            log_amp = log_amp + term
+        out = (math.copysign(1.0, norm) * np.sign(poly)
+               * np.exp(log_amp + np.log(np.abs(poly)) + log_scale))
+    if not np.all(np.isfinite(out)):
+        raise DomainUnsupported(f"eigenfunction {what} is not finite in float range")
+    return out
+
+
 def _phi_pq(n: int, p: float, q: float, eta: float, z, norm: float):
     """norm * z^{q/2} (1 - eta z)^{(1+p)/2} P_n^{(p,q)}(2 eta z - 1) on (0, 1/eta).
 
     The plain product serves every point whose recurrence was never
     rescaled, whose other factors stayed in the normal float range and
-    whose product is finite.  The other points are assembled in
-    log space, sign * exp(log|norm| + (q/2) log z + ((1+p)/2) log(1 - eta z)
-    + log|P~| + log scale); a value that is still not finite raises
-    DomainUnsupported.
+    whose product is finite; :func:`_log_space` assembles the others.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z <= 0.0) or np.any(z * eta >= 1.0):
@@ -196,14 +202,10 @@ def _phi_pq(n: int, p: float, q: float, eta: float, z, norm: float):
                   & (np.abs(amplitude) >= _FLOAT_TINY))
         redo = (log_scale != 0.0) | ~normal | ~np.isfinite(out)
         if redo.any():
-            zr, jr = z[redo], jac[redo]
-            log_amp = (np.log(abs(norm)) + (q / 2.0) * np.log(zr)
-                       + (0.5 * (1.0 + p)) * np.log(1.0 - eta * zr)
-                       + np.log(np.abs(jr)) + log_scale[redo])
-            out[redo] = math.copysign(1.0, norm) * np.sign(jr) * np.exp(log_amp)
-    if not np.all(np.isfinite(out)):
-        raise DomainUnsupported(
-            f"eigenfunction n={n}, p={p:.6g}, q={q:.6g} is not finite in float range")
+            zr = z[redo]
+            out[redo] = _log_space(
+                norm, ((q / 2.0) * np.log(zr), (0.5 * (1.0 + p)) * np.log(1.0 - eta * zr)),
+                jac[redo], log_scale[redo], f"n={n}, p={p:.6g}, q={q:.6g}")
     return out
 
 
@@ -225,10 +227,9 @@ def phi(sys: ReducedSystem, state: BoundState, z,
 def phi_eta0(sys: ReducedSystem, state: BoundState, z):
     """Constant-mass eigenfunction N z^{s} exp(-W z) L_n^{(2s)}(2 W z), W = sqrt(eps1).
 
-    N is state.norm_const (1 when unset).  The amplitude is assembled in log
-    space, sign(L) exp(log N + s log z - W z + log|L~| + log scale), with L~
-    the rescaled Laguerre recurrence, so a deep level whose factors overflow
-    or underflow on their own still evaluates to its finite product.
+    N is state.norm_const (1 when unset).  :func:`_log_space` assembles every
+    point, so a deep level whose factors overflow or underflow on their own
+    still evaluates to its finite product.
     """
     if sys.eta != 0.0:
         raise ValueError("phi_eta0 requires an eta = 0 system")
@@ -239,10 +240,7 @@ def phi_eta0(sys: ReducedSystem, state: BoundState, z):
     w = math.sqrt(sys.eps1)
     norm = state.norm_const if state.norm_const is not None else 1.0
     lag, log_scale = _scaled_laguerre(state.n, 2.0 * s, 2.0 * w * zz)
-    with np.errstate(divide="ignore"):
-        log_amp = (np.log(abs(norm)) + s * np.log(zz) - w * zz
-                   + np.log(np.abs(lag)) + log_scale)
-    out = math.copysign(1.0, norm) * np.sign(lag) * np.exp(log_amp)
+    out = _log_space(norm, (s * np.log(zz), -w * zz), lag, log_scale, f"n={state.n} at eta = 0")
     return float(out[0]) if np.ndim(z) == 0 else out
 
 

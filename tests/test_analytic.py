@@ -107,6 +107,13 @@ class TestSpectrum:
         sys = synthetic_system(v1=0.25, v2=0.4, eta=0.0)
         assert spectrum(sys) == []
 
+    def test_nan_root_is_not_admitted(self, h2_eta02):
+        # a NaN quantization root passes every comparison but s > 0; it used to
+        # be admitted at every n, so the enumeration never ended
+        from dataclasses import replace
+
+        assert spectrum(replace(h2_eta02, eps2=math.nan)) == []
+
     @pytest.mark.parametrize("eta", [0.0, 0.2, 0.4, 0.6])
     def test_monotone_negative(self, h2, lih, eta):
         for mol in (h2, lih):

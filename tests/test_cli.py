@@ -167,6 +167,21 @@ class TestTable1:
         with pytest.raises(ValueError):
             table1_report(0.0)
 
+    def test_squared_branch_cell_is_unlisted(self, capsys):
+        # H2 eta 0.2 n = 20 is a root on the squared branch: spectrum refuses it,
+        # so the cell keeps its numbers but stays outside the gate and the count
+        summary = table1_report(1e-9)
+        unlisted = [(c.molecule, c.eta, c.n) for c in summary.cells if not c.listed]
+        assert unlisted == [("H2", 0.2, 20)]
+        assert len(summary.failures) == 51
+        assert main(["table1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("table1 PASS: 51/51 listed cells within 0.005 eV, "
+                                    "1 unlisted")
+        assert ("UNLISTED H2 eta=0.2 n=20 E=-0.012227 reference=-0.012 delta=-0.000227"
+                in lines)
+        assert sum(line.startswith("PASS ") for line in lines) == 51
+
 
 class TestWavefunctionExport:
     def test_schema_and_metadata(self, h2, h2_eta02):
@@ -421,6 +436,41 @@ class TestDeepLevels:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")
+
+
+class TestNonFiniteConfig:
+    """A config that is not finite, or whose reduced parameters overflow, is one error line.
+
+    Each command runs in its own interpreter under a time limit: a NaN root
+    once kept the spectrum enumeration running forever.
+    """
+
+    CONFIGS = {
+        "D-inf": "name = x\nD_eV = inf\nr0_angstrom = 0.7416\nm0_amu = 0.5\nalpha_prime = 1.44\n",
+        # V2 = 2 D overflows
+        "D-1e308": "name = x\nD_eV = 1e308\nr0_angstrom = 0.7416\nm0_amu = 0.5\n"
+                   "alpha_prime = 1.44\n",
+        # finite physical parameters; v1 = 2 V1 / (alpha'^2 E0) overflows
+        "v1-overflow": "name = x\nD_eV = 1e300\nr0_angstrom = 2.5\nm0_amu = 1e10\n"
+                       "alpha_prime = 0.8\n",
+    }
+
+    @pytest.mark.parametrize("name, command", [
+        (name, command) for name in CONFIGS for command in ("spectrum", "wavefunction", "validate")
+        if (name, command) != ("v1-overflow", "validate")])
+    def test_one_error_line(self, tmp_path, name, command):
+        path = tmp_path / "mol.cfg"
+        path.write_text(self.CONFIGS[name])
+        argv = {"spectrum": ["spectrum", "--molecule", str(path), "--eta", "0.2"],
+                "wavefunction": ["wavefunction", "--molecule", str(path), "--eta", "0",
+                                 "--n", "0"],
+                "validate": ["validate", str(path)]}[command]
+        result = subprocess.run([sys.executable, "-m", "pdmorse", *argv],
+                                capture_output=True, text=True, timeout=10)
+        assert result.returncode == 1 and result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")
+        assert "finite" in lines[0]
 
 
 class TestRejectedInput:

@@ -187,6 +187,13 @@ class TestReduce:
         with pytest.raises(ConfigError, match="A1 \\+ A2 = c_ord - 1/4"):
             reduce(h2, 0.2, AmbiguityOrdering(a=a, alpha=0.0, gamma=0.0))
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_overflowing_reduced_parameter_is_config_error(self, eta):
+        # every physical parameter finite, but v1 = 2 V1 / (alpha'^2 E0) overflows
+        heavy = MoleculeSpec(name="x", D=1e300, r0=2.5, m0=1e10, alpha_prime=0.8)
+        with pytest.raises(ConfigError, match="v1 = inf is not finite"):
+            reduce(heavy, eta, WEYL)
+
     def test_eta_out_of_range(self, h2):
         with pytest.raises(ConfigError):
             reduce(h2, 1.5, WEYL)
@@ -208,6 +215,17 @@ class TestMoleculeSpec:
     def test_positivity(self):
         with pytest.raises(ConfigError):
             MoleculeSpec(name="x", D=-1.0, r0=1.0, m0=1.0, alpha_prime=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("D", math.inf), ("r0", math.inf), ("m0", math.inf), ("alpha_prime", math.inf),
+        ("E0", math.inf), ("V1", math.inf), ("V2", -math.inf), ("V1", math.nan),
+        ("D", 1e308),  # V2 = 2 D overflows
+    ])
+    def test_non_finite_parameters(self, h2, field, value):
+        params = dict(name="x", D=h2.D, r0=h2.r0, m0=h2.m0, alpha_prime=h2.alpha_prime)
+        params[field] = value
+        with pytest.raises(ConfigError, match="finite"):
+            MoleculeSpec(**params)
 
     def test_default_well(self, h2):
         assert h2.V1 == h2.D

@@ -72,7 +72,7 @@ class TestJacobi:
             assert np.log(abs(m)) + scale == pytest.approx(float(mpmath.log(abs(ref))),
                                                            abs=1e-11)
 
-    # (250, -1.5, 0.5) takes the plain order: the Q_k form needs p, q > -1
+    # (250, -1.5, 0.5) takes the plain order: its c_k/a_k <= 0 at k = 2
     @pytest.mark.parametrize("n, p, q", [(201, 0.0, 0.0), (250, 0.5, 1.5), (400, 30.0, 5.0),
                                          (250, -1.5, 0.5)])
     def test_past_degree_200_matches_mpmath_jacobi(self, n, p, q):
@@ -448,6 +448,9 @@ class TestEta0Normalization:
     @pytest.mark.parametrize("n, alpha, ts", [
         (12, 30.0, [1.0, 20.0, 60.0]),
         (400, 300.0, [50.0, 400.0, 1000.0, 1500.0, 2500.0]),  # rescaled, up to e^694
+        # the Q_k form: before the first zero, among the zeros and past the last
+        (900, 800.0, [50.0, 300.0, 1000.0, 2500.0, 4000.0, 5500.0, 8000.0]),
+        (1200, 2400.0, [200.0, 800.0, 2000.0, 4000.0, 6000.0, 8000.0, 12000.0]),
     ])
     def test_scaled_laguerre_against_mpmath(self, n, alpha, ts):
         from pdmorse.wavefn import _scaled_laguerre
@@ -461,6 +464,21 @@ class TestEta0Normalization:
                 got = math.log(abs(mantissa[i])) + log_scale[i]
                 assert abs(got - float(mpmath.log(abs(ref)))) < 1e-12, t
 
+    def test_unscaled_points_keep_the_plain_recurrence_bits(self):
+        # Laguerre runs the Jacobi recurrence's helper: up to degree 200 and
+        # below 1e150 every point carries the bits of the plain recurrence
+        # ((2k - 1 + alpha - t) L_{k-1} - (k - 1 + alpha) L_{k-2}) / k
+        from pdmorse.wavefn import _scaled_laguerre
+
+        t = np.linspace(0.01, 60.0, 257)
+        for n, alpha in ((2, 30.0), (17, 10.0), (150, 3.0)):
+            prev, cur = np.ones_like(t), 1.0 + alpha - t
+            for k in range(2, n + 1):
+                prev, cur = cur, ((2 * k - 1 + alpha - t) * cur - (k - 1 + alpha) * prev) / k
+            mantissa, log_scale = _scaled_laguerre(n, alpha, t)
+            assert np.abs(cur).max() < 1e150 and not log_scale.any()
+            assert mantissa.tobytes() == cur.tobytes()
+
     def test_scalar_and_signed_norm(self, h2_eta0):
         from dataclasses import replace
 
@@ -472,6 +490,15 @@ class TestEta0Normalization:
         np.testing.assert_array_equal(flipped, -vals)
         zero = phi_eta0(h2_eta0, replace(st, norm_const=0.0), z)
         np.testing.assert_array_equal(zero, 0.0)
+
+    @pytest.mark.parametrize("norm", [math.inf, math.nan])
+    def test_non_finite_value_is_typed(self, h2_eta0, norm):
+        # the finite check the eta > 0 assembly applies: refused, not inf or nan
+        from dataclasses import replace
+
+        st = replace(make_state(h2_eta0, 1), norm_const=norm)
+        with pytest.raises(DomainUnsupported, match="not finite"):
+            phi_eta0(h2_eta0, st, np.array([0.05, 0.2]))
 
 
 class TestTypedFailures:
