@@ -1,25 +1,31 @@
 """Benchmark the shooting kernels and the oracle's two kinds of sweep.
 
 Times the closed-form propagator build and the step-by-step sweep over the
-whole grid at a trial energy.  Then it solves the H2 ground level on an
+whole grid at a trial energy.  Then it solves the 13 lowest H2 levels on an
 engine, which builds the blocked step tables over solve_states's window,
-and at 5e-7 eV above that level, where the oracle certifies it, times one
-counting sweep (``count_nodes``) and one refinement half-sweep pair (both
-sweeps and their block products).  Times are the best of --repeats calls,
-in ms per call and ns per grid step.  The block size line gives the steps
-per block; the last two lines give the Python states (blocks or steps) per
-sweep, the iterations of ``kernels.sweep``.  Usage:
+and at 5e-7 eV above the ground level, where the oracle certifies it, times
+one counting sweep (``count_nodes``, a round of one) and one refinement
+half-sweep pair (``phase``: the right start, both sweeps and their block
+products).  Times are the best of --repeats calls, in ms per call and ns
+per grid step.  The block size line gives the steps per block; the next two
+lines give the Python states (blocks or steps) per sweep, the iterations of
+``kernels.sweep``.  The last line times one refinement round of 13
+energies, 5e-7 eV above each level: their shared block-table evaluations
+and a half-sweep pair per energy, in ms per round and per energy.  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
 import argparse
 import time
 
+import numpy as np
+
 from pdmorse import GridSpec, MassModel, WEYL, get_molecule, u_eff
 from pdmorse import kernels, oracle
 
 MOLECULE = get_molecule("H2")
 MASS = MassModel.for_molecule(MOLECULE, 0.0)
+LEVELS = 13
 
 
 def grid_for(points: int) -> GridSpec:
@@ -56,6 +62,7 @@ def report(label: str, seconds: float, steps: int, note: str = "") -> None:
     print(f"{label:17s}: {seconds * 1e3:8.3f} ms  ({seconds / steps * 1e9:7.1f} ns/step){note}")
 
 
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=8001)
@@ -72,21 +79,30 @@ def main() -> None:
 
     e_floor = float(engine.u_nodes.min())
     window = (e_floor + abs(e_floor) * 1e-12, 0.0)  # as solve_states chooses it
-    (_, level), = engine.solve([0], window, 1e-7)
+    near = [e + 5e-7 for _, e in engine.solve(range(LEVELS), window, 1e-7)]
     print(f"block size       : {engine._blocks.m} steps")
-    e_near = level + 5e-7
 
     def count():
-        engine.count_nodes(e_near)
+        engine.count_nodes(near[0])
 
     def half_sweep_pair():
         engine._matched.clear()
-        engine._half_sweeps(e_near)
+        engine.phase(near[0], 1.0)
 
     for label, fn in (("counting sweep", count), ("half-sweep pair", half_sweep_pair)):
         sweeps, states = sweep_states(fn)
         report(label, best_time(fn, (), args.repeats), steps,
                f"  {states / sweeps:.0f} states per sweep over {steps} steps")
+
+    starts = engine._right_starts(np.array(near))
+
+    def round_of_levels():
+        engine._matched.clear()
+        engine._half_sweeps(near, starts)
+
+    seconds = best_time(round_of_levels, (), args.repeats)
+    print(f"{'batched round':17s}: {seconds * 1e3:8.3f} ms  "
+          f"({seconds / LEVELS * 1e3:.3f} ms per energy, {LEVELS} energies)")
 
 
 if __name__ == "__main__":

@@ -111,7 +111,9 @@ def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
         m11 = 1 + h^2 (qm/3 + qp/6) + h^4 qm qp / 24
 
     q_nodes holds q at the sweep points (N,), q_mids at midpoints (N-1,);
-    h is the signed step.  Returns four (N-1,) arrays.
+    h is the signed step.  Returns four (N-1,) arrays.  Tables of K energies
+    side by side, (N, K) and (N-1, K), give four (N-1, K) arrays whose
+    columns hold, bit for bit, what each energy's own tables give.
     """
     qi = q_nodes[:-1]
     qm = q_mids
@@ -125,16 +127,25 @@ def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     return m00, m01, m10, m11
 
 
-def block_products(steps: np.ndarray):
-    """Products of consecutive step matrices, one per block of m steps.
+def block_products(steps: np.ndarray, work: np.ndarray):
+    """Products of consecutive step matrices, one per block of m steps, at K energies.
 
-    steps has shape (2, 2, m, nb): entry (i, j) of step k of block b, with m
-    a power of two and steps in sweep order along k.  The product
-    M_{m-1} ... M_1 M_0 of each block is taken as a pairwise tree, one
-    batched 2x2 product (``einsum``, the fastest numpy form measured for
-    these shapes) per halving of m.  Returns the four (nb,) entry arrays
-    m00, m01, m10, m11.
+    steps is a C-contiguous array of shape (K, 2, 2, m, nb): entry (i, j) of
+    step k of block b at energy e, with m a power of two and steps in sweep
+    order along k.  The product M_{m-1} ... M_1 M_0 of each block is taken
+    as a pairwise tree, one batched 2x2 product (``einsum``, the fastest
+    numpy form measured for these shapes) per halving of m, for all K
+    energies at once.  Each block's product depends on that block's steps
+    alone, so every energy gets, bit for bit, what it gets alone.  The
+    levels are written alternately into work, a flat float array of at
+    least steps.size // 2 entries, and into the memory of steps, which they
+    overwrite.  Returns the four (K, nb) entry arrays m00, m01, m10, m11,
+    views into one of the two whose rows are contiguous.
     """
-    while steps.shape[2] > 1:
-        steps = np.einsum("ijkb,jlkb->ilkb", steps[:, :, 1::2], steps[:, :, 0::2])
-    return steps[0, 0, 0], steps[0, 1, 0], steps[1, 0, 0], steps[1, 1, 0]
+    spare = work
+    while steps.shape[3] > 1:
+        count, m, nb = steps.shape[0], steps.shape[3] // 2, steps.shape[4]
+        out = spare[:count * 4 * m * nb].reshape(count, 2, 2, m, nb)
+        np.einsum("eijkb,ejlkb->eilkb", steps[:, :, :, 1::2], steps[:, :, :, 0::2], out=out)
+        spare, steps = steps.reshape(-1), out
+    return steps[:, 0, 0, 0], steps[:, 0, 1, 0], steps[:, 1, 0, 0], steps[:, 1, 1, 0]

@@ -26,13 +26,26 @@ Solve strategy, shared by every requested level of one grid:
   bisected down to tol and its midpoint returned.  Either way the returned
   energy lies within tol/2 of the point where the node count steps from n
   to n + 1.
+* **Rounds.**  All requested levels advance together.  The rounds are: the
+  window-end counts; bisection of every bracket that still holds more than
+  one level, one count per bracket; the half-sweeps at every bracket end,
+  then one Anderson-Bjorck iterate per unfinished level; the certificates
+  of every level at once; bisection of every uncertified bracket.  The
+  energies of a round share their step matrices: one block-table
+  evaluation (or, step by step, one ``rk4_propagators`` call) per round,
+  split only to keep its arrays within WORK_FLOATS floats; each energy then
+  runs its own ``kernels.sweep`` over rows of the shared arrays.  An H2
+  eta = 0.2, 2001-point solve of levels 0-12 makes 22 block-table
+  evaluations for 96 energies (one per sweep made 151) and 151 sweeps.
 * **Blocked sweeps.**  Each solve tabulates the RK4 step matrices over its
   energy window as quadratics in E and sweeps products of m <= MAX_BLOCK
   consecutive steps, one Python iteration per block.  m h sqrt(max(-q))
   <= pi/2 over the window leaves at most one node per block (Sturm
   comparison), so every count is that of the step-by-step sweep; energies
   outside the window, and ranges with non-finite or fast-growing steps, run
-  step by step.
+  step by step.  Sweep ends round up to block ends, which only takes a
+  count further into the settled tail or a right half-sweep deeper into
+  the forbidden region; the matching point is a multiple of MAX_BLOCK.
 """
 from __future__ import annotations
 
@@ -47,7 +60,7 @@ from .errors import ConfigError, NoBracket, NonConvergence
 from .model import AmbiguityOrdering, MassModel, MoleculeSpec, potential_value
 from .units import HBAR2_EV_AMU_A2
 
-MAX_BISECTIONS = 200  # per level: bisection and Illinois steps together
+MAX_BISECTIONS = 200  # per level: bisection and Anderson-Bjorck steps together
 SINGULARITY_MARGIN = 0.01  # Angstrom
 # WKB depth sum(kappa h), kappa = sqrt(q), from the outer turning point to
 # the start of the right half-sweep.  The inward sweep grows the solution
@@ -57,9 +70,14 @@ SINGULARITY_MARGIN = 0.01  # Angstrom
 # exp(-40) = 4e-18, below half an ulp (1.1e-16).
 TAIL_MARGIN = 20.0
 # Steps a counting sweep takes into the settled tail before it first checks
-# for a settled state (then chunks of 2, 4, ... times as many): on H2 and LiH
-# such a sweep settles about 300 steps into the tail on average.
+# for a settled state (then the rest of its evaluation, then chunks of 1, 2,
+# 4, ... times as many): on H2 and LiH such a sweep settles about 300 steps
+# into the tail on average.
 TAIL_CHUNK = 256
+# Nodes past the turning point that each right-start depth row adds at first
+# (then twice as many, ...): the levels of H2 and LiH reach TAIL_MARGIN
+# about 300-1300 nodes past it at 2001 points.
+DEPTH_CHUNK = 512
 # Blocked sweeps: at most MAX_BLOCK steps per block, and a block whose steps
 # could grow the solution by more than exp(BLOCK_GROWTH) in all runs step by
 # step.  exp(50) = 5e21 keeps every block end far below the float range
@@ -68,6 +86,9 @@ MAX_BLOCK = 16
 BLOCK_GROWTH = 50.0
 # Steps per rk4_propagators call while the block tables are built.
 TABLE_CHUNK = 2048
+# Floats in the largest array a round's evaluation makes (256 KiB): the
+# energies of a round are split into evaluations that stay within it.
+WORK_FLOATS = 2**15
 _IDENTITY = np.eye(2)[:, :, None]
 
 
@@ -131,34 +152,34 @@ class _BlockTables:
     Every entry of an RK4 step is a quadratic in E (q = p (U - E) is linear
     in E and the entries hold products of two q values), so the step
     matrices at the two window ends and its midpoint give them at any E of
-    the window in Lagrange form.  Blocks are m consecutive steps from the
-    first; padding is identity.  A block is unusable when one of its steps
-    has a non-finite entry or its steps could together grow the solution by
-    more than exp(BLOCK_GROWTH) (h sum sqrt(max q) over the window); a range
-    that touches one is propagated step by step.
+    the window.  They are kept in Newton form about the midpoint e1,
+    f(E) = f(e1) + c1 d + c2 d^2 with d = E - e1, which Horner's rule
+    evaluates in two multiplications and two additions per entry.  Blocks
+    are m consecutive steps from the first; padding is identity.  A block is
+    unusable when one of its steps has a non-finite entry or its steps could
+    together grow the solution by more than exp(BLOCK_GROWTH)
+    (h sum sqrt(max q) over the window); a range that touches one is
+    propagated step by step.
     """
 
     def __init__(self, energies, steps, growth, m: int):
-        """steps(E, start, stop) gives the four RK4 entry arrays of steps
-        start..stop-1 at E; growth holds h sqrt(max q) per step."""
+        """steps(energies, start, stop) gives the four (steps, energies) RK4
+        entry arrays of steps start..stop-1; growth holds h sqrt(max q) per step."""
         n = growth.size
         nb = -(-n // m)
         self.energies = energies
-        e0, e1, e2 = energies
-        self._den = ((e0 - e1) * (e0 - e2), (e1 - e0) * (e1 - e2), (e2 - e0) * (e2 - e1))
-        # (energy, i, j, step in block, block): a sweep reads rows of blocks
+        # (energy, i, j, step in block, block), and then (coefficient, ...)
         self._table = np.empty((3, 2, 2, m, nb))
         self._table[..., -1] = _IDENTITY  # padding of the last block
+        by_block = self._table.transpose(1, 2, 0, 4, 3)  # (i, j, energy, block, step)
         chunk = TABLE_CHUNK // m  # blocks per rk4_propagators call: bounds the temporaries
-        for k, e in enumerate(energies):
-            by_block = self._table[k].transpose(0, 1, 3, 2)
-            for b0 in range(0, nb, chunk):
-                entries = steps(e, b0 * m, min((b0 + chunk) * m, n))
-                for (i, j), entry in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
-                    full, rest = divmod(entry.size, m)
-                    by_block[i, j, b0:b0 + full] = entry[:full * m].reshape(full, m)
-                    if rest:  # the last block
-                        by_block[i, j, b0 + full, :rest] = entry[full * m:]
+        for b0 in range(0, nb, chunk):
+            entries = steps(np.array(energies), b0 * m, min((b0 + chunk) * m, n))
+            for (i, j), entry in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
+                full, rest = divmod(len(entry), m)
+                by_block[i, j, :, b0:b0 + full] = entry[:full * m].T.reshape(3, full, m)
+                if rest:  # the last block
+                    by_block[i, j, :, b0 + full, :rest] = entry[full * m:].T
         g = np.zeros(nb * m)
         g[:n] = growth
         # a non-finite entry makes its block's sum non-finite
@@ -166,35 +187,80 @@ class _BlockTables:
                   & (g.reshape(nb, m).sum(axis=1) <= BLOCK_GROWTH))
         self._unusable = np.concatenate([[0], np.cumsum(~usable)]).tolist()
         self.m = m
+        # in place: the values at e0, e1, e2 become c2, f(e1), c1 (divided differences)
+        e0, e1, e2 = energies
+        f0, f1, f2 = self._table
+        f2 -= f1
+        f2 /= e2 - e1  # f[e1, e2]
+        f0 -= f1
+        f0 /= e0 - e1  # f[e0, e1]
+        f0 -= f2
+        f0 /= e0 - e2  # c2 = f[e0, e1, e2]
+        f2 -= f0 * (e2 - e1)  # c1
 
-    def products(self, E: float, start: int, stop: int):
-        """Block matrices of steps start..stop-1 at E.
+    def covers(self, E: float, b0: int, b1: int) -> bool:
+        """E lies inside the window and blocks b0..b1-1 are all usable."""
+        return (self.energies[0] <= E <= self.energies[2]
+                and self._unusable[b1] == self._unusable[b0])
 
-        None when E lies outside the window, the range is empty, or it
-        touches an unusable block.
+    def products(self, energies: np.ndarray, b0: int, b1: int, work):
+        """Block matrices of blocks b0..b1-1 at each of K energies: four (K, b1 - b0) arrays.
+
+        Horner's rule fills one (K, 2, 2, m, b1 - b0) array in work[0], and
+        one ``kernels.block_products`` tree multiplies the blocks of all K
+        energies, with work[1] as scratch.  Row k of each result holds, bit
+        for bit, what a round of energy k alone gives.  The results are
+        views into work: the next call overwrites them.
         """
-        m = self.m
-        b0, b1 = start // m, -(-stop // m)
-        if not (self.energies[0] <= E <= self.energies[2] and start < stop
-                and self._unusable[b1] == self._unusable[b0]):
-            return None
-        e0, e1, e2 = self.energies
-        d0, d1, d2 = E - e0, E - e1, E - e2
-        t0, t1, t2 = (t[..., b0:b1] for t in self._table)
-        x = t0 * (d1 * d2 / self._den[0])
-        x += t1 * (d0 * d2 / self._den[1])
-        x += t2 * (d0 * d1 / self._den[2])
-        if start > b0 * m:
-            x[:, :, :start - b0 * m, 0] = _IDENTITY
-        if stop < b1 * m:
-            x[:, :, stop - (b1 - 1) * m:, -1] = _IDENTITY
-        return kernels.block_products(x)
+        m, count, nb = self.m, energies.size, b1 - b0
+        d = (energies - self.energies[1])[:, None, None, None, None]
+        c2, f1, c1 = (t[..., b0:b1] for t in self._table)
+        x = work[0][:count * 4 * m * nb].reshape(count, 2, 2, m, nb)
+        np.multiply(c2, d, out=x)
+        x += c1
+        x *= d
+        x += f1
+        return kernels.block_products(x, work[1])
 
 
 def _secant(a: float, fa: float, b: float, fb: float) -> float:
     """Secant root of the bracket (a, fa < 0), (b, fb > 0); its midpoint if that falls outside."""
     c = b - fb * (b - a) / (fb - fa)
     return c if a < c < b else 0.5 * (a + b)
+
+
+def _anderson_bjorck(a: float, fa: float, b: float, fb: float, tol_ev: float):
+    """Anderson-Bjorck regula falsi on the bracket (a, fa < 0), (b, fb > 0).
+
+    A generator: it yields each point to evaluate, is sent f there, and
+    returns the root estimate.  When a new point lands on the same side as
+    the one before, the value kept at the far end is scaled by
+    1 - f(new) / f(replaced) (by 1/2 if that is not positive; Anderson &
+    Bjorck, BIT 13, 1973), so neither end sticks.  Once the next secant
+    estimate moves less than tol/4 from the last evaluated point, that
+    estimate is returned without evaluating it; certification checks it.
+    """
+    side = 0
+    c = _secant(a, fa, b, fb)
+    while b - a > tol_ev:
+        fc = yield c
+        if fc == 0.0:
+            return c
+        if fc > 0.0:
+            if side == 1:
+                scale = 1.0 - fc / fb
+                fa *= scale if scale > 0.0 else 0.5
+            b, fb, side = c, fc, 1
+        else:
+            if side == -1:
+                scale = 1.0 - fc / fa
+                fb *= scale if scale > 0.0 else 0.5
+            a, fa, side = c, fc, -1
+        estimate = _secant(a, fa, b, fb)
+        if abs(estimate - c) <= 0.25 * tol_ev:
+            return estimate
+        c = estimate
+    return 0.5 * (a + b)
 
 
 class _ShootingEngine:
@@ -213,7 +279,10 @@ class _ShootingEngine:
         npts = self.xs.size
         im = int(np.argmin(self.u_nodes))
         pad = max(2, npts // 50)
-        self.i_match = min(max(im, pad), npts - pad - 1)
+        # the matching point: the potential minimum, kept off the ends and
+        # moved down to a multiple of MAX_BLOCK, so that both half-sweeps
+        # cover whole blocks of any size
+        self.i_match = max(MAX_BLOCK, min(max(im, pad), npts - pad - 1) // MAX_BLOCK * MAX_BLOCK)
         # Settled tail at E: from its start on, every step's three q values
         # are >= 0 (NaN counts as negative).  Where p > 0 and p, U are finite,
         # sign q = sign(U - E), so such a step qualifies iff E <= min U over
@@ -230,81 +299,131 @@ class _ShootingEngine:
         self._stair_n: list[int] = []
         # half-sweep states by energy: a bracket end is shared by two levels
         self._matched: dict[float, tuple] = {}
-        # step tables in blocks over the window of the current solve
+        # step tables in blocks over the window of the current solve, and
+        # the evaluation buffers of its rounds
         self._blocks: _BlockTables | None = None
+        self._work = None
 
-    def _q(self, E: float, start: int = 0, stop: int | None = None):
-        """q = p (U - E) at nodes start..stop (default: the last) and the midpoints between."""
+    def _q(self, E, start: int = 0, stop: int | None = None):
+        """q = p (U - E) at nodes start..stop (default: the last) and the midpoints between.
+
+        An array of K energies gives (nodes, K) and (midpoints, K) tables.
+        """
         stop = self.xs.size - 1 if stop is None else stop
-        return (self.p_nodes[start:stop + 1] * (self.u_nodes[start:stop + 1] - E),
-                self.p_mids[start:stop] * (self.u_mids[start:stop] - E))
+        shape = (-1,) + (1,) * np.ndim(E)
+        return (self.p_nodes[start:stop + 1].reshape(shape)
+                * (self.u_nodes[start:stop + 1].reshape(shape) - E),
+                self.p_mids[start:stop].reshape(shape) * (self.u_mids[start:stop].reshape(shape) - E))
 
-    def _tail_start(self, E: float) -> int:
-        """First node of the settled tail at E: every later step has q >= 0."""
-        return int(np.searchsorted(self._tail_floor, E, side="left"))
+    def _tail_start(self, E):
+        """First node of the settled tail at E, or at each of several energies:
+        every later step has q >= 0."""
+        return self._tail_floor.searchsorted(E)
+
+    def _rows(self, energies, start: int, stops):
+        """Forward matrices at each energy from node start on, in shared evaluations.
+
+        With blocks of m steps, start is a multiple of m, and energy k needs
+        the matrices up to node stops[k], rounded up to the next multiple of
+        m or the last node.  Energies inside the block window whose range
+        touches only usable blocks share block-table evaluations; the others
+        (energies outside the window, ranges that touch an unusable block,
+        or no blocks at all) share ``rk4_propagators`` calls and go step by
+        step.  Each evaluation serves as many energies as keep its arrays
+        within WORK_FLOATS floats.  Yields (ks, rows, per): row j of each of
+        the four arrays rows holds the matrices of energy energies[ks[j]],
+        and column i spans the per steps from node start + i per (the last
+        column may end early, at the last node).  The rows are only valid
+        until the next evaluation.
+        """
+        blocks, last = self._blocks, self.xs.size - 1
+        m = blocks.m if blocks else 1
+        b0, ends = start // m, [-(-stop // m) for stop in stops]
+        blocked, stepwise = [], []
+        for k, (E, b1) in enumerate(zip(energies, ends)):
+            (blocked if blocks and blocks.covers(E, b0, b1) else stepwise).append(k)
+        for ks, per in ((blocked, m), (stepwise, 1)):
+            if not ks:
+                continue
+            top = max(ends[k] for k in ks)
+            floats = 4 * m * (top - b0) if ks is blocked else min(top * m, last) - start
+            size = max(1, WORK_FLOATS // floats)
+            for i in range(0, len(ks), size):
+                part = ks[i:i + size]
+                es = np.array([energies[k] for k in part])
+                b1 = max(ends[k] for k in part)
+                if ks is blocked:
+                    yield part, blocks.products(es, b0, b1, self._work), per
+                else:
+                    steps = kernels.rk4_propagators(*self._q(es, start, min(b1 * m, last)), self.h)
+                    yield part, [np.ascontiguousarray(s.T) for s in steps], per
+
+    def count_round(self, energies) -> list[int]:
+        """Interior nodes of the left-anchored solution at each energy: eigenvalues below it.
+
+        The energies share their evaluations (``_rows``).  Each sweep runs
+        TAIL_CHUNK steps into the settled tail at its energy (rounded up to
+        a block end), where every q is >= 0 and so, for h > 0, every RK4
+        propagator entry is >= 0; from the first state there with phi and
+        phi' of one sign no step can add a node (``kernels`` module
+        docstring).  A sweep not yet in such a state goes on through the
+        rest of its evaluation, then, together with the others still going
+        from the same node, through further evaluations of TAIL_CHUNK, twice
+        as many, ... steps.  Every count is that of the full sweep; each one
+        joins the staircase.
+        """
+        last = self.xs.size - 1
+        es = sorted(set(energies))
+        tails = self._tail_start(es).tolist()
+        going = {0: [(E, 0.0, 1.0, 0, min(t + TAIL_CHUNK, last)) for E, t in zip(es, tails)]}
+        found, size = {}, TAIL_CHUNK
+        while going:
+            later: dict[int, list] = {}
+            for start, sweeps in going.items():
+                for ks, rows, per in self._rows([s[0] for s in sweeps], start,
+                                                [s[4] for s in sweeps]):
+                    end = rows[0].shape[1]
+                    reached = min(start + end * per, last)
+                    for j, k in enumerate(ks):
+                        E, phi, dphi, nodes, stop = sweeps[k]
+                        cut = -(-(stop - start) // per)
+                        for a, b in ((0, cut), (cut, end)):
+                            if a < b and not (a and kernels.settled(phi, dphi)):
+                                phi, dphi, more = kernels.sweep(*(r[j, a:b] for r in rows),
+                                                                phi, dphi)
+                                nodes += more
+                        if reached == last or kernels.settled(phi, dphi):
+                            found[E] = nodes
+                        else:
+                            later.setdefault(reached, []).append(
+                                (E, phi, dphi, nodes, min(reached + size, last)))
+            going = later
+            size *= 2
+        for E in es:
+            i = bisect.bisect_left(self._stair_e, E)
+            self._stair_e.insert(i, E)
+            self._stair_n.insert(i, found[E])
+        return [found[E] for E in energies]
 
     def count_nodes(self, E: float) -> int:
-        """Interior nodes of the left-anchored solution: eigenvalues below E.
-
-        The sweep runs TAIL_CHUNK steps into the settled tail, where every q
-        is >= 0 and so, for h > 0, every RK4 propagator entry is >= 0; from
-        the first state there with phi and phi' of one sign no step can add
-        a node (``kernels`` module docstring).  Until such a state is reached
-        the sweep goes on through the tail in chunks of twice as many steps,
-        doubling, whose matrices are built only when needed.  The count is
-        that of the full sweep.
-        """
-        last, size = self.xs.size - 1, TAIL_CHUNK
-        t = min(self._tail_start(E) + TAIL_CHUNK, last)
-        phi, dphi, nodes = kernels.sweep(*self._forward(E, 0, t), 0.0, 1.0)
-        while t < last and not kernels.settled(phi, dphi):
-            stop = min(t + size, last)
-            phi, dphi, more = kernels.sweep(*self._forward(E, t, stop), phi, dphi)
-            nodes += more
-            t, size = stop, 2 * size
-        i = bisect.bisect_left(self._stair_e, E)
-        self._stair_e.insert(i, E)
-        self._stair_n.insert(i, nodes)
-        return nodes
-
-    def _forward(self, E: float, start: int, stop: int):
-        """Step (or block) matrices from node start to node stop at E."""
-        if self._blocks is not None:
-            products = self._blocks.products(E, start, stop)
-            if products is not None:
-                return products
-        return self._steps(E, start, stop)
-
-    def _steps(self, E: float, start: int, stop: int):
-        """RK4 step matrices from node start to node stop at E, one per step."""
-        return kernels.rk4_propagators(*self._q(E, start, stop), self.h)
-
-    def _backward(self, E: float, start: int):
-        """Step (or block) matrices from node start down to the matching point at E.
-
-        The RK4 step from x + h back to x is the adjugate [[m11, -m01],
-        [-m10, m00]] of the forward step over the same points (m10 up to
-        rounding), and adj(AB) = adj(B) adj(A): the blocks of the backward
-        sweep are the adjugates of the forward blocks, in reverse order.
-        """
-        if self._blocks is not None:
-            products = self._blocks.products(E, self.i_match, start)
-            if products is not None:
-                m00, m01, m10, m11 = products
-                return m11[::-1], -m01[::-1], -m10[::-1], m00[::-1]
-        qn, qm = self._q(E, self.i_match, start)
-        return kernels.rk4_propagators(qn[::-1], qm[::-1], -self.h)
+        """Interior nodes of the left-anchored solution at E: a round of one."""
+        return self.count_round([E])[0]
 
     def _build_blocks(self, e_window) -> None:
         """Block tables over e_window, from the step matrices at its ends and midpoint."""
-        self._blocks = None
+        self._blocks, self._work = None, None
         e_lo, e_hi = (float(e) for e in e_window)
         if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
             return
         m, growth = self._block_size(e_lo, e_hi)
         if m > 1:
-            self._blocks = _BlockTables((e_lo, 0.5 * (e_lo + e_hi), e_hi), self._steps,
-                                        growth, m)
+            self._blocks = _BlockTables(
+                (e_lo, 0.5 * (e_lo + e_hi), e_hi),
+                lambda e, a, b: kernels.rk4_propagators(*self._q(e, a, b), self.h),
+                growth, m)
+            # one energy over every block must fit, however large the grid
+            size = max(WORK_FLOATS, 4 * m * -(-self.xs.size // m))
+            self._work = (np.empty(size), np.empty(size))
 
     def _block_size(self, e_lo: float, e_hi: float):
         """Block size over [e_lo, e_hi] and the growth bound h sqrt(max q) of every step.
@@ -325,27 +444,66 @@ class _ShootingEngine:
             np.maximum(q_max, q, out=q_max)
         return m, self.h * np.sqrt(np.maximum(q_max, 0.0, out=q_max), out=q_max)
 
-    def _right_start(self, E: float, qn: np.ndarray) -> int:
-        """Start node of the right half-sweep at E, given the node q table qn.
+    def _right_starts(self, energies: np.ndarray) -> np.ndarray:
+        """Start node of the right half-sweep at each energy.
 
         The first node past the outer turning point (the settled-tail start,
         or the matching point if that lies further right) where the depth
         h sum(sqrt q) reaches TAIL_MARGIN; the last node when it never does.
+        All energies still short of the margin add their next DEPTH_CHUNK,
+        then twice as many, ... nodes in one (K, nodes) table; a row's first
+        entry carries its running sum, so every sum is added in the order of
+        one running sum from the turning point.
         """
-        turn = max(self._tail_start(E), self.i_match)
-        depth = self.h * np.cumsum(np.sqrt(qn[turn + 1:]))
-        past = int(np.searchsorted(depth, TAIL_MARGIN))
-        return turn + 1 + past if past < depth.size else qn.size - 1
+        last = self.xs.size - 1
+        starts = np.maximum(self._tail_start(energies), self.i_match) + 1
+        sums = np.zeros(energies.size)
+        going = np.arange(energies.size)
+        width = DEPTH_CHUNK
+        while going.size:
+            nodes = starts[going, None] + np.arange(width)
+            inside = nodes <= last
+            np.minimum(nodes, last, out=nodes)
+            q = self.p_nodes[nodes] * (self.u_nodes[nodes] - energies[going, None])
+            q[~inside] = 0.0  # past the last node: adds nothing
+            depth = np.sqrt(q, out=q)
+            depth[:, 0] += sums[going]
+            np.cumsum(depth, axis=1, out=depth)
+            short = np.count_nonzero(self.h * depth < TAIL_MARGIN, axis=1)
+            starts[going] += short
+            sums[going] = depth[:, -1]
+            going = going[(short == width) & inside[:, -1]]
+            width *= 2
+        return np.minimum(starts, last)
 
-    def _half_sweeps(self, E: float):
-        """Left and right solutions at the matching point: ((phi, phi', nodes), ...)."""
-        if E not in self._matched:
-            qn = self.p_nodes * (self.u_nodes - E)
-            left = self._forward(E, 0, self.i_match)
-            right = self._backward(E, self._right_start(E, qn))
-            self._matched[E] = (kernels.sweep(*left, 0.0, 1.0),
-                                kernels.sweep(*right, 0.0, -1.0))
-        return self._matched[E]
+    def _half_sweeps(self, energies, starts) -> None:
+        """Match the left and right solutions at the matching point at each new energy.
+
+        ``_matched`` gets (phi, phi', nodes) of both sides.  The energies not
+        yet matched share their evaluations (``_rows``).  The right
+        half-sweep at energies[k] starts at node starts[k], rounded up to a
+        block end, which only adds WKB depth.  The RK4 step from x + h
+        back to x is the adjugate [[m11, -m01], [-m10, m00]] of the forward
+        step over the same points (m10 up to rounding), and
+        adj(AB) = adj(B) adj(A): the right half-sweep walks the adjugates of
+        the forward blocks (or steps) in reverse order.
+        """
+        new = {}
+        for E, start in zip(energies, starts):
+            if E not in self._matched:
+                new.setdefault(E, start)
+        es, stops = list(new), [int(start) for start in new.values()]
+        for ks, rows, per in self._rows(es, 0, stops):
+            # adjugates in reverse order: column c of a row moves to size - 1 - c
+            size, mid = rows[0].shape[1], self.i_match // per
+            m00, m01, m10, m11 = (r[:, ::-1] for r in rows)
+            back = (np.ascontiguousarray(m11), np.negative(m01), np.negative(m10),
+                    np.ascontiguousarray(m00))
+            for j, k in enumerate(ks):
+                end = -(-stops[k] // per)
+                self._matched[es[k]] = (
+                    kernels.sweep(*(r[j, :mid] for r in rows), 0.0, 1.0),
+                    kernels.sweep(*(r[j, size - end:size - mid] for r in back), 0.0, -1.0))
 
     def phase(self, E: float, k: float) -> float:
         """Sum of the scaled left and right Pruefer phases at the matching point.
@@ -354,9 +512,12 @@ class _ShootingEngine:
         s = (-1)^nodes and y running from its anchor towards the matching
         point.  For any fixed k > 0 the sum increases with E and equals
         (n + 1) pi exactly where the log-derivatives match at level n; k near
-        the local wavenumber makes it close to linear in E.
+        the local wavenumber makes it close to linear in E.  An energy not
+        yet matched is matched as a round of one, from its own right start.
         """
-        (pl, dl, nl), (pr, dr, nr) = self._half_sweeps(E)
+        if E not in self._matched:
+            self._half_sweeps([E], self._right_starts(np.array([E])))
+        (pl, dl, nl), (pr, dr, nr) = self._matched[E]
         sl = -1.0 if nl % 2 else 1.0
         sr = -1.0 if nr % 2 else 1.0
         return (math.pi * (nl + nr) + math.atan2(sl * k * pl, sl * dl)
@@ -367,92 +528,100 @@ class _ShootingEngine:
         i = bisect.bisect_right(self._stair_n, n)
         return self._stair_e[i - 1], self._stair_n[i - 1], self._stair_e[i], self._stair_n[i]
 
-    def _refine(self, n: int, lo: float, hi: float, tol_ev: float, spend):
-        """Anderson-Bjorck regula falsi on the phase miss-distance inside an isolated bracket.
+    def _bisect(self, levels, tol_ev: float, spend, isolate: bool) -> None:
+        """Bisect the staircase bracket of every level wider than tol_ev, while it
+        holds other levels too (isolate) or until it is no wider; the midpoints
+        of one halving share one count round."""
+        while True:
+            mids = set()
+            for n in levels:
+                lo, n_lo, hi, n_hi = self._bracket(n)
+                if hi - lo > tol_ev and (n_hi - n_lo > 1 or not isolate):
+                    spend(n)
+                    mids.add(0.5 * (lo + hi))
+            if not mids:
+                return
+            self.count_round(mids)
 
-        When a new point lands on the same side as the one before, the value
-        kept at the far end is scaled by 1 - f(new) / f(replaced) (by 1/2 if
-        that is not positive; Anderson & Bjorck, BIT 13, 1973), so neither end
-        sticks.  Once the next secant estimate moves less than tol/4 from the
-        last evaluated point, that estimate is returned without evaluating
-        it; certification checks it.  Returns None when the phase does not
-        change sign across the bracket.
+    def _refine(self, brackets: dict, tol_ev: float, spend) -> dict:
+        """Anderson-Bjorck on the phase miss-distance of every isolated bracket at once.
+
+        brackets maps level n to its bracket (lo, hi).  The bracket ends are
+        matched in one round, and every later round evaluates the next point
+        of every level still refining.  The right start is non-decreasing in
+        E, so every point of a bracket starts its right half-sweep where its
+        upper end does: at least TAIL_MARGIN deep, with no depth table per
+        round.  Returns {n: E}, with E None when the phase does not change
+        sign across the bracket.
         """
-        target = (n + 1) * math.pi
-        # phase scale: the local wavenumber at the matching point mid-bracket
         im = self.i_match
-        k = math.sqrt(abs(self.p_nodes[im] * (self.u_nodes[im] - 0.5 * (lo + hi)))) or 1.0
-        a, fa = lo, self.phase(lo, k) - target
-        b, fb = hi, self.phase(hi, k) - target
-        if not fa < 0.0 < fb:
-            return None
-        side = 0
-        c = _secant(a, fa, b, fb)
-        while b - a > tol_ev:
-            spend()
-            fc = self.phase(c, k) - target
-            if fc == 0.0:
-                return c
-            if fc > 0.0:
-                if side == 1:
-                    scale = 1.0 - fc / fb
-                    fa *= scale if scale > 0.0 else 0.5
-                b, fb, side = c, fc, 1
-            else:
-                if side == -1:
-                    scale = 1.0 - fc / fa
-                    fb *= scale if scale > 0.0 else 0.5
-                a, fa, side = c, fc, -1
-            estimate = _secant(a, fa, b, fb)
-            if abs(estimate - c) <= 0.25 * tol_ev:
-                return estimate
-            c = estimate
-        return 0.5 * (a + b)
-
-    def _level(self, n: int, tol_ev: float) -> float:
-        """Certified eigenvalue of level n (see the module docstring)."""
-        steps = 0
-
-        def spend():
-            nonlocal steps
-            if steps >= MAX_BISECTIONS:
-                raise NonConvergence(
-                    f"no convergence to {tol_ev} eV in {MAX_BISECTIONS} steps")
-            steps += 1
-
-        # isolate: bisect until the bracket holds level n alone
-        lo, n_lo, hi, n_hi = self._bracket(n)
-        while (n_lo, n_hi) != (n, n + 1) and hi - lo > tol_ev:
-            spend()
-            self.count_nodes(0.5 * (lo + hi))
-            lo, n_lo, hi, n_hi = self._bracket(n)
-        if hi - lo > tol_ev:
-            e = self._refine(n, lo, hi, tol_ev, spend)
-            if (e is not None and self.count_nodes(e - 0.5 * tol_ev) == n
-                    and self.count_nodes(e + 0.5 * tol_ev) == n + 1):
-                return e
-        # uncertified, or isolation already reached tol: bisect the staircase bracket
-        lo, _, hi, _ = self._bracket(n)
-        while hi - lo > tol_ev:
-            spend()
-            self.count_nodes(0.5 * (lo + hi))
-            lo, _, hi, _ = self._bracket(n)
-        return 0.5 * (lo + hi)
+        ends = sorted({e for bracket in brackets.values() for e in bracket})
+        start = dict(zip(ends, self._right_starts(np.array(ends)).tolist()))
+        self._half_sweeps(ends, [start[e] for e in ends])
+        found, runs = {}, {}
+        for n, (lo, hi) in brackets.items():
+            target = (n + 1) * math.pi
+            # phase scale: the local wavenumber at the matching point mid-bracket
+            k = math.sqrt(abs(self.p_nodes[im] * (self.u_nodes[im] - 0.5 * (lo + hi)))) or 1.0
+            fa, fb = self.phase(lo, k) - target, self.phase(hi, k) - target
+            found[n] = None
+            if fa < 0.0 < fb:
+                run = _anderson_bjorck(lo, fa, hi, fb, tol_ev)
+                runs[n] = (run, k, target, next(run))
+        while runs:
+            for n in runs:
+                spend(n)
+            self._half_sweeps([c for _, _, _, c in runs.values()],
+                              [start[brackets[n][1]] for n in runs])
+            for n, (run, k, target, c) in list(runs.items()):
+                try:
+                    runs[n] = (run, k, target, run.send(self.phase(c, k) - target))
+                except StopIteration as stop:
+                    found[n] = stop.value
+                    del runs[n]
+        return found
 
     def solve(self, n_list, e_window, tol_ev: float) -> list[tuple[int, float]]:
-        """Eigenvalues of the requested levels as (n, E), in the order requested."""
+        """Eigenvalues of the requested levels as (n, E), in the order requested.
+
+        All levels advance together, in rounds (module docstring).
+        """
         n_list = list(n_list)
         e_lo, e_hi = e_window
         self._build_blocks(e_window)
-        n_lo = self.count_nodes(e_lo)
-        n_hi = self.count_nodes(e_hi)
+        n_lo, n_hi = self.count_round([e_lo, e_hi])
         for n in n_list:
             if not n_lo <= n < n_hi:
                 raise NoBracket(
                     f"state n={n} not bracketed: nodes({e_lo:.6g})={n_lo}, "
                     f"nodes({e_hi:.6g})={n_hi}")
-        levels = {n: self._level(n, tol_ev) for n in sorted(set(n_list))}
-        return [(n, levels[n]) for n in n_list]
+        levels = sorted(set(n_list))
+        steps = dict.fromkeys(levels, 0)
+
+        def spend(n):
+            if steps[n] >= MAX_BISECTIONS:
+                raise NonConvergence(f"no convergence to {tol_ev} eV in {MAX_BISECTIONS} steps")
+            steps[n] += 1
+
+        self._bisect(levels, tol_ev, spend, isolate=True)
+        brackets = {}
+        for n in levels:
+            lo, _, hi, _ = self._bracket(n)
+            if hi - lo > tol_ev:
+                brackets[n] = (lo, hi)
+        refined = {n: e for n, e in self._refine(brackets, tol_ev, spend).items()
+                   if e is not None}
+        half = 0.5 * tol_ev
+        counts = self.count_round([e + s for e in refined.values() for s in (-half, half)])
+        found = {n: e for (n, e), below, above in zip(refined.items(), counts[::2], counts[1::2])
+                 if (below, above) == (n, n + 1)}
+        # uncertified, or isolation already reached tol: bisect the staircase bracket
+        rest = [n for n in levels if n not in found]
+        self._bisect(rest, tol_ev, spend, isolate=False)
+        for n in rest:
+            lo, _, hi, _ = self._bracket(n)
+            found[n] = 0.5 * (lo + hi)
+        return [(n, found[n]) for n in n_list]
 
 
 def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window,

@@ -78,9 +78,13 @@ def fd_derivative(f, x: float, order: int = 1, h: float = 1e-5) -> float:
     return fine + (fine - coarse) / 3.0
 
 
+# numpy < 2.0 names the trapezoid rule np.trapz (pyproject.toml admits 1.24)
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
 def trapezoid_norm(values: np.ndarray, x: np.ndarray) -> float:
     """integral of |values|^2 dx by the trapezoid rule."""
-    return float(np.trapezoid(np.abs(values) ** 2, x))
+    return float(trapezoid(np.abs(values) ** 2, x))
 
 
 def rk4_propagators_matmul(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):

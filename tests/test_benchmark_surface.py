@@ -4,7 +4,7 @@ The tracer wraps every entry point listed in ``tracing.BOUNDARIES`` at its
 ``pdmorse.<layer>`` home, the run record reads ``kernels.USE_NUMBA``, and the
 output checks import from the library.  The micro-benchmark scripts under
 ``benchmarks/`` reach private names (``oracle._ShootingEngine._q``,
-``_half_sweeps``, ``_matched``, ``_blocks``), so each runs here once at a small size.  A
+``_half_sweeps``, ``_right_starts``, ``_matched``, ``_blocks``), so each runs here once at a small size.  A
 deletion or rename that would break any of them fails here, not only when a
 benchmark is run.
 """
@@ -50,7 +50,8 @@ def test_output_checks_import():
 
 @pytest.mark.parametrize("script, args, labels", [
     ("bench_shooting.py", ["--points", "2001", "--repeats", "1"],
-     ["points", "propagators", "sweep", "block size", "counting sweep", "half-sweep pair"]),
+     ["points", "propagators", "sweep", "block size", "counting sweep", "half-sweep pair",
+      "batched round"]),
     ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
       "_build_parser (cached)", "_build_parser (cold)"]),
@@ -66,4 +67,5 @@ def test_benchmark_script_runs(script, args, labels):
     assert [re.split(r"\s*: ", line, maxsplit=1)[0] for line in lines] == labels
     if script == "bench_shooting.py":
         assert re.search(r"^block size +: (1|2|4|8|16) steps$", lines[3])
-        assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-1])
+        assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-2])
+        assert re.search(r" ms per energy, 13 energies\)$", lines[-1])

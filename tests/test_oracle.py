@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative,
-                      rk4_propagators_matmul, scan_nodes, sweep_reference, u_ordering)
+                      rk4_propagators_matmul, scan_nodes, sweep_reference, trapezoid,
+                      u_ordering)
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, GridSpec, MassModel,
                      NoBracket, NonConvergence, default_domain,
                      get_molecule, physical_psi, potential_value, reduce,
@@ -117,7 +118,7 @@ class TestPhysicalPsi:
         xs = np.linspace(-0.7, 10.0, 2001)
         fake_phi = np.exp(-((xs - 0.1) ** 2) / 0.05)
         psi = physical_psi(mm, xs, fake_phi)
-        assert np.isfinite(np.trapezoid(psi**2, xs))
+        assert np.isfinite(trapezoid(psi**2, xs))
 
 
 class TestBox:
@@ -159,9 +160,14 @@ class TestSolver:
         grid = GridSpec(*reference_domain(mol, eta), 2001)
         tol = 1e-7
         counts = []
-        count_nodes = oracle._ShootingEngine.count_nodes
-        monkeypatch.setattr(oracle._ShootingEngine, "count_nodes",
-                            lambda self, e: counts.append(e) or count_nodes(self, e))
+        count_round = oracle._ShootingEngine.count_round
+
+        def recording(self, energies):
+            energies = list(energies)
+            counts.extend(energies)
+            return count_round(self, energies)
+
+        monkeypatch.setattr(oracle._ShootingEngine, "count_round", recording)
         solved = solve_states(mm, WEYL, mol, grid, range(5), tol_ev=tol)
         # two window ends, two certificates per level and a few isolating
         # bisections; a level that falls back to bisection needs ~20 more
@@ -178,13 +184,15 @@ class TestSolver:
         # certificates at E -+ tol/2 next to each level included) must equal
         # the count of a full sweep of the reference loop at that energy
         visits = []
-        count_nodes = oracle._ShootingEngine.count_nodes
+        count_round = oracle._ShootingEngine.count_round
 
-        def recording(self, e):
-            visits.append((self, e, count_nodes(self, e)))
-            return visits[-1][2]
+        def recording(self, energies):
+            energies = list(energies)
+            counts = count_round(self, energies)
+            visits.extend((self, e, nodes) for e, nodes in zip(energies, counts))
+            return counts
 
-        monkeypatch.setattr(oracle._ShootingEngine, "count_nodes", recording)
+        monkeypatch.setattr(oracle._ShootingEngine, "count_round", recording)
         rows = oracle_compare_rows(get_molecule(name), eta, WEYL, 2, 8001)
         assert len({engine for engine, _, _ in visits}) == (2 if eta > 0.0 else 1)
         assert len(visits) >= 2 * len(rows)
@@ -209,9 +217,9 @@ class TestSolver:
         # node-count certificate and replaced by staircase bisection
         refined = []
 
-        def wrong_level(self, n, lo, hi, tol_ev, spend):
-            refined.append(n)
-            return box_level(n + 1)
+        def wrong_level(self, brackets, tol_ev, spend):
+            refined.extend(brackets)
+            return {n: box_level(n + 1) for n in brackets}
 
         monkeypatch.setattr(oracle._ShootingEngine, "_refine", wrong_level)
         grid = GridSpec(0.0, 1.0, 2001)
@@ -312,13 +320,13 @@ class TestRightStart:
     def test_start_falls_back_to_x_max(self):
         # a flat box has no forbidden tail: the sweep starts at the wall
         engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001))
-        assert engine._right_start(1.0, engine._q(1.0)[0]) == 1000
+        assert engine._right_starts(np.array([1.0]))[0] == 1000
 
     def test_start_reaches_the_margin(self, h2):
         mm = MassModel.for_molecule(h2, 0.0)
         engine, _ = effective_engine(mm, h2, GridSpec(-0.7, 10.0, 8001))
         qn = engine._q(-4.0)[0]
-        start = engine._right_start(-4.0, qn)
+        start = engine._right_starts(np.array([-4.0]))[0]
         turn = engine.i_match + np.flatnonzero(qn[engine.i_match:] < 0.0)[-1] + 1
         assert turn == engine._tail_start(-4.0)
         depth = engine.h * np.cumsum(np.sqrt(qn[turn + 1:start + 1]))
@@ -362,6 +370,19 @@ def reference_count(engine, e):
     return sweep_reference(*kernels.rk4_propagators(*engine._q(e), engine.h), 0.0, 1.0)[2]
 
 
+def spiked_potential(grid):
+    """smooth_potential(6) with a NaN at one midpoint (near node 2500) and
+    1e12 eV spikes at nodes 900, 901 and 3000 of the 4001-point grid."""
+    smooth = smooth_potential(6, 1.0)
+    xs = grid.xs()
+    x_nan, spikes = xs[2500:2502].mean(), xs[[900, 901, 3000]]
+
+    def u(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == x_nan, math.nan, np.where(np.isin(x, spikes), 1e12, smooth(x)))
+    return u
+
+
 class TestBlockedSweeps:
     """Sweeps over blocks of up to MAX_BLOCK steps count what the step-by-step loop counts."""
 
@@ -384,46 +405,39 @@ class TestBlockedSweeps:
         energies = np.concatenate([np.linspace(e_lo, e_hi, 41),
                                    np.random.default_rng(seed).uniform(e_lo, e_hi, 40)])
         assert reference_count(engine, e_hi) > 50
+        plain = oracle._ShootingEngine(smooth_potential(seed, 1.0), const_mass(1.0), grid)
         for e in energies:
             assert engine.count_nodes(e) == reference_count(engine, e), e
-            blocked = engine._half_sweeps(e)
-            saved, engine._blocks = engine._blocks, None
-            engine._matched.clear()
-            plain = engine._half_sweeps(e)
-            engine._blocks = saved
-            engine._matched.clear()
-            assert [side[2] for side in blocked] == [side[2] for side in plain], e
+            engine.phase(e, 1.0)
+            plain.phase(e, 1.0)
+            assert ([side[2] for side in engine._matched[e]]
+                    == [side[2] for side in plain._matched[e]]), e
 
     def test_block_products_match_sequential_products(self):
         rng = np.random.default_rng(7)
         for m in (2, 4, 8, 16):
-            steps = rng.uniform(-2.0, 2.0, (2, 2, m, 5))
-            expected = np.empty((2, 2, 5))
-            for b in range(5):
-                product = np.eye(2)
-                for k in range(m):
-                    product = steps[:, :, k, b] @ product
-                expected[:, :, b] = product
-            got = np.array(kernels.block_products(steps)).reshape(2, 2, 5)
+            steps = rng.uniform(-2.0, 2.0, (3, 2, 2, m, 5))
+            expected = np.empty((2, 2, 3, 5))
+            for e in range(3):
+                for b in range(5):
+                    product = np.eye(2)
+                    for k in range(m):
+                        product = steps[e, :, :, k, b] @ product
+                    expected[:, :, e, b] = product
+            work = np.empty(steps.size // 2)
+            got = np.array(kernels.block_products(steps.copy(), work)).reshape(2, 2, 3, 5)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_nan_and_wall_spikes_run_step_by_step(self):
         # a NaN midpoint and 1e12 eV spikes make their blocks unusable; sweeps
         # that touch them run step by step, the others stay blocked
         grid = GridSpec(0.0, 1.0, 4001)
-        smooth = smooth_potential(6, 1.0)
-        xs = grid.xs()
-        x_nan, spikes = xs[2500:2502].mean(), xs[[900, 901, 3000]]
-
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x == x_nan, math.nan, np.where(np.isin(x, spikes), 1e12, smooth(x)))
-
-        engine, (e_lo, e_hi) = self._engine_at_the_bound(u, grid)
+        engine, (e_lo, e_hi) = self._engine_at_the_bound(spiked_potential(grid), grid)
         blocks = engine._blocks
-        assert blocks.m == oracle.MAX_BLOCK and blocks._unusable[-1] == 3
-        assert blocks.products(e_hi, 0, 800) is not None
-        assert blocks.products(e_hi, 0, 901) is None
+        m = blocks.m
+        assert m == oracle.MAX_BLOCK and blocks._unusable[-1] == 3
+        assert blocks.covers(e_hi, 0, 800 // m)
+        assert not blocks.covers(e_hi, 0, -(-901 // m))
         for e in np.linspace(e_lo, e_hi, 41):
             assert engine.count_nodes(e) == reference_count(engine, e), e
 
@@ -437,7 +451,7 @@ class TestBlockedSweeps:
 
     def test_sweep_states_per_solve(self, h2, monkeypatch):
         # H2, eta 0.2, levels 0-2 on the 8001-point singular domain: with
-        # blocks of 16 the sweeps walk 3,715 Python states (blocks or steps);
+        # blocks of 16 the sweeps walk 3,729 Python states (blocks or steps);
         # sweeps that fell back to single steps would walk about 20x as many
         mm = MassModel.for_molecule(h2, 0.2)
         grid = GridSpec(*reference_domain(h2, 0.2), 8001)
@@ -447,6 +461,77 @@ class TestBlockedSweeps:
                             lambda *args: states.append(len(args[0])) or sweep(*args))
         solve_states(mm, WEYL, h2, grid, range(3), tol_ev=1e-6)
         assert sum(states) <= 4500, (len(states), sum(states))
+
+
+def bits(values) -> str:
+    """Exact text of a nest of floats and ints: equal only if every bit is."""
+    return repr(values)
+
+
+class TestBatchedRounds:
+    """A round of K energies gives, bit for bit, what K rounds of one give."""
+
+    GRID = GridSpec(0.0, 1.0, 4001)
+
+    def test_block_products_match_single_energy_evaluations(self):
+        # one evaluation of K energies against K evaluations of one, over
+        # ranges clear of the NaN and spike blocks and ranges that touch them
+        engine, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(
+            spiked_potential(self.GRID), self.GRID)
+        blocks = engine._blocks
+        energies = np.linspace(e_lo, e_hi, 7)
+        nb = -(-(self.GRID.points - 1) // blocks.m)
+        work = (np.empty(energies.size * 4 * blocks.m * nb), np.empty(energies.size * 4 * blocks.m * nb))
+        for b0, b1 in ((0, 50), (0, nb), (56, 60), (150, 200), (nb - 1, nb)):
+            batched = [r.copy() for r in blocks.products(energies, b0, b1, work)]
+            for k, e in enumerate(energies):
+                single = blocks.products(np.array([e]), b0, b1, work)
+                for got, alone in zip(batched, single):
+                    assert got[k].tobytes() == alone[0].tobytes(), (b0, b1, k)
+
+    @pytest.mark.parametrize("case", ["blocked", "spiked", "step by step"])
+    def test_rounds_match_rounds_of_one(self, case):
+        # energies inside and outside the block window; on the spiked grid
+        # every range touches the NaN block and goes step by step, and with
+        # no blocks at all every round shares one rk4_propagators call
+        u = spiked_potential(self.GRID) if case == "spiked" else smooth_potential(5, 1.0)
+
+        def engine():
+            if case == "step by step":
+                return oracle._ShootingEngine(u, const_mass(1.0), self.GRID), None
+            return TestBlockedSweeps._engine_at_the_bound(u, self.GRID)
+
+        batched, window = engine()
+        e_lo, e_hi = window or (-300.0, 3000.0)
+        energies = sorted({*np.linspace(e_lo, e_hi, 9), e_lo - 40.0, e_hi + 40.0, e_hi + 900.0})
+        props = []
+        rk4 = kernels.rk4_propagators
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "rk4_propagators", lambda *a: props.append(1) or rk4(*a))
+            counts = batched.count_round(energies)
+        if case == "step by step":
+            # shared calls, as many as keep their tables within WORK_FLOATS
+            assert 0 < len(props) <= 2 < len(energies)
+        starts = batched._right_starts(np.array(energies))
+        batched._half_sweeps(energies, starts)
+        for e, nodes, start in zip(energies, counts, starts):
+            alone, _ = engine()
+            assert alone.count_round([e]) == [nodes] == [reference_count(alone, e)], e
+            assert alone._right_starts(np.array([e]))[0] == start
+            alone._half_sweeps([e], [start])
+            assert bits(alone._matched[e]) == bits(batched._matched[e]), e
+
+    def test_block_table_evaluations_per_solve(self, h2, monkeypatch):
+        # H2, eta 0.2, levels 0-12 on the 2001-point singular domain: one
+        # evaluation per sweep made 151; rounds share them among 96 energies
+        evaluations = []
+        products = oracle._BlockTables.products
+        monkeypatch.setattr(oracle._BlockTables, "products",
+                            lambda *args: evaluations.append(args[1].size) or products(*args))
+        mm = MassModel.for_molecule(h2, 0.2)
+        solve_states(mm, WEYL, h2, GridSpec(*reference_domain(h2, 0.2), 2001), range(13),
+                     tol_ev=1e-6)
+        assert len(evaluations) <= 30 < sum(evaluations), evaluations
 
 
 class TestAgainstTightSolve:
