@@ -2,7 +2,7 @@
 
 Times the closed-form propagator build and the step-by-step sweep over the
 whole grid at a trial energy.  Then it solves the 13 lowest H2 levels on an
-engine, which builds the blocked step tables over solve_states's window,
+engine, which builds its step table over solve_states's default window,
 and at 5e-7 eV above the ground level, where the oracle certifies it, times
 one counting sweep (``count_nodes``, a round of one) and one refinement
 half-sweep pair (``phase``: the right start, both sweeps and their block
@@ -77,9 +77,7 @@ def main() -> None:
     report("propagators", best_time(kernels.rk4_propagators, tables, args.repeats), steps)
     report("sweep", best_time(kernels.sweep, (*props, 0.0, 1.0), args.repeats), steps)
 
-    e_floor = float(engine.u_nodes.min())
-    window = (e_floor + abs(e_floor) * 1e-12, 0.0)  # as solve_states chooses it
-    near = [e + 5e-7 for _, e in engine.solve(range(LEVELS), window, 1e-7)]
+    near = [e + 5e-7 for _, e in engine.solve(range(LEVELS), 1e-7)]
     print(f"block size       : {engine._blocks.m} steps")
 
     def count():

@@ -90,12 +90,14 @@ def settled(phi: float, dphi: float) -> bool:
 def sweep(m00, m01, m10, m11, phi0: float, dphi0: float):
     """Propagate (phi, phi') through per-step 2x2 matrices, counting nodes.
 
-    Returns (phi, phi', nodes) at the last point.
+    The four entry rows are 1-D float64 arrays of one length; strided and
+    reversed views are fine.  They are iterated as memoryviews, with no
+    copy or dtype conversion.  Returns (phi, phi', nodes) at the last point.
     """
-    cols = [np.ascontiguousarray(m, dtype=float) for m in (m00, m01, m10, m11)]
     # memoryviews hand out plain floats without building four lists;
     # plain-float arithmetic is several times faster than numpy scalars
-    return _run(zip(*(memoryview(m) for m in cols)), float(phi0), float(dphi0), 0)
+    return _run(zip(memoryview(m00), memoryview(m01), memoryview(m10), memoryview(m11)),
+                float(phi0), float(dphi0), 0)
 
 
 def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):

@@ -31,21 +31,23 @@ Solve strategy, shared by every requested level of one grid:
   one level, one count per bracket; the half-sweeps at every bracket end,
   then one Anderson-Bjorck iterate per unfinished level; the certificates
   of every level at once; bisection of every uncertified bracket.  The
-  energies of a round share their step matrices: one block-table
-  evaluation (or, step by step, one ``rk4_propagators`` call) per round,
-  split only to keep its arrays within WORK_FLOATS floats; each energy then
-  runs its own ``kernels.sweep`` over rows of the shared arrays.  An H2
-  eta = 0.2, 2001-point solve of levels 0-12 makes 22 block-table
-  evaluations for 96 energies (one per sweep made 151) and 151 sweeps.
-* **Blocked sweeps.**  Each solve tabulates the RK4 step matrices over its
-  energy window as quadratics in E and sweeps products of m <= MAX_BLOCK
-  consecutive steps, one Python iteration per block.  m h sqrt(max(-q))
-  <= pi/2 over the window leaves at most one node per block (Sturm
-  comparison), so every count is that of the step-by-step sweep; energies
-  outside the window, and ranges with non-finite or fast-growing steps, run
-  step by step.  Sweep ends round up to block ends, which only takes a
-  count further into the settled tail or a right half-sweep deeper into
-  the forbidden region; the matching point is a multiple of MAX_BLOCK.
+  energies of a round share their step matrices: one evaluation of the
+  engine's step table per round, split only to keep its arrays within
+  WORK_FLOATS floats; each energy then runs its own ``kernels.sweep`` over
+  rows of the shared arrays.  An H2 eta = 0.2, 2001-point solve of levels
+  0-12 makes 22 block-table evaluations for 96 energies (one per sweep
+  made 151) and 151 sweeps.
+* **Blocked sweeps.**  Each engine tabulates the RK4 step matrices over
+  its energy window as quadratics in E when it is built; that table is the
+  only source of step matrices for its sweeps.  Sweeps walk products of
+  m <= MAX_BLOCK consecutive steps, one Python iteration per block.
+  m h sqrt(max(-q)) <= pi/2 over the window leaves at most one node per
+  block (Sturm comparison), so every count is that of the step-by-step
+  sweep.  m = 1 grids, energies outside the window, and ranges with
+  non-finite or fast-growing steps read the table's single steps.  Sweep
+  ends round up to block ends, which only takes a count further into the
+  settled tail or a right half-sweep deeper into the forbidden region; the
+  matching point is a multiple of MAX_BLOCK.
 """
 from __future__ import annotations
 
@@ -159,7 +161,7 @@ class _BlockTables:
     unusable when one of its steps has a non-finite entry or its steps could
     together grow the solution by more than exp(BLOCK_GROWTH)
     (h sum sqrt(max q) over the window); a range that touches one is
-    propagated step by step.
+    propagated step by step (``steps``).
     """
 
     def __init__(self, energies, steps, growth, m: int):
@@ -168,6 +170,7 @@ class _BlockTables:
         n = growth.size
         nb = -(-n // m)
         self.energies = energies
+        self._last = n  # steps of the grid: the last node
         # (energy, i, j, step in block, block), and then (coefficient, ...)
         self._table = np.empty((3, 2, 2, m, nb))
         self._table[..., -1] = _IDENTITY  # padding of the last block
@@ -203,6 +206,16 @@ class _BlockTables:
         return (self.energies[0] <= E <= self.energies[2]
                 and self._unusable[b1] == self._unusable[b0])
 
+    def _evaluate(self, energies: np.ndarray, b0: int, b1: int, x) -> None:
+        """Horner's rule: x, of shape (K, 2, 2, m, b1 - b0), gets the steps
+        of blocks b0..b1-1 at each of K energies."""
+        d = (energies - self.energies[1])[:, None, None, None, None]
+        c2, f1, c1 = (t[..., b0:b1] for t in self._table)
+        np.multiply(c2, d, out=x)
+        x += c1
+        x *= d
+        x += f1
+
     def products(self, energies: np.ndarray, b0: int, b1: int, work):
         """Block matrices of blocks b0..b1-1 at each of K energies: four (K, b1 - b0) arrays.
 
@@ -213,14 +226,21 @@ class _BlockTables:
         views into work: the next call overwrites them.
         """
         m, count, nb = self.m, energies.size, b1 - b0
-        d = (energies - self.energies[1])[:, None, None, None, None]
-        c2, f1, c1 = (t[..., b0:b1] for t in self._table)
         x = work[0][:count * 4 * m * nb].reshape(count, 2, 2, m, nb)
-        np.multiply(c2, d, out=x)
-        x += c1
-        x *= d
-        x += f1
+        self._evaluate(energies, b0, b1, x)
         return kernels.block_products(x, work[1])
+
+    def steps(self, energies: np.ndarray, b0: int, b1: int, work):
+        """Single steps of blocks b0..b1-1 at each of K energies, in step order.
+
+        Four (K, steps) arrays up to the grid's last step (no padding), views
+        into work[0]; Horner's rule gives each entry as ``products`` does.
+        """
+        m, count, nb = self.m, energies.size, b1 - b0
+        x = work[0][:count * 4 * m * nb].reshape(count, 2, 2, nb, m)
+        self._evaluate(energies, b0, b1, x.transpose(0, 1, 2, 4, 3))
+        stop = min(b1 * m, self._last) - b0 * m
+        return [x[:, i, j].reshape(count, nb * m)[:, :stop] for i in (0, 1) for j in (0, 1)]
 
 
 def _secant(a: float, fa: float, b: float, fb: float) -> float:
@@ -264,9 +284,12 @@ def _anderson_bjorck(a: float, fa: float, b: float, fb: float, tol_ev: float):
 
 
 class _ShootingEngine:
-    """Coefficient tables and the shared Sturm staircase for one solve."""
+    """Coefficient tables, the step table and the shared Sturm staircase for one solve."""
 
-    def __init__(self, u_fn, m_fn, grid: GridSpec):
+    def __init__(self, u_fn, m_fn, grid: GridSpec, e_window=None):
+        """e_window (lo, hi) in eV is the energy window of the solve; by
+        default (min U, 0) over the node table, its floor moved up by one
+        part in 1e12.  A window that holds no energy raises NoBracket."""
         self.xs = grid.xs()
         self.h = grid.h
         xm = 0.5 * (self.xs[:-1] + self.xs[1:])
@@ -299,10 +322,22 @@ class _ShootingEngine:
         self._stair_n: list[int] = []
         # half-sweep states by energy: a bracket end is shared by two levels
         self._matched: dict[float, tuple] = {}
-        # step tables in blocks over the window of the current solve, and
-        # the evaluation buffers of its rounds
-        self._blocks: _BlockTables | None = None
-        self._work = None
+        if e_window is None:
+            e_floor = float(np.min(self.u_nodes))
+            e_window = (e_floor + abs(e_floor) * 1e-12, 0.0)
+        e_lo, e_hi = (float(e) for e in e_window)
+        e_mid = 0.5 * (e_lo + e_hi)
+        if not e_lo < e_mid < e_hi:  # also false for a NaN or infinite end
+            raise NoBracket(f"energy window [{e_lo:.6g}, {e_hi:.6g}] eV is empty or not finite")
+        # the step matrices of every sweep, in blocks over the window, and
+        # the evaluation buffers of the rounds
+        m, growth = self._block_size(e_lo, e_hi)
+        self._blocks = _BlockTables(
+            (e_lo, e_mid, e_hi),
+            lambda e, a, b: kernels.rk4_propagators(*self._q(e, a, b), self.h), growth, m)
+        # one energy over every block must fit, however large the grid
+        size = max(WORK_FLOATS, 4 * m * -(-self.xs.size // m))
+        self._work = (np.empty(size), np.empty(size))
 
     def _q(self, E, start: int = 0, stop: int | None = None):
         """q = p (U - E) at nodes start..stop (default: the last) and the midpoints between.
@@ -321,42 +356,35 @@ class _ShootingEngine:
         return self._tail_floor.searchsorted(E)
 
     def _rows(self, energies, start: int, stops):
-        """Forward matrices at each energy from node start on, in shared evaluations.
+        """Forward matrices at each energy from node start on, in shared table evaluations.
 
         With blocks of m steps, start is a multiple of m, and energy k needs
         the matrices up to node stops[k], rounded up to the next multiple of
-        m or the last node.  Energies inside the block window whose range
-        touches only usable blocks share block-table evaluations; the others
-        (energies outside the window, ranges that touch an unusable block,
-        or no blocks at all) share ``rk4_propagators`` calls and go step by
-        step.  Each evaluation serves as many energies as keep its arrays
-        within WORK_FLOATS floats.  Yields (ks, rows, per): row j of each of
-        the four arrays rows holds the matrices of energy energies[ks[j]],
-        and column i spans the per steps from node start + i per (the last
-        column may end early, at the last node).  The rows are only valid
-        until the next evaluation.
+        m or the last node.  Energies inside the window whose range touches
+        only usable blocks share block products; the others (energies
+        outside the window, ranges that touch an unusable block) share
+        evaluations of the table's single steps.  With m = 1 both are the
+        single steps.  Each evaluation serves as many energies as keep its
+        arrays within WORK_FLOATS floats.  Yields (ks, rows, per): row j of
+        each of the four arrays rows holds the matrices of energy
+        energies[ks[j]], and column i spans the per steps from node
+        start + i per (the last column may end early, at the last node).
+        The rows are only valid until the next evaluation.
         """
-        blocks, last = self._blocks, self.xs.size - 1
-        m = blocks.m if blocks else 1
+        blocks = self._blocks
+        m = blocks.m
         b0, ends = start // m, [-(-stop // m) for stop in stops]
         blocked, stepwise = [], []
         for k, (E, b1) in enumerate(zip(energies, ends)):
-            (blocked if blocks and blocks.covers(E, b0, b1) else stepwise).append(k)
-        for ks, per in ((blocked, m), (stepwise, 1)):
+            (blocked if blocks.covers(E, b0, b1) else stepwise).append(k)
+        for ks, evaluate, per in ((blocked, blocks.products, m), (stepwise, blocks.steps, 1)):
             if not ks:
                 continue
-            top = max(ends[k] for k in ks)
-            floats = 4 * m * (top - b0) if ks is blocked else min(top * m, last) - start
-            size = max(1, WORK_FLOATS // floats)
+            size = max(1, WORK_FLOATS // (4 * m * (max(ends[k] for k in ks) - b0)))
             for i in range(0, len(ks), size):
                 part = ks[i:i + size]
                 es = np.array([energies[k] for k in part])
-                b1 = max(ends[k] for k in part)
-                if ks is blocked:
-                    yield part, blocks.products(es, b0, b1, self._work), per
-                else:
-                    steps = kernels.rk4_propagators(*self._q(es, start, min(b1 * m, last)), self.h)
-                    yield part, [np.ascontiguousarray(s.T) for s in steps], per
+                yield part, evaluate(es, b0, max(ends[k] for k in part), self._work), per
 
     def count_round(self, energies) -> list[int]:
         """Interior nodes of the left-anchored solution at each energy: eigenvalues below it.
@@ -408,22 +436,6 @@ class _ShootingEngine:
     def count_nodes(self, E: float) -> int:
         """Interior nodes of the left-anchored solution at E: a round of one."""
         return self.count_round([E])[0]
-
-    def _build_blocks(self, e_window) -> None:
-        """Block tables over e_window, from the step matrices at its ends and midpoint."""
-        self._blocks, self._work = None, None
-        e_lo, e_hi = (float(e) for e in e_window)
-        if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
-            return
-        m, growth = self._block_size(e_lo, e_hi)
-        if m > 1:
-            self._blocks = _BlockTables(
-                (e_lo, 0.5 * (e_lo + e_hi), e_hi),
-                lambda e, a, b: kernels.rk4_propagators(*self._q(e, a, b), self.h),
-                growth, m)
-            # one energy over every block must fit, however large the grid
-            size = max(WORK_FLOATS, 4 * m * -(-self.xs.size // m))
-            self._work = (np.empty(size), np.empty(size))
 
     def _block_size(self, e_lo: float, e_hi: float):
         """Block size over [e_lo, e_hi] and the growth bound h sqrt(max q) of every step.
@@ -486,7 +498,10 @@ class _ShootingEngine:
         back to x is the adjugate [[m11, -m01], [-m10, m00]] of the forward
         step over the same points (m10 up to rounding), and
         adj(AB) = adj(B) adj(A): the right half-sweep walks the adjugates of
-        the forward blocks (or steps) in reverse order.
+        the forward blocks (or steps) in reverse order.  The adjugate acts
+        on (phi, -phi') as [[m11, m01], [m10, m00]] does on (phi, phi'), so
+        the sweep walks reversed views of the forward rows from (0, +1) and
+        the phi' it returns is negated.
         """
         new = {}
         for E, start in zip(energies, starts):
@@ -494,16 +509,15 @@ class _ShootingEngine:
                 new.setdefault(E, start)
         es, stops = list(new), [int(start) for start in new.values()]
         for ks, rows, per in self._rows(es, 0, stops):
-            # adjugates in reverse order: column c of a row moves to size - 1 - c
+            # reversed views: column c of a row moves to size - 1 - c
             size, mid = rows[0].shape[1], self.i_match // per
             m00, m01, m10, m11 = (r[:, ::-1] for r in rows)
-            back = (np.ascontiguousarray(m11), np.negative(m01), np.negative(m10),
-                    np.ascontiguousarray(m00))
             for j, k in enumerate(ks):
                 end = -(-stops[k] // per)
-                self._matched[es[k]] = (
-                    kernels.sweep(*(r[j, :mid] for r in rows), 0.0, 1.0),
-                    kernels.sweep(*(r[j, size - end:size - mid] for r in back), 0.0, -1.0))
+                phi, dphi, nodes = kernels.sweep(
+                    *(r[j, size - end:size - mid] for r in (m11, m01, m10, m00)), 0.0, 1.0)
+                self._matched[es[k]] = (kernels.sweep(*(r[j, :mid] for r in rows), 0.0, 1.0),
+                                        (phi, -dphi, nodes))
 
     def phase(self, E: float, k: float) -> float:
         """Sum of the scaled left and right Pruefer phases at the matching point.
@@ -581,14 +595,13 @@ class _ShootingEngine:
                     del runs[n]
         return found
 
-    def solve(self, n_list, e_window, tol_ev: float) -> list[tuple[int, float]]:
-        """Eigenvalues of the requested levels as (n, E), in the order requested.
+    def solve(self, n_list, tol_ev: float) -> list[tuple[int, float]]:
+        """Eigenvalues of the requested levels inside the window, as (n, E), in the order requested.
 
         All levels advance together, in rounds (module docstring).
         """
         n_list = list(n_list)
-        e_lo, e_hi = e_window
-        self._build_blocks(e_window)
+        e_lo, _, e_hi = self._blocks.energies
         n_lo, n_hi = self.count_round([e_lo, e_hi])
         for n in n_list:
             if not n_lo <= n < n_hi:
@@ -627,19 +640,18 @@ class _ShootingEngine:
 def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window,
                   tol_ev: float = 1e-7) -> list[tuple[int, float]]:
     """Eigenvalues (n, E) of an arbitrary potential/mass pair inside e_window."""
-    return _ShootingEngine(u_fn, m_fn, grid).solve(n_list, e_window, tol_ev)
+    return _ShootingEngine(u_fn, m_fn, grid, e_window).solve(n_list, tol_ev)
 
 
 def solve_states(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
                  grid: GridSpec, n_list, tol_ev: float = 1e-7) -> list[tuple[int, float]]:
     """Eigenvalues (n, E) of the effective-potential problem, in the order requested.
 
-    The energy window spans (min U_eff, 0), read off the engine's own table.
+    The energy window is the engine's default: (min U_eff, 0), read off its own table.
     """
     grid.validate_against_mass(mm)
-    engine = _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
-    e_floor = float(np.min(engine.u_nodes))
-    return engine.solve(n_list, (e_floor + abs(e_floor) * 1e-12, 0.0), tol_ev)
+    return _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid).solve(
+        n_list, tol_ev)
 
 
 def shoot_state(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,

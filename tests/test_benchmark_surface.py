@@ -3,8 +3,10 @@
 The tracer wraps every entry point listed in ``tracing.BOUNDARIES`` at its
 ``pdmorse.<layer>`` home, the run record reads ``kernels.USE_NUMBA``, and the
 output checks import from the library.  The micro-benchmark scripts under
-``benchmarks/`` reach private names (``oracle._ShootingEngine._q``,
-``_half_sweeps``, ``_right_starts``, ``_matched``, ``_blocks``), so each runs here once at a small size.  A
+``benchmarks/`` reach private names (``oracle._ShootingEngine`` built with its
+default window, its ``_q``, ``solve``, ``count_nodes``, ``phase``,
+``_half_sweeps``, ``_right_starts``, ``_matched`` and ``_blocks.m``), so each
+runs here once at a small size.  A
 deletion or rename that would break any of them fails here, not only when a
 benchmark is run.
 """

@@ -503,9 +503,16 @@ class TestRejectedInput:
          "cannot write --output '/no/such/dir/x.csv'"),
         (["spectrum", "--molecule", "H2", "--eta", "0.2", "--output", "."],
          "cannot write --output '.'"),
+        # explicit domains with no level below zero: min U_eff is about
+        # 12.6 eV on the first, so its window is empty; about -1e-16 eV on the second
+        (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "0", "--grid",
+          "2001", "--domain=-0.6,-0.55"], "energy window [12.5713, 0] eV is empty"),
+        (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "0", "--grid",
+          "2001", "--domain=20,30"], "state n=0 not bracketed"),
     ], ids=["nan-domain", "nan-tolerance", "zero-samples", "negative-n-max",
             "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40",
-            "oracle-eta06-n16", "oracle-eta095-n1", "output-missing-dir", "output-is-dir"])
+            "oracle-eta06-n16", "oracle-eta095-n1", "output-missing-dir", "output-is-dir",
+            "oracle-domain-above-zero", "oracle-domain-in-the-tail"])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()

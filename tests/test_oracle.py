@@ -30,11 +30,15 @@ def box_level(n):
     return HBAR2_EV_AMU_A2 * math.pi**2 * (n + 1) ** 2 / 2.0
 
 
+# a window (eV) of the flat box, above its zero floor
+BOX_WINDOW = (1e-4, 3.0)
+
+
 def effective_engine(mm, mol, grid):
-    """A fresh engine on solve_states's tables, and its window (min U_eff (1 -+ 1e-12), 0)."""
+    """A fresh engine on solve_states's tables and default window, and that window."""
     engine = oracle._ShootingEngine(lambda x: u_eff(mm, WEYL, mol, x), mm.mass, grid)
-    e_floor = float(np.min(engine.u_nodes))
-    return engine, (e_floor + abs(e_floor) * 1e-12, 0.0)
+    e_lo, _, e_hi = engine._blocks.energies
+    return engine, (e_lo, e_hi)
 
 
 def assert_certified(engine, n, e, tol):
@@ -126,8 +130,8 @@ class TestBox:
         grid = GridSpec(0.0, 1.0, 2001)
         tol = 1e-10
         results = solve_on_grid(flat_potential, const_mass(1.0), grid,
-                                range(6), (1e-4, 3.0), tol_ev=tol)
-        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+                                range(6), BOX_WINDOW, tol_ev=tol)
+        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             exact = box_level(n)
             assert abs(e - exact) / exact < 1e-6
@@ -138,11 +142,11 @@ class TestBox:
         # the window (1e-4, 3) eV lies above the flat floor: every q < 0
         grid = GridSpec(0.0, 1.0, 2001)
         tol = 1e-10
-        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
-        blocked = engine.solve(range(6), (1e-4, 3.0), tol)
+        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
+        blocked = engine.solve(range(6), tol)
         assert engine._blocks.m == oracle.MAX_BLOCK
         monkeypatch.setattr(oracle, "MAX_BLOCK", 1)
-        plain = solve_on_grid(flat_potential, const_mass(1.0), grid, range(6), (1e-4, 3.0), tol)
+        plain = solve_on_grid(flat_potential, const_mass(1.0), grid, range(6), BOX_WINDOW, tol)
         for (n, e), (_, e_plain) in zip(blocked, plain):
             assert abs(e - e_plain) <= tol, (n, e - e_plain)
 
@@ -225,13 +229,13 @@ class TestSolver:
         grid = GridSpec(0.0, 1.0, 2001)
         tol = 1e-9
         results = solve_on_grid(flat_potential, const_mass(1.0), grid, range(4),
-                                (1e-4, 3.0), tol_ev=tol)
+                                BOX_WINDOW, tol_ev=tol)
         assert refined == [0, 1, 2, 3]
-        scan = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+        scan = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             assert abs(e - box_level(n)) / box_level(n) < 1e-6
-            assert abs(e - bisect_level(scan.count_nodes, n, 1e-4, 3.0, tol)) <= tol
-        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
+            assert abs(e - bisect_level(scan.count_nodes, n, *BOX_WINDOW, tol)) <= tol
+        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             assert_certified(fresh, n, e, tol)
 
@@ -319,7 +323,8 @@ class TestRightStart:
 
     def test_start_falls_back_to_x_max(self):
         # a flat box has no forbidden tail: the sweep starts at the wall
-        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001))
+        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001),
+                                        BOX_WINDOW)
         assert engine._right_starts(np.array([1.0]))[0] == 1000
 
     def test_start_reaches_the_margin(self, h2):
@@ -387,15 +392,14 @@ class TestBlockedSweeps:
     """Sweeps over blocks of up to MAX_BLOCK steps count what the step-by-step loop counts."""
 
     @staticmethod
-    def _engine_at_the_bound(u, grid):
-        """An engine on u with unit mass, blocked over a window whose top puts
-        MAX_BLOCK h sqrt(max(-q)) at pi/2, less a rounding margin."""
-        engine = oracle._ShootingEngine(u, const_mass(1.0), grid)
-        k = (1.0 - 1e-9) * 0.5 * math.pi / (oracle.MAX_BLOCK * grid.h)
-        u_min = float(min(engine.u_nodes.min(), engine.u_mids.min()))
-        window = (u_min - 50.0, u_min + k * k / engine.p_nodes[0])
-        engine._build_blocks(window)
-        return engine, window
+    def _engine_at_the_bound(u, grid, m: int = oracle.MAX_BLOCK):
+        """An engine on u with unit mass over a window whose top puts
+        m h sqrt(max(-q)) at pi/2, less a rounding margin: blocks of m steps."""
+        k = (1.0 - 1e-9) * 0.5 * math.pi / (m * grid.h)
+        xs = grid.xs()
+        u_min = float(np.nanmin(np.concatenate([u(xs), u(0.5 * (xs[:-1] + xs[1:]))])))
+        window = (u_min - 50.0, u_min + k * k / (2.0 / HBAR2_EV_AMU_A2))
+        return oracle._ShootingEngine(u, const_mass(1.0), grid, window), window
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_counts_match_reference_at_the_block_bound(self, seed):
@@ -405,7 +409,9 @@ class TestBlockedSweeps:
         energies = np.concatenate([np.linspace(e_lo, e_hi, 41),
                                    np.random.default_rng(seed).uniform(e_lo, e_hi, 40)])
         assert reference_count(engine, e_hi) > 50
-        plain = oracle._ShootingEngine(smooth_potential(seed, 1.0), const_mass(1.0), grid)
+        # the same table rule over a window wide enough for blocks of one step
+        plain, _ = self._engine_at_the_bound(smooth_potential(seed, 1.0), grid, 1)
+        assert plain._blocks.m == 1
         for e in energies:
             assert engine.count_nodes(e) == reference_count(engine, e), e
             engine.phase(e, 1.0)
@@ -442,12 +448,12 @@ class TestBlockedSweeps:
             assert engine.count_nodes(e) == reference_count(engine, e), e
 
     def test_wide_window_forces_single_steps(self):
-        # a window so high that two steps can hold two nodes: no blocks
+        # a window so high that two steps can hold two nodes: blocks of one step
         grid = GridSpec(0.0, 1.0, 1001)
-        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid)
         k = 1.01 * 0.25 * math.pi / grid.h
-        engine._build_blocks((0.0, k * k / engine.p_nodes[0]))
-        assert engine._blocks is None
+        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid,
+                                        (0.0, k * k * HBAR2_EV_AMU_A2 / 2.0))
+        assert engine._blocks.m == 1
 
     def test_sweep_states_per_solve(self, h2, monkeypatch):
         # H2, eta 0.2, levels 0-2 on the 8001-point singular domain: with
@@ -491,27 +497,19 @@ class TestBatchedRounds:
 
     @pytest.mark.parametrize("case", ["blocked", "spiked", "step by step"])
     def test_rounds_match_rounds_of_one(self, case):
-        # energies inside and outside the block window; on the spiked grid
-        # every range touches the NaN block and goes step by step, and with
-        # no blocks at all every round shares one rk4_propagators call
+        # energies inside and outside the window; on the spiked grid every
+        # range touches the NaN block and reads single steps, as every
+        # energy does with blocks of one step
         u = spiked_potential(self.GRID) if case == "spiked" else smooth_potential(5, 1.0)
+        m = 1 if case == "step by step" else oracle.MAX_BLOCK
 
         def engine():
-            if case == "step by step":
-                return oracle._ShootingEngine(u, const_mass(1.0), self.GRID), None
-            return TestBlockedSweeps._engine_at_the_bound(u, self.GRID)
+            return TestBlockedSweeps._engine_at_the_bound(u, self.GRID, m)
 
-        batched, window = engine()
-        e_lo, e_hi = window or (-300.0, 3000.0)
+        batched, (e_lo, e_hi) = engine()
+        assert batched._blocks.m == m
         energies = sorted({*np.linspace(e_lo, e_hi, 9), e_lo - 40.0, e_hi + 40.0, e_hi + 900.0})
-        props = []
-        rk4 = kernels.rk4_propagators
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "rk4_propagators", lambda *a: props.append(1) or rk4(*a))
-            counts = batched.count_round(energies)
-        if case == "step by step":
-            # shared calls, as many as keep their tables within WORK_FLOATS
-            assert 0 < len(props) <= 2 < len(energies)
+        counts = batched.count_round(energies)
         starts = batched._right_starts(np.array(energies))
         batched._half_sweeps(energies, starts)
         for e, nodes, start in zip(energies, counts, starts):
@@ -532,6 +530,49 @@ class TestBatchedRounds:
         solve_states(mm, WEYL, h2, GridSpec(*reference_domain(h2, 0.2), 2001), range(13),
                      tol_ev=1e-6)
         assert len(evaluations) <= 30 < sum(evaluations), evaluations
+
+
+class TestOneStepTable:
+    """An engine builds its step table once; every sweep reads it."""
+
+    def test_sweeps_make_no_propagator_calls(self, h2, monkeypatch):
+        # a full solve on an m = 1 grid, counts outside the window, and
+        # rounds that touch the NaN and spike blocks: none of them calls
+        # rk4_propagators, and the last two read the table's single steps
+        mm = MassModel.for_molecule(h2, 0.6)
+        singular = oracle._ShootingEngine(lambda x: u_eff(mm, WEYL, h2, x), mm.mass,
+                                          GridSpec(*reference_domain(h2, 0.6), 2001))
+        grid = TestBatchedRounds.GRID
+        spiked, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(spiked_potential(grid), grid)
+        assert singular._blocks.m == 1 and spiked._blocks.m == oracle.MAX_BLOCK
+        w_lo, _, w_hi = singular._blocks.energies
+        outside = [w_lo - 1.0, w_hi + 0.5, w_hi + 5.0]
+        inside = list(np.linspace(e_lo, e_hi, 9))
+        props, singles = [], []
+        rk4, steps = kernels.rk4_propagators, oracle._BlockTables.steps
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "rk4_propagators", lambda *a: props.append(1) or rk4(*a))
+            patch.setattr(oracle._BlockTables, "steps",
+                          lambda *a: singles.append(a[1].size) or steps(*a))
+            solved = singular.solve(range(13), 1e-6)
+            singles.clear()
+            counts = singular.count_round(outside)
+            assert sum(singles) == len(outside)
+            singles.clear()
+            spiked.count_round(inside)
+            spiked._half_sweeps(inside, spiked._right_starts(np.array(inside)))
+            assert sum(singles) >= 2 * len(inside)
+        assert props == []
+        assert [n for n, _ in solved] == list(range(13))
+        assert counts == [reference_count(singular, e) for e in outside]
+
+    @pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                        (0.0, math.inf), (-math.inf, 0.0), None])
+    def test_window_without_energies_raises(self, window):
+        # None: the default window of the flat floor, (0, 0)
+        with pytest.raises(NoBracket, match=r"energy window \[.*\] eV is empty or not finite"):
+            oracle._ShootingEngine(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001),
+                                   window)
 
 
 class TestAgainstTightSolve:
@@ -695,6 +736,18 @@ class TestKernels:
             got = kernels.sweep(*cols, phi0, dphi0)
             assert got[2] == ref[2], (cols, phi0, dphi0)
             assert self._same(got[0], ref[0]) and self._same(got[1], ref[1]), (cols, phi0)
+
+    def test_reversed_adjugate_sweep_is_the_forward_sweep_of_swapped_entries(self):
+        # the half-sweep's identity: adj = [[e, -b], [-c, a]] acts on
+        # (phi, -phi') as [[e, b], [c, a]] does on (phi, phi'); over reversed
+        # views both give the same nodes and values, up to the sign of zero
+        for cols, phi0, dphi0 in self._random_tables(10_000, seed=2011):
+            a, b, c, e = (m[::-1] for m in cols)
+            adj = kernels.sweep(e, -b, -c, a, phi0, dphi0)
+            swapped = kernels.sweep(e, b, c, a, phi0, -dphi0)
+            assert adj[2] == swapped[2], (cols, phi0, dphi0)
+            for x, y in ((adj[0], swapped[0]), (adj[1], -swapped[1])):
+                assert x == y or (math.isnan(x) and math.isnan(y)), (cols, phi0, dphi0)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_count_stops_at_a_settled_state_in_the_tail(self, chunk):
