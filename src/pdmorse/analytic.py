@@ -19,6 +19,7 @@ two eigenvalue formulas.  At eta = 0 everything coincides.
 """
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,13 @@ class BoundState:
     A: float
     A_tilde: float | None
     norm_const: float | None = None
+
+
+class SignConvention(enum.Enum):
+    """The eigenfunction branch at the origin (see :mod:`pdmorse.wavefn`)."""
+
+    PRINTED = "printed"
+    NORMALIZABLE = "normalizable"
 
 
 def discriminant_root(sys: ReducedSystem, eps: float) -> float:

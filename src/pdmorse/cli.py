@@ -9,14 +9,13 @@ import argparse
 import functools
 import sys
 
-from .analytic import make_state
+from .analytic import SignConvention, make_state
 from .catalog import resolve_molecule
 from .errors import PdmorseError
 from .model import parse_ordering, reduce
 from .reports import (build_spectrum_report, oracle_compare_rows, oracle_csv,
                       spectrum_csv, spectrum_json, table1_report,
                       wavefunction_csv)
-from .wavefn import SignConvention
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,6 +154,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (PdmorseError, ValueError) as exc:
         print(f"pdmorse-error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. numpy's allocation error for a huge --samples or --grid
+        print(f"pdmorse-error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError, MassSingularity
 from .units import energy_scale_ev
 
@@ -166,6 +164,8 @@ class MassModel:
 
     def _w_u(self, x):
         """w = exp(-beta x) and u = 1 - eta w; MassSingularity within 1e-12 of the pole."""
+        import numpy as np
+
         w = np.exp(-self.beta * np.asarray(x, dtype=float))
         u = 1.0 - self.eta * w
         if np.any(np.abs(u) < 1e-12):
@@ -186,6 +186,8 @@ class MassModel:
 
 def potential_value(mol: MoleculeSpec, x):
     """V(x) = V1 exp(-2 beta x) - V2 exp(-beta x) in eV (defined for all real x)."""
+    import numpy as np
+
     w = np.exp(-mol.beta * np.asarray(x, dtype=float))
     out = mol.V1 * w**2 - mol.V2 * w
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out

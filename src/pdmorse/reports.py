@@ -3,31 +3,33 @@
 Outputs are byte-identical across runs for identical inputs: floats are
 serialized with 17 significant digits, rows carry no timestamps, and the
 only run metadata lives in the provenance comment block (suppressible for
-diffing).
+diffing).  numpy, :mod:`pdmorse.oracle` and :mod:`pdmorse.wavefn` are
+imported inside the functions that use them, so the spectrum and table1
+paths run without numpy.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .analytic import energy_ev, make_state, spectrum
+from .analytic import SignConvention, energy_ev, make_state, spectrum
 from .catalog import REFERENCE_ENERGIES, REFERENCE_ETAS, builtin_catalog, reference_energy
 from .errors import PdmorseError, RealityViolation
 from .model import (WEYL, AmbiguityOrdering, MassModel, MoleculeSpec, ReducedSystem,
                     ordering_label, reduce)
-from .oracle import GridSpec, default_domain, physical_psi, solve_states
-from .wavefn import SignConvention, attach_norm, phi
 
 SPECTRUM_COLUMNS = ("n", "eps_nl", "E_eV", "E_paper_eV", "delta_eV")
 WAVEFUNCTION_COLUMNS = ("z", "x_angstrom", "phi", "psi_physical")
 ORACLE_COLUMNS = ("molecule", "eta", "ordering", "n", "E_analytic_eV",
                   "E_oracle_eV", "delta_eV", "domain", "grid_points")
 _SPECTRUM_ROW = "%d,%.17g,%.17g,%s,%s\n"
+# one row of json.dumps(..., indent=2, sort_keys=True) at depth 2
+_JSON_ROW = ('    {\n      "E_eV": %s,\n      "E_paper_eV": %s,\n      "delta_eV": %s,\n'
+             '      "eps_nl": %s,\n      "n": %s\n    }')
 
 
 def fmt(value) -> str:
@@ -36,7 +38,7 @@ def fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy registers its integer types here
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -48,6 +50,8 @@ def float_rows(*columns) -> str:
     format(x, '.17g') produce the same digits, without a call and a join
     per cell.
     """
+    import numpy as np
+
     table = np.column_stack(columns)
     row = ",".join(("%.17g",) * table.shape[1]) + "\n"
     return (row * table.shape[0]) % tuple(table.ravel().tolist())
@@ -181,13 +185,25 @@ def spectrum_csv(report: SpectrumReport, include_provenance: bool = True) -> str
 
 
 def spectrum_json(report: SpectrumReport, include_provenance: bool = True) -> str:
-    """JSON mirror of the CSV content, field for field."""
-    rows = [{"n": r.n, "eps_nl": r.eps_nl, "E_eV": r.E_eV,
-             "E_paper_eV": r.E_paper_eV, "delta_eV": r.delta_eV} for r in report.rows]
-    doc: dict = {"rows": rows}
+    """JSON mirror of the CSV content, field for field.
+
+    The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for
+    ``doc = {"provenance": ..., "rows": [...]}``, written from one row template.
+    The cells go through json's C encoder in one call, one token per cell
+    (the separator is a newline, which no JSON token contains).
+    """
+    head = "{\n"
     if include_provenance:
-        doc["provenance"] = report.provenance
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        prov = json.dumps(report.provenance, indent=2, sort_keys=True)
+        head += '  "provenance": ' + prov.replace("\n", "\n  ") + ",\n"
+    if not report.rows:
+        return head + '  "rows": []\n}\n'
+    cells = []
+    for r in report.rows:
+        cells += (r.E_eV, r.E_paper_eV, r.delta_eV, r.eps_nl, r.n)
+    tokens = json.dumps(cells, separators=("\n", ": "))[1:-1].split("\n")
+    body = ",\n".join((_JSON_ROW,) * len(report.rows)) % tuple(tokens)
+    return head + '  "rows": [\n' + body + "\n  ]\n}\n"
 
 
 def parse_spectrum_csv(text: str) -> SpectrumReport:
@@ -222,6 +238,11 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
                      convention: SignConvention,
                      include_provenance: bool = True) -> str:
     """Sampled eigenfunction export: z, x (Angstrom), phi, and psi = sqrt(m) phi."""
+    import numpy as np
+
+    from .oracle import physical_psi
+    from .wavefn import attach_norm, phi
+
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     if sys.eta == 0.0:  # phi_eta0 has only the bounded branch
@@ -256,6 +277,8 @@ def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrderi
     domain cell reads label[x_min;x_max].  A level that :func:`spectrum`
     does not list raises RealityViolation before any solve.
     """
+    from .oracle import GridSpec, default_domain, solve_states
+
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     sys = reduce(mol, eta, ordering)

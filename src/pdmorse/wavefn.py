@@ -24,14 +24,13 @@ Outputs must record which convention produced them.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from .analytic import BoundState
+from .analytic import BoundState, SignConvention
 from .errors import DomainUnsupported, NormOverflow
 from .model import ReducedSystem
 from .quadrature import integrate_with_endpoint_power
@@ -53,11 +52,6 @@ _RESCALE_STRIDE = 16
 _PLAIN_DEGREE = 200
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_TINY = np.finfo(float).tiny  # smallest normal float
-
-
-class SignConvention(enum.Enum):
-    PRINTED = "printed"
-    NORMALIZABLE = "normalizable"
 
 
 def jacobi(n: int, p: float, q: float, x):

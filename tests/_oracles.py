@@ -5,7 +5,8 @@ oracle is the explicit finite sum, derivatives come from Richardson-style
 central differences, integrals from the composite trapezoid or fixed-order
 Gauss-Legendre rules, RK4 propagators from composed stage matrices,
 eigenvalues from plain per-level bisection on node counts, the node-counting
-sweep from a one-branch loop, and CSV rows from per-cell formatting.  The
+sweep from a one-branch loop, CSV rows from per-cell formatting, and JSON
+spectra from ``json.dumps``.  The
 Rodrigues expansion cross-checks the Jacobi recurrence, and the branch
 explorer spans all four (k-root, pi-sign) pairings of the quantization.
 
@@ -16,6 +17,7 @@ and equation residual of the assembled eigenfunction (both through ``phi``).
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -154,6 +156,16 @@ def csv_row_reference(values) -> str:
         else:
             cells.append(format(float(value), ".17g"))
     return ",".join(cells) + "\n"
+
+
+def spectrum_json_reference(report, include_provenance: bool = True) -> str:
+    """A spectrum report through json.dumps(indent=2, sort_keys=True)."""
+    rows = [{"n": r.n, "eps_nl": r.eps_nl, "E_eV": r.E_eV,
+             "E_paper_eV": r.E_paper_eV, "delta_eV": r.delta_eV} for r in report.rows]
+    doc: dict = {"rows": rows}
+    if include_provenance:
+        doc["provenance"] = report.provenance
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def sweep_reference(m00, m01, m10, m11, phi0: float, dphi0: float):

@@ -7,16 +7,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import csv_row_reference
+from _oracles import csv_row_reference, spectrum_json_reference
 
 from pdmorse import (WEYL, ConfigError, NormOverflow, attach_norm, builtin_catalog,
                      get_molecule, load_molecule_config, reduce, resolve_molecule)
 from pdmorse.analytic import make_state, spectrum
 from pdmorse.catalog import REFERENCE_ENERGIES, reference_energy
 from pdmorse.cli import _build_parser, main
-from pdmorse.reports import (SpectrumReport, SpectrumRow, build_spectrum_report,
-                             float_rows, oracle_compare_rows, oracle_csv,
+from pdmorse.reports import (SpectrumReport, SpectrumRow, base_provenance,
+                             build_spectrum_report, float_rows, oracle_compare_rows, oracle_csv,
                              parse_spectrum_csv, spectrum_csv, spectrum_json,
                              table1_report, wavefunction_csv)
 from pdmorse.wavefn import SignConvention
@@ -352,6 +354,28 @@ class TestRowTemplates:
         rows = build_spectrum_report(h2, 0.4, WEYL).rows
         assert self.spectrum_body(rows) == self.spectrum_reference(rows)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(rows=st.lists(st.builds(SpectrumRow, n=st.integers(0, 10**9), eps_nl=st.floats(),
+                                   E_eV=st.floats(), E_paper_eV=st.none() | st.floats(),
+                                   delta_eV=st.none() | st.floats()), max_size=6),
+           name=st.text(), provenance=st.sampled_from(["off", "empty", "full"]))
+    @example(rows=[], name='q"uote\\ H\u2082 \u00e9', provenance="full")
+    @example(rows=[SpectrumRow(0, 1.0, -4.5, None, None)], name="", provenance="off")
+    def test_spectrum_json_matches_json_dumps(self, rows, name, provenance):
+        prov = {} if provenance != "full" else base_provenance(
+            molecule=name, eta=0.2, ordering="weyl", eigenvalue_formula="closed-form")
+        report = SpectrumReport(molecule=name, eta=0.2, ordering="weyl", rows=tuple(rows),
+                                provenance=prov)
+        on = provenance != "off"
+        assert spectrum_json(report, on) == spectrum_json_reference(report, on)
+
+    @pytest.mark.parametrize("molecule", ["H2", "LiH"])
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_spectrum_json_of_the_built_ins(self, molecule, eta):
+        report = build_spectrum_report(get_molecule(molecule), eta, WEYL)
+        for on in (True, False):
+            assert spectrum_json(report, on) == spectrum_json_reference(report, on)
+
 
 class TestParser:
     def test_built_once_with_fresh_namespaces(self):
@@ -509,10 +533,16 @@ class TestRejectedInput:
           "2001", "--domain=-0.6,-0.55"], "energy window [12.5713, 0] eV is empty"),
         (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "0", "--grid",
           "2001", "--domain=20,30"], "state n=0 not bracketed"),
+        # arrays of 8e15 bytes: past the user address space, so the allocation fails at once
+        (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "1", "--samples",
+          str(10**15)], "out of memory"),
+        (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "0", "--grid",
+          str(10**15)], "out of memory"),
     ], ids=["nan-domain", "nan-tolerance", "zero-samples", "negative-n-max",
             "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40",
             "oracle-eta06-n16", "oracle-eta095-n1", "output-missing-dir", "output-is-dir",
-            "oracle-domain-above-zero", "oracle-domain-in-the-tail"])
+            "oracle-domain-above-zero", "oracle-domain-in-the-tail", "samples-1e15",
+            "grid-1e15"])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -520,3 +550,18 @@ class TestRejectedInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")
         assert message in lines[0]
+
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "mol.cfg"
+        path.write_bytes(b"\xff\xfe" + GOOD_CONFIG.encode())
+        with pytest.raises(ConfigError, match="codec can't decode"):
+            load_molecule_config(path)
+        argv = {"validate": ["validate", str(path)],
+                "spectrum": ["spectrum", "--molecule", str(path), "--eta", "0.2"]}[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pdmorse-error: cannot read config {path}: ")
