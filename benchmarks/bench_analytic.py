@@ -6,8 +6,10 @@ Times, in ms per call (best of --repeats rounds of --calls calls each):
 is built once per process and cached; the cold figure clears that cache
 before every call.  The cold-start lines are the median wall time of
 --repeats fresh interpreters, run in interleaved rounds, for ``import
-pdmorse``, ``spectrum --molecule H2 --eta 0.2 --no-provenance`` and
-``table1``.  Usage:
+pdmorse``, ``spectrum --molecule H2 --eta 0.2 --no-provenance``, ``table1``
+and ``wavefunction --molecule H2 --eta 0.2 --n 1 --samples 256
+--no-provenance`` (numpy and the eigenfunction layer, but not the shooting
+oracle).  Usage:
 
     python benchmarks/bench_analytic.py [--repeats 5] [--calls 200]
 
@@ -45,6 +47,8 @@ COLD_STARTS = [
     ("cold spectrum", ["-m", "pdmorse", "spectrum", "--molecule", "H2", "--eta", "0.2",
                        "--no-provenance"]),
     ("cold table1", ["-m", "pdmorse", "table1"]),
+    ("cold wavefunction", ["-m", "pdmorse", "wavefunction", "--molecule", "H2", "--eta", "0.2",
+                           "--n", "1", "--samples", "256", "--no-provenance"]),
 ]
 
 

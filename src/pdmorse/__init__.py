@@ -5,7 +5,8 @@ Library layout:
 * :mod:`pdmorse.model`    — molecule/ordering/mass parameters and the
   dimensionless reduction.
 * :mod:`pdmorse.analytic` — closed-form spectrum and bound-state records.
-* :mod:`pdmorse.wavefn`   — Jacobi machinery, eigenfunctions, normalization.
+* :mod:`pdmorse.wavefn`   — Jacobi machinery, eigenfunctions, normalization,
+  and psi = sqrt(m) phi.
 * :mod:`pdmorse.oracle`   — independent shooting-method eigensolver.
 * :mod:`pdmorse.catalog`, :mod:`pdmorse.reports`, :mod:`pdmorse.cli` —
   built-in data, deterministic exports, command line.
@@ -15,7 +16,9 @@ name that is not a submodule (``pdmorse.spectrum``, ``from pdmorse import *``)
 imports the whole library, numpy included, once.  Only the array layers
 (``oracle``, ``kernels``, ``wavefn``, ``quadrature``) need numpy, so
 ``from pdmorse import cli`` and the closed-form commands ``spectrum``,
-``table1`` and ``validate`` run without it.
+``table1`` and ``validate`` run without it.  ``wavefunction`` needs numpy
+but not the shooting oracle: it loads neither ``oracle``, ``kernels`` nor
+``quadrature``.
 """
 
 __version__ = "0.1.0"
@@ -48,6 +51,7 @@ def __getattr__(name: str):
 
     if importlib.util.find_spec(f"{__name__}.{name}") is not None:
         return importlib.import_module(f"{__name__}.{name}")
+    from . import quadrature  # wavefn imports it only inside norm_const_quadrature
     from .analytic import (BoundState, energy_ev, epsilon_nl, make_state,
                            nu_consistent_epsilon, spectrum)
     from .catalog import builtin_catalog, get_molecule, load_molecule_config, resolve_molecule
@@ -56,10 +60,9 @@ def __getattr__(name: str):
                          NormOverflow, PdmorseError, QuadratureFailure, RealityViolation)
     from .model import (LI_KUHN, WEYL, AmbiguityOrdering, MassModel, MoleculeSpec,
                         ReducedSystem, parse_ordering, potential_value, reduce)
-    from .oracle import (GridSpec, default_domain, physical_psi, shoot_state, solve_on_grid,
-                         solve_states, u_eff)
+    from .oracle import GridSpec, default_domain, shoot_state, solve_on_grid, solve_states, u_eff
     from .wavefn import (SignConvention, attach_norm, jacobi, norm_const,
-                         norm_const_quadrature, phi, phi_eta0)
+                         norm_const_quadrature, phi, phi_eta0, physical_psi)
 
     # the submodules bind themselves as package attributes on import
     imported = locals()

@@ -17,6 +17,10 @@ from .reports import (build_spectrum_report, oracle_compare_rows, oracle_csv,
                       spectrum_csv, spectrum_json, table1_report,
                       wavefunction_csv)
 
+_ORDERING_HELP = ("weyl | likuhn | a,alpha,gamma (use --ordering=-0.5,0,0 when a is "
+                  "negative)")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parse_args returns a fresh Namespace)."""
@@ -28,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="enumerate the analytic spectrum")
     sp.add_argument("--molecule", required=True, help="built-in name or config path")
     sp.add_argument("--eta", type=float, required=True)
-    sp.add_argument("--ordering", default="weyl", help="weyl | likuhn | a,alpha,gamma")
+    sp.add_argument("--ordering", default="weyl", help=_ORDERING_HELP)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--no-provenance", action="store_true")
     sp.add_argument("--output", default=None, help="write here instead of stdout")
@@ -41,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--eta", type=float, required=True)
     wp.add_argument("--n", type=int, required=True)
     wp.add_argument("--samples", type=int, default=256)
-    wp.add_argument("--ordering", default="weyl")
+    wp.add_argument("--ordering", default="weyl", help=_ORDERING_HELP)
     wp.add_argument("--convention", choices=[c.value for c in SignConvention],
                     default="normalizable")
     wp.add_argument("--no-provenance", action="store_true")
@@ -50,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle-compare", help="shooting solver vs analytic energies")
     op.add_argument("--molecule", required=True)
     op.add_argument("--eta", type=float, required=True)
-    op.add_argument("--ordering", default="weyl")
+    op.add_argument("--ordering", default="weyl", help=_ORDERING_HELP)
     op.add_argument("--n-max", type=int, default=2)
     op.add_argument("--grid", type=int, default=8001, help="grid point count")
     op.add_argument("--domain", default=None,

@@ -72,6 +72,8 @@ class AmbiguityOrdering:
     """Kinetic-operator ordering parameters (a, alpha, gamma).
 
     beta_order is fixed by the constraint alpha + beta_order + gamma = -1.
+    Construction also checks the identity A1 + A2 = c_ord - 1/4 that links
+    the ordering combinations to the eps1 bracket of :func:`reduce`.
     """
 
     a: float
@@ -88,6 +90,10 @@ class AmbiguityOrdering:
         if not abs(self.alpha + self.beta_order + self.gamma + 1.0) <= 1e-12:
             raise ConfigError(f"ordering parameters alpha={self.alpha!r}, gamma={self.gamma!r} "
                               "do not satisfy alpha + beta + gamma = -1 in floating point")
+        c_ord = self.c_ord
+        if not abs(self.A1 + self.A2 - (c_ord - 0.25)) <= 1e-12 * max(1.0, abs(c_ord)):
+            raise ConfigError(f"ordering {self.a:g},{self.alpha:g},{self.gamma:g} breaks the "
+                              "identity A1 + A2 = c_ord - 1/4 in floating point")
 
     @property
     def c_ord(self) -> float:
@@ -197,7 +203,8 @@ def potential_value(mol: MoleculeSpec, x):
 class ReducedSystem:
     """Dimensionless problem after unit reduction.
 
-    eps1 = v1 - 4 eta^2 (c_ord - 1/4), eps2 = -eta c2_ord - v2, and energies
+    eps1 = v1 - 4 eta^2 (c_ord - 1/4) and eps2 = -eta c2_ord - v2, with c_ord
+    and c2_ord those of the :class:`AmbiguityOrdering`; energies
     map back through E = -e_scale * eps with e_scale = beta^2 hbar^2 / (2 m0)
     = alpha'^2 E0 / 2 (eV).
     """
@@ -205,10 +212,6 @@ class ReducedSystem:
     v1: float
     v2: float
     eta: float
-    c_ord: float
-    c2_ord: float
-    A1: float
-    A2: float
     eps1: float
     eps2: float
     e_scale: float
@@ -233,17 +236,9 @@ def reduce(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering) -> Reduce
     scale = mol.alpha_prime**2 * mol.E0
     v1 = 2.0 * mol.V1 / scale
     v2 = 2.0 * mol.V2 / scale
-    c_ord = ordering.c_ord
-    c2_ord = ordering.c2_ord
-    eps1 = v1 - 4.0 * eta**2 * (c_ord - 0.25)
-    eps2 = -eta * c2_ord - v2
-    sys = ReducedSystem(v1=v1, v2=v2, eta=eta, c_ord=c_ord, c2_ord=c2_ord,
-                        A1=ordering.A1, A2=ordering.A2, eps1=eps1, eps2=eps2,
-                        e_scale=scale / 2.0)
-    # Algebraic identity linking the ordering combinations to the eps1 bracket.
-    if not abs(sys.A1 + sys.A2 - (c_ord - 0.25)) <= 1e-12 * max(1.0, abs(c_ord)):
-        raise ConfigError(f"ordering {ordering_label(ordering)} breaks the identity "
-                          "A1 + A2 = c_ord - 1/4 in floating point")
+    sys = ReducedSystem(v1=v1, v2=v2, eta=eta,
+                        eps1=v1 - 4.0 * eta**2 * (ordering.c_ord - 0.25),
+                        eps2=-eta * ordering.c2_ord - v2, e_scale=scale / 2.0)
     for label in ("v1", "v2", "eps1", "eps2", "e_scale"):
         value = getattr(sys, label)
         if not math.isfinite(value):

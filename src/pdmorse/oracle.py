@@ -143,11 +143,6 @@ def u_eff(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec, x):
     return kinetic + potential_value(mol, x) + redef
 
 
-def physical_psi(mm: MassModel, x, phi_values):
-    """psi(x) = sqrt(m(x)) * phi(x), pointwise."""
-    return np.sqrt(mm.mass(x)) * np.asarray(phi_values, dtype=float)
-
-
 class _BlockTables:
     """RK4 step matrices as quadratics in E over one window, in blocks of m steps.
 
@@ -673,16 +668,17 @@ def default_domain(mol: MoleculeSpec, eta: float,
     1e-5 of the well depth.
     """
     x_max = math.log(1000.0 * mol.V2 / (0.01 * mol.D)) / mol.beta
+    singularity = MassModel.for_molecule(mol, eta).singularity_x
     if left == "boundary":
         x_min = 0.0
     elif left == "singular":
-        if eta == 0.0:
+        if singularity is None:
             raise ConfigError("no singularity at eta = 0")
-        x_min = math.log(eta) / mol.beta + 5 * SINGULARITY_MARGIN
+        x_min = singularity + 5 * SINGULARITY_MARGIN
     elif left == "physical":
         x_min = -0.95 * mol.r0
-        if eta > 0.0:
-            x_min = max(x_min, math.log(eta) / mol.beta + 5 * SINGULARITY_MARGIN)
+        if singularity is not None:
+            x_min = max(x_min, singularity + 5 * SINGULARITY_MARGIN)
     else:
         raise ConfigError(f"unknown domain anchor {left!r}")
     return (x_min, x_max)

@@ -5,7 +5,7 @@ serialized with 17 significant digits, rows carry no timestamps, and the
 only run metadata lives in the provenance comment block (suppressible for
 diffing).  numpy, :mod:`pdmorse.oracle` and :mod:`pdmorse.wavefn` are
 imported inside the functions that use them, so the spectrum and table1
-paths run without numpy.
+paths run without numpy and the wavefunction path without the oracle.
 """
 from __future__ import annotations
 
@@ -68,11 +68,11 @@ class SpectrumRow:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Spectrum rows plus provenance for one (molecule, eta, ordering)."""
+    """Spectrum rows plus provenance for one (molecule, eta, ordering).
 
-    molecule: str
-    eta: float
-    ordering: str
+    The provenance holds the molecule, eta and ordering label.
+    """
+
     rows: tuple[SpectrumRow, ...]
     provenance: dict = field(default_factory=dict)
 
@@ -96,9 +96,7 @@ def build_spectrum_report(mol: MoleculeSpec, eta: float,
     prov = base_provenance(molecule=mol.name, eta=eta,
                            ordering=ordering_label(ordering),
                            eigenvalue_formula="closed-form")
-    return SpectrumReport(molecule=mol.name, eta=eta,
-                          ordering=ordering_label(ordering),
-                          rows=tuple(rows), provenance=prov)
+    return SpectrumReport(rows=tuple(rows), provenance=prov)
 
 
 @dataclass(frozen=True)
@@ -228,10 +226,7 @@ def parse_spectrum_csv(text: str) -> SpectrumReport:
             n=int(parts[0]), eps_nl=float(parts[1]), E_eV=float(parts[2]),
             E_paper_eV=float(parts[3]) if parts[3] else None,
             delta_eV=float(parts[4]) if parts[4] else None))
-    return SpectrumReport(molecule=prov.get("molecule", ""),
-                          eta=float(prov["eta"]) if "eta" in prov else math.nan,
-                          ordering=prov.get("ordering", ""),
-                          rows=tuple(rows), provenance=prov)
+    return SpectrumReport(rows=tuple(rows), provenance=prov)
 
 
 def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
@@ -240,8 +235,7 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
     """Sampled eigenfunction export: z, x (Angstrom), phi, and psi = sqrt(m) phi."""
     import numpy as np
 
-    from .oracle import physical_psi
-    from .wavefn import attach_norm, phi
+    from .wavefn import attach_norm, phi, physical_psi
 
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")

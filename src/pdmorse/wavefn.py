@@ -20,7 +20,8 @@ For eta > 0 the polynomial factor is a Jacobi polynomial; at eta = 0 (constant
 mass) it is a generalized Laguerre polynomial, and only the bounded branch
 exists.  Both families run through one rescaled three-term recurrence,
 :func:`_scaled_recurrence`, and one log-space assembly, :func:`_log_space`.
-Outputs must record which convention produced them.
+Outputs must record which convention produced them.  :func:`physical_psi`
+turns an eigenfunction into psi = sqrt(m) phi.
 """
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from .analytic import BoundState, SignConvention
 from .errors import DomainUnsupported, NormOverflow
-from .model import ReducedSystem
-from .quadrature import integrate_with_endpoint_power
+from .model import MassModel, ReducedSystem
 
 _RESCALE_AT = 1e150
 # Rescaling test stride.  One step of a_k y_k = (b1_k + b2_k x) y_{k-1} - c_k y_{k-2}
@@ -238,6 +238,11 @@ def phi_eta0(sys: ReducedSystem, state: BoundState, z):
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
+def physical_psi(mm: MassModel, x, phi_values):
+    """psi(x) = sqrt(m(x)) * phi(x), pointwise."""
+    return np.sqrt(mm.mass(x)) * np.asarray(phi_values, dtype=float)
+
+
 def _norm_from_log(log_norm: float, what: str) -> float:
     if log_norm > _LOG_FLOAT_MAX:
         raise NormOverflow(
@@ -303,6 +308,8 @@ def norm_const_quadrature(n: int, p: float, q: float, eta: float) -> float:
     lies far below 1e-10 is still resolved.  Requires the endpoint power
     q > -1 (the printed branch thus needs sqrt(eps) < 1/2).
     """
+    from .quadrature import integrate_with_endpoint_power
+
     if q <= -1.0:
         raise DomainUnsupported(f"phi^2 ~ z^{q:.3g} not integrable at the origin")
 

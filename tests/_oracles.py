@@ -26,6 +26,7 @@ import numpy as np
 from pdmorse import oracle
 from pdmorse.analytic import _state, discriminant_root, nu_consistent_epsilon
 from pdmorse.errors import ComplexBranch, RealityViolation
+from pdmorse.model import WEYL
 from pdmorse.units import HBAR2_EV_AMU_A2
 from pdmorse.wavefn import SignConvention, phi
 
@@ -261,15 +262,17 @@ def nu_branch_internals(sys, eps: float, n: int, k_root: int, pi_sign: int) -> N
         lambda_=k + tau_slope / 2.0, lambda_pi=k + pi_slope, lambda_n=lambda_n)
 
 
-def reality_check(sys) -> bool:
+def reality_check(sys, ordering=WEYL) -> bool:
     """The paper's reality condition v1/2 > eta^2 (2 c_ord - 1/4).
+
+    c_ord is that of the ordering ``sys`` was reduced with.
 
     It is equivalent to eps1 - eta^2/2 > 0, the radicand ``spectrum`` tests:
     substituting eps1 = v1 - 4 eta^2 (c_ord - 1/4) gives eps1 - eta^2/2
     = v1 - 4 eta^2 c_ord + eta^2 - eta^2/2 = 2 [v1/2 - eta^2 (2 c_ord - 1/4)],
     so the two sides agree in sign.
     """
-    return sys.v1 / 2.0 > sys.eta**2 * (2.0 * sys.c_ord - 0.25)
+    return sys.v1 / 2.0 > sys.eta**2 * (2.0 * ordering.c_ord - 0.25)
 
 
 def a_tilde(sys, eps: float) -> float:

@@ -272,11 +272,10 @@ def test_criterion_10_property_suites():
                               gamma=float(rng.uniform(-1.5, 1.5)))
         eta = float(rng.uniform(0.0, 0.999))
         v1 = float(10 ** rng.uniform(-4, 3))
-        sys = ReducedSystem(v1=v1, v2=2 * v1, eta=eta, c_ord=o.c_ord,
-                            c2_ord=o.c2_ord, A1=o.A1, A2=o.A2,
+        sys = ReducedSystem(v1=v1, v2=2 * v1, eta=eta,
                             eps1=v1 - 4 * eta**2 * (o.c_ord - 0.25),
                             eps2=-eta * o.c2_ord - 2 * v1, e_scale=1.0)
-        if reality_check(sys) != (sys.eps1 - eta**2 / 2 > 0):
+        if reality_check(sys, o) != (sys.eps1 - eta**2 / 2 > 0):
             failures.append(f"reality equivalence draw {i}")
 
     ok = not failures

@@ -14,9 +14,8 @@ TABLE_GATE = 0.005  # eV; reference energies carry 3 printed decimals
 
 def synthetic_system(v1, v2, eta, e_scale=1.0):
     """Weyl-combination synthetic well built directly from reduced numbers."""
-    return ReducedSystem(v1=v1, v2=v2, eta=eta, c_ord=0.25, c2_ord=0.5,
-                         A1=-0.25, A2=0.25,
-                         eps1=v1, eps2=-eta * 0.5 - v2, e_scale=e_scale)
+    return ReducedSystem(v1=v1, v2=v2, eta=eta, eps1=v1, eps2=-eta * 0.5 - v2,
+                         e_scale=e_scale)
 
 
 class TestTabulatedEnergies:
@@ -80,11 +79,10 @@ class TestRealityCondition:
                                   gamma=float(rng.uniform(-1.5, 1.5)))
             eta = float(rng.uniform(0.0, 0.999))
             v1 = float(10 ** rng.uniform(-4, 3))
-            sys = ReducedSystem(v1=v1, v2=2 * v1, eta=eta, c_ord=o.c_ord,
-                                c2_ord=o.c2_ord, A1=o.A1, A2=o.A2,
+            sys = ReducedSystem(v1=v1, v2=2 * v1, eta=eta,
                                 eps1=v1 - 4 * eta**2 * (o.c_ord - 0.25),
                                 eps2=-eta * o.c2_ord - 2 * v1, e_scale=1.0)
-            assert reality_check(sys) == (sys.eps1 - eta**2 / 2 > 0)
+            assert reality_check(sys, o) == (sys.eps1 - eta**2 / 2 > 0)
 
 
 class TestSpectrum:
@@ -259,8 +257,8 @@ class TestDegenerateDenominator:
     def test_raises_near_zero_denominator(self):
         # eta = 0.5 and eps1 = 0.75 eta^2 make sqrt(eps1 - eta^2/2) = eta/2,
         # so the n = 0 denominator vanishes identically
-        sys = ReducedSystem(v1=0.1875, v2=1.0, eta=0.5, c_ord=0.25, c2_ord=0.5,
-                            A1=-0.25, A2=0.25, eps1=0.1875, eps2=-1.25, e_scale=1.0)
+        sys = ReducedSystem(v1=0.1875, v2=1.0, eta=0.5, eps1=0.1875, eps2=-1.25,
+                            e_scale=1.0)
         with pytest.raises(DegenerateDenominator):
             epsilon_nl(sys, 0)
 
@@ -282,8 +280,8 @@ class TestComplexBranch:
 
         # 4 eta^2 eps + 4 eta eps2 + eta^2 + 4 eps1 < 0 for a strongly
         # negative eps2 with a shallow eps1
-        sys = ReducedSystem(v1=1.0, v2=100.0, eta=0.5, c_ord=0.25, c2_ord=0.5,
-                            A1=-0.25, A2=0.25, eps1=1.0, eps2=-100.25, e_scale=1.0)
+        sys = ReducedSystem(v1=1.0, v2=100.0, eta=0.5, eps1=1.0, eps2=-100.25,
+                            e_scale=1.0)
         with pytest.raises(ComplexBranch):
             discriminant_root(sys, 1.0)
         with pytest.raises(ComplexBranch):

@@ -57,7 +57,7 @@ def test_output_checks_import():
     ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
       "_build_parser (cached)", "_build_parser (cold)", "cold import pdmorse",
-      "cold spectrum", "cold table1"]),
+      "cold spectrum", "cold table1", "cold wavefunction"]),
 ])
 def test_benchmark_script_runs(script, args, labels):
     env = dict(os.environ)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from _oracles import csv_row_reference, spectrum_json_reference
 
-from pdmorse import (WEYL, ConfigError, NormOverflow, attach_norm, builtin_catalog,
-                     get_molecule, load_molecule_config, reduce, resolve_molecule)
+from pdmorse import (WEYL, AmbiguityOrdering, ConfigError, NormOverflow, attach_norm,
+                     builtin_catalog, get_molecule, load_molecule_config, reduce,
+                     resolve_molecule)
 from pdmorse.analytic import make_state, spectrum
 from pdmorse.catalog import REFERENCE_ENERGIES, reference_energy
 from pdmorse.cli import _build_parser, main
@@ -129,8 +130,8 @@ class TestSpectrumReport:
             assert a.eps_nl == b.eps_nl
             assert a.E_eV == b.E_eV
             assert a.E_paper_eV == b.E_paper_eV
-        assert back.molecule == "H2"
-        assert back.eta == 0.2
+        assert back.provenance == {key: str(value) for key, value in report.provenance.items()}
+        assert back.provenance["molecule"] == "H2" and back.provenance["eta"] == "0.2"
 
     def test_byte_identical_runs(self, h2):
         a = spectrum_csv(build_spectrum_report(h2, 0.4, WEYL))
@@ -334,7 +335,7 @@ class TestRowTemplates:
 
     @staticmethod
     def spectrum_body(rows) -> str:
-        report = SpectrumReport(molecule="m", eta=0.0, ordering="weyl", rows=tuple(rows))
+        report = SpectrumReport(rows=tuple(rows))
         return spectrum_csv(report, include_provenance=False).split("\n", 1)[1]
 
     @staticmethod
@@ -364,8 +365,7 @@ class TestRowTemplates:
     def test_spectrum_json_matches_json_dumps(self, rows, name, provenance):
         prov = {} if provenance != "full" else base_provenance(
             molecule=name, eta=0.2, ordering="weyl", eigenvalue_formula="closed-form")
-        report = SpectrumReport(molecule=name, eta=0.2, ordering="weyl", rows=tuple(rows),
-                                provenance=prov)
+        report = SpectrumReport(rows=tuple(rows), provenance=prov)
         on = provenance != "off"
         assert spectrum_json(report, on) == spectrum_json_reference(report, on)
 
@@ -390,6 +390,20 @@ class TestParser:
     def test_usage_error_leaves_parser_usable(self, capsys):
         assert main(["wavefunction", "--molecule", "H2"]) == 2
         assert main(["spectrum", "--molecule", "H2", "--eta", "0.2"]) == 0
+
+    def test_negative_ordering_triple_takes_the_equals_form(self, capsys, monkeypatch):
+        # "--ordering -0.5,0,0" reads the triple as an option: a usage error
+        argv = ["spectrum", "--molecule", "H2", "--eta", "0.2", "--no-provenance"]
+        assert main(argv + ["--ordering", "-0.5,0,0"]) == 2
+        capsys.readouterr()
+        assert main(argv + ["--ordering=-0.5,0,0"]) == 0
+        report = build_spectrum_report(get_molecule("H2"), 0.2,
+                                       AmbiguityOrdering(a=-0.5, alpha=0.0, gamma=0.0))
+        assert capsys.readouterr().out == spectrum_csv(report, include_provenance=False)
+        monkeypatch.setenv("COLUMNS", "200")  # keep each help line unwrapped
+        for command in ("spectrum", "wavefunction", "oracle-compare"):
+            assert main([command, "--help"]) == 0
+            assert "(use --ordering=-0.5,0,0 when a is negative)" in capsys.readouterr().out
 
 
 DEEP_CORNER = "name = deep\nD_eV = 8\nr0_angstrom = 2.5\nm0_amu = 40\nalpha_prime = 0.8\n"
@@ -504,6 +518,9 @@ class TestRejectedInput:
         (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--domain=nan,10"],
          "domain ends must be finite"),
         (["table1", "--tolerance", "nan"], "tolerance must be positive and finite"),
+        # the whole line: the ordering checks its identity A1 + A2 = c_ord - 1/4 itself
+        (["spectrum", "--molecule", "H2", "--eta", "0.2", "--ordering=nan,0,0"],
+         "ordering nan,0,0 breaks the identity A1 + A2 = c_ord - 1/4 in floating point"),
         (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "1", "--samples", "0"],
          "samples must be positive"),
         (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "-1"],
@@ -538,7 +555,7 @@ class TestRejectedInput:
           str(10**15)], "out of memory"),
         (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "0", "--grid",
           str(10**15)], "out of memory"),
-    ], ids=["nan-domain", "nan-tolerance", "zero-samples", "negative-n-max",
+    ], ids=["nan-domain", "nan-tolerance", "nan-ordering", "zero-samples", "negative-n-max",
             "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40",
             "oracle-eta06-n16", "oracle-eta095-n1", "output-missing-dir", "output-is-dir",
             "oracle-domain-above-zero", "oracle-domain-in-the-tail", "samples-1e15",

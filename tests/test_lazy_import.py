@@ -1,4 +1,5 @@
-"""The package namespace loads on demand, and the closed-form commands run without numpy.
+"""The package namespace loads on demand, the closed-form commands run without numpy,
+and ``wavefunction`` runs without the shooting oracle.
 
 Each check of what gets imported runs in a fresh interpreter, since this one
 has numpy loaded already.
@@ -42,7 +43,8 @@ def fresh(code: str) -> dict:
 
 def loaded_after(statements: str) -> dict:
     return fresh(statements + "\nimport json, sys\n"
-                 "print(json.dumps({'numpy': 'numpy' in sys.modules, 'pdmorse': sorted("
+                 "print(json.dumps({'numpy': 'numpy' in sys.modules,"
+                 " 'numpy.polynomial': 'numpy.polynomial' in sys.modules, 'pdmorse': sorted("
                  "m for m in sys.modules if m.startswith('pdmorse'))}))")
 
 
@@ -69,6 +71,17 @@ def test_closed_form_commands_run_without_numpy(tmp_path, argv):
                         "with contextlib.redirect_stdout(io.StringIO()):\n"
                         f"    assert main({argv!r}) == 0")
     assert seen["numpy"] is False, seen["pdmorse"]
+
+
+@pytest.mark.parametrize("eta", ["0.2", "0"])
+def test_wavefunction_stays_out_of_the_oracle(eta):
+    argv = ["wavefunction", "--molecule", "H2", "--eta", eta, "--n", "1", "--samples", "16"]
+    seen = loaded_after("import contextlib, io\nfrom pdmorse.cli import main\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        f"    assert main({argv!r}) == 0")
+    assert seen["numpy"] is True and "pdmorse.wavefn" in seen["pdmorse"]
+    assert not {"pdmorse.oracle", "pdmorse.kernels", "pdmorse.quadrature"} & set(seen["pdmorse"])
+    assert seen["numpy.polynomial"] is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -100,12 +113,13 @@ for name in pdmorse.__all__:
         strays.append(name)
 print(json.dumps({"all": sorted(pdmorse.__all__), "loaded": loaded, "strays": strays,
                   "dir": sorted(set(pdmorse.__all__) - set(dir(pdmorse))),
-                  "sign": pdmorse.SignConvention is pdmorse.wavefn.SignConvention}))
+                  "sign": pdmorse.SignConvention is pdmorse.wavefn.SignConvention,
+                  "psi": pdmorse.physical_psi is pdmorse.wavefn.physical_psi}))
 """)
     assert got["all"] == PUBLIC_NAMES
     assert set(SUBMODULES) <= set(got["loaded"])
     assert got["strays"] == [] and got["dir"] == []
-    assert got["sign"] is True
+    assert got["sign"] is True and got["psi"] is True
 
 
 def test_submodule_access_imports_that_submodule_alone():

@@ -107,6 +107,13 @@ class TestOrdering:
         with pytest.raises(ConfigError, match="alpha \\+ beta \\+ gamma = -1"):
             AmbiguityOrdering(a=0.0, alpha=alpha, gamma=gamma)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_broken_identity_is_rejected_on_construction(self, a):
+        # alpha + beta + gamma = -1 holds, so the identity check is what fires
+        with pytest.raises(ConfigError, match=f"^ordering {a:g},0,0 breaks the identity "
+                                              "A1 \\+ A2 = c_ord - 1/4 in floating point$"):
+            AmbiguityOrdering(a=a, alpha=0.0, gamma=0.0)
+
     def test_parse(self):
         assert parse_ordering("weyl") is WEYL
         assert parse_ordering("likuhn") is LI_KUHN
