@@ -33,15 +33,14 @@ DENOMINATOR_TOL = 1e-12
 class BoundState:
     """One bound level: quantum number, dimensionless eigenvalue, energy (eV).
 
-    A is the discriminant root sqrt(4 eta^2 eps + 4 eta eps2 + eta^2 + 4 eps1);
-    A_tilde = A/eta (None when eta = 0, where it has no finite limit).
+    A_tilde = A/eta, with A the :func:`discriminant_root` at eps_nl (None when
+    eta = 0, where it has no finite limit).
     norm_const is filled on demand by the wavefunction module.
     """
 
     n: int
     eps_nl: float
     E: float
-    A: float
     A_tilde: float | None
     norm_const: float | None = None
 
@@ -97,9 +96,8 @@ def energy_ev(sys: ReducedSystem, n: int) -> float:
 
 
 def _state(sys: ReducedSystem, n: int, eps: float) -> BoundState:
-    a = discriminant_root(sys, eps)
-    return BoundState(n=n, eps_nl=eps, E=-sys.e_scale * eps, A=a,
-                      A_tilde=a / sys.eta if sys.eta > 0 else None)
+    a_tilde = discriminant_root(sys, eps) / sys.eta if sys.eta > 0 else None
+    return BoundState(n=n, eps_nl=eps, E=-sys.e_scale * eps, A_tilde=a_tilde)
 
 
 def _admitted_eps(sys: ReducedSystem, n: int, w: float, prev_e: float | None) -> float | None:

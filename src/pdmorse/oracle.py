@@ -658,27 +658,20 @@ def shoot_state(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
     return solve_states(mm, ordering, mol, grid, [n], tol_ev)[0][1]
 
 
-def default_domain(mol: MoleculeSpec, eta: float,
-                   left: str = "physical") -> tuple[float, float]:
-    """Suggested solver domain.
+def default_domain(mol: MoleculeSpec, eta: float) -> dict[str, tuple[float, float]]:
+    """The oracle-compare domain study: ``{label: (x_min, x_max)}`` in solve order.
 
-    left='physical' anchors x_min at -0.95 r0 (eta = 0) or max(-0.95 r0,
-    singularity + margin); left='boundary' uses x_min = 0; left='singular'
-    hugs the mass singularity.  x_max is placed where |V| has dropped to
-    1e-5 of the well depth.
+    The eigenfunctions live on z = exp(-beta x) in (0, 1/eta), which for
+    eta > 0 reaches left of x = 0 up to the mass singularity.  At eta = 0 the
+    study is one ``physical`` domain from the deep anchor x_min = -0.95 r0; at
+    eta > 0 it is the ``boundary`` domain from the physical boundary x = 0,
+    then the ``singular`` domain from 5 SINGULARITY_MARGIN right of the
+    singularity.  x_max is placed where |V| has dropped to 1e-5 of the well
+    depth.
     """
     x_max = math.log(1000.0 * mol.V2 / (0.01 * mol.D)) / mol.beta
     singularity = MassModel.for_molecule(mol, eta).singularity_x
-    if left == "boundary":
-        x_min = 0.0
-    elif left == "singular":
-        if singularity is None:
-            raise ConfigError("no singularity at eta = 0")
-        x_min = singularity + 5 * SINGULARITY_MARGIN
-    elif left == "physical":
-        x_min = -0.95 * mol.r0
-        if singularity is not None:
-            x_min = max(x_min, singularity + 5 * SINGULARITY_MARGIN)
-    else:
-        raise ConfigError(f"unknown domain anchor {left!r}")
-    return (x_min, x_max)
+    if singularity is None:
+        return {"physical": (-0.95 * mol.r0, x_max)}
+    return {"boundary": (0.0, x_max),
+            "singular": (singularity + 5 * SINGULARITY_MARGIN, x_max)}

@@ -263,13 +263,12 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
 def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering,
                         n_max: int, points: int,
                         domain: tuple[float, float] | None = None) -> list[dict]:
-    """Analytic vs shooting energies (shooting to 1e-6 eV), per level and per domain choice.
+    """Analytic vs shooting energies (shooting to 1e-6 eV), per level and per domain.
 
-    Without an explicit domain the study runs both left anchors the problem
-    admits: the physical boundary x = 0 and (for eta > 0) a start just right
-    of the mass singularity; eta = 0 uses the deep -0.95 r0 anchor.  The
-    domain cell reads label[x_min;x_max].  A level that :func:`spectrum`
-    does not list raises RealityViolation before any solve.
+    The domains are the study of :func:`pdmorse.oracle.default_domain`, or
+    the one explicit domain when given.  The domain cell reads
+    label[x_min;x_max].  A level that :func:`spectrum` does not list raises
+    RealityViolation before any solve.
     """
     from .oracle import GridSpec, default_domain, solve_states
 
@@ -279,15 +278,9 @@ def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrderi
     for n in range(n_max + 1):
         make_state(sys, n)
     mm = MassModel.for_molecule(mol, eta)
-    if domain is not None:
-        domains = [("explicit", domain)]
-    elif eta > 0.0:
-        domains = [("boundary", default_domain(mol, eta, left="boundary")),
-                   ("singular", default_domain(mol, eta, left="singular"))]
-    else:
-        domains = [("physical", default_domain(mol, eta, left="physical"))]
+    domains = {"explicit": domain} if domain is not None else default_domain(mol, eta)
     rows = []
-    for label, (x_min, x_max) in domains:
+    for label, (x_min, x_max) in domains.items():
         grid = GridSpec(x_min=x_min, x_max=x_max, points=points)
         solved = dict(solve_states(mm, ordering, mol, grid, list(range(n_max + 1)),
                                    tol_ev=1e-6))

@@ -85,11 +85,6 @@ def fd_derivative(f, x: float, order: int = 1, h: float = 1e-5) -> float:
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def trapezoid_norm(values: np.ndarray, x: np.ndarray) -> float:
-    """integral of |values|^2 dx by the trapezoid rule."""
-    return float(trapezoid(np.abs(values) ** 2, x))
-
-
 def rk4_propagators_matmul(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     """RK4 step matrices for phi'' = q phi built by composing the stage operators.
 

@@ -8,6 +8,7 @@ from _oracles import constant_mass_epsilon, nu_branch_internals, nu_internals, r
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, DegenerateDenominator,
                      RealityViolation, ReducedSystem, energy_ev, epsilon_nl, make_state,
                      nu_consistent_epsilon, reduce, spectrum)
+from pdmorse.analytic import discriminant_root
 
 TABLE_GATE = 0.005  # eV; reference energies carry 3 printed decimals
 
@@ -130,7 +131,8 @@ class TestSpectrum:
             for eta in (0.2, 0.4, 0.6):
                 sys = reduce(mol, eta, WEYL)
                 for st in spectrum(sys):
-                    assert abs(st.A_tilde * eta - st.A) <= 1e-12 * st.A
+                    a = discriminant_root(sys, st.eps_nl)
+                    assert abs(st.A_tilde * eta - a) <= 1e-12 * a
 
     def test_eta0_has_no_a_tilde(self, h2_eta0):
         assert make_state(h2_eta0, 0).A_tilde is None
@@ -276,7 +278,6 @@ class TestNegativeN:
 class TestComplexBranch:
     def test_negative_discriminant_radicand(self):
         from pdmorse import ComplexBranch
-        from pdmorse.analytic import discriminant_root
 
         # 4 eta^2 eps + 4 eta eps2 + eta^2 + 4 eps1 < 0 for a strongly
         # negative eps2 with a shallow eps1

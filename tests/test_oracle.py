@@ -152,7 +152,8 @@ class TestBox:
 
 
 def reference_domain(mol, eta):
-    return default_domain(mol, eta, left="singular" if eta > 0.0 else "physical")
+    """The last domain of the study: ``singular`` at eta > 0, ``physical`` at eta = 0."""
+    return list(default_domain(mol, eta).values())[-1]
 
 
 class TestSolver:
@@ -291,8 +292,11 @@ class TestRightStart:
         mm = MassModel.for_molecule(mol, eta)
         tol = 1e-6
         levels = range(3)
-        for left in (("boundary", "singular") if eta > 0.0 else ("physical", "boundary")):
-            grid = GridSpec(*default_domain(mol, eta, left=left), points)
+        domains = default_domain(mol, eta)
+        if eta == 0.0:
+            domains["boundary"] = (0.0, domains["physical"][1])
+        for label, domain in domains.items():
+            grid = GridSpec(*domain, points)
             cut = solve_states(mm, ORDERINGS[ordering], mol, grid, levels, tol)
             with monkeypatch.context() as patch:
                 patch.setattr(oracle, "TAIL_MARGIN", math.inf)
@@ -300,7 +304,7 @@ class TestRightStart:
             engine = oracle._ShootingEngine(
                 lambda x: u_eff(mm, ORDERINGS[ordering], mol, x), mm.mass, grid)
             for (n, e), (_, e_ref) in zip(cut, uncut):
-                assert abs(e - e_ref) <= 1e-14, (left, n, e - e_ref)
+                assert abs(e - e_ref) <= 1e-14, (label, n, e - e_ref)
                 for side, expected in ((e - 0.5 * tol, n), (e + 0.5 * tol, n + 1)):
                     assert engine.count_nodes(side) == full_count(engine, side) == expected
 
@@ -586,16 +590,16 @@ class TestAgainstTightSolve:
         mol = get_molecule(name)
         mm = MassModel.for_molecule(mol, eta)
         rows = oracle_compare_rows(mol, eta, WEYL, n_max, points)
-        lefts = ("boundary", "singular") if eta > 0.0 else ("physical",)
+        study = default_domain(mol, eta)
         checked = 0
-        for left in lefts:
-            grid = GridSpec(*default_domain(mol, eta, left=left), points)
+        for label, domain in study.items():
+            grid = GridSpec(*domain, points)
             tight = dict(solve_states(mm, WEYL, mol, grid, range(n_max + 1), tol_ev=1e-11))
             for row in rows:
-                if row["domain"].startswith(left):
-                    assert abs(row["E_oracle_eV"] - tight[row["n"]]) <= 1e-9, (left, row["n"])
+                if row["domain"].startswith(label):
+                    assert abs(row["E_oracle_eV"] - tight[row["n"]]) <= 1e-9, (label, row["n"])
                     checked += 1
-        assert checked == len(rows) == len(lefts) * (n_max + 1)
+        assert checked == len(rows) == len(study) * (n_max + 1)
 
 
 class TestMorseEta0:
@@ -665,6 +669,21 @@ class TestGridSpec:
     def test_inverted_domain(self):
         with pytest.raises(ConfigError):
             GridSpec(2.0, 1.0, 1001)
+
+
+class TestDomainStudy:
+    @pytest.mark.parametrize("eta", REFERENCE_ETAS)
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_study_is_pinned(self, name, eta):
+        # the labels, their order and the exact floats of every oracle-compare domain
+        mol = get_molecule(name)
+        x_max = math.log(1e5 * mol.V2 / mol.D) / mol.beta
+        if eta == 0.0:
+            expected = [("physical", (-0.95 * mol.r0, x_max))]
+        else:
+            expected = [("boundary", (0.0, x_max)),
+                        ("singular", (math.log(eta) / mol.beta + 0.05, x_max))]
+        assert list(default_domain(mol, eta).items()) == expected
 
 
 class TestKernels:
