@@ -2,16 +2,17 @@
 
 Times the closed-form propagator build and the step-by-step sweep over the
 whole grid at a trial energy.  Then it solves the 13 lowest H2 levels on an
-engine, which builds its step table over solve_states's default window,
-and at 5e-7 eV above the ground level, where the oracle certifies it, times
-one counting sweep (``count_nodes``, a round of one) and one refinement
-half-sweep pair (``phase``: the right start, both sweeps and their block
-products).  Times are the best of --repeats calls, in ms per call and ns
-per grid step.  The block size line gives the steps per block; the next two
-lines give the Python states (blocks or steps) per sweep, the iterations of
-``kernels.sweep``.  The last line times one refinement round of 13
-energies, 5e-7 eV above each level: their shared block-table evaluations
-and a half-sweep pair per energy, in ms per round and per energy.  Usage:
+engine built as solve_states builds it, with its step table over the
+window (min U_eff, 0).  At 5e-7 eV above the ground level, where the oracle
+certifies it, it times one counting sweep (``count_round`` of one energy)
+and one refinement half-sweep pair (``phase``: the right start, both
+sweeps and their block products).  Times are the best of --repeats calls,
+in ms per call and ns per grid step.  The block size line gives the steps
+per block; the next two lines give the Python states (blocks or steps) per
+sweep, the iterations of ``kernels.sweep``.  The last line times one
+refinement round of 13 energies, 5e-7 eV above each level: their shared
+block-table evaluations and a half-sweep pair per energy, in ms per round
+and per energy.  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
@@ -20,7 +21,7 @@ import time
 
 import numpy as np
 
-from pdmorse import GridSpec, MassModel, WEYL, get_molecule, u_eff
+from pdmorse import GridSpec, MassModel, WEYL, get_molecule
 from pdmorse import kernels, oracle
 
 MOLECULE = get_molecule("H2")
@@ -33,8 +34,7 @@ def grid_for(points: int) -> GridSpec:
 
 
 def build_engine(points: int):
-    return oracle._ShootingEngine(lambda x: u_eff(MASS, WEYL, MOLECULE, x), MASS.mass,
-                                  grid_for(points))
+    return oracle._effective_engine(MASS, WEYL, MOLECULE, grid_for(points))
 
 
 def sweep_states(fn) -> tuple[int, int]:
@@ -81,7 +81,7 @@ def main() -> None:
     print(f"block size       : {engine._blocks.m} steps")
 
     def count():
-        engine.count_nodes(near[0])
+        engine.count_round([near[0]])
 
     def half_sweep_pair():
         engine._matched.clear()

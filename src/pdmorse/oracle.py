@@ -119,13 +119,6 @@ class GridSpec:
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.points)
 
-    def validate_against_mass(self, mm: MassModel) -> None:
-        xs = mm.singularity_x
-        if xs is not None and self.x_min <= xs + SINGULARITY_MARGIN:
-            raise ConfigError(
-                f"x_min = {self.x_min} must stay right of the mass singularity "
-                f"at {xs:.4f} + {SINGULARITY_MARGIN} A margin")
-
 
 def u_eff(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec, x):
     """Effective potential (eV): ordering term + V(x) + wavefunction-redefinition term.
@@ -281,20 +274,14 @@ def _anderson_bjorck(a: float, fa: float, b: float, fb: float, tol_ev: float):
 class _ShootingEngine:
     """Coefficient tables, the step table and the shared Sturm staircase for one solve."""
 
-    def __init__(self, u_fn, m_fn, grid: GridSpec, e_window=None):
-        """e_window (lo, hi) in eV is the energy window of the solve; by
-        default (min U, 0) over the node table, its floor moved up by one
-        part in 1e12.  A window that holds no energy raises NoBracket."""
-        self.xs = grid.xs()
-        self.h = grid.h
-        xm = 0.5 * (self.xs[:-1] + self.xs[1:])
-        self.u_nodes = np.asarray(u_fn(self.xs), dtype=float)
-        self.u_mids = np.asarray(u_fn(xm), dtype=float)
-        m_nodes = np.asarray(m_fn(self.xs), dtype=float)
-        m_mids = np.asarray(m_fn(xm), dtype=float)
-        self.p_nodes = 2.0 * m_nodes / HBAR2_EV_AMU_A2
-        self.p_mids = 2.0 * m_mids / HBAR2_EV_AMU_A2
-        npts = self.xs.size
+    def __init__(self, tables, h: float, e_window):
+        """tables (U nodes, U midpoints, p nodes, p midpoints) from ``_tables``,
+        with p = 2 m / hbar^2; h the grid step; e_window (lo, hi) in eV the
+        energy window of the solve.  A window that holds no energy raises
+        NoBracket."""
+        self.u_nodes, self.u_mids, self.p_nodes, self.p_mids = tables
+        self.h = h
+        npts = self.u_nodes.size
         im = int(np.argmin(self.u_nodes))
         pad = max(2, npts // 50)
         # the matching point: the potential minimum, kept off the ends and
@@ -317,9 +304,6 @@ class _ShootingEngine:
         self._stair_n: list[int] = []
         # half-sweep states by energy: a bracket end is shared by two levels
         self._matched: dict[float, tuple] = {}
-        if e_window is None:
-            e_floor = float(np.min(self.u_nodes))
-            e_window = (e_floor + abs(e_floor) * 1e-12, 0.0)
         e_lo, e_hi = (float(e) for e in e_window)
         e_mid = 0.5 * (e_lo + e_hi)
         if not e_lo < e_mid < e_hi:  # also false for a NaN or infinite end
@@ -331,7 +315,7 @@ class _ShootingEngine:
             (e_lo, e_mid, e_hi),
             lambda e, a, b: kernels.rk4_propagators(*self._q(e, a, b), self.h), growth, m)
         # one energy over every block must fit, however large the grid
-        size = max(WORK_FLOATS, 4 * m * -(-self.xs.size // m))
+        size = max(WORK_FLOATS, 4 * m * -(-npts // m))
         self._work = (np.empty(size), np.empty(size))
 
     def _q(self, E, start: int = 0, stop: int | None = None):
@@ -339,7 +323,7 @@ class _ShootingEngine:
 
         An array of K energies gives (nodes, K) and (midpoints, K) tables.
         """
-        stop = self.xs.size - 1 if stop is None else stop
+        stop = self.u_nodes.size - 1 if stop is None else stop
         shape = (-1,) + (1,) * np.ndim(E)
         return (self.p_nodes[start:stop + 1].reshape(shape)
                 * (self.u_nodes[start:stop + 1].reshape(shape) - E),
@@ -395,7 +379,7 @@ class _ShootingEngine:
         as many, ... steps.  Every count is that of the full sweep; each one
         joins the staircase.
         """
-        last = self.xs.size - 1
+        last = self.u_nodes.size - 1
         es = sorted(set(energies))
         tails = self._tail_start(es).tolist()
         going = {0: [(E, 0.0, 1.0, 0, min(t + TAIL_CHUNK, last)) for E, t in zip(es, tails)]}
@@ -428,10 +412,6 @@ class _ShootingEngine:
             self._stair_n.insert(i, found[E])
         return [found[E] for E in energies]
 
-    def count_nodes(self, E: float) -> int:
-        """Interior nodes of the left-anchored solution at E: a round of one."""
-        return self.count_round([E])[0]
-
     def _block_size(self, e_lo: float, e_hi: float):
         """Block size over [e_lo, e_hi] and the growth bound h sqrt(max q) of every step.
 
@@ -462,7 +442,7 @@ class _ShootingEngine:
         entry carries its running sum, so every sum is added in the order of
         one running sum from the turning point.
         """
-        last = self.xs.size - 1
+        last = self.u_nodes.size - 1
         starts = np.maximum(self._tail_start(energies), self.i_match) + 1
         sums = np.zeros(energies.size)
         going = np.arange(energies.size)
@@ -632,21 +612,44 @@ class _ShootingEngine:
         return [(n, found[n]) for n in n_list]
 
 
+def _tables(u_fn, m_fn, grid: GridSpec):
+    """The engine's tables on grid: U at the nodes and midpoints, then p = 2 m / hbar^2 there."""
+    xs = grid.xs()
+    points = (xs, 0.5 * (xs[:-1] + xs[1:]))
+    return (*(np.asarray(u_fn(x), dtype=float) for x in points),
+            *(2.0 * np.asarray(m_fn(x), dtype=float) / HBAR2_EV_AMU_A2 for x in points))
+
+
+def _effective_engine(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
+                      grid: GridSpec) -> _ShootingEngine:
+    """The engine of the effective-potential problem on grid.
+
+    The grid must stay SINGULARITY_MARGIN right of the mass singularity
+    (ConfigError, before any table is evaluated).  The window is
+    (min U_eff, 0) over the node table, its floor moved up by one part in
+    1e12.
+    """
+    if mm.singularity_x is not None and grid.x_min <= mm.singularity_x + SINGULARITY_MARGIN:
+        raise ConfigError(f"x_min = {grid.x_min} must stay right of the mass singularity "
+                          f"at {mm.singularity_x:.4f} + {SINGULARITY_MARGIN} A margin")
+    tables = _tables(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
+    e_floor = float(np.min(tables[0]))
+    return _ShootingEngine(tables, grid.h, (e_floor + abs(e_floor) * 1e-12, 0.0))
+
+
 def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window,
                   tol_ev: float = 1e-7) -> list[tuple[int, float]]:
     """Eigenvalues (n, E) of an arbitrary potential/mass pair inside e_window."""
-    return _ShootingEngine(u_fn, m_fn, grid, e_window).solve(n_list, tol_ev)
+    return _ShootingEngine(_tables(u_fn, m_fn, grid), grid.h, e_window).solve(n_list, tol_ev)
 
 
 def solve_states(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
                  grid: GridSpec, n_list, tol_ev: float = 1e-7) -> list[tuple[int, float]]:
     """Eigenvalues (n, E) of the effective-potential problem, in the order requested.
 
-    The energy window is the engine's default: (min U_eff, 0), read off its own table.
+    ``_effective_engine`` builds the tables and picks the window (min U_eff, 0).
     """
-    grid.validate_against_mass(mm)
-    return _ShootingEngine(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid).solve(
-        n_list, tol_ev)
+    return _effective_engine(mm, ordering, mol, grid).solve(n_list, tol_ev)
 
 
 def shoot_state(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pdmorse import oracle
 from pdmorse.analytic import _state, discriminant_root, nu_consistent_epsilon
 from pdmorse.errors import ComplexBranch, RealityViolation
 from pdmorse.model import WEYL
@@ -195,12 +194,6 @@ def sweep_reference(m00, m01, m10, m11, phi0: float, dphi0: float):
 def make_z_grid(points: int) -> np.ndarray:
     """Uniform open grid of the unit interval with the given interior count."""
     return np.linspace(0.0, 1.0, points + 2)[1:-1]
-
-
-def scan_nodes(u_fn, m_fn, grid, energies) -> list[int]:
-    """Node counts along an energy scan (Sturm staircase diagnostic)."""
-    engine = oracle._ShootingEngine(u_fn, m_fn, grid)
-    return [engine.count_nodes(float(e)) for e in energies]
 
 
 def rodrigues_psi(sys, eps: float, n: int, z, convention=SignConvention.PRINTED):

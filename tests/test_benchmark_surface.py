@@ -3,12 +3,11 @@
 The tracer wraps every entry point listed in ``tracing.BOUNDARIES`` at its
 ``pdmorse.<layer>`` home, the run record reads ``kernels.USE_NUMBA``, and the
 output checks import from the library.  The micro-benchmark scripts under
-``benchmarks/`` reach private names (``oracle._ShootingEngine`` built with its
-default window, its ``_q``, ``solve``, ``count_nodes``, ``phase``,
-``_half_sweeps``, ``_right_starts``, ``_matched`` and ``_blocks.m``), so each
-runs here once at a small size.  A
-deletion or rename that would break any of them fails here, not only when a
-benchmark is run.
+``benchmarks/`` reach private names (``oracle._effective_engine``, and the
+engine's ``_q``, ``solve``, ``count_round``, ``phase``, ``_half_sweeps``,
+``_right_starts``, ``_matched`` and ``_blocks.m``), so each runs here once at
+a small size, as does the ``src/`` code-line counter.  A deletion or rename
+that would break any of them fails here, not only when a benchmark is run.
 """
 import importlib
 import importlib.util
@@ -58,6 +57,8 @@ def test_output_checks_import():
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
       "_build_parser (cached)", "_build_parser (cold)", "cold import pdmorse",
       "cold spectrum", "cold table1", "cold wavefunction"]),
+    ("code_lines.py", [],
+     sorted(path.name for path in (ROOT / "src" / "pdmorse").glob("*.py")) + ["total"]),
 ])
 def test_benchmark_script_runs(script, args, labels):
     env = dict(os.environ)
@@ -72,3 +73,6 @@ def test_benchmark_script_runs(script, args, labels):
         assert re.search(r"^block size +: (1|2|4|8|16) steps$", lines[3])
         assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-2])
         assert re.search(r" ms per energy, 13 energies\)$", lines[-1])
+    if script == "code_lines.py":
+        counts = [int(line.rsplit(":", 1)[1]) for line in lines]
+        assert sum(counts[:-1]) == counts[-1] > 0

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative,
-                      rk4_propagators_matmul, scan_nodes, sweep_reference, trapezoid,
-                      u_ordering)
+                      rk4_propagators_matmul, sweep_reference, trapezoid, u_ordering)
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, GridSpec, MassModel,
                      NoBracket, NonConvergence, default_domain,
                      get_molecule, physical_psi, potential_value, reduce,
@@ -34,18 +33,29 @@ def box_level(n):
 BOX_WINDOW = (1e-4, 3.0)
 
 
+def engine_on(u_fn, m_fn, grid, window):
+    """A fresh engine on the tables of u_fn and m_fn over grid, with the given window."""
+    return oracle._ShootingEngine(oracle._tables(u_fn, m_fn, grid), grid.h, window)
+
+
 def effective_engine(mm, mol, grid):
-    """A fresh engine on solve_states's tables and default window, and that window."""
-    engine = oracle._ShootingEngine(lambda x: u_eff(mm, WEYL, mol, x), mm.mass, grid)
+    """A fresh engine as solve_states builds it, and its window."""
+    engine = oracle._effective_engine(mm, WEYL, mol, grid)
     e_lo, _, e_hi = engine._blocks.energies
     return engine, (e_lo, e_hi)
+
+
+def counter(engine):
+    """The node count at one energy: a round of one."""
+    return lambda e: engine.count_round([e])[0]
 
 
 def assert_certified(engine, n, e, tol):
     """Level n sits at e: the node count steps from n to n + 1 within tol/2 of
     e, and the Pruefer phase minus (n + 1) pi changes sign within tol of e."""
-    assert engine.count_nodes(e - 0.5 * tol) == n
-    assert engine.count_nodes(e + 0.5 * tol) == n + 1
+    count = counter(engine)
+    assert count(e - 0.5 * tol) == n
+    assert count(e + 0.5 * tol) == n + 1
     target = (n + 1) * math.pi
     assert engine.phase(e - tol, 1.0) < target < engine.phase(e + tol, 1.0)
 
@@ -131,7 +141,7 @@ class TestBox:
         tol = 1e-10
         results = solve_on_grid(flat_potential, const_mass(1.0), grid,
                                 range(6), BOX_WINDOW, tol_ev=tol)
-        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
+        fresh = engine_on(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             exact = box_level(n)
             assert abs(e - exact) / exact < 1e-6
@@ -142,7 +152,7 @@ class TestBox:
         # the window (1e-4, 3) eV lies above the flat floor: every q < 0
         grid = GridSpec(0.0, 1.0, 2001)
         tol = 1e-10
-        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
+        engine = engine_on(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         blocked = engine.solve(range(6), tol)
         assert engine._blocks.m == oracle.MAX_BLOCK
         monkeypatch.setattr(oracle, "MAX_BLOCK", 1)
@@ -180,7 +190,7 @@ class TestSolver:
         monkeypatch.undo()
         engine, window = effective_engine(mm, mol, grid)
         for n, e in solved:
-            assert abs(e - bisect_level(engine.count_nodes, n, *window, tol)) <= tol
+            assert abs(e - bisect_level(counter(engine), n, *window, tol)) <= tol
 
     @pytest.mark.parametrize("eta", REFERENCE_ETAS)
     @pytest.mark.parametrize("name", ["H2", "LiH"])
@@ -232,11 +242,11 @@ class TestSolver:
         results = solve_on_grid(flat_potential, const_mass(1.0), grid, range(4),
                                 BOX_WINDOW, tol_ev=tol)
         assert refined == [0, 1, 2, 3]
-        scan = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
+        scan = engine_on(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             assert abs(e - box_level(n)) / box_level(n) < 1e-6
-            assert abs(e - bisect_level(scan.count_nodes, n, *BOX_WINDOW, tol)) <= tol
-        fresh = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
+            assert abs(e - bisect_level(counter(scan), n, *BOX_WINDOW, tol)) <= tol
+        fresh = engine_on(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             assert_certified(fresh, n, e, tol)
 
@@ -254,14 +264,44 @@ class TestSolver:
                                 levels, window)
         assert generic == solve_states(mm, WEYL, mol, grid, levels)
 
+    @staticmethod
+    def _record_tables(monkeypatch):
+        """Record the points of every u_eff and MassModel.mass evaluation."""
+        calls = {"u_eff": [], "mass": []}
+        mass = MassModel.mass
+        monkeypatch.setattr(oracle, "u_eff",
+                            lambda *args: calls["u_eff"].append(args[-1]) or u_eff(*args))
+        monkeypatch.setattr(MassModel, "mass",
+                            lambda self, x: calls["mass"].append(x) or mass(self, x))
+        return calls
+
     def test_u_eff_tables_built_once(self, h2, monkeypatch):
-        # one table at the nodes and one at the midpoints; the window is read
-        # off the node table
-        calls = []
-        monkeypatch.setattr(oracle, "u_eff", lambda *args: calls.append(args) or u_eff(*args))
+        # one table of U_eff and one of the mass at the nodes, then one of each
+        # at the midpoints; the window is read off the node table
+        calls = self._record_tables(monkeypatch)
         mm = MassModel.for_molecule(h2, 0.2)
-        solve_states(mm, WEYL, h2, GridSpec(*reference_domain(h2, 0.2), 2001), [0])
-        assert len(calls) == 2
+        grid = GridSpec(*reference_domain(h2, 0.2), 2001)
+        solve_states(mm, WEYL, h2, grid, [0])
+        xs = grid.xs()
+        for points in calls.values():
+            assert [len(x) for x in points] == [grid.points, grid.points - 1]
+            np.testing.assert_array_equal(points[0], xs)
+            np.testing.assert_array_equal(points[1], 0.5 * (xs[:-1] + xs[1:]))
+
+    def test_singularity_margin_enforced(self, h2):
+        mm = MassModel.for_molecule(h2, 0.2)
+        grid = GridSpec(mm.singularity_x - 0.1, 6.0, 4001)
+        with pytest.raises(ConfigError):
+            solve_states(mm, WEYL, h2, grid, [0])
+
+    def test_singularity_margin_checked_before_tables(self, h2, monkeypatch):
+        # a grid inside the margin is refused before U_eff or m is evaluated
+        calls = self._record_tables(monkeypatch)
+        mm = MassModel.for_molecule(h2, 0.2)
+        for x_min in (mm.singularity_x - 0.1, mm.singularity_x + 0.5 * oracle.SINGULARITY_MARGIN):
+            with pytest.raises(ConfigError, match="must stay right of the mass singularity"):
+                solve_states(mm, WEYL, h2, GridSpec(x_min, 6.0, 4001), [0])
+        assert calls == {"u_eff": [], "mass": []}
 
     def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_BISECTIONS", 2)
@@ -301,12 +341,11 @@ class TestRightStart:
             with monkeypatch.context() as patch:
                 patch.setattr(oracle, "TAIL_MARGIN", math.inf)
                 uncut = solve_states(mm, ORDERINGS[ordering], mol, grid, levels, tol)
-            engine = oracle._ShootingEngine(
-                lambda x: u_eff(mm, ORDERINGS[ordering], mol, x), mm.mass, grid)
+            engine = oracle._effective_engine(mm, ORDERINGS[ordering], mol, grid)
             for (n, e), (_, e_ref) in zip(cut, uncut):
                 assert abs(e - e_ref) <= 1e-14, (label, n, e - e_ref)
                 for side, expected in ((e - 0.5 * tol, n), (e + 0.5 * tol, n + 1)):
-                    assert engine.count_nodes(side) == full_count(engine, side) == expected
+                    assert engine.count_round([side]) == [full_count(engine, side)] == [expected]
 
     @pytest.mark.parametrize("eta", REFERENCE_ETAS)
     @pytest.mark.parametrize("name", ["H2", "LiH"])
@@ -327,8 +366,7 @@ class TestRightStart:
 
     def test_start_falls_back_to_x_max(self):
         # a flat box has no forbidden tail: the sweep starts at the wall
-        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001),
-                                        BOX_WINDOW)
+        engine = engine_on(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001), BOX_WINDOW)
         assert engine._right_starts(np.array([1.0]))[0] == 1000
 
     def test_start_reaches_the_margin(self, h2):
@@ -351,9 +389,9 @@ class TestRightStart:
         def u(x):
             return np.where(x == x_nan, math.nan, u_eff(mm, WEYL, h2, x))
 
-        engine = oracle._ShootingEngine(u, mm.mass, grid)
+        e_lo = float(np.min(u_eff(mm, WEYL, h2, grid.xs())))
+        engine = engine_on(u, mm.mass, grid, (e_lo, 0.0))
         assert math.isnan(engine.u_mids[1500])
-        e_lo = float(np.nanmin(engine.u_nodes))
         for e in np.concatenate([np.linspace(e_lo - 1.0, 0.5, 37), engine.u_nodes[::97]]):
             qn, qm = engine._q(e)
             bad = ~(np.minimum(np.minimum(qn[:-1], qm), qn[1:]) >= 0.0)
@@ -400,10 +438,10 @@ class TestBlockedSweeps:
         """An engine on u with unit mass over a window whose top puts
         m h sqrt(max(-q)) at pi/2, less a rounding margin: blocks of m steps."""
         k = (1.0 - 1e-9) * 0.5 * math.pi / (m * grid.h)
-        xs = grid.xs()
-        u_min = float(np.nanmin(np.concatenate([u(xs), u(0.5 * (xs[:-1] + xs[1:]))])))
-        window = (u_min - 50.0, u_min + k * k / (2.0 / HBAR2_EV_AMU_A2))
-        return oracle._ShootingEngine(u, const_mass(1.0), grid, window), window
+        tables = oracle._tables(u, const_mass(1.0), grid)
+        u_min = float(np.nanmin(np.concatenate(tables[:2])))
+        window = (u_min - 50.0, u_min + k * k / tables[2][0])
+        return oracle._ShootingEngine(tables, grid.h, window), window
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_counts_match_reference_at_the_block_bound(self, seed):
@@ -417,7 +455,7 @@ class TestBlockedSweeps:
         plain, _ = self._engine_at_the_bound(smooth_potential(seed, 1.0), grid, 1)
         assert plain._blocks.m == 1
         for e in energies:
-            assert engine.count_nodes(e) == reference_count(engine, e), e
+            assert engine.count_round([e]) == [reference_count(engine, e)], e
             engine.phase(e, 1.0)
             plain.phase(e, 1.0)
             assert ([side[2] for side in engine._matched[e]]
@@ -449,14 +487,14 @@ class TestBlockedSweeps:
         assert blocks.covers(e_hi, 0, 800 // m)
         assert not blocks.covers(e_hi, 0, -(-901 // m))
         for e in np.linspace(e_lo, e_hi, 41):
-            assert engine.count_nodes(e) == reference_count(engine, e), e
+            assert engine.count_round([e]) == [reference_count(engine, e)], e
 
     def test_wide_window_forces_single_steps(self):
         # a window so high that two steps can hold two nodes: blocks of one step
         grid = GridSpec(0.0, 1.0, 1001)
         k = 1.01 * 0.25 * math.pi / grid.h
-        engine = oracle._ShootingEngine(flat_potential, const_mass(1.0), grid,
-                                        (0.0, k * k * HBAR2_EV_AMU_A2 / 2.0))
+        engine = engine_on(flat_potential, const_mass(1.0), grid,
+                           (0.0, k * k * HBAR2_EV_AMU_A2 / 2.0))
         assert engine._blocks.m == 1
 
     def test_sweep_states_per_solve(self, h2, monkeypatch):
@@ -544,8 +582,8 @@ class TestOneStepTable:
         # rounds that touch the NaN and spike blocks: none of them calls
         # rk4_propagators, and the last two read the table's single steps
         mm = MassModel.for_molecule(h2, 0.6)
-        singular = oracle._ShootingEngine(lambda x: u_eff(mm, WEYL, h2, x), mm.mass,
-                                          GridSpec(*reference_domain(h2, 0.6), 2001))
+        singular = oracle._effective_engine(mm, WEYL, h2,
+                                            GridSpec(*reference_domain(h2, 0.6), 2001))
         grid = TestBatchedRounds.GRID
         spiked, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(spiked_potential(grid), grid)
         assert singular._blocks.m == 1 and spiked._blocks.m == oracle.MAX_BLOCK
@@ -571,12 +609,10 @@ class TestOneStepTable:
         assert counts == [reference_count(singular, e) for e in outside]
 
     @pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
-                                        (0.0, math.inf), (-math.inf, 0.0), None])
+                                        (0.0, math.inf), (-math.inf, 0.0)])
     def test_window_without_energies_raises(self, window):
-        # None: the default window of the flat floor, (0, 0)
         with pytest.raises(NoBracket, match=r"energy window \[.*\] eV is empty or not finite"):
-            oracle._ShootingEngine(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001),
-                                   window)
+            engine_on(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001), window)
 
 
 class TestAgainstTightSolve:
@@ -646,8 +682,9 @@ class TestSturmProperty:
     def test_node_count_monotone_in_energy(self, h2):
         mm = MassModel.for_molecule(h2, 0.0)
         grid = GridSpec(-0.7, 10.0, 2001)
-        energies = np.linspace(-4.7, -0.05, 40)
-        counts = scan_nodes(lambda x: u_eff(mm, WEYL, h2, x), mm.mass, grid, energies)
+        engine = oracle._effective_engine(mm, WEYL, h2, grid)
+        # one round per energy: the Sturm staircase scanned one count at a time
+        counts = [engine.count_round([float(e)])[0] for e in np.linspace(-4.7, -0.05, 40)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
@@ -659,12 +696,6 @@ class TestGridSpec:
     def test_too_coarse(self):
         with pytest.raises(ConfigError):
             GridSpec(0.0, 50.0, 501)
-
-    def test_singularity_margin_enforced(self, h2):
-        mm = MassModel.for_molecule(h2, 0.2)
-        grid = GridSpec(mm.singularity_x - 0.1, 6.0, 4001)
-        with pytest.raises(ConfigError):
-            solve_states(mm, WEYL, h2, grid, [0])
 
     def test_inverted_domain(self):
         with pytest.raises(ConfigError):
@@ -699,13 +730,10 @@ class TestKernels:
             for eta in (0.0, 0.4):
                 mm = MassModel.for_molecule(mol, eta)
                 grid = GridSpec(*reference_domain(mol, eta), 4001)
-                xs = grid.xs()
-                xm = 0.5 * (xs[:-1] + xs[1:])
+                u_n, u_m, p_n, p_m = oracle._tables(lambda x: u_eff(mm, WEYL, mol, x),
+                                                    mm.mass, grid)
                 for e in (-4.0, -1.0):
-                    p_n = 2.0 * mm.mass(xs) / HBAR2_EV_AMU_A2
-                    p_m = 2.0 * mm.mass(xm) / HBAR2_EV_AMU_A2
-                    yield (f"{name}/eta={eta}/E={e}", p_n * (u_eff(mm, WEYL, mol, xs) - e),
-                           p_m * (u_eff(mm, WEYL, mol, xm) - e), grid.h)
+                    yield f"{name}/eta={eta}/E={e}", p_n * (u_n - e), p_m * (u_m - e), grid.h
 
     def test_closed_form_propagators_match_matmul_reference(self):
         # bound fixed from float64 before measuring: a few ulp per entry
@@ -770,7 +798,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_count_stops_at_a_settled_state_in_the_tail(self, chunk):
-        # count_nodes's order: sweep to one past the last step with a negative
+        # count_round's order: sweep to one past the last step with a negative
         # (or NaN) entry, then on in chunks until phi and phi' share a sign
         for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
             negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
