@@ -5,14 +5,14 @@ and the docstrings of the module, its classes and its functions are left
 out; a line that holds code and a comment counts.  This is the "code lines
 by the ast count" that the roadmap's size items are judged by.  Usage:
 
-    python benchmarks/code_lines.py [--src src/pdmorse]
+    python benchmarks/code_lines.py
 """
-import argparse
 import ast
 import io
 import tokenize
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "pdmorse"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -39,12 +39,8 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--src", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "src" / "pdmorse")
-    args = parser.parse_args()
     total = 0
-    for path in sorted(args.src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:17s}: {count:5d}")

@@ -114,17 +114,17 @@ def rk4_propagators_matmul(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
             np.ascontiguousarray(m[:, 1, 0]), np.ascontiguousarray(m[:, 1, 1]))
 
 
-def bisect_level(count_nodes, n: int, e_lo: float, e_hi: float, tol_ev: float) -> float:
+def bisect_level(engine, n: int, e_lo: float, e_hi: float, tol_ev: float) -> float:
     """Level n by bisection on node counts from the full window, alone.
 
     Returns the midpoint of the final bracket, which lies within tol_ev/2 of
-    the energy where count_nodes steps from n to n + 1.
+    the energy where the engine's node count steps from n to n + 1.
     """
     lo, hi = e_lo, e_hi
-    assert count_nodes(lo) <= n < count_nodes(hi)
+    assert engine.count_round([lo])[0] <= n < engine.count_round([hi])[0]
     while hi - lo > tol_ev:
         mid = 0.5 * (lo + hi)
-        if count_nodes(mid) >= n + 1:
+        if engine.count_round([mid])[0] >= n + 1:
             hi = mid
         else:
             lo = mid

@@ -45,17 +45,11 @@ def effective_engine(mm, mol, grid):
     return engine, (e_lo, e_hi)
 
 
-def counter(engine):
-    """The node count at one energy: a round of one."""
-    return lambda e: engine.count_round([e])[0]
-
-
 def assert_certified(engine, n, e, tol):
     """Level n sits at e: the node count steps from n to n + 1 within tol/2 of
     e, and the Pruefer phase minus (n + 1) pi changes sign within tol of e."""
-    count = counter(engine)
-    assert count(e - 0.5 * tol) == n
-    assert count(e + 0.5 * tol) == n + 1
+    assert engine.count_round([e - 0.5 * tol])[0] == n
+    assert engine.count_round([e + 0.5 * tol])[0] == n + 1
     target = (n + 1) * math.pi
     assert engine.phase(e - tol, 1.0) < target < engine.phase(e + tol, 1.0)
 
@@ -190,7 +184,7 @@ class TestSolver:
         monkeypatch.undo()
         engine, window = effective_engine(mm, mol, grid)
         for n, e in solved:
-            assert abs(e - bisect_level(counter(engine), n, *window, tol)) <= tol
+            assert abs(e - bisect_level(engine, n, *window, tol)) <= tol
 
     @pytest.mark.parametrize("eta", REFERENCE_ETAS)
     @pytest.mark.parametrize("name", ["H2", "LiH"])
@@ -245,7 +239,7 @@ class TestSolver:
         scan = engine_on(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             assert abs(e - box_level(n)) / box_level(n) < 1e-6
-            assert abs(e - bisect_level(counter(scan), n, *BOX_WINDOW, tol)) <= tol
+            assert abs(e - bisect_level(scan, n, *BOX_WINDOW, tol)) <= tol
         fresh = engine_on(flat_potential, const_mass(1.0), grid, BOX_WINDOW)
         for n, e in results:
             assert_certified(fresh, n, e, tol)
@@ -288,19 +282,16 @@ class TestSolver:
             np.testing.assert_array_equal(points[0], xs)
             np.testing.assert_array_equal(points[1], 0.5 * (xs[:-1] + xs[1:]))
 
-    def test_singularity_margin_enforced(self, h2):
-        mm = MassModel.for_molecule(h2, 0.2)
-        grid = GridSpec(mm.singularity_x - 0.1, 6.0, 4001)
-        with pytest.raises(ConfigError):
-            solve_states(mm, WEYL, h2, grid, [0])
-
-    def test_singularity_margin_checked_before_tables(self, h2, monkeypatch):
-        # a grid inside the margin is refused before U_eff or m is evaluated
+    @pytest.mark.parametrize("offset", [-0.1, 0.5 * oracle.SINGULARITY_MARGIN],
+                             ids=["left_of_singularity", "inside_margin"])
+    def test_singularity_margin_checked_before_tables(self, h2, monkeypatch, offset):
+        # a grid that starts inside the margin is refused before U_eff or m
+        # is evaluated
         calls = self._record_tables(monkeypatch)
         mm = MassModel.for_molecule(h2, 0.2)
-        for x_min in (mm.singularity_x - 0.1, mm.singularity_x + 0.5 * oracle.SINGULARITY_MARGIN):
-            with pytest.raises(ConfigError, match="must stay right of the mass singularity"):
-                solve_states(mm, WEYL, h2, GridSpec(x_min, 6.0, 4001), [0])
+        grid = GridSpec(mm.singularity_x + offset, 6.0, 4001)
+        with pytest.raises(ConfigError, match="must stay right of the mass singularity"):
+            solve_states(mm, WEYL, h2, grid, [0])
         assert calls == {"u_eff": [], "mass": []}
 
     def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
@@ -345,7 +336,7 @@ class TestRightStart:
             for (n, e), (_, e_ref) in zip(cut, uncut):
                 assert abs(e - e_ref) <= 1e-14, (label, n, e - e_ref)
                 for side, expected in ((e - 0.5 * tol, n), (e + 0.5 * tol, n + 1)):
-                    assert engine.count_round([side]) == [full_count(engine, side)] == [expected]
+                    assert engine.count_round([side])[0] == full_count(engine, side) == expected
 
     @pytest.mark.parametrize("eta", REFERENCE_ETAS)
     @pytest.mark.parametrize("name", ["H2", "LiH"])
@@ -455,7 +446,7 @@ class TestBlockedSweeps:
         plain, _ = self._engine_at_the_bound(smooth_potential(seed, 1.0), grid, 1)
         assert plain._blocks.m == 1
         for e in energies:
-            assert engine.count_round([e]) == [reference_count(engine, e)], e
+            assert engine.count_round([e])[0] == reference_count(engine, e), e
             engine.phase(e, 1.0)
             plain.phase(e, 1.0)
             assert ([side[2] for side in engine._matched[e]]
@@ -487,7 +478,7 @@ class TestBlockedSweeps:
         assert blocks.covers(e_hi, 0, 800 // m)
         assert not blocks.covers(e_hi, 0, -(-901 // m))
         for e in np.linspace(e_lo, e_hi, 41):
-            assert engine.count_round([e]) == [reference_count(engine, e)], e
+            assert engine.count_round([e])[0] == reference_count(engine, e), e
 
     def test_wide_window_forces_single_steps(self):
         # a window so high that two steps can hold two nodes: blocks of one step
@@ -556,7 +547,7 @@ class TestBatchedRounds:
         batched._half_sweeps(energies, starts)
         for e, nodes, start in zip(energies, counts, starts):
             alone, _ = engine()
-            assert alone.count_round([e]) == [nodes] == [reference_count(alone, e)], e
+            assert alone.count_round([e])[0] == nodes == reference_count(alone, e), e
             assert alone._right_starts(np.array([e]))[0] == start
             alone._half_sweeps([e], [start])
             assert bits(alone._matched[e]) == bits(batched._matched[e]), e
