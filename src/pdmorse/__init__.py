@@ -29,12 +29,11 @@ __all__ = [
     "MassSingularity", "MoleculeSpec", "NoBracket", "NonConvergence", "NormOverflow",
     "PdmorseError", "QuadratureFailure", "RealityViolation", "ReducedSystem",
     "SignConvention", "WEYL", "analytic", "attach_norm", "builtin_catalog", "catalog",
-    "default_domain", "energy_ev", "epsilon_nl", "errors", "get_molecule", "jacobi",
-    "kernels", "load_molecule_config", "make_state", "model", "norm_const",
-    "norm_const_quadrature", "nu_consistent_epsilon", "oracle", "parse_ordering", "phi",
-    "phi_eta0", "physical_psi", "potential_value", "quadrature", "reduce",
-    "resolve_molecule", "shoot_state", "solve_on_grid", "solve_states", "spectrum", "u_eff",
-    "units", "wavefn",
+    "default_domain", "energy_ev", "epsilon_nl", "errors", "get_molecule", "kernels",
+    "load_molecule_config", "make_state", "model", "norm_const", "norm_const_quadrature",
+    "nu_consistent_epsilon", "oracle", "parse_ordering", "phi", "phi_eta0", "physical_psi",
+    "potential_value", "quadrature", "reduce", "resolve_molecule", "shoot_state",
+    "solve_on_grid", "solve_states", "spectrum", "u_eff", "units", "wavefn",
 ]
 
 
@@ -61,8 +60,8 @@ def __getattr__(name: str):
     from .model import (LI_KUHN, WEYL, AmbiguityOrdering, MassModel, MoleculeSpec,
                         ReducedSystem, parse_ordering, potential_value, reduce)
     from .oracle import GridSpec, default_domain, shoot_state, solve_on_grid, solve_states, u_eff
-    from .wavefn import (SignConvention, attach_norm, jacobi, norm_const,
-                         norm_const_quadrature, phi, phi_eta0, physical_psi)
+    from .wavefn import (SignConvention, attach_norm, norm_const, norm_const_quadrature, phi,
+                         phi_eta0, physical_psi)
 
     # the submodules bind themselves as package attributes on import
     imported = locals()

@@ -23,10 +23,14 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ComplexBranch, DegenerateDenominator, RealityViolation
+from .errors import ComplexBranch, DegenerateDenominator, DomainUnsupported, RealityViolation
 from .model import ReducedSystem
 
 DENOMINATOR_TOL = 1e-12
+# Most levels a well may have: spectrum lists them one by one, so its time
+# and memory grow with the count (as sqrt(D_eV)).  About 70 times the 1,378
+# levels of the deepest well the benchmarks run.
+MAX_LEVELS = 100_000
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,11 @@ def make_state(sys: ReducedSystem, n: int) -> BoundState:
 
     The admission conditions are checked at n (against E_{n-1}) without
     enumerating the spectrum; a level they refuse, such as a root on the
-    spurious squared branch, raises RealityViolation.
+    spurious squared branch, raises RealityViolation.  n >= MAX_LEVELS,
+    which :func:`spectrum` never lists, raises DomainUnsupported.
     """
+    if n >= MAX_LEVELS:
+        raise DomainUnsupported(f"level n={n} is past the {MAX_LEVELS}-level limit")
     prev_e = energy_ev(sys, n - 1) if n > 0 else None
     eps = _admitted_eps(sys, n, _sqrt_w(sys), prev_e)
     if eps is None:
@@ -142,12 +149,15 @@ def spectrum(sys: ReducedSystem) -> list[BoundState]:
     E_{n-1} (strictly increasing toward the continuum).  Enumeration stops at
     the first violation.  For eta = 0 the resulting count equals the number
     of n with 2n + 1 < -eps2/sqrt(eps1).  Parameters without a real spectrum
-    (eps1 - eta^2/2 <= 0) raise RealityViolation.
+    (eps1 - eta^2/2 <= 0) raise RealityViolation; a well with more than
+    MAX_LEVELS levels raises DomainUnsupported once level MAX_LEVELS passes.
     """
     w = _sqrt_w(sys)
     states: list[BoundState] = []
     prev_e = None
     while (eps := _admitted_eps(sys, len(states), w, prev_e)) is not None:
+        if len(states) == MAX_LEVELS:
+            raise DomainUnsupported(f"the well has more than {MAX_LEVELS} bound levels")
         states.append(_state(sys, len(states), eps))
         prev_e = states[-1].E
     return states

@@ -22,7 +22,11 @@ class MassSingularity(PdmorseError):
 
 
 class DomainUnsupported(PdmorseError):
-    """Closed-form normalization requested outside its gamma-function validity range."""
+    """A request outside the supported range.
+
+    Closed-form normalization outside its gamma-function validity range, or
+    a well or level past ``analytic.MAX_LEVELS``.
+    """
 
 
 class NormOverflow(DomainUnsupported):

@@ -4,11 +4,14 @@ The per-step RK4 propagators come from closed-form expressions in the
 coefficient table, evaluated with vectorized numpy; the only sequential
 piece is the 2x2 propagation sweep, one pure-Python loop.  It counts a node
 when phi changes sign strictly (+ -> 0 -> - counts none) and rescales
-(phi, phi') by 1e-250 once |phi| passes 1e250.  While phi keeps one sign
-the loop tests only whether the next phi leaves (0, 1e250] (or its mirror);
-such a step, and every step from a zero phi, takes the plain branch.  NaN
-stays NaN and counts nothing on either branch, so every result is bit for
-bit that of one plain loop.
+(phi, phi') by 1e-250 once |phi| passes 1e250.  Each step tests the next
+phi against one open range: (0, 1e250) after a positive phi, (-1e250, 0)
+after a negative one, and the empty range after a zero or NaN phi (or
+before the first step).  Inside it the step can count no node and need no
+rescale, so it only moves (phi, phi'); any other step is the plain step,
+which counts, rescales and sets the range again.  A NaN next phi lies in no
+range, and NaN counts nothing, so every result is bit for bit that of the
+plain step alone.
 
 Settled tail (Sturm comparison, Pryce 1993).  Suppose that from step t on
 every propagator entry is >= 0 (NaN counts as negative).  If phi, phi' >= 0
@@ -43,45 +46,6 @@ USE_NUMBA = False  # recorded by e2ebench/run.py; there is no compiled path
 _RESCALE_LIMIT = 1e250
 
 
-def _run(steps, phi: float, dphi: float, nodes: int):
-    """Propagate (phi, phi', nodes) through a one-pass iterator of step
-    entries (a, b, c, e); the sign runs advance that same iterator.
-    """
-    lim = _RESCALE_LIMIT
-    for a, b, c, e in steps:
-        while True:  # plain step, then a sign run from the state it leaves
-            p = a * phi + b * dphi
-            d = c * phi + e * dphi
-            if (p < 0.0 and phi > 0.0) or (p > 0.0 and phi < 0.0):
-                nodes += 1
-            phi = p
-            dphi = d
-            if phi > lim or phi < -lim:
-                phi *= 1e-250
-                dphi *= 1e-250
-            if phi > 0.0:
-                for a, b, c, e in steps:
-                    p = a * phi + b * dphi
-                    if p <= 0.0 or p > lim:
-                        break  # this step takes the plain branch
-                    dphi = c * phi + e * dphi
-                    phi = p
-                else:
-                    return phi, dphi, nodes
-            elif phi < 0.0:
-                for a, b, c, e in steps:
-                    p = a * phi + b * dphi
-                    if p >= 0.0 or p < -lim:
-                        break
-                    dphi = c * phi + e * dphi
-                    phi = p
-                else:
-                    return phi, dphi, nodes
-            else:
-                break
-    return phi, dphi, nodes
-
-
 def settled(phi: float, dphi: float) -> bool:
     """phi and phi' of one sign: in a non-negative tail no later step adds a node."""
     return (phi >= 0.0 and dphi >= 0.0) or (phi <= 0.0 and dphi <= 0.0)
@@ -94,10 +58,23 @@ def sweep(m00, m01, m10, m11, phi0: float, dphi0: float):
     reversed views are fine.  They are iterated as memoryviews, with no
     copy or dtype conversion.  Returns (phi, phi', nodes) at the last point.
     """
+    lim = _RESCALE_LIMIT
+    phi, dphi, nodes = float(phi0), float(dphi0), 0
+    lo = hi = 0.0  # the same-sign range of the next p; empty, so the first step is plain
     # memoryviews hand out plain floats without building four lists;
     # plain-float arithmetic is several times faster than numpy scalars
-    return _run(zip(memoryview(m00), memoryview(m01), memoryview(m10), memoryview(m11)),
-                float(phi0), float(dphi0), 0)
+    for a, b, c, e in zip(memoryview(m00), memoryview(m01), memoryview(m10), memoryview(m11)):
+        p = a * phi + b * dphi
+        dphi = c * phi + e * dphi
+        if not lo < p < hi:  # a plain step: phi may change sign or pass the limit
+            if (p < 0.0 and phi > 0.0) or (p > 0.0 and phi < 0.0):
+                nodes += 1
+            if p > lim or p < -lim:
+                p *= 1e-250
+                dphi *= 1e-250
+            lo, hi = (0.0, lim) if p > 0.0 else (-lim, 0.0) if p < 0.0 else (0.0, 0.0)
+        phi = p
+    return phi, dphi, nodes
 
 
 def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):

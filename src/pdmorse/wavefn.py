@@ -54,21 +54,6 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _FLOAT_TINY = np.finfo(float).tiny  # smallest normal float
 
 
-def jacobi(n: int, p: float, q: float, x):
-    """Jacobi polynomial P_n^{(p,q)}(x) by the three-term recurrence.
-
-    Pointwise evaluation for any real p, q and degree: the rescaled
-    recurrence of :func:`_scaled_jacobi` times exp(log scale), which is inf
-    where |P_n(x)| exceeds the largest float.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    mantissa, log_scale = _scaled_jacobi(n, p, q, np.atleast_1d(x))
-    out = mantissa * np.exp(log_scale)
-    return float(out[0]) if x.ndim == 0 else out
-
-
 def _rescale(cur: np.ndarray, prev: np.ndarray, log_scale: np.ndarray) -> None:
     """Divide y_k and y_{k-1} through, in place, where either has passed 1e150.
 

@@ -14,6 +14,8 @@ The paper-form relations the library does not serve live here too: the
 printed reality condition, A_tilde from eps, the constant-mass eigenvalue,
 the quantization internals, the ordering term of U_eff, and the node count
 and equation residual of the assembled eigenfunction (both through ``phi``).
+So does ``jacobi``, pointwise P_n^{(p,q)}(x) through the library's own
+rescaled recurrence, which the tests check against the oracles above.
 """
 from __future__ import annotations
 
@@ -27,9 +29,24 @@ from pdmorse.analytic import _state, discriminant_root, nu_consistent_epsilon
 from pdmorse.errors import ComplexBranch, RealityViolation
 from pdmorse.model import WEYL
 from pdmorse.units import HBAR2_EV_AMU_A2
-from pdmorse.wavefn import SignConvention, phi
+from pdmorse.wavefn import SignConvention, _scaled_jacobi, phi
 
 _RESCALE_LIMIT = 1e250  # sweep_reference: renormalization threshold
+
+
+def jacobi(n: int, p: float, q: float, x):
+    """Jacobi polynomial P_n^{(p,q)}(x) by the library's three-term recurrence.
+
+    Pointwise evaluation for any real p, q and degree: the rescaled
+    recurrence of ``pdmorse.wavefn._scaled_jacobi`` times exp(log scale),
+    which is inf where |P_n(x)| exceeds the largest float.
+    """
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    x = np.asarray(x, dtype=float)
+    mantissa, log_scale = _scaled_jacobi(n, p, q, np.atleast_1d(x))
+    out = mantissa * np.exp(log_scale)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def jacobi_finite_sum(n: int, p: float, q: float, x: float) -> float:

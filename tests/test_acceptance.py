@@ -11,12 +11,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import (constant_mass_epsilon, jacobi_finite_sum, make_z_grid, node_count,
-                      nu_consistent_state, nu_internals, ode_residual, reality_check)
+from _oracles import (constant_mass_epsilon, jacobi, jacobi_finite_sum, make_z_grid,
+                      node_count, nu_consistent_state, nu_internals, ode_residual,
+                      reality_check)
 from pdmorse import (WEYL, AmbiguityOrdering, GridSpec, MassModel, ReducedSystem,
-                     SignConvention, energy_ev, epsilon_nl, get_molecule, jacobi,
-                     make_state, norm_const, norm_const_quadrature, reduce, solve_on_grid,
-                     solve_states, spectrum)
+                     SignConvention, energy_ev, epsilon_nl, get_molecule, make_state,
+                     norm_const, norm_const_quadrature, reduce, solve_on_grid, solve_states,
+                     spectrum)
 from pdmorse.analytic import _state, discriminant_root
 from pdmorse.catalog import REFERENCE_ENERGIES
 from pdmorse.reports import oracle_compare_rows, oracle_csv

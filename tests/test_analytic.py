@@ -6,8 +6,8 @@ import pytest
 
 from _oracles import constant_mass_epsilon, nu_branch_internals, nu_internals, reality_check
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, DegenerateDenominator,
-                     RealityViolation, ReducedSystem, energy_ev, epsilon_nl, make_state,
-                     nu_consistent_epsilon, reduce, spectrum)
+                     DomainUnsupported, RealityViolation, ReducedSystem, analytic, energy_ev,
+                     epsilon_nl, make_state, nu_consistent_epsilon, reduce, spectrum)
 from pdmorse.analytic import discriminant_root
 
 TABLE_GATE = 0.005  # eV; reference energies carry 3 printed decimals
@@ -136,6 +136,19 @@ class TestSpectrum:
 
     def test_eta0_has_no_a_tilde(self, h2_eta0):
         assert make_state(h2_eta0, 0).A_tilde is None
+
+    def test_level_limit(self, h2_eta0, monkeypatch):
+        # H2 at eta 0 has 17 levels: a limit of 17 lists them all, 16 refuses
+        # the well and make_state refuses n = 16
+        monkeypatch.setattr(analytic, "MAX_LEVELS", 17)
+        assert len(spectrum(h2_eta0)) == 17
+        assert make_state(h2_eta0, 16).n == 16
+        monkeypatch.setattr(analytic, "MAX_LEVELS", 16)
+        with pytest.raises(DomainUnsupported, match="more than 16 bound levels"):
+            spectrum(h2_eta0)
+        with pytest.raises(DomainUnsupported, match="past the 16-level limit"):
+            make_state(h2_eta0, 16)
+        assert make_state(h2_eta0, 15).n == 15
 
 
 class TestLimitReduction:

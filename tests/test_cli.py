@@ -568,6 +568,28 @@ class TestRejectedInput:
         assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")
         assert message in lines[0]
 
+    # H2's parameters in a well 2e11 times deeper: about 9 million levels
+    DEEP_H2 = ("name = deep\nD_eV = 1e12\nr0_angstrom = 0.7416\nm0_amu = 0.50391\n"
+               "alpha_prime = 1.440558\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--eta", "0"], "the well has more than 100000 bound levels"),
+        (["spectrum", "--eta", "0.2"], "the well has more than 100000 bound levels"),
+        (["wavefunction", "--eta", "0.2", "--n", "5000000"],
+         "level n=5000000 is past the 100000-level limit"),
+        (["oracle-compare", "--eta", "0.2", "--n-max", "1000000000"],
+         "level n=100000 is past the 100000-level limit"),
+    ], ids=["spectrum-eta0", "spectrum-eta02", "wavefunction-n", "oracle-n-max"])
+    def test_level_limit_is_one_error_line(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "mol.cfg"
+        path.write_text(self.DEEP_H2)
+        start = time.perf_counter()
+        assert main([argv[0], "--molecule", str(path), *argv[1:]]) == 1
+        assert time.perf_counter() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"pdmorse-error: {message}"]
+
     @pytest.mark.parametrize("command", ["validate", "spectrum"])
     def test_non_utf8_config_names_the_file(self, tmp_path, capsys, command):
         path = tmp_path / "mol.cfg"

@@ -13,20 +13,19 @@ import pytest
 
 from pdmorse.cli import main
 from pdmorse.reports import fmt
-
-# pdmorse.__all__ before the namespace became lazy
+# pdmorse.__all__, sorted
+# pdmorse.__all__, sorted (jacobi moved to the tests' oracles)
 PUBLIC_NAMES = [
     "AmbiguityOrdering", "BoundState", "ComplexBranch", "ConfigError",
     "DegenerateDenominator", "DomainUnsupported", "GridSpec", "LI_KUHN", "MassModel",
     "MassSingularity", "MoleculeSpec", "NoBracket", "NonConvergence", "NormOverflow",
     "PdmorseError", "QuadratureFailure", "RealityViolation", "ReducedSystem",
     "SignConvention", "WEYL", "analytic", "attach_norm", "builtin_catalog", "catalog",
-    "default_domain", "energy_ev", "epsilon_nl", "errors", "get_molecule", "jacobi",
-    "kernels", "load_molecule_config", "make_state", "model", "norm_const",
-    "norm_const_quadrature", "nu_consistent_epsilon", "oracle", "parse_ordering", "phi",
-    "phi_eta0", "physical_psi", "potential_value", "quadrature", "reduce",
-    "resolve_molecule", "shoot_state", "solve_on_grid", "solve_states", "spectrum", "u_eff",
-    "units", "wavefn",
+    "default_domain", "energy_ev", "epsilon_nl", "errors", "get_molecule", "kernels",
+    "load_molecule_config", "make_state", "model", "norm_const", "norm_const_quadrature",
+    "nu_consistent_epsilon", "oracle", "parse_ordering", "phi", "phi_eta0", "physical_psi",
+    "potential_value", "quadrature", "reduce", "resolve_molecule", "shoot_state",
+    "solve_on_grid", "solve_states", "spectrum", "u_eff", "units", "wavefn",
 ]
 SUBMODULES = ["analytic", "catalog", "errors", "kernels", "model", "oracle", "quadrature",
               "units", "wavefn"]

@@ -808,6 +808,12 @@ class TestKernels:
         ([(1e251, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)], -1.0, 1),
         # a NaN state counts nothing from then on
         ([(math.nan, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)], 1.0, 0),
+        # a same-sign step that lands exactly on +-1e250: no rescale, no node
+        ([(1.0, 0.0, 0.0, 1.0), (1e250, 0.0, 0.0, 1.0)], 1.0, 0),
+        ([(1.0, 0.0, 0.0, 1.0), (1e250, 0.0, 0.0, 1.0)], -1.0, 0),
+        # phi' = -1 + 1 is +0.0 here; negating the state to share the phi > 0
+        # branch would give -0.0
+        ([(1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 1.0, 1.0)], -1.0, 0),
     ])
     def test_edge_steps_match_reference(self, steps, phi0, expected):
         cols = tuple(np.array(col) for col in zip(*steps))

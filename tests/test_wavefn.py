@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (constant_mass_epsilon, gauss_legendre_integral, jacobi_finite_sum,
-                      jacobi_recurrence_mp, make_z_grid, node_count, nu_consistent_state,
-                      ode_residual, rodrigues_psi)
+from _oracles import (constant_mass_epsilon, gauss_legendre_integral, jacobi,
+                      jacobi_finite_sum, jacobi_recurrence_mp, make_z_grid, node_count,
+                      nu_consistent_state, ode_residual, rodrigues_psi)
 from pdmorse import (WEYL, DomainUnsupported, NormOverflow, SignConvention, attach_norm,
-                     jacobi, make_state, norm_const, norm_const_quadrature, phi, phi_eta0,
-                     reduce)
+                     make_state, norm_const, norm_const_quadrature, phi, phi_eta0, reduce)
 from pdmorse.analytic import spectrum
 from pdmorse.catalog import REFERENCE_ETAS, get_molecule
 from pdmorse.wavefn import _phi_pq, _scaled_jacobi, norm_const_eta0
