@@ -12,11 +12,15 @@ per block; the next two lines give the Python states (blocks or steps) per
 sweep, the iterations of ``kernels.sweep``.  The last line times one
 refinement round of 13 energies, 5e-7 eV above each level: their shared
 block-table evaluations and a half-sweep pair per energy, in ms per round
-and per energy.  Usage:
+and per energy.  The faults line gives the minor page faults of one engine
+build and 13-level solve, repeated after two alike in the same process: the
+pages the oracle's heap hands back to the kernel and faults in again
+(0 once ``oracle._keep_freed_heap`` has set glibc's thresholds).  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -101,6 +105,12 @@ def main() -> None:
     seconds = best_time(round_of_levels, (), args.repeats)
     print(f"{'batched round':17s}: {seconds * 1e3:8.3f} ms  "
           f"({seconds / LEVELS * 1e3:.3f} ms per energy, {LEVELS} energies)")
+
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        build_engine(args.points).solve(range(LEVELS), 1e-7)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(f"{'engine faults':17s}: {faults} minor page faults per engine build and solve")
 
 
 if __name__ == "__main__":

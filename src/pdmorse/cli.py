@@ -101,7 +101,10 @@ def _cmd_table1(args) -> int:
     print(f"table1 {verdict}: {listed - len(summary.failures)}/{listed} listed cells within "
           f"{summary.tolerance_eV:g} eV, {len(summary.cells) - listed} unlisted "
           f"(max |delta| = {summary.max_abs_delta:.6f} eV)")
-    return 0 if summary.all_pass else 1
+    if not summary.all_pass:
+        raise PdmorseError(f"table1: {len(summary.failures)} of {listed} listed cells outside "
+                           f"{summary.tolerance_eV:g} eV")
+    return 0
 
 
 def _cmd_wavefunction(args) -> int:

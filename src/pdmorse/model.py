@@ -43,7 +43,11 @@ class MoleculeSpec:
                              ("alpha_prime", self.alpha_prime)):
             if not 0 < value < math.inf:
                 raise ConfigError(f"{label} must be positive and finite, got {value}")
-        e0_ref = energy_scale_ev(self.m0, self.r0)
+        try:
+            e0_ref = energy_scale_ev(self.m0, self.r0)
+        except (OverflowError, ZeroDivisionError) as exc:  # r0**2 or m0 r0^2 out of range
+            raise ConfigError(f"hbar^2/(m0 r0^2) is out of the float range for m0 = {self.m0}, "
+                              f"r0 = {self.r0}") from exc
         if self.E0 is None:
             object.__setattr__(self, "E0", e0_ref)
         if not 0 < self.E0 < math.inf:
@@ -233,9 +237,13 @@ def reduce(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrdering) -> Reduce
     """
     if not 0.0 <= eta < 1.0:
         raise ConfigError(f"eta out of range: {eta} (require 0 <= eta < 1)")
-    scale = mol.alpha_prime**2 * mol.E0
-    v1 = 2.0 * mol.V1 / scale
-    v2 = 2.0 * mol.V2 / scale
+    try:
+        scale = mol.alpha_prime**2 * mol.E0
+        v1 = 2.0 * mol.V1 / scale
+        v2 = 2.0 * mol.V2 / scale
+    except (OverflowError, ZeroDivisionError) as exc:  # alpha'^2 E0 out of range
+        raise ConfigError(f"alpha_prime^2 E0 is out of the float range for alpha_prime = "
+                          f"{mol.alpha_prime}, E0 = {mol.E0}") from exc
     sys = ReducedSystem(v1=v1, v2=v2, eta=eta,
                         eps1=v1 - 4.0 * eta**2 * (ordering.c_ord - 0.25),
                         eps2=-eta * ordering.c2_ord - v2, e_scale=scale / 2.0)

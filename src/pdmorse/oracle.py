@@ -52,7 +52,10 @@ Solve strategy, shared by every requested level of one grid:
 from __future__ import annotations
 
 import bisect
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +95,11 @@ TABLE_CHUNK = 2048
 # energies of a round are split into evaluations that stay within it.
 WORK_FLOATS = 2**15
 _IDENTITY = np.eye(2)[:, :, None]
+# glibc's mallopt parameters (malloc.h) and the values the oracle sets: the
+# ceilings its own dynamic threshold adjustment can reach on 64-bit hosts.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -612,8 +620,36 @@ class _ShootingEngine:
         return [(n, found[n]) for n in n_list]
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep the memory one solve frees in the heap for the next (glibc; once per process).
+
+    Each domain solve allocates and frees about 1.7 MB of tables.  Under
+    glibc's default thresholds that memory goes back to the kernel, and the
+    next solve faults it in again page by page: about 850 minor faults per
+    8001-point oracle-compare request.  An mmap threshold of MMAP_THRESHOLD
+    and a trim threshold of TRIM_THRESHOLD keep it mapped, at the cost of up
+    to TRIM_THRESHOLD of freed heap kept by the process.  Nothing is set
+    where libc.so.6 does not load or has no mallopt (macOS, Windows, musl),
+    or where the environment already tunes glibc's
+    malloc (MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or a glibc.malloc.
+    entry in GLIBC_TUNABLES).
+    """
+    if ("MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def _tables(u_fn, m_fn, grid: GridSpec):
     """The engine's tables on grid: U at the nodes and midpoints, then p = 2 m / hbar^2 there."""
+    _keep_freed_heap()
     xs = grid.xs()
     points = (xs, 0.5 * (xs[:-1] + xs[1:]))
     return (*(np.asarray(u_fn(x), dtype=float) for x in points),

@@ -231,7 +231,9 @@ class TestCliCommands:
 
     def test_table1_failing_gate_exit_one(self, capsys):
         assert main(["table1", "--tolerance", "1e-9"]) == 1
-        assert "table1 FAIL" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "table1 FAIL" in out
+        assert err == "pdmorse-error: table1: 51 of 51 listed cells outside 1e-09 eV\n"
 
     def test_spectrum_first_row(self, capsys):
         assert main(["spectrum", "--molecule", "H2", "--eta", "0.2"]) == 0

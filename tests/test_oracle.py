@@ -1,5 +1,11 @@
 """Shooting-method eigensolver: sanity tests and cross-validation."""
+import ctypes
 import math
+import os
+import platform
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -706,6 +712,74 @@ class TestDomainStudy:
             expected = [("boundary", (0.0, x_max)),
                         ("singular", (math.log(eta) / mol.beta + 0.05, x_max))]
         assert list(default_domain(mol, eta).items()) == expected
+
+
+class TestFreedHeap:
+    """The oracle keeps the heap a solve frees mapped for the next solve."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_repeated_solve_faults_in_no_fresh_pages(self):
+        # A fresh process, so that live objects of earlier tests do not sit
+        # above the freed tables, and glibc's documented default thresholds
+        # (128 KiB each, no dynamic adjustment), so that the heap history of
+        # the imports does not decide the outcome.  Without the oracle's
+        # thresholds each call then faults in 600-900 pages that the call
+        # before it gave back to the kernel.
+        code = ("import ctypes, resource\n"
+                "from pdmorse import WEYL, get_molecule\n"
+                "from pdmorse.reports import oracle_compare_rows\n"
+                "libc = ctypes.CDLL('libc.so.6')\n"
+                "libc.mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD\n"
+                "libc.mallopt(-1, 128 * 1024)  # M_TRIM_THRESHOLD\n"
+                "for _ in range(3):\n"
+                "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    oracle_compare_rows(get_molecule('H2'), 0.2, WEYL, 1, 8001)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = {name: value for name, value in os.environ.items() if name not in
+               ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 50
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        """The mallopt calls of one fresh _keep_freed_heap() run against a stand-in libc."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        oracle._keep_freed_heap.cache_clear()
+
+        def run():
+            oracle._keep_freed_heap()
+            return calls
+
+        yield run
+        oracle._keep_freed_heap.cache_clear()
+
+    def test_sets_both_thresholds(self, mallopt_calls):
+        assert mallopt_calls() == [(oracle._M_MMAP_THRESHOLD, 32 * 2**20),
+                                   (oracle._M_TRIM_THRESHOLD, 64 * 2**20)]
+
+    def test_no_libc_sets_nothing(self, mallopt_calls, monkeypatch):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert mallopt_calls() == []
+
+    @pytest.mark.parametrize("name, value", [("MALLOC_TRIM_THRESHOLD_", "131072"),
+                                             ("MALLOC_MMAP_THRESHOLD_", "131072"),
+                                             ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0")])
+    def test_environment_settings_win(self, mallopt_calls, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        assert mallopt_calls() == []
 
 
 class TestKernels:
