@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 validation/physics error (one machine-readable
 line on stderr), 2 usage error.
+
+``spectrum``, ``wavefunction`` and ``oracle-compare`` share one parent
+parser for the options that name the well and the output.  :func:`main`
+resolves the molecule, then the ordering, once for the three, and writes the
+text each one builds; ``table1`` and ``validate`` print their own lines.
 """
 from __future__ import annotations
 
@@ -29,42 +34,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bound states of a position-dependent-mass generalized Morse well")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="enumerate the analytic spectrum")
-    sp.add_argument("--molecule", required=True, help="built-in name or config path")
-    sp.add_argument("--eta", type=float, required=True)
-    sp.add_argument("--ordering", default="weyl", help=_ORDERING_HELP)
+    well = argparse.ArgumentParser(add_help=False)
+    well.add_argument("--molecule", required=True, help="built-in name or config path")
+    well.add_argument("--eta", type=float, required=True)
+    well.add_argument("--ordering", default="weyl", help=_ORDERING_HELP)
+    well.add_argument("--no-provenance", action="store_true")
+    well.add_argument("--output", default=None, help="write here instead of stdout")
+
+    sp = sub.add_parser("spectrum", parents=[well], help="enumerate the analytic spectrum")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--no-provenance", action="store_true")
-    sp.add_argument("--output", default=None, help="write here instead of stdout")
+    sp.set_defaults(text=_spectrum_text)
 
     tp = sub.add_parser("table1", help="reproduce the built-in reference energies")
     tp.add_argument("--tolerance", type=float, default=0.005, help="gate in eV")
+    tp.set_defaults(run=_cmd_table1)
 
-    wp = sub.add_parser("wavefunction", help="sample one eigenfunction")
-    wp.add_argument("--molecule", required=True)
-    wp.add_argument("--eta", type=float, required=True)
+    wp = sub.add_parser("wavefunction", parents=[well], help="sample one eigenfunction")
     wp.add_argument("--n", type=int, required=True)
     wp.add_argument("--samples", type=int, default=256)
-    wp.add_argument("--ordering", default="weyl", help=_ORDERING_HELP)
     wp.add_argument("--convention", choices=[c.value for c in SignConvention],
                     default="normalizable")
-    wp.add_argument("--no-provenance", action="store_true")
-    wp.add_argument("--output", default=None)
+    wp.set_defaults(text=_wavefunction_text)
 
-    op = sub.add_parser("oracle-compare", help="shooting solver vs analytic energies")
-    op.add_argument("--molecule", required=True)
-    op.add_argument("--eta", type=float, required=True)
-    op.add_argument("--ordering", default="weyl", help=_ORDERING_HELP)
+    op = sub.add_parser("oracle-compare", parents=[well],
+                        help="shooting solver vs analytic energies")
     op.add_argument("--n-max", type=int, default=2)
     op.add_argument("--grid", type=int, default=8001, help="grid point count")
     op.add_argument("--domain", default=None,
                     help="xmin,xmax in Angstrom (use --domain=-0.7,10 for negative "
                          "xmin); default: run the domain study")
-    op.add_argument("--no-provenance", action="store_true")
-    op.add_argument("--output", default=None)
+    op.set_defaults(text=_oracle_compare_text)
 
     vp = sub.add_parser("validate", help="validate a molecule config file")
     vp.add_argument("config_path")
+    vp.set_defaults(run=_cmd_validate)
     return parser
 
 
@@ -79,14 +82,27 @@ def _emit(text: str, output: str | None) -> None:
             raise PdmorseError(f"cannot write --output {output!r}: {exc.strerror}") from exc
 
 
-def _cmd_spectrum(args) -> int:
-    mol = resolve_molecule(args.molecule)
-    ordering = parse_ordering(args.ordering)
-    report = build_spectrum_report(mol, args.eta, ordering)
-    text = (spectrum_csv(report, not args.no_provenance) if args.format == "csv"
-            else spectrum_json(report, not args.no_provenance))
-    _emit(text, args.output)
-    return 0
+def _spectrum_text(args, mol, ordering) -> str:
+    write = spectrum_csv if args.format == "csv" else spectrum_json
+    return write(build_spectrum_report(mol, args.eta, ordering), not args.no_provenance)
+
+
+def _wavefunction_text(args, mol, ordering) -> str:
+    sys_ = reduce(mol, args.eta, ordering)
+    return wavefunction_csv(mol, sys_, make_state(sys_, args.n), args.samples,
+                            SignConvention(args.convention), not args.no_provenance)
+
+
+def _oracle_compare_text(args, mol, ordering) -> str:
+    domain = None
+    if args.domain is not None:
+        try:
+            x_min, x_max = (float(part) for part in args.domain.split(","))
+        except ValueError as exc:
+            raise PdmorseError(f"malformed --domain {args.domain!r}; expected xmin,xmax") from exc
+        domain = (x_min, x_max)
+    rows = oracle_compare_rows(mol, args.eta, ordering, args.n_max, args.grid, domain)
+    return oracle_csv(rows, not args.no_provenance)
 
 
 def _cmd_table1(args) -> int:
@@ -107,32 +123,6 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _cmd_wavefunction(args) -> int:
-    mol = resolve_molecule(args.molecule)
-    ordering = parse_ordering(args.ordering)
-    sys_ = reduce(mol, args.eta, ordering)
-    state = make_state(sys_, args.n)
-    text = wavefunction_csv(mol, sys_, state, args.samples,
-                            SignConvention(args.convention), not args.no_provenance)
-    _emit(text, args.output)
-    return 0
-
-
-def _cmd_oracle_compare(args) -> int:
-    mol = resolve_molecule(args.molecule)
-    ordering = parse_ordering(args.ordering)
-    domain = None
-    if args.domain is not None:
-        try:
-            x_min, x_max = (float(part) for part in args.domain.split(","))
-        except ValueError as exc:
-            raise PdmorseError(f"malformed --domain {args.domain!r}; expected xmin,xmax") from exc
-        domain = (x_min, x_max)
-    rows = oracle_compare_rows(mol, args.eta, ordering, args.n_max, args.grid, domain)
-    _emit(oracle_csv(rows, not args.no_provenance), args.output)
-    return 0
-
-
 def _cmd_validate(args) -> int:
     from .catalog import load_molecule_config
 
@@ -142,27 +132,21 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "table1": _cmd_table1,
-    "wavefunction": _cmd_wavefunction,
-    "oracle-compare": _cmd_oracle_compare,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        if "text" not in args:
+            return args.run(args)
+        mol = resolve_molecule(args.molecule)
+        _emit(args.text(args, mol, parse_ordering(args.ordering)), args.output)
+        return 0
     except (PdmorseError, ValueError) as exc:
         print(f"pdmorse-error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # e.g. numpy's allocation error for a huge --samples or --grid
+    except MemoryError as exc:  # numpy's allocation error for an array past the address space
         print(f"pdmorse-error: out of memory: {exc}", file=sys.stderr)
         return 1
 

@@ -100,11 +100,16 @@ _IDENTITY = np.eye(2)[:, :, None]
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 * 2**20
 TRIM_THRESHOLD = 64 * 2**20
+# Most points a grid may have.  A solve's peak memory grows by about 220-255
+# bytes per point (400,001 points: 83-97 MB), so a larger --grid could get the
+# process killed on a small host before numpy's allocation fails.  125 times
+# the default 8001 points.
+MAX_GRID_POINTS = 1_000_001
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform solver grid; production constraints: >= 501 points, h < 0.01 A."""
+    """Uniform solver grid; production constraints: 501 to MAX_GRID_POINTS points, h < 0.01 A."""
 
     x_min: float
     x_max: float
@@ -117,6 +122,9 @@ class GridSpec:
             raise ConfigError("x_max must exceed x_min")
         if self.points < 501:
             raise ConfigError(f"need at least 501 grid points, got {self.points}")
+        if self.points > MAX_GRID_POINTS:
+            raise ConfigError(f"a grid of {self.points} points is past the "
+                              f"{MAX_GRID_POINTS}-point limit")
         if self.h >= 0.01:
             raise ConfigError(f"grid spacing {self.h:.4g} A too coarse; need h < 0.01 A")
 

@@ -26,6 +26,9 @@ SPECTRUM_COLUMNS = ("n", "eps_nl", "E_eV", "E_paper_eV", "delta_eV")
 WAVEFUNCTION_COLUMNS = ("z", "x_angstrom", "phi", "psi_physical")
 ORACLE_COLUMNS = ("molecule", "eta", "ordering", "n", "E_analytic_eV",
                   "E_oracle_eV", "delta_eV", "domain", "grid_points")
+# Most points a wavefunction export may sample.  Its peak memory grows by
+# about 410-480 bytes per sample (200,000 samples: 79-92 MB).
+MAX_SAMPLES = 1_000_000
 _SPECTRUM_ROW = "%d,%.17g,%.17g,%s,%s\n"
 # one row of json.dumps(..., indent=2, sort_keys=True) at depth 2
 _JSON_ROW = ('    {\n      "E_eV": %s,\n      "E_paper_eV": %s,\n      "delta_eV": %s,\n'
@@ -239,6 +242,8 @@ def wavefunction_csv(mol: MoleculeSpec, sys: ReducedSystem, state, samples: int,
 
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples are past the {MAX_SAMPLES}-sample limit")
     if sys.eta == 0.0:  # phi_eta0 has only the bounded branch
         convention = SignConvention.NORMALIZABLE
     mm = MassModel.for_molecule(mol, sys.eta)
@@ -267,7 +272,8 @@ def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrderi
 
     The domains are the study of :func:`pdmorse.oracle.default_domain`, or
     the one explicit domain when given.  The domain cell reads
-    label[x_min;x_max].  A level that :func:`spectrum` does not list raises
+    label[x_min;x_max], and a triple's ordering cell a;alpha;gamma, so no
+    cell holds a comma.  A level that :func:`spectrum` does not list raises
     RealityViolation before any solve.
     """
     from .oracle import GridSpec, default_domain, solve_states
@@ -278,6 +284,7 @@ def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrderi
     for n in range(n_max + 1):
         make_state(sys, n)
     mm = MassModel.for_molecule(mol, eta)
+    ordering_cell = ordering_label(ordering).replace(",", ";")
     domains = {"explicit": domain} if domain is not None else default_domain(mol, eta)
     rows = []
     for label, (x_min, x_max) in domains.items():
@@ -288,7 +295,7 @@ def oracle_compare_rows(mol: MoleculeSpec, eta: float, ordering: AmbiguityOrderi
             e_analytic = energy_ev(sys, n)
             e_oracle = solved[n]
             rows.append({
-                "molecule": mol.name, "eta": eta, "ordering": ordering_label(ordering),
+                "molecule": mol.name, "eta": eta, "ordering": ordering_cell,
                 "n": n, "E_analytic_eV": e_analytic, "E_oracle_eV": e_oracle,
                 "delta_eV": e_oracle - e_analytic,
                 "domain": f"{label}[{x_min:.6g};{x_max:.6g}]", "grid_points": points})

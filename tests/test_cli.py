@@ -1,9 +1,11 @@
 """Catalog, config ingestion, report serialization, and the CLI surface."""
+import argparse
 import json
 import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from pdmorse import (WEYL, AmbiguityOrdering, ConfigError, NormOverflow, attach_
                      resolve_molecule)
 from pdmorse.analytic import make_state, spectrum
 from pdmorse.catalog import REFERENCE_ENERGIES, reference_energy
+from pdmorse import cli
 from pdmorse.cli import _build_parser, main
 from pdmorse.reports import (SpectrumReport, SpectrumRow, base_provenance,
                              build_spectrum_report, float_rows, oracle_compare_rows, oracle_csv,
@@ -379,7 +382,45 @@ class TestRowTemplates:
             assert spectrum_json(report, on) == spectrum_json_reference(report, on)
 
 
+def _option_surface(parser) -> dict:
+    """{command: {option strings: (default, type, required, choices, const)}}, help left out."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {tuple(a.option_strings) or (a.dest,): (
+        a.default, getattr(a.type, "__name__", None), a.required,
+        None if a.choices is None else tuple(a.choices), a.const)
+        for a in command_parser._actions if not isinstance(a, argparse._HelpAction)}
+        for command, command_parser in sub.choices.items()}
+
+
+_WELL_OPTIONS = {
+    ("--molecule",): (None, None, True, None, None),
+    ("--eta",): (None, "float", True, None, None),
+    ("--ordering",): ("weyl", None, False, None, None),
+    ("--no-provenance",): (False, None, False, None, True),
+    ("--output",): (None, None, False, None, None),
+}
+
+
 class TestParser:
+    def test_option_surface(self):
+        assert _option_surface(_build_parser()) == {
+            "spectrum": {**_WELL_OPTIONS,
+                         ("--format",): ("csv", None, False, ("csv", "json"), None)},
+            "table1": {("--tolerance",): (0.005, "float", False, None, None)},
+            "wavefunction": {
+                **_WELL_OPTIONS,
+                ("--n",): (None, "int", True, None, None),
+                ("--samples",): (256, "int", False, None, None),
+                ("--convention",): ("normalizable", None, False, ("printed", "normalizable"),
+                                    None)},
+            "oracle-compare": {
+                **_WELL_OPTIONS,
+                ("--n-max",): (2, "int", False, None, None),
+                ("--grid",): (8001, "int", False, None, None),
+                ("--domain",): (None, None, False, None, None)},
+            "validate": {("config_path",): (None, None, True, None, None)},
+        }
+
     def test_built_once_with_fresh_namespaces(self):
         assert _build_parser() is _build_parser()
         a = _build_parser().parse_args(["spectrum", "--molecule", "H2", "--eta", "0.2"])
@@ -552,11 +593,11 @@ class TestRejectedInput:
           "2001", "--domain=-0.6,-0.55"], "energy window [12.5713, 0] eV is empty"),
         (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "0", "--grid",
           "2001", "--domain=20,30"], "state n=0 not bracketed"),
-        # arrays of 8e15 bytes: past the user address space, so the allocation fails at once
+        # sizes past the address space are refused by the size limits, like any past them
         (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "1", "--samples",
-          str(10**15)], "out of memory"),
+          str(10**15)], "1000000000000000 samples are past the 1000000-sample limit"),
         (["oracle-compare", "--molecule", "H2", "--eta", "0.2", "--n-max", "0", "--grid",
-          str(10**15)], "out of memory"),
+          str(10**15)], "a grid of 1000000000000000 points is past the 1000001-point limit"),
     ], ids=["nan-domain", "nan-tolerance", "nan-ordering", "zero-samples", "negative-n-max",
             "printed-divergent-level", "eta0-n25", "eta0-n40", "eta02-n20", "eta02-n40",
             "oracle-eta06-n16", "oracle-eta095-n1", "output-missing-dir", "output-is-dir",
@@ -569,6 +610,41 @@ class TestRejectedInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pdmorse-error: ")
         assert message in lines[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "1", "--samples",
+          "1000001"], "1000001 samples are past the 1000000-sample limit"),
+        (["oracle-compare", "--molecule", "H2", "--eta", "0", "--n-max", "0",
+          "--domain=-0.7,3", "--grid", "1000002"],
+         "a grid of 1000002 points is past the 1000001-point limit"),
+    ], ids=["samples", "grid"])
+    def test_size_limit_refuses_before_allocating(self, capsys, argv, message):
+        main(argv[:-2])  # imports and first-call set-up stay out of the measurement
+        capsys.readouterr()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert main(argv) == 1
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2**20  # one array of the refused size would take 8 MB
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"pdmorse-error: {message}"]
+
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+        monkeypatch.setattr(cli, "wavefunction_csv", refuse)
+        assert main(["wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "pdmorse-error: out of memory: Unable to allocate 7.28 PiB for an array"]
 
     # H2's parameters in a well 2e11 times deeper: about 9 million levels
     DEEP_H2 = ("name = deep\nD_eV = 1e12\nr0_angstrom = 0.7416\nm0_amu = 0.50391\n"

@@ -5,12 +5,19 @@ every reference eta with both named orderings (plus one explicit triple);
 one eta > 0 ``wavefunction`` per sign convention (the printed one at the
 only H2 eta = 0.2 level with sqrt(eps) < 1/2, where it is normalizable); and three
 ``oracle-compare`` runs: a small one, a 13-level LiH ladder at eta = 0.6 and
-a long-grid H2 run at eta = 0.  Regenerate them only for an intended output change:
+a long-grid H2 run at eta = 0.  The oracle runs and the normalizable
+``wavefunction`` also run in two fresh interpreters, one of them on
+OpenBLAS's Haswell kernels and one thread: the bytes must not depend on the
+BLAS build numpy picks.
+Regenerate the goldens only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -46,6 +53,9 @@ def _cases() -> list[tuple[str, ...]]:
 
 
 CASES = _cases()
+# the outputs whose numbers come from numpy array arithmetic
+BLAS_CASES = [argv for argv in CASES if argv[0] == "oracle-compare"
+              or argv[:7] == ("wavefunction", "--molecule", "H2", "--eta", "0.2", "--n", "1")]
 
 
 def run_cli(argv: tuple[str, ...]) -> str:
@@ -68,6 +78,18 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_stdout_matches_golden(golden, argv):
     assert run_cli(argv) == golden[" ".join(argv)]
+
+
+def test_stdout_does_not_depend_on_the_blas_build(golden):
+    """The default OpenBLAS kernels and threads, then Haswell's on one thread: same bytes."""
+    script = ("import json, sys\nfrom pdmorse.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0\n")
+    outputs = [subprocess.run([sys.executable, "-c", script, json.dumps(BLAS_CASES)],
+                              env={**os.environ, **env}, capture_output=True, text=True,
+                              check=True, timeout=120).stdout
+               for env in ({}, {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"})]
+    assert len(BLAS_CASES) == 4
+    assert outputs[0] == outputs[1] == "".join(golden[" ".join(argv)] for argv in BLAS_CASES)
 
 
 if __name__ == "__main__":
