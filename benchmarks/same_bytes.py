@@ -8,9 +8,10 @@ written once with ``e2ebench/workloads.make_inputs``.  Deck 0 is then replayed
 through ``pdmorse.cli.main`` in one subprocess per side, with that side's
 ``src/`` on PYTHONPATH and this checkout's ``e2ebench/`` deciding the
 requests; each request's stdout, stderr and exit code are compared.  One line
-per (workload, seed): the request count and "identical", or the argv of the
-first request that differs.  Exit status 1 on any difference.  By default all
-three workloads run on seeds 1 and 7.
+per (workload, seed): the request count and "identical", the argv of the
+first request that differs, or "cannot extract REV" when ``git archive`` fails
+(outside a git checkout, or an unknown REV).  Exit status 1 on any difference
+or failed extraction.  By default all three workloads run on seeds 1 and 7.
 """
 import argparse
 import contextlib
@@ -80,6 +81,15 @@ def compare(base: Path, workload: str, seed: int, workdir: Path) -> tuple[int, s
     return len(ours), None
 
 
+def extract(rev: str, base: Path) -> bool:
+    """``git archive REV | tar -x`` into base: False when either fails (not a
+    git checkout, or an unknown REV; git says which on stderr)."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+    tar = subprocess.run(["tar", "-x", "-C", str(base)], stdin=archive.stdout)
+    archive.stdout.close()
+    return archive.wait() == 0 and tar.returncode == 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
@@ -91,17 +101,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
         base = Path(tmp) / "base"
         base.mkdir()
-        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", args.rev],
-                                   stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", str(base)], stdin=archive.stdout, check=True)
-        archive.stdout.close()
-        if archive.wait() != 0:
-            raise SystemExit(f"same_bytes: git archive {args.rev} failed")
+        extracted = extract(args.rev, base)
         for workload in (args.workload,) if args.workload else WORKLOADS:
             for seed in (args.seed,) if args.seed is not None else (1, 7):
-                count, differs = compare(base, workload, seed, Path(tmp))
-                verdict = (f"{count} requests identical" if differs is None
-                           else f"differs at {differs}")
+                if not extracted:
+                    differs, verdict = args.rev, f"cannot extract {args.rev}"
+                else:
+                    count, differs = compare(base, workload, seed, Path(tmp))
+                    verdict = (f"{count} requests identical" if differs is None
+                               else f"differs at {differs}")
                 print(f"{workload} seed {seed}: {verdict}")
                 same = same and differs is None
     return 0 if same else 1

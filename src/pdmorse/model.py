@@ -172,26 +172,14 @@ class MassModel:
             return None
         return math.log(self.eta) / self.beta
 
-    def _w_u(self, x):
-        """w = exp(-beta x) and u = 1 - eta w; MassSingularity within 1e-12 of the pole."""
+    def mass(self, x):
+        """m(x) in amu; MassSingularity within 1e-12 of the pole (1 - eta exp(-beta x) = 0)."""
         import numpy as np
 
-        w = np.exp(-self.beta * np.asarray(x, dtype=float))
-        u = 1.0 - self.eta * w
+        u = 1.0 - self.eta * np.exp(-self.beta * np.asarray(x, dtype=float))
         if np.any(np.abs(u) < 1e-12):
             raise MassSingularity(f"mass singular at x = {self.singularity_x}")
-        return w, u
-
-    def mass(self, x):
-        """m(x) in amu."""
-        return self.m0 / self._w_u(x)[1] ** 2
-
-    def mass_terms(self, x):
-        """m(x) (amu) with dm/dx (amu/A) and d2m/dx2 (amu/A^2)."""
-        w, u = self._w_u(x)
-        m0, eta, beta = self.m0, self.eta, self.beta
-        return (m0 / u**2, -2.0 * m0 * eta * beta * w / u**3,
-                2.0 * m0 * eta * beta**2 * w * (1.0 + 2.0 * eta * w) / u**4)
+        return self.m0 / u**2
 
 
 def potential_value(mol: MoleculeSpec, x):

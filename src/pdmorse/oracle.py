@@ -62,7 +62,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, NoBracket, NonConvergence
-from .model import AmbiguityOrdering, MassModel, MoleculeSpec, potential_value
+from .model import AmbiguityOrdering, MassModel, MoleculeSpec
 from .units import HBAR2_EV_AMU_A2
 
 MAX_BISECTIONS = 200  # per level: bisection and Anderson-Bjorck steps together
@@ -137,19 +137,26 @@ class GridSpec:
 
 
 def u_eff(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec, x):
-    """Effective potential (eV): ordering term + V(x) + wavefunction-redefinition term.
+    """Effective potential (eV) of mol with its mass model mm: V + ordering + redefinition terms.
 
-    The ordering term is -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' +
-    2 (a - alpha gamma - alpha - gamma) m'^2], with the analytic mass
-    derivatives.
+    With e = eta exp(-beta x), m = m0 / (1 - e)^2 and hbar^2 = E0 m0 r0^2,
+    the ordering term -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' +
+    2 (a - alpha gamma - alpha - gamma) m'^2] and the redefinition term
+    hbar^2/(4 m^2) (3 m'^2/(2 m) - m'') add up to a closed form in e:
+
+        U_eff = V(x) - e_scale e [(c_mm (1 + 2 e) + 4 c_m1 e)/(a + 1) + 1 - e],
+
+    with c_mm = alpha + gamma - a, c_m1 = a - alpha gamma - alpha - gamma and
+    e_scale = alpha'^2 E0 / 2, the energy scale of ``model.reduce``.  It is
+    finite up to the mass singularity (e = 1).
     """
-    m, m1, m2 = mm.mass_terms(x)
+    w = np.exp(-mol.beta * np.asarray(x, dtype=float))
+    e = mm.eta * w
     c_mm = ordering.alpha + ordering.gamma - ordering.a
     c_m1 = ordering.a - ordering.alpha * ordering.gamma - ordering.alpha - ordering.gamma
-    kinetic = -HBAR2_EV_AMU_A2 / (4.0 * m**3 * (ordering.a + 1.0)) * (
-        c_mm * m * m2 + 2.0 * c_m1 * m1**2)
-    redef = HBAR2_EV_AMU_A2 / (4.0 * m**2) * (1.5 * m1**2 / m - m2)
-    return kinetic + potential_value(mol, x) + redef
+    e_scale = mol.alpha_prime**2 * mol.E0 / 2.0
+    return mol.V1 * w**2 - mol.V2 * w - e_scale * e * (
+        (c_mm * (1.0 + 2.0 * e) + 4.0 * c_m1 * e) / (ordering.a + 1.0) + 1.0 - e)
 
 
 class _BlockTables:
@@ -655,13 +662,13 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-def _tables(u_fn, m_fn, grid: GridSpec):
-    """The engine's tables on grid: U at the nodes and midpoints, then p = 2 m / hbar^2 there."""
+def _tables(u_fn, m_fn, grid: GridSpec, hbar2: float):
+    """The engine's tables on grid: U at the nodes and midpoints, then p = 2 m / hbar2 there."""
     _keep_freed_heap()
     xs = grid.xs()
     points = (xs, 0.5 * (xs[:-1] + xs[1:]))
     return (*(np.asarray(u_fn(x), dtype=float) for x in points),
-            *(2.0 * np.asarray(m_fn(x), dtype=float) / HBAR2_EV_AMU_A2 for x in points))
+            *(2.0 * np.asarray(m_fn(x), dtype=float) / hbar2 for x in points))
 
 
 def _effective_engine(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
@@ -669,22 +676,25 @@ def _effective_engine(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeS
     """The engine of the effective-potential problem on grid.
 
     The grid must stay SINGULARITY_MARGIN right of the mass singularity
-    (ConfigError, before any table is evaluated).  The window is
-    (min U_eff, 0) over the node table, its floor moved up by one part in
-    1e12.
+    (ConfigError, before any table is evaluated).  hbar^2 = E0 m0 r0^2 comes
+    from mol, as does the scale of ``u_eff``, so that the closed-form energies
+    -e_scale eps solve this problem exactly.  The window is (min U_eff, 0)
+    over the node table, its floor moved up by one part in 1e12.
     """
     if mm.singularity_x is not None and grid.x_min <= mm.singularity_x + SINGULARITY_MARGIN:
         raise ConfigError(f"x_min = {grid.x_min} must stay right of the mass singularity "
                           f"at {mm.singularity_x:.4f} + {SINGULARITY_MARGIN} A margin")
-    tables = _tables(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid)
+    tables = _tables(lambda x: u_eff(mm, ordering, mol, x), mm.mass, grid,
+                     mol.E0 * mol.m0 * mol.r0**2)
     e_floor = float(np.min(tables[0]))
     return _ShootingEngine(tables, grid.h, (e_floor + abs(e_floor) * 1e-12, 0.0))
 
 
 def solve_on_grid(u_fn, m_fn, grid: GridSpec, n_list, e_window,
                   tol_ev: float = 1e-7) -> list[tuple[int, float]]:
-    """Eigenvalues (n, E) of an arbitrary potential/mass pair inside e_window."""
-    return _ShootingEngine(_tables(u_fn, m_fn, grid), grid.h, e_window).solve(n_list, tol_ev)
+    """Eigenvalues (n, E) of any potential/mass pair (eV, amu, Angstrom) inside e_window."""
+    tables = _tables(u_fn, m_fn, grid, HBAR2_EV_AMU_A2)
+    return _ShootingEngine(tables, grid.h, e_window).solve(n_list, tol_ev)
 
 
 def solve_states(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,

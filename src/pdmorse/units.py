@@ -11,9 +11,11 @@ AMU_KG = 1.66053906660e-27
 EV_J = 1.602176634e-19
 ANGSTROM_M = 1e-10
 
-# hbar^2 / (amu * Angstrom^2), expressed in eV.  This is the single constant
-# the solver needs: hbar^2/(2 m) phi'' terms become HBAR2_EV_AMU_A2/(2 m) with
-# m in amu and x in Angstrom.
+# hbar^2 / (amu * Angstrom^2), expressed in eV: hbar^2/(2 m) phi'' terms become
+# HBAR2_EV_AMU_A2/(2 m) with m in amu and x in Angstrom.  It computes a
+# molecule's E0 when none is given and scales ``oracle.solve_on_grid``'s
+# arbitrary potential/mass problem; a molecule's own problem takes
+# hbar^2 = E0 m0 r0^2 from its E0 instead.
 HBAR2_EV_AMU_A2 = HBAR_J_S**2 / (AMU_KG * ANGSTROM_M**2) / EV_J
 
 

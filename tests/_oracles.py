@@ -12,8 +12,10 @@ explorer spans all four (k-root, pi-sign) pairings of the quantization.
 
 The paper-form relations the library does not serve live here too: the
 printed reality condition, A_tilde from eps, the constant-mass eigenvalue,
-the quantization internals, the ordering term of U_eff, and the node count
-and equation residual of the assembled eigenfunction (both through ``phi``).
+the quantization internals, the analytic mass derivatives and the paper-form
+ordering term of U_eff built from them (the reference for ``oracle.u_eff``'s
+closed form), and the node count and equation residual of the assembled
+eigenfunction (both through ``phi``).
 So does ``jacobi``, pointwise P_n^{(p,q)}(x) through the library's own
 rescaled recurrence, which the tests check against the oracles above.
 """
@@ -28,7 +30,6 @@ import numpy as np
 from pdmorse.analytic import _state, discriminant_root, nu_consistent_epsilon
 from pdmorse.errors import ComplexBranch, RealityViolation
 from pdmorse.model import WEYL
-from pdmorse.units import HBAR2_EV_AMU_A2
 from pdmorse.wavefn import SignConvention, _scaled_jacobi, phi
 
 _RESCALE_LIMIT = 1e250  # sweep_reference: renormalization threshold
@@ -347,16 +348,30 @@ def nu_internals(sys, eps: float, n: int) -> NuInternals:
         lambda_=k2 + tau_slope / 2.0, lambda_pi=k2 + pi_slope, lambda_n=lambda_n)
 
 
-def u_ordering(mm, ordering, x):
-    """Ordering-dependent kinetic term of U_eff (eV).
+def molecule_hbar2(mol) -> float:
+    """hbar^2 = E0 m0 r0^2 (eV amu A^2) of a molecule's own problem."""
+    return mol.E0 * mol.m0 * mol.r0**2
+
+
+def mass_terms(mm, x):
+    """m(x) (amu) with dm/dx (amu/A) and d2m/dx2 (amu/A^2), the analytic derivatives."""
+    w = np.exp(-mm.beta * np.asarray(x, dtype=float))
+    u = 1.0 - mm.eta * w
+    m0, eta, beta = mm.m0, mm.eta, mm.beta
+    return (m0 / u**2, -2.0 * m0 * eta * beta * w / u**3,
+            2.0 * m0 * eta * beta**2 * w * (1.0 + 2.0 * eta * w) / u**4)
+
+
+def u_ordering(mm, ordering, x, hbar2: float):
+    """Ordering-dependent kinetic term of U_eff (eV) for a given hbar^2 (eV amu A^2).
 
     -hbar^2/[4 m^3 (a+1)] [(alpha+gamma-a) m m'' + 2 (a - alpha gamma - alpha
-    - gamma) m'^2], with the analytic mass derivatives.
+    - gamma) m'^2], with the analytic mass derivatives of ``mass_terms``.
     """
-    m, m1, m2 = mm.mass_terms(x)
+    m, m1, m2 = mass_terms(mm, x)
     c_mm = ordering.alpha + ordering.gamma - ordering.a
     c_m1 = ordering.a - ordering.alpha * ordering.gamma - ordering.alpha - ordering.gamma
-    return -HBAR2_EV_AMU_A2 / (4.0 * m**3 * (ordering.a + 1.0)) * (
+    return -hbar2 / (4.0 * m**3 * (ordering.a + 1.0)) * (
         c_mm * m * m2 + 2.0 * c_m1 * m1**2)
 
 

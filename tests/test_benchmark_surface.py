@@ -63,6 +63,9 @@ def test_output_checks_import():
      sorted(path.name for path in (ROOT / "src" / "pdmorse").glob("*.py")) + ["total"]),
     ("same_bytes.py", ["HEAD", "--workload", "oracle_deep", "--seed", "1"],
      ["oracle_deep seed 1"]),
+    # an unknown revision, as any revision is outside a git checkout
+    ("same_bytes.py", ["no-such-rev", "--workload", "oracle_deep", "--seed", "1"],
+     ["oracle_deep seed 1"]),
 ])
 def test_benchmark_script_runs(script, args, labels):
     env = dict(os.environ)
@@ -80,6 +83,8 @@ def test_benchmark_script_runs(script, args, labels):
         assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-3])
         assert re.search(r" ms per energy, 13 energies\)$", lines[-2])
         assert re.search(r": \d+ minor page faults per engine build and solve$", lines[-1])
+    if args[:1] == ["no-such-rev"]:
+        assert (done.returncode, lines) == (1, ["oracle_deep seed 1: cannot extract no-such-rev"])
     if script == "code_lines.py":
         counts = [int(line.rsplit(":", 1)[1]) for line in lines]
         assert sum(counts[:-1]) == counts[-1] > 0

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import fd_derivative
+from _oracles import fd_derivative, mass_terms
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, MassModel,
                      MassSingularity, MoleculeSpec, parse_ordering,
                      potential_value, reduce)
@@ -62,7 +62,7 @@ class TestMassModel:
         for x in (0.0, 0.4, 2.0):
             d1 = fd_derivative(lambda t: float(mm.mass(t)), x, order=1)
             d2 = fd_derivative(lambda t: float(mm.mass(t)), x, order=2, h=1e-4)
-            m, m1, m2 = mm.mass_terms(x)
+            m, m1, m2 = mass_terms(mm, x)
             assert m == mm.mass(x)
             assert float(m1) == pytest.approx(d1, rel=1e-8)
             assert float(m2) == pytest.approx(d2, rel=1e-6)

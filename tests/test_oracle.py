@@ -10,10 +10,10 @@ import types
 import numpy as np
 import pytest
 
-from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative,
+from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative, molecule_hbar2,
                       rk4_propagators_matmul, sweep_reference, trapezoid, u_ordering)
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, GridSpec, MassModel,
-                     NoBracket, NonConvergence, default_domain,
+                     NoBracket, NonConvergence, default_domain, energy_ev,
                      get_molecule, physical_psi, potential_value, reduce,
                      shoot_state, solve_on_grid, solve_states, u_eff)
 from pdmorse import kernels, oracle
@@ -41,7 +41,8 @@ BOX_WINDOW = (1e-4, 3.0)
 
 def engine_on(u_fn, m_fn, grid, window):
     """A fresh engine on the tables of u_fn and m_fn over grid, with the given window."""
-    return oracle._ShootingEngine(oracle._tables(u_fn, m_fn, grid), grid.h, window)
+    return oracle._ShootingEngine(oracle._tables(u_fn, m_fn, grid, HBAR2_EV_AMU_A2),
+                                  grid.h, window)
 
 
 def effective_engine(mm, mol, grid):
@@ -63,30 +64,36 @@ def assert_certified(engine, n, e, tol):
 class TestUOrdering:
     def test_constant_mass_vanishes(self):
         mm = MassModel(m0=1.0, eta=0.0, beta=1.5)
-        assert np.allclose(u_ordering(mm, WEYL, np.linspace(-1, 5, 11)), 0.0)
+        assert np.allclose(u_ordering(mm, WEYL, np.linspace(-1, 5, 11), HBAR2_EV_AMU_A2), 0.0)
 
     def test_weyl_origin_closed_form(self):
         # hand expansion at x = 0, eta = 0.2: U = (3/100) hbar^2 beta^2 / m0
         beta = 1.9425
         mm = MassModel(m0=0.5, eta=0.2, beta=beta)
         expected = 0.03 * HBAR2_EV_AMU_A2 * beta**2 / 0.5
-        assert float(u_ordering(mm, WEYL, 0.0)) == pytest.approx(expected, rel=1e-12)
+        got = float(u_ordering(mm, WEYL, 0.0, HBAR2_EV_AMU_A2))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_weyl_equals_li_kuhn_pointwise(self):
         # the two presets produce identical ordering terms everywhere
         mm = MassModel(m0=0.7, eta=0.2, beta=1.3)
         xs = np.linspace(-0.5, 6.0, 101)
-        assert np.allclose(u_ordering(mm, WEYL, xs), u_ordering(mm, LI_KUHN, xs),
-                           rtol=1e-13, atol=0.0)
+        assert np.allclose(u_ordering(mm, WEYL, xs, HBAR2_EV_AMU_A2),
+                           u_ordering(mm, LI_KUHN, xs, HBAR2_EV_AMU_A2), rtol=1e-13, atol=0.0)
 
-    def test_u_eff_carries_the_ordering_term(self, h2):
-        # U_eff minus the paper-form ordering term is the same for every ordering
-        mm = MassModel.for_molecule(h2, 0.3)
-        xs = np.linspace(-0.5, 6.0, 101)
-        rest = u_eff(mm, WEYL, h2, xs) - u_ordering(mm, WEYL, xs)
+    @pytest.mark.parametrize("eta", [0.3, 0.95])
+    def test_u_eff_carries_the_ordering_term(self, h2, eta):
+        # U_eff minus the paper-form ordering term, built from the analytic
+        # mass derivatives with the molecule's hbar^2, is the same for every
+        # ordering
+        mm = MassModel.for_molecule(h2, eta)
+        hbar2 = molecule_hbar2(h2)
+        xs = np.linspace(mm.singularity_x + oracle.SINGULARITY_MARGIN, 6.0, 101)
+        rest = u_eff(mm, WEYL, h2, xs) - u_ordering(mm, WEYL, xs, hbar2)
         for o in (LI_KUHN, AmbiguityOrdering(a=0.3, alpha=-0.2, gamma=0.1),
-                  AmbiguityOrdering(a=-0.5, alpha=0.7, gamma=0.4)):
-            np.testing.assert_allclose(u_eff(mm, o, h2, xs) - u_ordering(mm, o, xs), rest,
+                  AmbiguityOrdering(a=-0.5, alpha=0.7, gamma=0.4),
+                  AmbiguityOrdering(a=2.0, alpha=-1.5, gamma=0.25)):
+            np.testing.assert_allclose(u_eff(mm, o, h2, xs) - u_ordering(mm, o, xs, hbar2), rest,
                                        rtol=1e-12, atol=1e-12 * np.abs(rest).max())
 
 
@@ -108,7 +115,7 @@ class TestUEff:
         m = float(mm.mass(x))
         m1 = fd_derivative(lambda t: float(mm.mass(t)), x, order=1, h=1e-5)
         m2 = fd_derivative(lambda t: float(mm.mass(t)), x, order=2, h=1e-4)
-        h2_ = HBAR2_EV_AMU_A2
+        h2_ = molecule_hbar2(h2)
         o = WEYL
         u_ord = -h2_ / (4 * m**3 * (o.a + 1)) * (
             (o.alpha + o.gamma - o.a) * m * m2
@@ -253,16 +260,22 @@ class TestSolver:
     @pytest.mark.parametrize("eta", REFERENCE_ETAS)
     @pytest.mark.parametrize("name", ["H2", "LiH"])
     def test_solve_on_grid_reproduces_solve_states(self, name, eta):
-        # the generic solver, given solve_states's tables and window, returns
-        # the same energies bit for bit
+        # the generic solver scales p by the CODATA hbar^2 and solve_states by
+        # the molecule's; given solve_states's U table and window, and the
+        # mass rescaled by the ratio of the two, it returns the same energies
+        # up to the rounding of that rescale
         mol = get_molecule(name)
         mm = MassModel.for_molecule(mol, eta)
         grid = GridSpec(*reference_domain(mol, eta), 2001)
         _, window = effective_engine(mm, mol, grid)
         levels = [4, 0, 2, 1, 3]
-        generic = solve_on_grid(lambda x: u_eff(mm, WEYL, mol, x), mm.mass, grid,
-                                levels, window)
-        assert generic == solve_states(mm, WEYL, mol, grid, levels)
+        ratio = HBAR2_EV_AMU_A2 / molecule_hbar2(mol)
+        generic = solve_on_grid(lambda x: u_eff(mm, WEYL, mol, x), lambda x: mm.mass(x) * ratio,
+                                grid, levels, window)
+        solved = solve_states(mm, WEYL, mol, grid, levels)
+        assert [n for n, _ in generic] == [n for n, _ in solved] == levels
+        np.testing.assert_allclose([e for _, e in generic], [e for _, e in solved],
+                                   rtol=0.0, atol=1e-12)
 
     @staticmethod
     def _record_tables(monkeypatch):
@@ -435,7 +448,7 @@ class TestBlockedSweeps:
         """An engine on u with unit mass over a window whose top puts
         m h sqrt(max(-q)) at pi/2, less a rounding margin: blocks of m steps."""
         k = (1.0 - 1e-9) * 0.5 * math.pi / (m * grid.h)
-        tables = oracle._tables(u, const_mass(1.0), grid)
+        tables = oracle._tables(u, const_mass(1.0), grid, HBAR2_EV_AMU_A2)
         u_min = float(np.nanmin(np.concatenate(tables[:2])))
         window = (u_min - 50.0, u_min + k * k / tables[2][0])
         return oracle._ShootingEngine(tables, grid.h, window), window
@@ -660,6 +673,23 @@ class TestMorseEta0:
                            tol_ev=1e-9)[0][1]
         assert abs(e_a - e_b) < 1e-4
 
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_converges_to_the_closed_form_as_h4(self, name):
+        # the shooting problem takes hbar^2 = E0 m0 r0^2 from the molecule, as
+        # the closed form does, so its error is the RK4 grid error alone: at
+        # most 5e-9 eV at 8001 points and at least 8x smaller at 16001 (h^4
+        # gives 16x); a second hbar^2 would leave a floor of some 1e-8 eV
+        mol = get_molecule(name)
+        mm = MassModel.for_molecule(mol, 0.0)
+        sys_ = reduce(mol, 0.0, WEYL)
+        coarse, fine = ([abs(e - energy_ev(sys_, n))
+                         for n, e in solve_states(mm, WEYL, mol,
+                                                  GridSpec(*reference_domain(mol, 0.0), points),
+                                                  [2, 4], tol_ev=1e-11)]
+                        for points in (8001, 16001))
+        assert max(coarse) <= 5e-9, coarse
+        assert all(f <= c / 8.0 for c, f in zip(coarse, fine)), (coarse, fine)
+
     def test_unbound_level_raises(self, h2):
         mm = MassModel.for_molecule(h2, 0.0)
         grid = GridSpec(-0.7, 10.0, 2001)
@@ -796,7 +826,7 @@ class TestKernels:
                 mm = MassModel.for_molecule(mol, eta)
                 grid = GridSpec(*reference_domain(mol, eta), 4001)
                 u_n, u_m, p_n, p_m = oracle._tables(lambda x: u_eff(mm, WEYL, mol, x),
-                                                    mm.mass, grid)
+                                                    mm.mass, grid, molecule_hbar2(mol))
                 for e in (-4.0, -1.0):
                     yield f"{name}/eta={eta}/E={e}", p_n * (u_n - e), p_m * (u_m - e), grid.h
 
