@@ -8,8 +8,10 @@ certifies it, it times one counting sweep (``count_round`` of one energy)
 and one refinement half-sweep pair (``phase``: the right start, both
 sweeps and their block products).  Times are the best of --repeats calls,
 in ms per call and ns per grid step.  The block size line gives the steps
-per block; the next two lines give the Python states (blocks or steps) per
-sweep, the iterations of ``kernels.sweep``.  The last line times one
+per block, and the engine build line times ``oracle._effective_engine`` on
+the grid: its U_eff and mass tables, block size and step table.  The next
+two lines give the Python states (blocks or steps) per sweep, the
+iterations of ``kernels.sweep``.  The batched round line times one
 refinement round of 13 energies, 5e-7 eV above each level: their shared
 block-table evaluations and a half-sweep pair per energy, in ms per round
 and per energy.  The faults line gives the minor page faults of one engine
@@ -83,6 +85,7 @@ def main() -> None:
 
     near = [e + 5e-7 for _, e in engine.solve(range(LEVELS), 1e-7)]
     print(f"block size       : {engine._blocks.m} steps")
+    report("engine build", best_time(build_engine, (args.points,), args.repeats), steps)
 
     def count():
         engine.count_round([near[0]])

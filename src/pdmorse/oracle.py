@@ -38,8 +38,10 @@ Solve strategy, shared by every requested level of one grid:
   0-12 makes 22 block-table evaluations for 96 energies (one per sweep
   made 151) and 151 sweeps.
 * **Blocked sweeps.**  Each engine tabulates the RK4 step matrices over
-  its energy window as quadratics in E when it is built; that table is the
-  only source of step matrices for its sweeps.  Sweeps walk products of
+  its energy window as quadratics in E when it is built, in one pass: the
+  steps at the window's midpoint and the exact linear and quadratic
+  coefficients, in closed form from p and U.  That table is the only
+  source of step matrices for its sweeps.  Sweeps walk products of
   m <= MAX_BLOCK consecutive steps, one Python iteration per block.
   m h sqrt(max(-q)) <= pi/2 over the window leaves at most one node per
   block (Sturm comparison), so every count is that of the step-by-step
@@ -89,21 +91,25 @@ DEPTH_CHUNK = 512
 # above the sweep's 1e250 rescale threshold.
 MAX_BLOCK = 16
 BLOCK_GROWTH = 50.0
-# Steps per rk4_propagators call while the block tables are built.
-TABLE_CHUNK = 2048
+# Steps per pass while the block tables are built: bounds the temporaries
+# (about 20 arrays of this many floats).  Of 1K to 32K, 8K built an 8001- and
+# a 100,001-point table fastest on a 2-vCPU host.
+TABLE_CHUNK = 8192
 # Floats in the largest array a round's evaluation makes (256 KiB): the
 # energies of a round are split into evaluations that stay within it.
 WORK_FLOATS = 2**15
-_IDENTITY = np.eye(2)[:, :, None]
+# (c2, f, c1) of an identity step: the step table's padding
+_PADDING = np.array([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])[..., None]
 # glibc's mallopt parameters (malloc.h) and the values the oracle sets: the
 # ceilings its own dynamic threshold adjustment can reach on 64-bit hosts.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 * 2**20
 TRIM_THRESHOLD = 64 * 2**20
-# Most points a grid may have.  A solve's peak memory grows by about 220-255
-# bytes per point (400,001 points: 83-97 MB), so a larger --grid could get the
-# process killed on a small host before numpy's allocation fails.  125 times
-# the default 8001 points.
+# Most points a grid may have.  A solve's peak memory grows by about 250
+# bytes per point (400,001 points: 95-96 MB of peak RSS over a 2001-point
+# run, H2 and LiH, n <= 2), so a larger --grid could get the process killed
+# on a small host before numpy's allocation fails.  125 times the default
+# 8001 points.
 MAX_GRID_POINTS = 1_000_001
 
 
@@ -162,55 +168,74 @@ def u_eff(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec, x):
 class _BlockTables:
     """RK4 step matrices as quadratics in E over one window, in blocks of m steps.
 
-    Every entry of an RK4 step is a quadratic in E (q = p (U - E) is linear
-    in E and the entries hold products of two q values), so the step
-    matrices at the two window ends and its midpoint give them at any E of
-    the window.  They are kept in Newton form about the midpoint e1,
-    f(E) = f(e1) + c1 d + c2 d^2 with d = E - e1, which Horner's rule
-    evaluates in two multiplications and two additions per entry.  Blocks
-    are m consecutive steps from the first; padding is identity.  A block is
-    unusable when one of its steps has a non-finite entry or its steps could
-    together grow the solution by more than exp(BLOCK_GROWTH)
-    (h sum sqrt(max q) over the window); a range that touches one is
-    propagated step by step (``steps``).
+    With d = E - e_mid about the window's midpoint e_mid and a = p (U - e_mid)
+    at the nodes and midpoints, q = p (U - E) = a - p d, so every entry of an
+    RK4 step (``kernels.rk4_propagators``) is exactly a quadratic in d.  Its
+    Newton form f(E) = f(e_mid) + c1 d + c2 d^2 follows in closed form, with
+    i, m and p the step's start, midpoint and end:
+
+        all four: f(e_mid) = rk4_propagators(a nodes, a midpoints, h)
+        m00: c1 = -h^2 (p_i/6 + p_m/3) - h^4 (a_i p_m + a_m p_i)/24
+             c2 = h^4 p_i p_m/24
+        m01: c1 = -h^3 p_m/6, c2 = 0
+        m10: c1 = -h (p_i/6 + 2 p_m/3 + p_p/6) - h^3 [a_m (p_i + p_p) + p_m (a_i + a_p)]/12
+             c2 = h^3 p_m (p_i + p_p)/12
+        m11: c1 = -h^2 (p_m/3 + p_p/6) - h^4 (a_m p_p + a_p p_m)/24
+             c2 = h^4 p_m p_p/24
+
+    Horner's rule evaluates it in two multiplications and two additions per
+    entry.  Blocks are m consecutive steps from the first; padding is
+    identity.  A block is unusable when one of its steps has a non-finite
+    coefficient or its steps could together grow the solution by more than
+    exp(BLOCK_GROWTH) (h sum sqrt(max q) over the window); a range that
+    touches one is propagated step by step (``steps``).
     """
 
-    def __init__(self, energies, steps, growth, m: int):
-        """steps(energies, start, stop) gives the four (steps, energies) RK4
-        entry arrays of steps start..stop-1; growth holds h sqrt(max q) per step."""
+    def __init__(self, tables, h: float, energies, growth, m: int):
+        """tables (U nodes, U midpoints, p nodes, p midpoints) as the engine
+        holds them; h the grid step; energies (e_lo, e_mid, e_hi) in eV, the
+        window and its midpoint; growth holds h sqrt(max q) over it per step."""
+        u_nodes, u_mids, p_nodes, p_mids = tables
+        e_mid = energies[1]
         n = growth.size
         nb = -(-n // m)
         self.energies = energies
         self._last = n  # steps of the grid: the last node
-        # (energy, i, j, step in block, block), and then (coefficient, ...)
+        # (coefficient c2, f(e_mid), c1; i, j, step in block, block)
         self._table = np.empty((3, 2, 2, m, nb))
-        self._table[..., -1] = _IDENTITY  # padding of the last block
-        by_block = self._table.transpose(1, 2, 0, 4, 3)  # (i, j, energy, block, step)
-        chunk = TABLE_CHUNK // m  # blocks per rk4_propagators call: bounds the temporaries
+        self._table[..., -1] = _PADDING  # of the last block
+        self._table[0, 0, 1] = 0.0  # m01 has no d^2 term
+        by_block = self._table.transpose(1, 2, 0, 4, 3)  # (i, j, coefficient, block, step)
+        h2, h3, h4 = h * h, h * h * h, (h * h) * (h * h)
+        chunk = TABLE_CHUNK // m  # blocks per pass: bounds the temporaries
         for b0 in range(0, nb, chunk):
-            entries = steps(np.array(energies), b0 * m, min((b0 + chunk) * m, n))
-            for (i, j), entry in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
-                full, rest = divmod(len(entry), m)
-                by_block[i, j, :, b0:b0 + full] = entry[:full * m].T.reshape(3, full, m)
-                if rest:  # the last block
-                    by_block[i, j, :, b0 + full, :rest] = entry[full * m:].T
+            start, stop = b0 * m, min((b0 + chunk) * m, n)
+            pn, pm = p_nodes[start:stop + 1], p_mids[start:stop]
+            an = pn * (u_nodes[start:stop + 1] - e_mid)
+            am = pm * (u_mids[start:stop] - e_mid)
+            f00, f01, f10, f11 = kernels.rk4_propagators(an, am, h)
+            pi, pp, ai, ap = pn[:-1], pn[1:], an[:-1], an[1:]
+            pn6, pm3, pip = pn / 6.0, pm / 3.0, pi + pp
+            entries = ((0, 0, f00, -h2 * (pn6[:-1] + pm3) - h4 * (ai * pm + am * pi) / 24.0,
+                        h4 * (pi * pm) / 24.0),
+                       (0, 1, f01, -h3 * pm / 6.0),
+                       (1, 0, f10, -h * (pn6[:-1] + (2.0 / 3.0) * pm + pn6[1:])
+                        - h3 * (am * pip + pm * (ai + ap)) / 12.0, h3 * (pm * pip) / 12.0),
+                       (1, 1, f11, -h2 * (pm3 + pn6[1:]) - h4 * (am * pp + ap * pm) / 24.0,
+                        h4 * (pm * pp) / 24.0))
+            full, rest = divmod(stop - start, m)
+            for i, j, *coefficients in entries:
+                for c, values in zip((1, 2, 0), coefficients):  # f(e_mid), c1, c2
+                    by_block[i, j, c, b0:b0 + full] = values[:full * m].reshape(full, m)
+                    if rest:  # the last block
+                        by_block[i, j, c, b0 + full, :rest] = values[full * m:]
         g = np.zeros(nb * m)
         g[:n] = growth
-        # a non-finite entry makes its block's sum non-finite
+        # a non-finite coefficient makes its block's sum non-finite
         usable = (np.isfinite(self._table.sum(axis=(0, 1, 2, 3)))
                   & (g.reshape(nb, m).sum(axis=1) <= BLOCK_GROWTH))
         self._unusable = np.concatenate([[0], np.cumsum(~usable)]).tolist()
         self.m = m
-        # in place: the values at e0, e1, e2 become c2, f(e1), c1 (divided differences)
-        e0, e1, e2 = energies
-        f0, f1, f2 = self._table
-        f2 -= f1
-        f2 /= e2 - e1  # f[e1, e2]
-        f0 -= f1
-        f0 /= e0 - e1  # f[e0, e1]
-        f0 -= f2
-        f0 /= e0 - e2  # c2 = f[e0, e1, e2]
-        f2 -= f0 * (e2 - e1)  # c1
 
     def covers(self, E: float, b0: int, b1: int) -> bool:
         """E lies inside the window and blocks b0..b1-1 are all usable."""
@@ -334,9 +359,7 @@ class _ShootingEngine:
         # the step matrices of every sweep, in blocks over the window, and
         # the evaluation buffers of the rounds
         m, growth = self._block_size(e_lo, e_hi)
-        self._blocks = _BlockTables(
-            (e_lo, e_mid, e_hi),
-            lambda e, a, b: kernels.rk4_propagators(*self._q(e, a, b), self.h), growth, m)
+        self._blocks = _BlockTables(tables, h, (e_lo, e_mid, e_hi), growth, m)
         # one energy over every block must fit, however large the grid
         size = max(WORK_FLOATS, 4 * m * -(-npts // m))
         self._work = (np.empty(size), np.empty(size))
@@ -675,12 +698,18 @@ def _effective_engine(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeS
                       grid: GridSpec) -> _ShootingEngine:
     """The engine of the effective-potential problem on grid.
 
-    The grid must stay SINGULARITY_MARGIN right of the mass singularity
-    (ConfigError, before any table is evaluated).  hbar^2 = E0 m0 r0^2 comes
+    mm must be mol's own mass model, ``MassModel.for_molecule(mol, eta)``:
+    ``u_eff`` reads only eta from it and p reads m0 and beta, so any other
+    model would pair a U_eff and a p of different problems.  The grid must
+    stay SINGULARITY_MARGIN right of the mass singularity.  Both raise
+    ConfigError before any table is evaluated.  hbar^2 = E0 m0 r0^2 comes
     from mol, as does the scale of ``u_eff``, so that the closed-form energies
     -e_scale eps solve this problem exactly.  The window is (min U_eff, 0)
     over the node table, its floor moved up by one part in 1e12.
     """
+    if mm != MassModel.for_molecule(mol, mm.eta):
+        raise ConfigError(f"mass model (m0 = {mm.m0}, beta = {mm.beta}) is not that of "
+                          f"{mol.name} (m0 = {mol.m0}, beta = {mol.beta})")
     if mm.singularity_x is not None and grid.x_min <= mm.singularity_x + SINGULARITY_MARGIN:
         raise ConfigError(f"x_min = {grid.x_min} must stay right of the mass singularity "
                           f"at {mm.singularity_x:.4f} + {SINGULARITY_MARGIN} A margin")
@@ -701,6 +730,7 @@ def solve_states(mm: MassModel, ordering: AmbiguityOrdering, mol: MoleculeSpec,
                  grid: GridSpec, n_list, tol_ev: float = 1e-7) -> list[tuple[int, float]]:
     """Eigenvalues (n, E) of the effective-potential problem, in the order requested.
 
+    mm must be ``MassModel.for_molecule(mol, eta)`` (ConfigError otherwise);
     ``_effective_engine`` builds the tables and picks the window (min U_eff, 0).
     """
     return _effective_engine(mm, ordering, mol, grid).solve(n_list, tol_ev)

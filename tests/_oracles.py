@@ -3,7 +3,8 @@
 These deliberately avoid the library code paths they check: the Jacobi
 oracle is the explicit finite sum, derivatives come from Richardson-style
 central differences, integrals from the composite trapezoid or fixed-order
-Gauss-Legendre rules, RK4 propagators from composed stage matrices,
+Gauss-Legendre rules, RK4 propagators from composed stage matrices (also in
+extended precision),
 eigenvalues from plain per-level bisection on node counts, the node-counting
 sweep from a one-branch loop, CSV rows from per-cell formatting, and JSON
 spectra from ``json.dumps``.  The
@@ -130,6 +131,50 @@ def rk4_propagators_matmul(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     m = ident + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return (np.ascontiguousarray(m[:, 0, 0]), np.ascontiguousarray(m[:, 0, 1]),
             np.ascontiguousarray(m[:, 1, 0]), np.ascontiguousarray(m[:, 1, 1]))
+
+
+def rk4_extended(tables, h: float, energy: float, steps=None):
+    """RK4 step matrices of phi'' = p (U - E) phi in extended precision.
+
+    tables (U nodes, U midpoints, p nodes, p midpoints) are float64 arrays as
+    the oracle engine holds them; they, h and energy are taken as exact.  q
+    and the composed stage operators (as in ``rk4_propagators_matmul``) are
+    carried in np.longdouble over every step, or, given a list of step
+    indices, in 30-digit mpmath over those steps alone.  Returns the entries
+    m00, m01, m10, m11: four np.longdouble arrays, or four lists of mpf.
+    """
+    u_nodes, u_mids, p_nodes, p_mids = tables
+    if steps is None:
+        ld = np.longdouble
+        q_nodes = p_nodes.astype(ld) * (u_nodes.astype(ld) - ld(energy))
+        qi, qm, qp = q_nodes[:-1], p_mids.astype(ld) * (u_mids.astype(ld) - ld(energy)), q_nodes[1:]
+        return _rk4_composed(qi, qm, qp, ld(h))
+    import mpmath
+
+    with mpmath.workdps(30):
+        mpf, e = mpmath.mpf, mpmath.mpf(energy)
+        entries = [_rk4_composed(mpf(p_nodes[k]) * (mpf(u_nodes[k]) - e),
+                                 mpf(p_mids[k]) * (mpf(u_mids[k]) - e),
+                                 mpf(p_nodes[k + 1]) * (mpf(u_nodes[k + 1]) - e), mpf(h))
+                   for k in steps]
+    return [list(entry) for entry in zip(*entries)]
+
+
+def _rk4_composed(qi, qm, qp, h):
+    """The entries of I + h/6 (k1 + 2 k2 + 2 k3 + k4), with k1 = A(qi),
+    k2 = A(qm) (I + h/2 k1), k3 = A(qm) (I + h/2 k2), k4 = A(qp) (I + h k3)
+    and A(q) = [[0, 1], [q, 0]]; 2x2 matrices as (a, b, c, d) tuples of
+    scalars or arrays (the exact constants of A stay Python ints)."""
+    def stage(q, scale, k):  # A(q) (I + scale k)
+        a, b, c, d = k
+        return scale * c, 1 + scale * d, q * (1 + scale * a), q * scale * b
+
+    k1 = (0, 1, qi, 0)
+    k2 = stage(qm, h / 2, k1)
+    k3 = stage(qm, h / 2, k2)
+    k4 = stage(qp, h, k3)
+    return tuple(one + h / 6 * (w1 + 2 * w2 + 2 * w3 + w4)
+                 for one, w1, w2, w3, w4 in zip((1, 0, 0, 1), k1, k2, k3, k4))
 
 
 def bisect_level(engine, n: int, e_lo: float, e_hi: float, tol_ev: float) -> float:

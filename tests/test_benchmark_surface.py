@@ -53,8 +53,8 @@ def test_output_checks_import():
 
 @pytest.mark.parametrize("script, args, labels", [
     ("bench_shooting.py", ["--points", "2001", "--repeats", "1"],
-     ["points", "propagators", "sweep", "block size", "counting sweep", "half-sweep pair",
-      "batched round", "engine faults"]),
+     ["points", "propagators", "sweep", "block size", "engine build", "counting sweep",
+      "half-sweep pair", "batched round", "engine faults"]),
     ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
       "_build_parser (cached)", "_build_parser (cold)", "cold import pdmorse",

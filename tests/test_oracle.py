@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative, molecule_hbar2,
-                      rk4_propagators_matmul, sweep_reference, trapezoid, u_ordering)
+                      rk4_extended, rk4_propagators_matmul, sweep_reference, trapezoid,
+                      u_ordering)
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, GridSpec, MassModel,
                      NoBracket, NonConvergence, default_domain, energy_ev,
                      get_molecule, physical_psi, potential_value, reduce,
@@ -311,6 +312,19 @@ class TestSolver:
         grid = GridSpec(mm.singularity_x + offset, 6.0, 4001)
         with pytest.raises(ConfigError, match="must stay right of the mass singularity"):
             solve_states(mm, WEYL, h2, grid, [0])
+        assert calls == {"u_eff": [], "mass": []}
+
+    def test_mass_model_of_another_molecule_is_refused(self, h2, monkeypatch):
+        # U_eff reads only eta from the mass model and p reads m0 and beta:
+        # H2 at eta 0.2 with m0 doubled gave level 0 at -4.5926 eV (-4.5294
+        # with its own model) without a word; now it is refused, as is
+        # another beta, before U_eff or m is evaluated
+        calls = self._record_tables(monkeypatch)
+        grid = GridSpec(*reference_domain(h2, 0.2), 2001)
+        for mm in (MassModel(m0=2.0 * h2.m0, eta=0.2, beta=h2.beta),
+                   MassModel(m0=h2.m0, eta=0.2, beta=1.01 * h2.beta)):
+            with pytest.raises(ConfigError, match="is not that of H2"):
+                solve_states(mm, WEYL, h2, grid, [0])
         assert calls == {"u_eff": [], "mass": []}
 
     def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
@@ -623,6 +637,91 @@ class TestOneStepTable:
     def test_window_without_energies_raises(self, window):
         with pytest.raises(NoBracket, match=r"energy window \[.*\] eV is empty or not finite"):
             engine_on(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001), window)
+
+
+def table_steps(engine, energies):
+    """The engine's table evaluated at each energy, single steps in step order."""
+    blocks = engine._blocks
+    nb = -(-(engine.u_nodes.size - 1) // blocks.m)
+    size = len(energies) * 4 * blocks.m * nb
+    return blocks.steps(np.asarray(energies), 0, nb, (np.empty(size), np.empty(size)))
+
+
+def default_engines(points):
+    """Engines as oracle-compare builds them: every default domain of H2 and LiH
+    at every reference eta, on grids of the given points."""
+    for name in ("H2", "LiH"):
+        mol = get_molecule(name)
+        for eta in REFERENCE_ETAS:
+            for label, domain in default_domain(mol, eta).items():
+                engine = oracle._effective_engine(MassModel.for_molecule(mol, eta), WEYL, mol,
+                                                  GridSpec(*domain, points))
+                yield f"{name} eta {eta} {label}", engine
+
+
+def ulps_off(got, ref) -> float:
+    """Largest |got - ref| in ulps of max(|ref|, 1): got float64, ref np.longdouble or mpf."""
+    if isinstance(ref, list):
+        import mpmath
+
+        err = np.array([float(abs(mpmath.mpf(float(g)) - r)) for g, r in zip(got, ref)])
+        ref = np.array([float(r) for r in ref])
+    else:
+        err = np.abs(got - ref).astype(float)
+    return float(np.max(err / np.spacing(np.maximum(np.abs(ref), 1.0).astype(float))))
+
+
+class TestStepTableCoefficients:
+    """The table's closed-form Newton coefficients against the RK4 steps they stand for."""
+
+    ENERGIES = 21
+    ULPS = 128  # of max(|entry|, 1); these tables read at most 97
+
+    @pytest.mark.parametrize("points", [2001, 8001])
+    def test_midpoint_is_rk4_propagators_and_m01_is_linear(self, points, monkeypatch):
+        # the build calls rk4_propagators only at e_mid, and its middle row
+        # holds those steps bit for bit; m01 = h + h^3 q_m/6 has no d^2 term
+        calls = []
+        rk4 = kernels.rk4_propagators
+        monkeypatch.setattr(kernels, "rk4_propagators",
+                            lambda *args: calls.append(args) or rk4(*args))
+        for label, engine in default_engines(points):
+            e_mid = engine._blocks.energies[1]
+            q_nodes, q_mids = engine._q(e_mid)
+            # chunks share their end nodes
+            nodes = np.concatenate([q[0][:-1] for q in calls] + [calls[-1][0][-1:]])
+            assert nodes.tobytes() == q_nodes.tobytes(), label
+            assert np.concatenate([q[1] for q in calls]).tobytes() == q_mids.tobytes(), label
+            calls.clear()
+            table = engine._blocks._table
+            m, nb = table.shape[3:]
+            steps = table[1].transpose(0, 1, 3, 2).reshape(4, nb * m)[:, :q_mids.size]
+            for got, want in zip(steps, rk4(q_nodes, q_mids, engine.h)):
+                assert got.tobytes() == want.tobytes(), label
+            assert np.all(table[0, 0, 1] == 0.0), label
+
+    @pytest.mark.parametrize("points", [2001, 8001])
+    def test_steps_match_extended_precision_rk4(self, points):
+        # every step at ENERGIES energies across the window against RK4 in
+        # np.longdouble, where that is wider than float64; mpmath checks a
+        # sample of steps, 16 per engine where np.longdouble is no wider
+        # (and 2 elsewhere, so that its path runs on every host)
+        wide = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+        rng = np.random.default_rng(points)
+        worst = (0.0, None)
+        for label, engine in default_engines(points):
+            e_lo, _, e_hi = engine._blocks.energies
+            energies = np.linspace(e_lo, e_hi, self.ENERGIES)
+            tables = (engine.u_nodes, engine.u_mids, engine.p_nodes, engine.p_mids)
+            got = table_steps(engine, energies)
+            sample = rng.choice(engine.u_mids.size, 2 if wide else 16, replace=False).tolist()
+            for k, e in enumerate(energies):
+                pairs = list(zip(got, rk4_extended(tables, engine.h, e))) if wide else []
+                pairs += zip((step[:, sample] for step in got),
+                             rk4_extended(tables, engine.h, e, sample))
+                for step, ref in pairs:
+                    worst = max(worst, (ulps_off(step[k], ref), (label, e)))
+        assert 1.0 < worst[0] <= self.ULPS, worst
 
 
 class TestAgainstTightSolve:
