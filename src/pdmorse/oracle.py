@@ -364,16 +364,9 @@ class _ShootingEngine:
         size = max(WORK_FLOATS, 4 * m * -(-npts // m))
         self._work = (np.empty(size), np.empty(size))
 
-    def _q(self, E, start: int = 0, stop: int | None = None):
-        """q = p (U - E) at nodes start..stop (default: the last) and the midpoints between.
-
-        An array of K energies gives (nodes, K) and (midpoints, K) tables.
-        """
-        stop = self.u_nodes.size - 1 if stop is None else stop
-        shape = (-1,) + (1,) * np.ndim(E)
-        return (self.p_nodes[start:stop + 1].reshape(shape)
-                * (self.u_nodes[start:stop + 1].reshape(shape) - E),
-                self.p_mids[start:stop].reshape(shape) * (self.u_mids[start:stop].reshape(shape) - E))
+    def _q(self, E: float):
+        """q = p (U - E) at the nodes and at the midpoints between them."""
+        return self.p_nodes * (self.u_nodes - E), self.p_mids * (self.u_mids - E)
 
     def _tail_start(self, E):
         """First node of the settled tail at E, or at each of several energies:
