@@ -9,9 +9,13 @@ and one refinement half-sweep pair (``phase``: the right start, both
 sweeps and their block products).  Times are the best of --repeats calls,
 in ms per call and ns per grid step.  The block size line gives the steps
 per block, and the engine build line times ``oracle._effective_engine`` on
-the grid: its U_eff and mass tables, block size and step table.  The next
-two lines give the Python states (blocks or steps) per sweep, the
-iterations of ``kernels.sweep``.  The batched round line times one
+the grid: its U_eff and mass tables, block size and step table.  The wall
+engine line times an engine build and a 4-level solve (tol 1e-6 eV, as
+oracle-compare solves) on [-2.5, 10] A, a domain that reaches into the
+steep left wall, where blocks could grow the solution by more than
+exp(oracle.BLOCK_GROWTH) and the engine sweeps in blocks of m = 1 step; it
+prints that m.  The next two lines give the Python states (blocks or
+steps) per sweep, the iterations of ``kernels.sweep``.  The batched round line times one
 refinement round of 13 energies, 5e-7 eV above each level: their shared
 block-table evaluations and a half-sweep pair per energy, in ms per round
 and per energy.  The faults line gives the minor page faults of one engine
@@ -33,6 +37,8 @@ from pdmorse import kernels, oracle
 MOLECULE = get_molecule("H2")
 MASS = MassModel.for_molecule(MOLECULE, 0.0)
 LEVELS = 13
+WALL_DOMAIN = (-2.5, 10.0)
+WALL_LEVELS = 4
 
 
 def grid_for(points: int) -> GridSpec:
@@ -41,6 +47,13 @@ def grid_for(points: int) -> GridSpec:
 
 def build_engine(points: int):
     return oracle._effective_engine(MASS, WEYL, MOLECULE, grid_for(points))
+
+
+def wall_engine(points: int):
+    """An engine on WALL_DOMAIN, after its WALL_LEVELS-level solve."""
+    engine = oracle._effective_engine(MASS, WEYL, MOLECULE, GridSpec(*WALL_DOMAIN, points))
+    engine.solve(range(WALL_LEVELS), 1e-6)
+    return engine
 
 
 def sweep_states(fn) -> tuple[int, int]:
@@ -86,6 +99,8 @@ def main() -> None:
     near = [e + 5e-7 for _, e in engine.solve(range(LEVELS), 1e-7)]
     print(f"block size       : {engine._blocks.m} steps")
     report("engine build", best_time(build_engine, (args.points,), args.repeats), steps)
+    report("wall engine", best_time(wall_engine, (args.points,), args.repeats), steps,
+           f"  m = {wall_engine(args.points)._blocks.m}, {WALL_LEVELS} levels")
 
     def count():
         engine.count_round([near[0]])

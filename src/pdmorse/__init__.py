@@ -32,7 +32,7 @@ __all__ = [
     "default_domain", "energy_ev", "epsilon_nl", "errors", "get_molecule", "kernels",
     "load_molecule_config", "make_state", "model", "norm_const", "norm_const_quadrature",
     "nu_consistent_epsilon", "oracle", "parse_ordering", "phi", "phi_eta0", "physical_psi",
-    "potential_value", "quadrature", "reduce", "resolve_molecule", "shoot_state",
+    "quadrature", "reduce", "resolve_molecule", "shoot_state",
     "solve_on_grid", "solve_states", "spectrum", "u_eff", "units", "wavefn",
 ]
 
@@ -58,7 +58,7 @@ def __getattr__(name: str):
                          DomainUnsupported, MassSingularity, NoBracket, NonConvergence,
                          NormOverflow, PdmorseError, QuadratureFailure, RealityViolation)
     from .model import (LI_KUHN, WEYL, AmbiguityOrdering, MassModel, MoleculeSpec,
-                        ReducedSystem, parse_ordering, potential_value, reduce)
+                        ReducedSystem, parse_ordering, reduce)
     from .oracle import GridSpec, default_domain, shoot_state, solve_on_grid, solve_states, u_eff
     from .wavefn import (SignConvention, attach_norm, norm_const, norm_const_quadrature, phi,
                          phi_eta0, physical_psi)

@@ -92,6 +92,10 @@ def load_molecule_config(path: str | Path) -> MoleculeSpec:
         except ValueError as exc:
             raise ConfigError(f"{path}: key {key!r} is not a number: {values[key]!r}") from exc
 
+    # the name is printed as a CSV cell and in provenance comments
+    if any(c in ',"' or c < " " or "\x7f" <= c <= "\x9f" for c in values["name"]):
+        raise ConfigError(f"{path}: name {values['name']!r} holds a comma, a quote or a "
+                          "control character")
     return MoleculeSpec(
         name=values["name"],
         D=fnum("D_eV"),

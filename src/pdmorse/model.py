@@ -140,11 +140,14 @@ def parse_ordering(text: str) -> AmbiguityOrdering:
 
 
 def ordering_label(ordering: AmbiguityOrdering) -> str:
+    """'weyl', 'likuhn', or the triple 'a,alpha,gamma' in repr digits (less a
+    trailing '.0'), which ``parse_ordering`` reads back as the same triple."""
     if ordering == WEYL:
         return "weyl"
     if ordering == LI_KUHN:
         return "likuhn"
-    return f"{ordering.a:g},{ordering.alpha:g},{ordering.gamma:g}"
+    return ",".join(repr(float(v)).removesuffix(".0")
+                    for v in (ordering.a, ordering.alpha, ordering.gamma))
 
 
 @dataclass(frozen=True)
@@ -180,15 +183,6 @@ class MassModel:
         if np.any(np.abs(u) < 1e-12):
             raise MassSingularity(f"mass singular at x = {self.singularity_x}")
         return self.m0 / u**2
-
-
-def potential_value(mol: MoleculeSpec, x):
-    """V(x) = V1 exp(-2 beta x) - V2 exp(-beta x) in eV (defined for all real x)."""
-    import numpy as np
-
-    w = np.exp(-mol.beta * np.asarray(x, dtype=float))
-    out = mol.V1 * w**2 - mol.V2 * w
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)

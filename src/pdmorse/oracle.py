@@ -45,11 +45,13 @@ Solve strategy, shared by every requested level of one grid:
   m <= MAX_BLOCK consecutive steps, one Python iteration per block.
   m h sqrt(max(-q)) <= pi/2 over the window leaves at most one node per
   block (Sturm comparison), so every count is that of the step-by-step
-  sweep.  m = 1 grids, energies outside the window, and ranges with
-  non-finite or fast-growing steps read the table's single steps.  Sweep
-  ends round up to block ends, which only takes a count further into the
-  settled tail or a right half-sweep deeper into the forbidden region; the
-  matching point is a multiple of MAX_BLOCK.
+  sweep.  One m serves every block and every sweep: a grid with a
+  non-finite q at a window end, or with a block whose steps could grow the
+  solution by more than exp(BLOCK_GROWTH), gets m = 1, and every energy a
+  solve sweeps lies inside the window.  Sweep ends round up to block ends,
+  which only takes a count further into the settled tail or a right
+  half-sweep deeper into the forbidden region; the matching point is a
+  multiple of MAX_BLOCK.
 """
 from __future__ import annotations
 
@@ -85,10 +87,10 @@ TAIL_CHUNK = 256
 # (then twice as many, ...): the levels of H2 and LiH reach TAIL_MARGIN
 # about 300-1300 nodes past it at 2001 points.
 DEPTH_CHUNK = 512
-# Blocked sweeps: at most MAX_BLOCK steps per block, and a block whose steps
-# could grow the solution by more than exp(BLOCK_GROWTH) in all runs step by
-# step.  exp(50) = 5e21 keeps every block end far below the float range
-# above the sweep's 1e250 rescale threshold.
+# Blocked sweeps: at most MAX_BLOCK steps per block, and a grid with a block
+# whose steps could grow the solution by more than exp(BLOCK_GROWTH) runs
+# step by step.  exp(50) = 5e21 keeps every block end far below the float
+# range above the sweep's 1e250 rescale threshold.
 MAX_BLOCK = 16
 BLOCK_GROWTH = 50.0
 # Steps per pass while the block tables are built: bounds the temporaries
@@ -185,22 +187,20 @@ class _BlockTables:
 
     Horner's rule evaluates it in two multiplications and two additions per
     entry.  Blocks are m consecutive steps from the first; padding is
-    identity.  A block is unusable when one of its steps has a non-finite
-    coefficient or its steps could together grow the solution by more than
-    exp(BLOCK_GROWTH) (h sum sqrt(max q) over the window); a range that
-    touches one is propagated step by step (``steps``).
+    identity.  The engine picks an m that every block can serve
+    (``_ShootingEngine._block_size``), so the table has one use: block
+    products at energies inside the window.
     """
 
-    def __init__(self, tables, h: float, energies, growth, m: int):
+    def __init__(self, tables, h: float, energies, m: int):
         """tables (U nodes, U midpoints, p nodes, p midpoints) as the engine
         holds them; h the grid step; energies (e_lo, e_mid, e_hi) in eV, the
-        window and its midpoint; growth holds h sqrt(max q) over it per step."""
+        window and its midpoint; m the block size."""
         u_nodes, u_mids, p_nodes, p_mids = tables
         e_mid = energies[1]
-        n = growth.size
+        n = p_mids.size
         nb = -(-n // m)
         self.energies = energies
-        self._last = n  # steps of the grid: the last node
         # (coefficient c2, f(e_mid), c1; i, j, step in block, block)
         self._table = np.empty((3, 2, 2, m, nb))
         self._table[..., -1] = _PADDING  # of the last block
@@ -229,28 +229,7 @@ class _BlockTables:
                     by_block[i, j, c, b0:b0 + full] = values[:full * m].reshape(full, m)
                     if rest:  # the last block
                         by_block[i, j, c, b0 + full, :rest] = values[full * m:]
-        g = np.zeros(nb * m)
-        g[:n] = growth
-        # a non-finite coefficient makes its block's sum non-finite
-        usable = (np.isfinite(self._table.sum(axis=(0, 1, 2, 3)))
-                  & (g.reshape(nb, m).sum(axis=1) <= BLOCK_GROWTH))
-        self._unusable = np.concatenate([[0], np.cumsum(~usable)]).tolist()
         self.m = m
-
-    def covers(self, E: float, b0: int, b1: int) -> bool:
-        """E lies inside the window and blocks b0..b1-1 are all usable."""
-        return (self.energies[0] <= E <= self.energies[2]
-                and self._unusable[b1] == self._unusable[b0])
-
-    def _evaluate(self, energies: np.ndarray, b0: int, b1: int, x) -> None:
-        """Horner's rule: x, of shape (K, 2, 2, m, b1 - b0), gets the steps
-        of blocks b0..b1-1 at each of K energies."""
-        d = (energies - self.energies[1])[:, None, None, None, None]
-        c2, f1, c1 = (t[..., b0:b1] for t in self._table)
-        np.multiply(c2, d, out=x)
-        x += c1
-        x *= d
-        x += f1
 
     def products(self, energies: np.ndarray, b0: int, b1: int, work):
         """Block matrices of blocks b0..b1-1 at each of K energies: four (K, b1 - b0) arrays.
@@ -263,20 +242,13 @@ class _BlockTables:
         """
         m, count, nb = self.m, energies.size, b1 - b0
         x = work[0][:count * 4 * m * nb].reshape(count, 2, 2, m, nb)
-        self._evaluate(energies, b0, b1, x)
+        d = (energies - self.energies[1])[:, None, None, None, None]
+        c2, f1, c1 = (t[..., b0:b1] for t in self._table)
+        np.multiply(c2, d, out=x)
+        x += c1
+        x *= d
+        x += f1
         return kernels.block_products(x, work[1])
-
-    def steps(self, energies: np.ndarray, b0: int, b1: int, work):
-        """Single steps of blocks b0..b1-1 at each of K energies, in step order.
-
-        Four (K, steps) arrays up to the grid's last step (no padding), views
-        into work[0]; Horner's rule gives each entry as ``products`` does.
-        """
-        m, count, nb = self.m, energies.size, b1 - b0
-        x = work[0][:count * 4 * m * nb].reshape(count, 2, 2, nb, m)
-        self._evaluate(energies, b0, b1, x.transpose(0, 1, 2, 4, 3))
-        stop = min(b1 * m, self._last) - b0 * m
-        return [x[:, i, j].reshape(count, nb * m)[:, :stop] for i in (0, 1) for j in (0, 1)]
 
 
 def _secant(a: float, fa: float, b: float, fb: float) -> float:
@@ -358,8 +330,8 @@ class _ShootingEngine:
             raise NoBracket(f"energy window [{e_lo:.6g}, {e_hi:.6g}] eV is empty or not finite")
         # the step matrices of every sweep, in blocks over the window, and
         # the evaluation buffers of the rounds
-        m, growth = self._block_size(e_lo, e_hi)
-        self._blocks = _BlockTables(tables, h, (e_lo, e_mid, e_hi), growth, m)
+        m = self._block_size(e_lo, e_hi)
+        self._blocks = _BlockTables(tables, h, (e_lo, e_mid, e_hi), m)
         # one energy over every block must fit, however large the grid
         size = max(WORK_FLOATS, 4 * m * -(-npts // m))
         self._work = (np.empty(size), np.empty(size))
@@ -374,51 +346,44 @@ class _ShootingEngine:
         return self._tail_floor.searchsorted(E)
 
     def _rows(self, energies, start: int, stops):
-        """Forward matrices at each energy from node start on, in shared table evaluations.
+        """Block matrices at each energy from node start on, in shared table evaluations.
 
         With blocks of m steps, start is a multiple of m, and energy k needs
-        the matrices up to node stops[k], rounded up to the next multiple of
-        m or the last node.  Energies inside the window whose range touches
-        only usable blocks share block products; the others (energies
-        outside the window, ranges that touch an unusable block) share
-        evaluations of the table's single steps.  With m = 1 both are the
-        single steps.  Each evaluation serves as many energies as keep its
-        arrays within WORK_FLOATS floats.  Yields (ks, rows, per): row j of
-        each of the four arrays rows holds the matrices of energy
-        energies[ks[j]], and column i spans the per steps from node
-        start + i per (the last column may end early, at the last node).
-        The rows are only valid until the next evaluation.
+        the blocks up to node stops[k], rounded up to the next multiple of
+        m.  Every energy lies inside the window, so all of them share block
+        products (with m = 1 these are the single steps).  Each evaluation
+        serves as many energies as keep its arrays within WORK_FLOATS
+        floats.  Yields (ks, rows): row j of each of the four arrays rows
+        holds the block matrices of energy energies[ks[j]], and column i
+        spans the m steps from node start + i m (past the last node, the
+        identity padding).  The rows are only valid until the next
+        evaluation.
         """
-        blocks = self._blocks
-        m = blocks.m
+        m = self._blocks.m
         b0, ends = start // m, [-(-stop // m) for stop in stops]
-        blocked, stepwise = [], []
-        for k, (E, b1) in enumerate(zip(energies, ends)):
-            (blocked if blocks.covers(E, b0, b1) else stepwise).append(k)
-        for ks, evaluate, per in ((blocked, blocks.products, m), (stepwise, blocks.steps, 1)):
-            if not ks:
-                continue
-            size = max(1, WORK_FLOATS // (4 * m * (max(ends[k] for k in ks) - b0)))
-            for i in range(0, len(ks), size):
-                part = ks[i:i + size]
-                es = np.array([energies[k] for k in part])
-                yield part, evaluate(es, b0, max(ends[k] for k in part), self._work), per
+        if not ends:
+            return
+        size = max(1, WORK_FLOATS // (4 * m * (max(ends) - b0)))
+        for i in range(0, len(ends), size):
+            ks = range(i, min(i + size, len(ends)))
+            es = np.array([energies[k] for k in ks])
+            yield ks, self._blocks.products(es, b0, max(ends[k] for k in ks), self._work)
 
     def count_round(self, energies) -> list[int]:
         """Interior nodes of the left-anchored solution at each energy: eigenvalues below it.
 
-        The energies share their evaluations (``_rows``).  Each sweep runs
-        TAIL_CHUNK steps into the settled tail at its energy (rounded up to
-        a block end), where every q is >= 0 and so, for h > 0, every RK4
-        propagator entry is >= 0; from the first state there with phi and
-        phi' of one sign no step can add a node (``kernels`` module
-        docstring).  A sweep not yet in such a state goes on through the
+        Every energy lies inside the window.  The energies share their
+        evaluations (``_rows``).  Each sweep runs TAIL_CHUNK steps into the
+        settled tail at its energy (rounded up to a block end), where every q
+        is >= 0 and so, for h > 0, every RK4 propagator entry is >= 0; from
+        the first state there with phi and phi' of one sign no step can add
+        a node (``kernels`` module docstring).  A sweep not yet in such a state goes on through the
         rest of its evaluation, then, together with the others still going
         from the same node, through further evaluations of TAIL_CHUNK, twice
         as many, ... steps.  Every count is that of the full sweep; each one
         joins the staircase.
         """
-        last = self.u_nodes.size - 1
+        last, m = self.u_nodes.size - 1, self._blocks.m
         es = sorted(set(energies))
         tails = self._tail_start(es).tolist()
         going = {0: [(E, 0.0, 1.0, 0, min(t + TAIL_CHUNK, last)) for E, t in zip(es, tails)]}
@@ -426,13 +391,13 @@ class _ShootingEngine:
         while going:
             later: dict[int, list] = {}
             for start, sweeps in going.items():
-                for ks, rows, per in self._rows([s[0] for s in sweeps], start,
-                                                [s[4] for s in sweeps]):
+                for ks, rows in self._rows([s[0] for s in sweeps], start,
+                                           [s[4] for s in sweeps]):
                     end = rows[0].shape[1]
-                    reached = min(start + end * per, last)
+                    reached = min(start + end * m, last)
                     for j, k in enumerate(ks):
                         E, phi, dphi, nodes, stop = sweeps[k]
-                        cut = -(-(stop - start) // per)
+                        cut = -(-(stop - start) // m)
                         for a, b in ((0, cut), (cut, end)):
                             if a < b and not (a and kernels.settled(phi, dphi)):
                                 phi, dphi, more = kernels.sweep(*(r[j, a:b] for r in rows),
@@ -451,24 +416,32 @@ class _ShootingEngine:
             self._stair_n.insert(i, found[E])
         return [found[E] for E in energies]
 
-    def _block_size(self, e_lo: float, e_hi: float):
-        """Block size over [e_lo, e_hi] and the growth bound h sqrt(max q) of every step.
+    def _block_size(self, e_lo: float, e_hi: float) -> int:
+        """Block size over [e_lo, e_hi]: one that every block can serve.
 
-        The block size m is the largest power of two up to MAX_BLOCK with
+        m is the largest power of two up to MAX_BLOCK with
         m h sqrt(max(-q)) <= pi/2 over the window: then no block holds two
         nodes (``kernels`` module docstring).  q is linear in E, so its
-        extremes over the window lie at the window ends.
+        extremes over the window lie at the window ends.  m = 1 if any q
+        there is non-finite, or if any block's steps could together grow
+        the solution by more than exp(BLOCK_GROWTH): h sum sqrt(max(q, 0))
+        over the block, with each step's largest q at either end.
         """
         (lo_n, lo_m), (hi_n, hi_m) = self._q(e_lo), self._q(e_hi)
-        k2 = max(float(np.max(-q[np.isfinite(q)], initial=0.0))
-                 for q in (lo_n, lo_m, hi_n, hi_m))
+        # k is NaN if any q is NaN and +inf if any is -inf: both give m = 1
+        q_min = np.min([q.min() for q in (lo_n, lo_m, hi_n, hi_m)])
+        k = self.h * np.sqrt(np.maximum(-q_min, 0.0))
         m = MAX_BLOCK
-        while m > 1 and m * self.h * math.sqrt(k2) > 0.5 * math.pi:
+        while m > 1 and not m * k <= 0.5 * math.pi:
             m //= 2
         q_max = np.maximum(lo_n[:-1], lo_n[1:])
         for q in (lo_m, hi_n[:-1], hi_n[1:], hi_m):
             np.maximum(q_max, q, out=q_max)
-        return m, self.h * np.sqrt(np.maximum(q_max, 0.0, out=q_max), out=q_max)
+        growth = np.zeros(-(-q_max.size // m) * m)  # padded to whole blocks
+        np.sqrt(np.maximum(q_max, 0.0, out=q_max), out=growth[:q_max.size])
+        growth *= self.h
+        # a +inf q makes its block's sum +inf
+        return m if growth.reshape(-1, m).sum(axis=1).max() <= BLOCK_GROWTH else 1
 
     def _right_starts(self, energies: np.ndarray) -> np.ndarray:
         """Start node of the right half-sweep at each energy.
@@ -505,29 +478,30 @@ class _ShootingEngine:
     def _half_sweeps(self, energies, starts) -> None:
         """Match the left and right solutions at the matching point at each new energy.
 
-        ``_matched`` gets (phi, phi', nodes) of both sides.  The energies not
-        yet matched share their evaluations (``_rows``).  The right
-        half-sweep at energies[k] starts at node starts[k], rounded up to a
-        block end, which only adds WKB depth.  The RK4 step from x + h
-        back to x is the adjugate [[m11, -m01], [-m10, m00]] of the forward
-        step over the same points (m10 up to rounding), and
-        adj(AB) = adj(B) adj(A): the right half-sweep walks the adjugates of
-        the forward blocks (or steps) in reverse order.  The adjugate acts
-        on (phi, -phi') as [[m11, m01], [m10, m00]] does on (phi, phi'), so
-        the sweep walks reversed views of the forward rows from (0, +1) and
-        the phi' it returns is negated.
+        ``_matched`` gets (phi, phi', nodes) of both sides.  Every energy
+        lies inside the window.  The energies not yet matched share their
+        evaluations (``_rows``).  The right half-sweep at energies[k] starts
+        at node starts[k], rounded up to a block end, which only adds WKB
+        depth.  The RK4 step from x + h back to x is the adjugate
+        [[m11, -m01], [-m10, m00]] of the forward step over the same points
+        (m10 up to rounding), and adj(AB) = adj(B) adj(A): the right
+        half-sweep walks the adjugates of the forward blocks in reverse
+        order.  The adjugate acts on (phi, -phi') as [[m11, m01], [m10, m00]]
+        does on (phi, phi'), so the sweep walks reversed views of the forward
+        rows from (0, +1) and the phi' it returns is negated.
         """
         new = {}
         for E, start in zip(energies, starts):
             if E not in self._matched:
                 new.setdefault(E, start)
         es, stops = list(new), [int(start) for start in new.values()]
-        for ks, rows, per in self._rows(es, 0, stops):
+        m = self._blocks.m
+        for ks, rows in self._rows(es, 0, stops):
             # reversed views: column c of a row moves to size - 1 - c
-            size, mid = rows[0].shape[1], self.i_match // per
+            size, mid = rows[0].shape[1], self.i_match // m
             m00, m01, m10, m11 = (r[:, ::-1] for r in rows)
             for j, k in enumerate(ks):
-                end = -(-stops[k] // per)
+                end = -(-stops[k] // m)
                 phi, dphi, nodes = kernels.sweep(
                     *(r[j, size - end:size - mid] for r in (m11, m01, m10, m00)), 0.0, 1.0)
                 self._matched[es[k]] = (kernels.sweep(*(r[j, :mid] for r in rows), 0.0, 1.0),
@@ -612,7 +586,10 @@ class _ShootingEngine:
     def solve(self, n_list, tol_ev: float) -> list[tuple[int, float]]:
         """Eigenvalues of the requested levels inside the window, as (n, E), in the order requested.
 
-        All levels advance together, in rounds (module docstring).
+        All levels advance together, in rounds (module docstring).  The
+        certificate counts at E -+ tol/2 are clamped to the window: a window
+        end's count is known, so the node-count step still lies within
+        tol/2 of E, and no sweep leaves the window.
         """
         n_list = list(n_list)
         e_lo, _, e_hi = self._blocks.energies
@@ -639,7 +616,8 @@ class _ShootingEngine:
         refined = {n: e for n, e in self._refine(brackets, tol_ev, spend).items()
                    if e is not None}
         half = 0.5 * tol_ev
-        counts = self.count_round([e + s for e in refined.values() for s in (-half, half)])
+        counts = self.count_round([min(max(e + s, e_lo), e_hi)
+                                   for e in refined.values() for s in (-half, half)])
         found = {n: e for (n, e), below, above in zip(refined.items(), counts[::2], counts[1::2])
                  if (below, above) == (n, n + 1)}
         # uncertified, or isolation already reached tol: bisect the staircase bracket

@@ -12,7 +12,7 @@ Rodrigues expansion cross-checks the Jacobi recurrence, and the branch
 explorer spans all four (k-root, pi-sign) pairings of the quantization.
 
 The paper-form relations the library does not serve live here too: the
-printed reality condition, A_tilde from eps, the constant-mass eigenvalue,
+bare Morse potential V(x), the printed reality condition, A_tilde from eps, the constant-mass eigenvalue,
 the quantization internals, the analytic mass derivatives and the paper-form
 ordering term of U_eff built from them (the reference for ``oracle.u_eff``'s
 closed form), and the node count and equation residual of the assembled
@@ -391,6 +391,13 @@ def nu_internals(sys, eps: float, n: int) -> NuInternals:
     return NuInternals(
         k1=k1, k2=k2, pi_slope=pi_slope, pi_const=pi_const, tau_slope=tau_slope,
         lambda_=k2 + tau_slope / 2.0, lambda_pi=k2 + pi_slope, lambda_n=lambda_n)
+
+
+def potential_value(mol, x):
+    """V(x) = V1 exp(-2 beta x) - V2 exp(-beta x) in eV (defined for all real x)."""
+    w = np.exp(-mol.beta * np.asarray(x, dtype=float))
+    out = mol.V1 * w**2 - mol.V2 * w
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def molecule_hbar2(mol) -> float:

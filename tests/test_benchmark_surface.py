@@ -53,8 +53,8 @@ def test_output_checks_import():
 
 @pytest.mark.parametrize("script, args, labels", [
     ("bench_shooting.py", ["--points", "2001", "--repeats", "1"],
-     ["points", "propagators", "sweep", "block size", "engine build", "counting sweep",
-      "half-sweep pair", "batched round", "engine faults"]),
+     ["points", "propagators", "sweep", "block size", "engine build", "wall engine",
+      "counting sweep", "half-sweep pair", "batched round", "engine faults"]),
     ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
       "_build_parser (cached)", "_build_parser (cold)", "cold import pdmorse",
@@ -80,6 +80,7 @@ def test_benchmark_script_runs(script, args, labels):
     assert [re.split(r"\s*: ", line, maxsplit=1)[0] for line in lines] == labels
     if script == "bench_shooting.py":
         assert re.search(r"^block size +: (1|2|4|8|16) steps$", lines[3])
+        assert re.search(r"  m = 1, 4 levels$", lines[5])
         assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-3])
         assert re.search(r" ms per energy, 13 energies\)$", lines[-2])
         assert re.search(r": \d+ minor page faults per engine build and solve$", lines[-1])

@@ -19,6 +19,7 @@ from pdmorse import (WEYL, AmbiguityOrdering, ConfigError, NormOverflow, attach_
                      resolve_molecule)
 from pdmorse.analytic import make_state, spectrum
 from pdmorse.catalog import REFERENCE_ENERGIES, reference_energy
+from pdmorse.model import LI_KUHN, ordering_label, parse_ordering
 from pdmorse import cli
 from pdmorse.cli import _build_parser, main
 from pdmorse.reports import (SpectrumReport, SpectrumRow, base_provenance,
@@ -107,6 +108,19 @@ class TestConfigFile:
         path.write_text(GOOD_CONFIG + "E0_eV = 1.0\n")
         with pytest.raises(ConfigError, match="inconsistent"):
             load_molecule_config(path)
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\tb", "a\x7fb", "a\x9bb"])
+    def test_name_that_would_split_a_cell_is_rejected(self, tmp_path, capsys, name):
+        # name = a,b printed a 10-cell oracle-compare row under the 9-column
+        # header; a quote or a control character would break the row too
+        path = tmp_path / "named.cfg"
+        path.write_text(GOOD_CONFIG.replace("name = demo", f"name = {name}"), encoding="utf-8")
+        with pytest.raises(ConfigError, match="comma, a quote or a control character"):
+            load_molecule_config(path)
+        assert main(["oracle-compare", "--molecule", str(path), "--eta", "0",
+                     "--n-max", "0", "--grid", "1001"]) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pdmorse-error:")
 
     def test_resolve_by_path_or_name(self, tmp_path):
         path = tmp_path / "demo.cfg"
@@ -224,6 +238,20 @@ class TestOracleCompareReport:
                           "delta_eV,domain,grid_points")
         body = [ln for ln in oracle_csv(rows_a).splitlines() if not ln.startswith("#")][1:]
         assert [ln.split(",")[7] for ln in body] == ["explicit[-0.5;5]"]
+
+    def test_close_triples_print_distinct_labels(self, h2):
+        # both orderings printed 0.123457;0;0 before; the cell now reads
+        # back as the triple it was run with
+        cells = {}
+        for text in ("0.1234567,0,0", "0.1234568,0,0"):
+            ordering = parse_ordering(text)
+            (row,) = oracle_compare_rows(h2, 0.0, ordering, 0, 1001)
+            assert row["ordering"] == text.replace(",", ";")
+            assert parse_ordering(row["ordering"].replace(";", ",")) == ordering
+            cells[text] = row["ordering"]
+        assert len(set(cells.values())) == 2
+        assert [ordering_label(o) for o in (WEYL, LI_KUHN, parse_ordering("0.5,-0.25,-0.25"))] \
+            == ["weyl", "likuhn", "0.5,-0.25,-0.25"]
 
 
 class TestCliCommands:

@@ -8,7 +8,8 @@ outside it, and the presets and ``a,alpha,gamma`` triples as orderings.
 with ``--n-max``, ``--grid`` and ``--domain`` draws, each under a wall-time
 limit.  Every run ends in exactly one of two ways: exit 0 with the documented
 header and only finite numbers, or exit 1 with exactly one ``pdmorse-error:``
-line on stderr.
+line on stderr.  A triple's ordering cell reads back as the drawn triple,
+and a config name either prints as given or is refused.
 """
 import io
 import json
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from pdmorse import MassModel, PdmorseError, resolve_molecule
 from pdmorse.analytic import MAX_LEVELS
 from pdmorse.cli import main
+from pdmorse.model import parse_ordering
 from pdmorse.oracle import MAX_GRID_POINTS, SINGULARITY_MARGIN
 from pdmorse.reports import ORACLE_COLUMNS, SPECTRUM_COLUMNS
 
@@ -170,6 +172,25 @@ def test_finite_output_or_one_error_line(config_path, well, eta, ordering, toler
         assert len(lines) == 1 and lines[0].startswith("pdmorse-error: "), (argv, err)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+# the name that once printed a 10-cell oracle-compare row
+@example(name="a,b")
+@given(name=st.text(st.sampled_from('ab ,"\t\x7f\x9b\u00e9;'), min_size=1, max_size=6))
+def test_config_name_prints_as_given_or_is_refused(config_path, name):
+    config_path.write_text(f"name = {name}\n"
+                           + "".join(f"{k} = {v!r}\n" for k, v in _UNIT_WELL.items()),
+                           encoding="utf-8")
+    code, out, err = _run(["validate", str(config_path)])
+    name = name.strip()  # as every value is read
+    if any(c in name for c in ',"\t\x7f\x9b'):
+        assert code == 1 and out == "", (name, out)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pdmorse-error: "), (name, err)
+    else:
+        assert code == 0 and err == "", (name, err)
+        assert out.startswith(f"OK name={name} D_eV="), (name, out)
+
+
 RANGES = _benchmark_ranges()
 
 
@@ -229,15 +250,16 @@ def _domain(kind, u, v, molecule, eta):
     return x_min, x_min + 3.0 + 5.0 * v
 
 
-def _check_oracle_csv(out: str, n_max: int) -> None:
+def _check_oracle_csv(out: str, n_max: int, ordering: str) -> None:
     lines = out.splitlines()
     provenance = [line for line in lines if line.startswith("# ")]
     header, *rows = lines[len(provenance):]
     assert tuple(header.split(",")) == ORACLE_COLUMNS
     assert rows and len(rows) in (n_max + 1, 2 * (n_max + 1)), out
     for k, row in enumerate(rows):
-        _, eta, _, n, e_analytic, e_oracle, delta, domain, grid = row.split(",")
+        _, eta, label, n, e_analytic, e_oracle, delta, domain, grid = row.split(",")
         assert int(n) == k % (n_max + 1) and int(grid) > 0, row
+        assert parse_ordering(label.replace(";", ",")) == parse_ordering(ordering), row
         ends = re.fullmatch(r"[a-z]+\[(\S+);(\S+)\]", domain)
         assert ends and _finite(eta, e_analytic, e_oracle, delta, *ends.groups()), row
 
@@ -265,7 +287,7 @@ def test_oracle_compare_finite_rows_or_one_error_line(config_path, well, eta, or
     event(f"oracle-compare exit {code}")
     if code == 0:
         assert err == ""
-        _check_oracle_csv(out, n_max)
+        _check_oracle_csv(out, n_max, ordering)
     else:
         lines = err.splitlines()
         assert code == 1 and out == "", (argv, err)

@@ -3,9 +3,11 @@
 The goldens cover ``table1``; ``spectrum`` CSV and JSON for H2 and LiH at
 every reference eta with both named orderings (plus one explicit triple);
 one eta > 0 ``wavefunction`` per sign convention (the printed one at the
-only H2 eta = 0.2 level with sqrt(eps) < 1/2, where it is normalizable); and three
-``oracle-compare`` runs: a small one, a 13-level LiH ladder at eta = 0.6 and
-a long-grid H2 run at eta = 0.  The oracle runs and the normalizable
+only H2 eta = 0.2 level with sqrt(eps) < 1/2, where it is normalizable); and four
+``oracle-compare`` runs: a small one, a 13-level LiH ladder at eta = 0.6, a
+long-grid H2 run at eta = 0, and one on a domain that reaches 2.5 A into
+the H2 wall, where the steps grow too fast for blocks and every sweep runs
+step by step.  The oracle runs and the normalizable
 ``wavefunction`` also run in two fresh interpreters, one of them on
 OpenBLAS's Haswell kernels and one thread: the bytes must not depend on the
 BLAS build numpy picks.
@@ -49,6 +51,8 @@ def _cases() -> list[tuple[str, ...]]:
                   "likuhn", "--grid", "2001", "--n-max", "12", "--no-provenance"))
     cases.append(("oracle-compare", "--molecule", "H2", "--eta", "0", "--grid", "8001",
                   "--n-max", "2", "--no-provenance"))
+    cases.append(("oracle-compare", "--molecule", "H2", "--eta", "0", "--domain=-2.5,10",
+                  "--grid", "8001", "--n-max", "3", "--no-provenance"))
     return cases
 
 
@@ -88,7 +92,7 @@ def test_stdout_does_not_depend_on_the_blas_build(golden):
                               env={**os.environ, **env}, capture_output=True, text=True,
                               check=True, timeout=120).stdout
                for env in ({}, {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"})]
-    assert len(BLAS_CASES) == 4
+    assert len(BLAS_CASES) == 5
     assert outputs[0] == outputs[1] == "".join(golden[" ".join(argv)] for argv in BLAS_CASES)
 
 

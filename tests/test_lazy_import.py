@@ -13,8 +13,7 @@ import pytest
 
 from pdmorse.cli import main
 from pdmorse.reports import fmt
-# pdmorse.__all__, sorted
-# pdmorse.__all__, sorted (jacobi moved to the tests' oracles)
+# pdmorse.__all__, sorted (jacobi and potential_value moved to the tests' oracles)
 PUBLIC_NAMES = [
     "AmbiguityOrdering", "BoundState", "ComplexBranch", "ConfigError",
     "DegenerateDenominator", "DomainUnsupported", "GridSpec", "LI_KUHN", "MassModel",
@@ -24,7 +23,7 @@ PUBLIC_NAMES = [
     "default_domain", "energy_ev", "epsilon_nl", "errors", "get_molecule", "kernels",
     "load_molecule_config", "make_state", "model", "norm_const", "norm_const_quadrature",
     "nu_consistent_epsilon", "oracle", "parse_ordering", "phi", "phi_eta0", "physical_psi",
-    "potential_value", "quadrature", "reduce", "resolve_molecule", "shoot_state",
+    "quadrature", "reduce", "resolve_molecule", "shoot_state",
     "solve_on_grid", "solve_states", "spectrum", "u_eff", "units", "wavefn",
 ]
 SUBMODULES = ["analytic", "catalog", "errors", "kernels", "model", "oracle", "quadrature",

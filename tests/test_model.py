@@ -5,10 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import fd_derivative, mass_terms
+from _oracles import fd_derivative, mass_terms, potential_value
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, MassModel,
-                     MassSingularity, MoleculeSpec, parse_ordering,
-                     potential_value, reduce)
+                     MassSingularity, MoleculeSpec, parse_ordering, reduce)
 
 # Direct arithmetic from the H2 parameter set (independent of reduce()).
 H2_D = 4.7446

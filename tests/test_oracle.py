@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative, molecule_hbar2,
-                      rk4_extended, rk4_propagators_matmul, sweep_reference, trapezoid,
-                      u_ordering)
+                      potential_value, rk4_extended, rk4_propagators_matmul, sweep_reference,
+                      trapezoid, u_ordering)
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, GridSpec, MassModel,
                      NoBracket, NonConvergence, default_domain, energy_ev,
-                     get_molecule, physical_psi, potential_value, reduce,
+                     get_molecule, physical_psi, reduce,
                      shoot_state, solve_on_grid, solve_states, u_eff)
 from pdmorse import kernels, oracle
 from pdmorse.catalog import REFERENCE_ETAS
@@ -327,6 +327,35 @@ class TestSolver:
                 solve_states(mm, WEYL, h2, grid, [0])
         assert calls == {"u_eff": [], "mass": []}
 
+    def test_certificates_stay_inside_the_window(self, monkeypatch):
+        # the window's top lies tol/4 above level 2 of the grid: the count at
+        # E + tol/2 is clamped to the window's top, whose count is known, so
+        # no sweep leaves the window and level 2 still lies within tol/2
+        grid = GridSpec(0.0, 1.0, 1001)
+        tol = 1e-6
+        level = solve_on_grid(flat_potential, const_mass(1.0), grid, [2], BOX_WINDOW, 1e-12)[0][1]
+        window = (BOX_WINDOW[0], level + 0.25 * tol)
+        swept = []
+        engine = oracle._ShootingEngine
+        count_round, half_sweeps = engine.count_round, engine._half_sweeps
+
+        def counting(self, energies):
+            energies = list(energies)
+            swept.extend(energies)
+            return count_round(self, energies)
+
+        def matching(self, energies, starts):
+            energies = list(energies)
+            swept.extend(energies)
+            return half_sweeps(self, energies, starts)
+
+        monkeypatch.setattr(engine, "count_round", counting)
+        monkeypatch.setattr(engine, "_half_sweeps", matching)
+        results = solve_on_grid(flat_potential, const_mass(1.0), grid, range(3), window, tol)
+        assert swept and all(window[0] <= e <= window[1] for e in swept), max(swept) - window[1]
+        assert [n for n, _ in results] == [0, 1, 2]
+        assert abs(results[2][1] - level) <= 0.5 * tol
+
     def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_BISECTIONS", 2)
         mm = MassModel.for_molecule(h2, 0.0)
@@ -501,17 +530,64 @@ class TestBlockedSweeps:
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_nan_and_wall_spikes_run_step_by_step(self):
-        # a NaN midpoint and 1e12 eV spikes make their blocks unusable; sweeps
-        # that touch them run step by step, the others stay blocked
+        # a NaN midpoint and 1e12 eV spikes: the whole grid runs in blocks of
+        # one step, and every count is still the reference loop's
         grid = GridSpec(0.0, 1.0, 4001)
         engine, (e_lo, e_hi) = self._engine_at_the_bound(spiked_potential(grid), grid)
-        blocks = engine._blocks
-        m = blocks.m
-        assert m == oracle.MAX_BLOCK and blocks._unusable[-1] == 3
-        assert blocks.covers(e_hi, 0, 800 // m)
-        assert not blocks.covers(e_hi, 0, -(-901 // m))
+        assert engine._blocks.m == 1
         for e in np.linspace(e_lo, e_hi, 41):
             assert engine.count_round([e])[0] == reference_count(engine, e), e
+
+    @pytest.mark.parametrize("where, value, m", [
+        (None, 0.0, oracle.MAX_BLOCK), ("node", math.nan, 1), ("midpoint", math.nan, 1),
+        ("node", math.inf, 1), ("node", -math.inf, 1), ("node", 1e12, 1)],
+        ids=["smooth", "NaN node", "NaN midpoint", "+inf", "-inf", "1e12 spike"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_one_bad_point_gives_blocks_of_one_step(self, where, value, m):
+        # one non-finite q at the window ends, or one step that could grow
+        # the solution by more than exp(BLOCK_GROWTH), takes the whole grid
+        # to m = 1; every engine gets the smooth grid's window
+        grid = GridSpec(0.0, 1.0, 4001)
+        smooth = smooth_potential(6, 1.0)
+        _, window = self._engine_at_the_bound(smooth, grid)
+        xs = grid.xs()
+        x_bad = {"node": xs[2500], "midpoint": xs[2500:2502].mean(), None: math.nan}[where]
+        engine = engine_on(lambda x: np.where(x == x_bad, value, smooth(x)), const_mass(1.0),
+                           grid, window)
+        if where is not None:
+            table = engine.u_nodes if where == "node" else engine.u_mids
+            np.testing.assert_equal(table[2500], value)
+        assert engine._blocks.m == m
+
+    # m of every default-domain engine, both orderings, by domain in solve
+    # order (the README table)
+    DEFAULT_BLOCKS = {
+        ("H2", 2001): {0.0: (8,), 0.2: (8, 8), 0.4: (8, 4), 0.6: (4, 1)},
+        ("LiH", 2001): {0.0: (4,), 0.2: (4, 4), 0.4: (4, 2), 0.6: (2, 1)},
+        ("H2", 8001): {0.0: (16,), 0.2: (16, 16), 0.4: (16, 16), 0.6: (16, 4)},
+        ("LiH", 8001): {0.0: (16,), 0.2: (16, 16), 0.4: (16, 8), 0.6: (8, 2)},
+    }
+
+    @pytest.mark.parametrize("ordering", ["weyl", "likuhn"])
+    @pytest.mark.parametrize("name, points", list(DEFAULT_BLOCKS))
+    def test_default_domains_keep_their_block_size(self, name, points, ordering):
+        mol = get_molecule(name)
+        for eta, expected in self.DEFAULT_BLOCKS[name, points].items():
+            mm = MassModel.for_molecule(mol, eta)
+            got = tuple(oracle._effective_engine(mm, ORDERINGS[ordering], mol,
+                                                 GridSpec(*domain, points))._blocks.m
+                        for domain in default_domain(mol, eta).values())
+            assert got == expected, eta
+
+    def test_left_wall_runs_step_by_step(self, h2):
+        # H2 eta 0 on [-2.5, 10] A: the node rule allows blocks of 16, but
+        # steps into the wall could grow the solution by more than
+        # exp(BLOCK_GROWTH) per block (golden: oracle-compare --domain=-2.5,10)
+        mm = MassModel.for_molecule(h2, 0.0)
+        engine, (e_lo, e_hi) = effective_engine(mm, h2, GridSpec(-2.5, 10.0, 8001))
+        assert engine._blocks.m == 1
+        k = engine.h * math.sqrt(-min(float(q.min()) for e in (e_lo, e_hi) for q in engine._q(e)))
+        assert oracle.MAX_BLOCK * k <= 0.5 * math.pi
 
     def test_wide_window_forces_single_steps(self):
         # a window so high that two steps can hold two nodes: blocks of one step
@@ -547,10 +623,11 @@ class TestBatchedRounds:
 
     def test_block_products_match_single_energy_evaluations(self):
         # one evaluation of K energies against K evaluations of one, over
-        # ranges clear of the NaN and spike blocks and ranges that touch them
+        # ranges at the start, inside and at the end of the grid
         engine, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(
-            spiked_potential(self.GRID), self.GRID)
+            smooth_potential(5, 1.0), self.GRID)
         blocks = engine._blocks
+        assert blocks.m == oracle.MAX_BLOCK
         energies = np.linspace(e_lo, e_hi, 7)
         nb = -(-(self.GRID.points - 1) // blocks.m)
         work = (np.empty(energies.size * 4 * blocks.m * nb), np.empty(energies.size * 4 * blocks.m * nb))
@@ -561,20 +638,21 @@ class TestBatchedRounds:
                 for got, alone in zip(batched, single):
                     assert got[k].tobytes() == alone[0].tobytes(), (b0, b1, k)
 
-    @pytest.mark.parametrize("case", ["blocked", "spiked", "step by step"])
-    def test_rounds_match_rounds_of_one(self, case):
-        # energies inside and outside the window; on the spiked grid every
-        # range touches the NaN block and reads single steps, as every
-        # energy does with blocks of one step
+    @pytest.mark.parametrize("case, m", [("blocked", oracle.MAX_BLOCK), ("spiked", 1),
+                                         ("step by step", 1)])
+    def test_rounds_match_rounds_of_one(self, case, m):
+        # energies across the window, in blocks of MAX_BLOCK steps, on the
+        # spiked grid (blocks of one step) and on a window high enough for
+        # blocks of one step by the node rule
         u = spiked_potential(self.GRID) if case == "spiked" else smooth_potential(5, 1.0)
-        m = 1 if case == "step by step" else oracle.MAX_BLOCK
+        bound = 1 if case == "step by step" else oracle.MAX_BLOCK
 
         def engine():
-            return TestBlockedSweeps._engine_at_the_bound(u, self.GRID, m)
+            return TestBlockedSweeps._engine_at_the_bound(u, self.GRID, bound)
 
         batched, (e_lo, e_hi) = engine()
         assert batched._blocks.m == m
-        energies = sorted({*np.linspace(e_lo, e_hi, 9), e_lo - 40.0, e_hi + 40.0, e_hi + 900.0})
+        energies = list(np.linspace(e_lo, e_hi, 9))
         counts = batched.count_round(energies)
         starts = batched._right_starts(np.array(energies))
         batched._half_sweeps(energies, starts)
@@ -602,35 +680,28 @@ class TestOneStepTable:
     """An engine builds its step table once; every sweep reads it."""
 
     def test_sweeps_make_no_propagator_calls(self, h2, monkeypatch):
-        # a full solve on an m = 1 grid, counts outside the window, and
-        # rounds that touch the NaN and spike blocks: none of them calls
-        # rk4_propagators, and the last two read the table's single steps
+        # a full solve on an m = 1 grid, and rounds on the spiked grid
+        # (m = 1) and on a smooth one (m = MAX_BLOCK): none of them calls
+        # rk4_propagators
         mm = MassModel.for_molecule(h2, 0.6)
         singular = oracle._effective_engine(mm, WEYL, h2,
                                             GridSpec(*reference_domain(h2, 0.6), 2001))
         grid = TestBatchedRounds.GRID
-        spiked, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(spiked_potential(grid), grid)
-        assert singular._blocks.m == 1 and spiked._blocks.m == oracle.MAX_BLOCK
-        w_lo, _, w_hi = singular._blocks.energies
-        outside = [w_lo - 1.0, w_hi + 0.5, w_hi + 5.0]
-        inside = list(np.linspace(e_lo, e_hi, 9))
-        props, singles = [], []
-        rk4, steps = kernels.rk4_propagators, oracle._BlockTables.steps
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "rk4_propagators", lambda *a: props.append(1) or rk4(*a))
-            patch.setattr(oracle._BlockTables, "steps",
-                          lambda *a: singles.append(a[1].size) or steps(*a))
-            solved = singular.solve(range(13), 1e-6)
-            singles.clear()
-            counts = singular.count_round(outside)
-            assert sum(singles) == len(outside)
-            singles.clear()
-            spiked.count_round(inside)
-            spiked._half_sweeps(inside, spiked._right_starts(np.array(inside)))
-            assert sum(singles) >= 2 * len(inside)
+        spiked, _ = TestBlockedSweeps._engine_at_the_bound(spiked_potential(grid), grid)
+        smooth, _ = TestBlockedSweeps._engine_at_the_bound(smooth_potential(5, 1.0), grid)
+        assert singular._blocks.m == spiked._blocks.m == 1
+        assert smooth._blocks.m == oracle.MAX_BLOCK
+        props = []
+        rk4 = kernels.rk4_propagators
+        monkeypatch.setattr(kernels, "rk4_propagators", lambda *a: props.append(1) or rk4(*a))
+        solved = singular.solve(range(13), 1e-6)
+        for engine in (spiked, smooth):
+            e_lo, _, e_hi = engine._blocks.energies
+            inside = list(np.linspace(e_lo, e_hi, 9))
+            engine.count_round(inside)
+            engine._half_sweeps(inside, engine._right_starts(np.array(inside)))
         assert props == []
         assert [n for n, _ in solved] == list(range(13))
-        assert counts == [reference_count(singular, e) for e in outside]
 
     @pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
                                         (0.0, math.inf), (-math.inf, 0.0)])
@@ -640,11 +711,17 @@ class TestOneStepTable:
 
 
 def table_steps(engine, energies):
-    """The engine's table evaluated at each energy, single steps in step order."""
+    """The engine's table evaluated at each energy, single steps in step order.
+
+    Four (K, steps) arrays, by Horner's rule in the order of operations of
+    ``_BlockTables.products``, so each entry has the bits the sweeps see.
+    """
     blocks = engine._blocks
-    nb = -(-(engine.u_nodes.size - 1) // blocks.m)
-    size = len(energies) * 4 * blocks.m * nb
-    return blocks.steps(np.asarray(energies), 0, nb, (np.empty(size), np.empty(size)))
+    d = (np.asarray(energies) - blocks.energies[1])[:, None]
+    # (i, j, step in block, block) -> (entry, step), less the padding
+    c2, f, c1 = (t.transpose(0, 1, 3, 2).reshape(4, -1)[:, :engine.u_mids.size]
+                 for t in blocks._table)
+    return [(c2[e] * d + c1[e]) * d + f[e] for e in range(4)]
 
 
 def default_engines(points):
