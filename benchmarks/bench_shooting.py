@@ -4,9 +4,10 @@ Times the closed-form propagator build and the step-by-step sweep over the
 whole grid at a trial energy.  Then it solves the 13 lowest H2 levels on an
 engine built as solve_states builds it, with its step table over the
 window (min U_eff, 0).  At 5e-7 eV above the ground level, where the oracle
-certifies it, it times one counting sweep (``count_round`` of one energy)
-and one refinement half-sweep pair (``phase``: the right start, both
-sweeps and their block products).  Times are the best of --repeats calls,
+certifies it, it times one counting sweep (``count_round`` of one energy,
+on the staircase as the solve left it, so that the energy is swept and not
+looked up) and one refinement half-sweep pair (``phase``: the right start,
+both sweeps and their block products).  Times are the best of --repeats calls,
 in ms per call and ns per grid step.  The block size line gives the steps
 per block, and the engine build line times ``oracle._effective_engine`` on
 the grid: its U_eff and mass tables, block size and step table.  The wall
@@ -102,7 +103,10 @@ def main() -> None:
     report("wall engine", best_time(wall_engine, (args.points,), args.repeats), steps,
            f"  m = {wall_engine(args.points)._blocks.m}, {WALL_LEVELS} levels")
 
+    stair = engine._stair_e[:], engine._stair_n[:]
+
     def count():
+        engine._stair_e, engine._stair_n = stair[0][:], stair[1][:]
         engine.count_round([near[0]])
 
     def half_sweep_pair():

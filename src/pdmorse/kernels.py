@@ -106,7 +106,7 @@ def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     return m00, m01, m10, m11
 
 
-def block_products(steps: np.ndarray, work: np.ndarray):
+def block_products(steps: np.ndarray):
     """Products of consecutive step matrices, one per block of m steps, at K energies.
 
     steps is a C-contiguous array of shape (K, 2, 2, m, nb): entry (i, j) of
@@ -115,16 +115,10 @@ def block_products(steps: np.ndarray, work: np.ndarray):
     as a pairwise tree, one batched 2x2 product (``einsum``, the fastest
     numpy form measured for these shapes) per halving of m, for all K
     energies at once.  Each block's product depends on that block's steps
-    alone, so every energy gets, bit for bit, what it gets alone.  The
-    levels are written alternately into work, a flat float array of at
-    least steps.size // 2 entries, and into the memory of steps, which they
-    overwrite.  Returns the four (K, nb) entry arrays m00, m01, m10, m11,
-    views into one of the two whose rows are contiguous.
+    alone, so every energy gets, bit for bit, what it gets alone.  Each
+    level is a fresh array, and steps is left as it was.  Returns the four
+    (K, nb) entry arrays m00, m01, m10, m11, views whose rows are contiguous.
     """
-    spare = work
     while steps.shape[3] > 1:
-        count, m, nb = steps.shape[0], steps.shape[3] // 2, steps.shape[4]
-        out = spare[:count * 4 * m * nb].reshape(count, 2, 2, m, nb)
-        np.einsum("eijkb,ejlkb->eilkb", steps[:, :, :, 1::2], steps[:, :, :, 0::2], out=out)
-        spare, steps = steps.reshape(-1), out
+        steps = np.einsum("eijkb,ejlkb->eilkb", steps[:, :, :, 1::2], steps[:, :, :, 0::2])
     return steps[:, 0, 0, 0], steps[:, 0, 1, 0], steps[:, 1, 0, 0], steps[:, 1, 1, 0]

@@ -32,11 +32,12 @@ Solve strategy, shared by every requested level of one grid:
   then one Anderson-Bjorck iterate per unfinished level; the certificates
   of every level at once; bisection of every uncertified bracket.  The
   energies of a round share their step matrices: one evaluation of the
-  engine's step table per round, split only to keep its arrays within
-  WORK_FLOATS floats; each energy then runs its own ``kernels.sweep`` over
-  rows of the shared arrays.  An H2 eta = 0.2, 2001-point solve of levels
-  0-12 makes 22 block-table evaluations for 96 energies (one per sweep
-  made 151) and 151 sweeps.
+  engine's step table per round, split only to keep each evaluation within
+  TABLE_CHUNK steps (energies times steps); each energy then runs its own
+  ``kernels.sweep`` over rows of the shared arrays.  A count at an energy
+  already on the staircase is read from it, not swept again.  An H2
+  eta = 0.2, 2001-point solve of levels 0-12 makes 22 block-table
+  evaluations for 96 energies (one per sweep made 151) and 151 sweeps.
 * **Blocked sweeps.**  Each engine tabulates the RK4 step matrices over
   its energy window as quadratics in E when it is built, in one pass: the
   steps at the window's midpoint and the exact linear and quadratic
@@ -95,11 +96,10 @@ MAX_BLOCK = 16
 BLOCK_GROWTH = 50.0
 # Steps per pass while the block tables are built: bounds the temporaries
 # (about 20 arrays of this many floats).  Of 1K to 32K, 8K built an 8001- and
-# a 100,001-point table fastest on a 2-vCPU host.
+# a 100,001-point table fastest on a 2-vCPU host.  It also bounds each
+# evaluation of a round: its energies times their steps, so that its largest
+# array, four entries per step, is 256 KiB.
 TABLE_CHUNK = 8192
-# Floats in the largest array a round's evaluation makes (256 KiB): the
-# energies of a round are split into evaluations that stay within it.
-WORK_FLOATS = 2**15
 # (c2, f, c1) of an identity step: the step table's padding
 _PADDING = np.array([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])[..., None]
 # glibc's mallopt parameters (malloc.h) and the values the oracle sets: the
@@ -107,11 +107,12 @@ _PADDING = np.array([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])[..., None]
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 * 2**20
 TRIM_THRESHOLD = 64 * 2**20
-# Most points a grid may have.  A solve's peak memory grows by about 250
-# bytes per point (400,001 points: 95-96 MB of peak RSS over a 2001-point
-# run, H2 and LiH, n <= 2), so a larger --grid could get the process killed
-# on a small host before numpy's allocation fails.  125 times the default
-# 8001 points.
+# Most points a grid may have.  A solve's peak memory grows by about 190
+# bytes per point (400,001 points: 106.4-106.5 MB of peak RSS, against
+# 30.0-30.2 MB at 2001, over six oracle-compare requests, H2 and LiH at
+# eta 0, 0.2 and 0.6, n <= 2), so a larger --grid could get the process
+# killed on a small host before numpy's allocation fails.  125 times the
+# default 8001 points.
 MAX_GRID_POINTS = 1_000_001
 
 
@@ -188,10 +189,13 @@ class _BlockTables:
     Horner's rule evaluates it in two multiplications and two additions per
     entry.  Blocks are m consecutive steps from the first; padding is
     identity.  The engine picks an m that every block can serve
-    (``_ShootingEngine._block_size``), so the table has one use: block
-    products at energies inside the window.
+    (``_ShootingEngine._block_size``), so the table has one use: the block
+    products of a round's energies inside the window (``rows``), each
+    evaluation in arrays of its own.  A non-finite U gives NaN steps (and
+    m = 1) without a numpy warning.
     """
 
+    @np.errstate(invalid="ignore")  # a non-finite U (then m = 1) makes NaN steps
     def __init__(self, tables, h: float, energies, m: int):
         """tables (U nodes, U midpoints, p nodes, p midpoints) as the engine
         holds them; h the grid step; energies (e_lo, e_mid, e_hi) in eV, the
@@ -231,24 +235,34 @@ class _BlockTables:
                         by_block[i, j, c, b0 + full, :rest] = values[full * m:]
         self.m = m
 
-    def products(self, energies: np.ndarray, b0: int, b1: int, work):
-        """Block matrices of blocks b0..b1-1 at each of K energies: four (K, b1 - b0) arrays.
+    def rows(self, energies, start: int, stops):
+        """Block matrices at each energy from node start on, in shared evaluations.
 
-        Horner's rule fills one (K, 2, 2, m, b1 - b0) array in work[0], and
-        one ``kernels.block_products`` tree multiplies the blocks of all K
-        energies, with work[1] as scratch.  Row k of each result holds, bit
-        for bit, what a round of energy k alone gives.  The results are
-        views into work: the next call overwrites them.
+        start is a multiple of m, and energy k needs the blocks up to node
+        stops[k], rounded up to the next multiple of m.  Every energy lies
+        inside the window.  Each evaluation serves as many energies as keep
+        it within TABLE_CHUNK steps: Horner's rule fills one (K, 2, 2, m, nb)
+        array, and one ``kernels.block_products`` tree multiplies the blocks
+        of all K energies.  Yields (ks, rows): row j of each of the four
+        arrays rows holds the block matrices of energy energies[ks[j]], bit
+        for bit what that energy alone gets, and column i spans the m steps
+        from node start + i m (past the last node, the identity padding).
+        Every evaluation makes fresh arrays.
         """
-        m, count, nb = self.m, energies.size, b1 - b0
-        x = work[0][:count * 4 * m * nb].reshape(count, 2, 2, m, nb)
-        d = (energies - self.energies[1])[:, None, None, None, None]
-        c2, f1, c1 = (t[..., b0:b1] for t in self._table)
-        np.multiply(c2, d, out=x)
-        x += c1
-        x *= d
-        x += f1
-        return kernels.block_products(x, work[1])
+        m = self.m
+        b0, ends = start // m, [-(-stop // m) for stop in stops]
+        if not ends:
+            return
+        size = max(1, TABLE_CHUNK // (m * (max(ends) - b0)))
+        for i in range(0, len(ends), size):
+            ks = range(i, min(i + size, len(ends)))
+            d = np.array([energies[k] - self.energies[1] for k in ks])[:, None, None, None, None]
+            c2, f1, c1 = self._table[..., b0:max(ends[k] for k in ks)]
+            x = c2 * d  # Horner's rule, (c2 d + c1) d + f1, in one array
+            x += c1
+            x *= d
+            x += f1
+            yield ks, kernels.block_products(x)
 
 
 def _secant(a: float, fa: float, b: float, fb: float) -> float:
@@ -328,13 +342,8 @@ class _ShootingEngine:
         e_mid = 0.5 * (e_lo + e_hi)
         if not e_lo < e_mid < e_hi:  # also false for a NaN or infinite end
             raise NoBracket(f"energy window [{e_lo:.6g}, {e_hi:.6g}] eV is empty or not finite")
-        # the step matrices of every sweep, in blocks over the window, and
-        # the evaluation buffers of the rounds
-        m = self._block_size(e_lo, e_hi)
-        self._blocks = _BlockTables(tables, h, (e_lo, e_mid, e_hi), m)
-        # one energy over every block must fit, however large the grid
-        size = max(WORK_FLOATS, 4 * m * -(-npts // m))
-        self._work = (np.empty(size), np.empty(size))
+        # the step matrices of every sweep, in blocks over the window
+        self._blocks = _BlockTables(tables, h, (e_lo, e_mid, e_hi), self._block_size(e_lo, e_hi))
 
     def _q(self, E: float):
         """q = p (U - E) at the nodes and at the midpoints between them."""
@@ -345,54 +354,32 @@ class _ShootingEngine:
         every later step has q >= 0."""
         return self._tail_floor.searchsorted(E)
 
-    def _rows(self, energies, start: int, stops):
-        """Block matrices at each energy from node start on, in shared table evaluations.
-
-        With blocks of m steps, start is a multiple of m, and energy k needs
-        the blocks up to node stops[k], rounded up to the next multiple of
-        m.  Every energy lies inside the window, so all of them share block
-        products (with m = 1 these are the single steps).  Each evaluation
-        serves as many energies as keep its arrays within WORK_FLOATS
-        floats.  Yields (ks, rows): row j of each of the four arrays rows
-        holds the block matrices of energy energies[ks[j]], and column i
-        spans the m steps from node start + i m (past the last node, the
-        identity padding).  The rows are only valid until the next
-        evaluation.
-        """
-        m = self._blocks.m
-        b0, ends = start // m, [-(-stop // m) for stop in stops]
-        if not ends:
-            return
-        size = max(1, WORK_FLOATS // (4 * m * (max(ends) - b0)))
-        for i in range(0, len(ends), size):
-            ks = range(i, min(i + size, len(ends)))
-            es = np.array([energies[k] for k in ks])
-            yield ks, self._blocks.products(es, b0, max(ends[k] for k in ks), self._work)
-
     def count_round(self, energies) -> list[int]:
         """Interior nodes of the left-anchored solution at each energy: eigenvalues below it.
 
-        Every energy lies inside the window.  The energies share their
-        evaluations (``_rows``).  Each sweep runs TAIL_CHUNK steps into the
-        settled tail at its energy (rounded up to a block end), where every q
-        is >= 0 and so, for h > 0, every RK4 propagator entry is >= 0; from
-        the first state there with phi and phi' of one sign no step can add
-        a node (``kernels`` module docstring).  A sweep not yet in such a state goes on through the
-        rest of its evaluation, then, together with the others still going
-        from the same node, through further evaluations of TAIL_CHUNK, twice
-        as many, ... steps.  Every count is that of the full sweep; each one
-        joins the staircase.
+        Every energy lies inside the window.  An energy already on the
+        staircase is answered from it; the others are swept, sharing their
+        evaluations (``_BlockTables.rows``).  Each sweep runs TAIL_CHUNK steps
+        into the settled tail at its energy (rounded up to a block end), where
+        every q is >= 0 and so, for h > 0, every RK4 propagator entry is
+        >= 0; from the first state there with phi and phi' of one sign no
+        step can add a node (``kernels`` module docstring).  A sweep not yet
+        in such a state goes on through the rest of its evaluation, then,
+        together with the others still going from the same node, through
+        further evaluations of TAIL_CHUNK, twice as many, ... steps.  Every
+        count is that of the full sweep; each new one joins the staircase.
         """
         last, m = self.u_nodes.size - 1, self._blocks.m
-        es = sorted(set(energies))
+        wanted, size = set(energies), TAIL_CHUNK
+        found = {E: n for E, n in zip(self._stair_e, self._stair_n) if E in wanted}
+        es = sorted(wanted - found.keys())
         tails = self._tail_start(es).tolist()
         going = {0: [(E, 0.0, 1.0, 0, min(t + TAIL_CHUNK, last)) for E, t in zip(es, tails)]}
-        found, size = {}, TAIL_CHUNK
         while going:
             later: dict[int, list] = {}
             for start, sweeps in going.items():
-                for ks, rows in self._rows([s[0] for s in sweeps], start,
-                                           [s[4] for s in sweeps]):
+                for ks, rows in self._blocks.rows([s[0] for s in sweeps], start,
+                                                  [s[4] for s in sweeps]):
                     end = rows[0].shape[1]
                     reached = min(start + end * m, last)
                     for j, k in enumerate(ks):
@@ -480,9 +467,9 @@ class _ShootingEngine:
 
         ``_matched`` gets (phi, phi', nodes) of both sides.  Every energy
         lies inside the window.  The energies not yet matched share their
-        evaluations (``_rows``).  The right half-sweep at energies[k] starts
-        at node starts[k], rounded up to a block end, which only adds WKB
-        depth.  The RK4 step from x + h back to x is the adjugate
+        evaluations (``_BlockTables.rows``).  The right half-sweep at
+        energies[k] starts at node starts[k], rounded up to a block end,
+        which only adds WKB depth.  The RK4 step from x + h back to x is the adjugate
         [[m11, -m01], [-m10, m00]] of the forward step over the same points
         (m10 up to rounding), and adj(AB) = adj(B) adj(A): the right
         half-sweep walks the adjugates of the forward blocks in reverse
@@ -496,7 +483,7 @@ class _ShootingEngine:
                 new.setdefault(E, start)
         es, stops = list(new), [int(start) for start in new.values()]
         m = self._blocks.m
-        for ks, rows in self._rows(es, 0, stops):
+        for ks, rows in self._blocks.rows(es, 0, stops):
             # reversed views: column c of a row moves to size - 1 - c
             size, mid = rows[0].shape[1], self.i_match // m
             m00, m01, m10, m11 = (r[:, ::-1] for r in rows)
@@ -583,6 +570,7 @@ class _ShootingEngine:
                     del runs[n]
         return found
 
+    @np.errstate(invalid="ignore")  # NaN steps of a non-finite table (then m = 1)
     def solve(self, n_list, tol_ev: float) -> list[tuple[int, float]]:
         """Eigenvalues of the requested levels inside the window, as (n, E), in the order requested.
 

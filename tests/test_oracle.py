@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -327,14 +328,19 @@ class TestSolver:
                 solve_states(mm, WEYL, h2, grid, [0])
         assert calls == {"u_eff": [], "mass": []}
 
+    @staticmethod
+    def _window_above_level_2(tol):
+        """The box on 1001 points, its level 2 and a window whose top lies tol/4 above it."""
+        grid = GridSpec(0.0, 1.0, 1001)
+        level = solve_on_grid(flat_potential, const_mass(1.0), grid, [2], BOX_WINDOW, 1e-12)[0][1]
+        return grid, level, (BOX_WINDOW[0], level + 0.25 * tol)
+
     def test_certificates_stay_inside_the_window(self, monkeypatch):
         # the window's top lies tol/4 above level 2 of the grid: the count at
         # E + tol/2 is clamped to the window's top, whose count is known, so
         # no sweep leaves the window and level 2 still lies within tol/2
-        grid = GridSpec(0.0, 1.0, 1001)
         tol = 1e-6
-        level = solve_on_grid(flat_potential, const_mass(1.0), grid, [2], BOX_WINDOW, 1e-12)[0][1]
-        window = (BOX_WINDOW[0], level + 0.25 * tol)
+        grid, level, window = self._window_above_level_2(tol)
         swept = []
         engine = oracle._ShootingEngine
         count_round, half_sweeps = engine.count_round, engine._half_sweeps
@@ -355,6 +361,23 @@ class TestSolver:
         assert swept and all(window[0] <= e <= window[1] for e in swept), max(swept) - window[1]
         assert [n for n, _ in results] == [0, 1, 2]
         assert abs(results[2][1] - level) <= 0.5 * tol
+
+    def test_staircase_holds_each_energy_once(self, monkeypatch):
+        # the certificate of level 2 is clamped to the window's top, which
+        # the first round counted: the second round that asks for the top is
+        # answered from the staircase, so no energy joins it twice
+        tol = 1e-6
+        grid, _, window = self._window_above_level_2(tol)
+        engine = engine_on(flat_potential, const_mass(1.0), grid, window)
+        rounds = []
+        count_round = oracle._ShootingEngine.count_round
+        monkeypatch.setattr(oracle._ShootingEngine, "count_round",
+                            lambda self, energies: rounds.append(list(energies))
+                            or count_round(self, energies))
+        assert [n for n, _ in engine.solve(range(3), tol)] == [0, 1, 2]
+        assert sum(window[1] in energies for energies in rounds) == 2
+        assert len(set(engine._stair_e)) == len(engine._stair_e)
+        assert window[1] in engine._stair_e
 
     def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_BISECTIONS", 2)
@@ -525,9 +548,10 @@ class TestBlockedSweeps:
                     for k in range(m):
                         product = steps[e, :, :, k, b] @ product
                     expected[:, :, e, b] = product
-            work = np.empty(steps.size // 2)
-            got = np.array(kernels.block_products(steps.copy(), work)).reshape(2, 2, 3, 5)
+            before = steps.copy()
+            got = np.array(kernels.block_products(steps)).reshape(2, 2, 3, 5)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+            assert steps.tobytes() == before.tobytes()  # the input is left as it was
 
     def test_nan_and_wall_spikes_run_step_by_step(self):
         # a NaN midpoint and 1e12 eV spikes: the whole grid runs in blocks of
@@ -542,7 +566,6 @@ class TestBlockedSweeps:
         (None, 0.0, oracle.MAX_BLOCK), ("node", math.nan, 1), ("midpoint", math.nan, 1),
         ("node", math.inf, 1), ("node", -math.inf, 1), ("node", 1e12, 1)],
         ids=["smooth", "NaN node", "NaN midpoint", "+inf", "-inf", "1e12 spike"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_one_bad_point_gives_blocks_of_one_step(self, where, value, m):
         # one non-finite q at the window ends, or one step that could grow
         # the solution by more than exp(BLOCK_GROWTH), takes the whole grid
@@ -558,6 +581,21 @@ class TestBlockedSweeps:
             table = engine.u_nodes if where == "node" else engine.u_mids
             np.testing.assert_equal(table[2500], value)
         assert engine._blocks.m == m
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["+inf", "-inf"])
+    def test_infinite_point_solves_without_warnings(self, value):
+        # the +-inf grids above: the table build and a solve of every level
+        # in the window (inf * 0 at the window's midpoint) warn nothing
+        grid = GridSpec(0.0, 1.0, 4001)
+        smooth = smooth_potential(6, 1.0)
+        _, window = self._engine_at_the_bound(smooth, grid)
+        x_bad = grid.xs()[2500]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solved = solve_on_grid(lambda x: np.where(x == x_bad, value, smooth(x)),
+                                   const_mass(1.0), grid, range(62), window)
+        assert [n for n, _ in solved] == list(range(62))
+        assert all(math.isfinite(e) for _, e in solved)
 
     # m of every default-domain engine, both orderings, by domain in solve
     # order (the README table)
@@ -621,22 +659,46 @@ class TestBatchedRounds:
 
     GRID = GridSpec(0.0, 1.0, 4001)
 
+    @staticmethod
+    def _rows_by_energy(blocks, energies, b0, b1):
+        """The rows of blocks b0..b1-1 at each energy, from one ``rows`` call: {k: four rows}."""
+        m = blocks.m
+        return {k: [r[j] for r in rows]
+                for ks, rows in blocks.rows(energies, b0 * m, [b1 * m] * len(energies))
+                for j, k in enumerate(ks)}
+
     def test_block_products_match_single_energy_evaluations(self):
-        # one evaluation of K energies against K evaluations of one, over
-        # ranges at the start, inside and at the end of the grid
+        # rows of K energies against rows of each energy alone, over ranges
+        # at the start, inside and at the end of the grid
         engine, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(
             smooth_potential(5, 1.0), self.GRID)
         blocks = engine._blocks
         assert blocks.m == oracle.MAX_BLOCK
-        energies = np.linspace(e_lo, e_hi, 7)
+        energies = list(np.linspace(e_lo, e_hi, 7))
         nb = -(-(self.GRID.points - 1) // blocks.m)
-        work = (np.empty(energies.size * 4 * blocks.m * nb), np.empty(energies.size * 4 * blocks.m * nb))
         for b0, b1 in ((0, 50), (0, nb), (56, 60), (150, 200), (nb - 1, nb)):
-            batched = [r.copy() for r in blocks.products(energies, b0, b1, work)]
+            batched = self._rows_by_energy(blocks, energies, b0, b1)
+            assert sorted(batched) == list(range(7))
             for k, e in enumerate(energies):
-                single = blocks.products(np.array([e]), b0, b1, work)
-                for got, alone in zip(batched, single):
-                    assert got[k].tobytes() == alone[0].tobytes(), (b0, b1, k)
+                (alone,) = self._rows_by_energy(blocks, [e], b0, b1).values()
+                assert [r.shape for r in alone] == [(b1 - b0,)] * 4, (b0, b1)
+                for got, single in zip(batched[k], alone):
+                    assert got.tobytes() == single.tobytes(), (b0, b1, k)
+
+    def test_rows_outlive_the_next_evaluation(self):
+        # every evaluation makes its own arrays: 7 energies over the whole
+        # grid take several evaluations, and the rows of the first are
+        # unchanged after the rest
+        engine, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(
+            smooth_potential(5, 1.0), self.GRID)
+        blocks = engine._blocks
+        nb = -(-(self.GRID.points - 1) // blocks.m)
+        evaluations = blocks.rows(list(np.linspace(e_lo, e_hi, 7)), 0, [nb * blocks.m] * 7)
+        ks, first = next(evaluations)
+        kept = [r.copy() for r in first]
+        assert len(ks) < 7 and len(list(evaluations)) >= 1
+        for got, want in zip(first, kept):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case, m", [("blocked", oracle.MAX_BLOCK), ("spiked", 1),
                                          ("step by step", 1)])
@@ -667,9 +729,9 @@ class TestBatchedRounds:
         # H2, eta 0.2, levels 0-12 on the 2001-point singular domain: one
         # evaluation per sweep made 151; rounds share them among 96 energies
         evaluations = []
-        products = oracle._BlockTables.products
-        monkeypatch.setattr(oracle._BlockTables, "products",
-                            lambda *args: evaluations.append(args[1].size) or products(*args))
+        products = kernels.block_products
+        monkeypatch.setattr(kernels, "block_products",
+                            lambda steps: evaluations.append(len(steps)) or products(steps))
         mm = MassModel.for_molecule(h2, 0.2)
         solve_states(mm, WEYL, h2, GridSpec(*reference_domain(h2, 0.2), 2001), range(13),
                      tol_ev=1e-6)
@@ -714,7 +776,7 @@ def table_steps(engine, energies):
     """The engine's table evaluated at each energy, single steps in step order.
 
     Four (K, steps) arrays, by Horner's rule in the order of operations of
-    ``_BlockTables.products``, so each entry has the bits the sweeps see.
+    ``_BlockTables.rows``, so each entry has the bits the sweeps see.
     """
     blocks = engine._blocks
     d = (np.asarray(energies) - blocks.energies[1])[:, None]
