@@ -10,8 +10,10 @@ looked up) and one refinement half-sweep pair (``phase``: the right start,
 both sweeps and their block products).  Times are the best of --repeats calls,
 in ms per call and ns per grid step.  The block size line gives the steps
 per block, and the engine build line times ``oracle._effective_engine`` on
-the grid: its U_eff and mass tables, block size and step table.  The wall
-engine line times an engine build and a 4-level solve (tol 1e-6 eV, as
+the grid: its U_eff and mass tables, block size and an empty step table,
+which the rounds of a solve fill as far as they reach.  The table fill line
+times the fill of a whole step table of that engine.  The wall engine line
+times an engine build and a 4-level solve (tol 1e-6 eV, as
 oracle-compare solves) on [-2.5, 10] A, a domain that reaches into the
 steep left wall, where blocks could grow the solution by more than
 exp(oracle.BLOCK_GROWTH) and the engine sweeps in blocks of m = 1 step; it
@@ -100,6 +102,12 @@ def main() -> None:
     near = [e + 5e-7 for _, e in engine.solve(range(LEVELS), 1e-7)]
     print(f"block size       : {engine._blocks.m} steps")
     report("engine build", best_time(build_engine, (args.points,), args.repeats), steps)
+    blocks, tables = engine._blocks, (engine.u_nodes, engine.u_mids, engine.p_nodes, engine.p_mids)
+
+    def fill():
+        oracle._BlockTables(tables, engine.h, blocks.energies, blocks.m).fill()
+
+    report("table fill", best_time(fill, (), args.repeats), steps)
     report("wall engine", best_time(wall_engine, (args.points,), args.repeats), steps,
            f"  m = {wall_engine(args.points)._blocks.m}, {WALL_LEVELS} levels")
 

@@ -8,7 +8,12 @@ Solve strategy, shared by every requested level of one grid:
 * **Sturm staircase.**  A full left-to-right sweep counts the interior nodes
   of the one-sided solution, which is exactly the number of eigenvalues
   below E.  Every count is kept as an (E, nodes) step, so each one tightens
-  the bracket of every level; the window ends are counted once.
+  the bracket of every level.  The first round counts the window bottom and
+  midpoint.  The top is counted only where a bracket can reach it or it
+  decides whether the midpoint is an isolation point: for a level at or
+  above nodes(midpoint), or a window that may hold one level, or one no
+  wider than tol.  The top's count sweeps the whole grid; at 8001 points
+  the other sweeps of levels 0-2 reach at most about a third of it.
 * **Isolation.**  A level's staircase bracket is bisected until it holds
   that level alone: nodes(lo) == n and nodes(hi) == n + 1.
 * **Refinement.**  Inside the isolated bracket an Anderson-Bjorck regula
@@ -27,7 +32,7 @@ Solve strategy, shared by every requested level of one grid:
   energy lies within tol/2 of the point where the node count steps from n
   to n + 1.
 * **Rounds.**  All requested levels advance together.  The rounds are: the
-  window-end counts; bisection of every bracket that still holds more than
+  first counts; bisection of every bracket that still holds more than
   one level, one count per bracket; the half-sweeps at every bracket end,
   then one Anderson-Bjorck iterate per unfinished level; the certificates
   of every level at once; bisection of every uncertified bracket.  The
@@ -39,10 +44,11 @@ Solve strategy, shared by every requested level of one grid:
   eta = 0.2, 2001-point solve of levels 0-12 makes 22 block-table
   evaluations for 96 energies (one per sweep made 151) and 151 sweeps.
 * **Blocked sweeps.**  Each engine tabulates the RK4 step matrices over
-  its energy window as quadratics in E when it is built, in one pass: the
-  steps at the window's midpoint and the exact linear and quadratic
-  coefficients, in closed form from p and U.  That table is the only
-  source of step matrices for its sweeps.  Sweeps walk products of
+  its energy window as quadratics in E: the steps at the window's midpoint
+  and the exact linear and quadratic coefficients, in closed form from p
+  and U.  Each evaluation first fills the table up to the furthest block it
+  needs, in passes of FILL_CHUNK steps; the table is the only source of
+  step matrices for its sweeps.  Sweeps walk products of
   m <= MAX_BLOCK consecutive steps, one Python iteration per block.
   m h sqrt(max(-q)) <= pi/2 over the window leaves at most one node per
   block (Sturm comparison), so every count is that of the step-by-step
@@ -94,12 +100,16 @@ DEPTH_CHUNK = 512
 # range above the sweep's 1e250 rescale threshold.
 MAX_BLOCK = 16
 BLOCK_GROWTH = 50.0
-# Steps per pass while the block tables are built: bounds the temporaries
-# (about 20 arrays of this many floats).  Of 1K to 32K, 8K built an 8001- and
-# a 100,001-point table fastest on a 2-vCPU host.  It also bounds each
-# evaluation of a round: its energies times their steps, so that its largest
-# array, four entries per step, is 256 KiB.
+# Steps per evaluation of a round (its energies times their steps), so that
+# its largest array, four entries per step, is 256 KiB.
 TABLE_CHUNK = 8192
+# Steps per pass while a block table is filled: about 20 temporaries of this
+# many floats per pass, and the fill stops at most this many steps past the
+# furthest block a round needs.  Of 512 to 8K, 2K spent the least time
+# filling on a 2-vCPU host, over the solves of the 14 H2 and LiH
+# oracle-compare grids (best of 40): 4.8 ms for levels 0-2 at 8001 points
+# (5.8 at 1K and 4K, 9.7 at 8K) and 3.7 ms for levels 0-12 at 2001 (5.1 at 1K).
+FILL_CHUNK = 2048
 # (c2, f, c1) of an identity step: the step table's padding
 _PADDING = np.array([np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])[..., None]
 # glibc's mallopt parameters (malloc.h) and the values the oracle sets: the
@@ -108,8 +118,8 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 * 2**20
 TRIM_THRESHOLD = 64 * 2**20
 # Most points a grid may have.  A solve's peak memory grows by about 190
-# bytes per point (400,001 points: 106.4-106.5 MB of peak RSS, against
-# 30.0-30.2 MB at 2001, over six oracle-compare requests, H2 and LiH at
+# bytes per point (400,001 points: 104.8-104.9 MB of peak RSS, against
+# 30.1 MB at 2001, over six oracle-compare requests, H2 and LiH at
 # eta 0, 0.2 and 0.6, n <= 2), so a larger --grid could get the process
 # killed on a small host before numpy's allocation fails.  125 times the
 # default 8001 points.
@@ -191,29 +201,38 @@ class _BlockTables:
     identity.  The engine picks an m that every block can serve
     (``_ShootingEngine._block_size``), so the table has one use: the block
     products of a round's energies inside the window (``rows``), each
-    evaluation in arrays of its own.  A non-finite U gives NaN steps (and
-    m = 1) without a numpy warning.
+    evaluation in arrays of its own.  The table is allocated when it is
+    built and filled on first use (``fill``), from the first block on, in
+    passes of FILL_CHUNK steps, as far as the evaluations reach; each step
+    is filled once, with the same bits in any pass.  A non-finite U gives
+    NaN steps (and m = 1) without a numpy warning.
     """
 
-    @np.errstate(invalid="ignore")  # a non-finite U (then m = 1) makes NaN steps
     def __init__(self, tables, h: float, energies, m: int):
         """tables (U nodes, U midpoints, p nodes, p midpoints) as the engine
         holds them; h the grid step; energies (e_lo, e_mid, e_hi) in eV, the
-        window and its midpoint; m the block size."""
-        u_nodes, u_mids, p_nodes, p_mids = tables
-        e_mid = energies[1]
-        n = p_mids.size
-        nb = -(-n // m)
+        window and its midpoint; m the block size.  No block is filled yet."""
+        self._tables, self._h = tables, h
         self.energies = energies
+        self.m = m
         # (coefficient c2, f(e_mid), c1; i, j, step in block, block)
-        self._table = np.empty((3, 2, 2, m, nb))
+        self._table = np.empty((3, 2, 2, m, -(-tables[3].size // m)))
         self._table[..., -1] = _PADDING  # of the last block
-        self._table[0, 0, 1] = 0.0  # m01 has no d^2 term
+        self.filled = 0  # blocks 0 .. filled - 1 hold their steps
+
+    @np.errstate(invalid="ignore")  # a non-finite U (then m = 1) makes NaN steps
+    def fill(self, blocks: int | None = None) -> None:
+        """Fill every block up to blocks (all by default), FILL_CHUNK steps per pass."""
+        u_nodes, u_mids, p_nodes, p_mids = self._tables
+        h, m, e_mid = self._h, self.m, self.energies[1]
+        n, nb = p_mids.size, self._table.shape[-1]
+        end = nb if blocks is None else min(blocks, nb)
         by_block = self._table.transpose(1, 2, 0, 4, 3)  # (i, j, coefficient, block, step)
         h2, h3, h4 = h * h, h * h * h, (h * h) * (h * h)
-        chunk = TABLE_CHUNK // m  # blocks per pass: bounds the temporaries
-        for b0 in range(0, nb, chunk):
-            start, stop = b0 * m, min((b0 + chunk) * m, n)
+        chunk = FILL_CHUNK // m  # blocks per pass
+        for b0 in range(self.filled, end, chunk):
+            b1 = min(b0 + chunk, nb)
+            start, stop = b0 * m, min(b1 * m, n)
             pn, pm = p_nodes[start:stop + 1], p_mids[start:stop]
             an = pn * (u_nodes[start:stop + 1] - e_mid)
             am = pm * (u_mids[start:stop] - e_mid)
@@ -227,41 +246,47 @@ class _BlockTables:
                         - h3 * (am * pip + pm * (ai + ap)) / 12.0, h3 * (pm * pip) / 12.0),
                        (1, 1, f11, -h2 * (pm3 + pn6[1:]) - h4 * (am * pp + ap * pm) / 24.0,
                         h4 * (pm * pp) / 24.0))
+            by_block[0, 1, 0, b0:b1] = 0.0  # m01 has no d^2 term
             full, rest = divmod(stop - start, m)
             for i, j, *coefficients in entries:
                 for c, values in zip((1, 2, 0), coefficients):  # f(e_mid), c1, c2
                     by_block[i, j, c, b0:b0 + full] = values[:full * m].reshape(full, m)
                     if rest:  # the last block
                         by_block[i, j, c, b0 + full, :rest] = values[full * m:]
-        self.m = m
+            self.filled = b1
 
     def rows(self, energies, start: int, stops):
         """Block matrices at each energy from node start on, in shared evaluations.
 
         start is a multiple of m, and energy k needs the blocks up to node
-        stops[k], rounded up to the next multiple of m.  Every energy lies
-        inside the window.  Each evaluation serves as many energies as keep
-        it within TABLE_CHUNK steps: Horner's rule fills one (K, 2, 2, m, nb)
-        array, and one ``kernels.block_products`` tree multiplies the blocks
-        of all K energies.  Yields (ks, rows): row j of each of the four
-        arrays rows holds the block matrices of energy energies[ks[j]], bit
-        for bit what that energy alone gets, and column i spans the m steps
-        from node start + i m (past the last node, the identity padding).
-        Every evaluation makes fresh arrays.
+        stops[k], rounded up to the next multiple of m; the table is first
+        filled that far.  Every energy lies inside the window.  Each
+        evaluation serves as many energies as keep it within TABLE_CHUNK
+        steps: Horner's rule fills one (K, 2, 2, m, nb) array, and one
+        ``kernels.block_products`` tree multiplies the blocks of all K
+        energies.  Yields (ks, rows): row j of each of the four arrays rows
+        holds the block matrices of energy energies[ks[j]], bit for bit what
+        that energy alone gets, and column i spans the m steps from node
+        start + i m (past the last node, the identity padding).  Every
+        evaluation makes fresh arrays.
         """
         m = self.m
         b0, ends = start // m, [-(-stop // m) for stop in stops]
         if not ends:
             return
-        size = max(1, TABLE_CHUNK // (m * (max(ends) - b0)))
+        last = max(ends)
+        if last > self.filled:
+            self.fill(last)
+        size = max(1, TABLE_CHUNK // (m * (last - b0)))
         for i in range(0, len(ends), size):
             ks = range(i, min(i + size, len(ends)))
             d = np.array([energies[k] - self.energies[1] for k in ks])[:, None, None, None, None]
             c2, f1, c1 = self._table[..., b0:max(ends[k] for k in ks)]
-            x = c2 * d  # Horner's rule, (c2 d + c1) d + f1, in one array
-            x += c1
-            x *= d
-            x += f1
+            with np.errstate(invalid="ignore"):  # a non-finite U (then m = 1): inf * 0 at e_mid
+                x = c2 * d  # Horner's rule, (c2 d + c1) d + f1, in one array
+                x += c1
+                x *= d
+                x += f1
             yield ks, kernels.block_products(x)
 
 
@@ -570,24 +595,34 @@ class _ShootingEngine:
                     del runs[n]
         return found
 
-    @np.errstate(invalid="ignore")  # NaN steps of a non-finite table (then m = 1)
     def solve(self, n_list, tol_ev: float) -> list[tuple[int, float]]:
         """Eigenvalues of the requested levels inside the window, as (n, E), in the order requested.
 
-        All levels advance together, in rounds (module docstring).  The
+        All levels advance together, in rounds (module docstring); the first
+        round takes the staircase to be empty, so an engine solves once.  The
         certificate counts at E -+ tol/2 are clamped to the window: a window
         end's count is known, so the node-count step still lies within
         tol/2 of E, and no sweep leaves the window.
         """
         n_list = list(n_list)
-        e_lo, _, e_hi = self._blocks.energies
-        n_lo, n_hi = self.count_round([e_lo, e_hi])
+        levels = sorted(set(n_list))
+        e_lo, e_mid, e_hi = self._blocks.energies
+        # e_mid is the first isolation point of a window wider than tol that
+        # holds two levels or more; no bracket of a level below nodes(e_mid)
+        # reaches e_hi.  n_up is the count at e_mid, or at e_hi once counted.
+        split = e_hi - e_lo > tol_ev
+        n_lo, n_up = self.count_round([e_lo, e_mid if split else e_hi])
+        if split and (n_up - n_lo < 2 or not all(n_lo <= n < n_up for n in levels)):
+            (n_up,) = self.count_round([e_hi])
+            split = n_up - n_lo > 1
+            if not split:  # one level: no isolation, so e_mid leaves the staircase
+                i = self._stair_e.index(e_mid)
+                del self._stair_e[i], self._stair_n[i]
         for n in n_list:
-            if not n_lo <= n < n_hi:
+            if not n_lo <= n < n_up:
                 raise NoBracket(
                     f"state n={n} not bracketed: nodes({e_lo:.6g})={n_lo}, "
-                    f"nodes({e_hi:.6g})={n_hi}")
-        levels = sorted(set(n_list))
+                    f"nodes({e_hi:.6g})={n_up}")
         steps = dict.fromkeys(levels, 0)
 
         def spend(n):
@@ -595,6 +630,8 @@ class _ShootingEngine:
                 raise NonConvergence(f"no convergence to {tol_ev} eV in {MAX_BISECTIONS} steps")
             steps[n] += 1
 
+        for n in levels if split else ():  # e_mid: every level's first isolation step
+            spend(n)
         self._bisect(levels, tol_ev, spend, isolate=True)
         brackets = {}
         for n in levels:
@@ -621,10 +658,11 @@ class _ShootingEngine:
 def _keep_freed_heap() -> None:
     """Keep the memory one solve frees in the heap for the next (glibc; once per process).
 
-    Each domain solve allocates and frees about 1.7 MB of tables.  Under
-    glibc's default thresholds that memory goes back to the kernel, and the
-    next solve faults it in again page by page: about 850 minor faults per
-    8001-point oracle-compare request.  An mmap threshold of MMAP_THRESHOLD
+    Each domain solve allocates and frees up to about 1.6 MB of tables at
+    8001 points (levels 0-2, traced by tracemalloc).  Under glibc's default
+    thresholds that memory goes back to the kernel, and the next solve
+    faults it in again page by page: about 850 minor faults per 8001-point
+    oracle-compare request.  An mmap threshold of MMAP_THRESHOLD
     and a trim threshold of TRIM_THRESHOLD keep it mapped, at the cost of up
     to TRIM_THRESHOLD of freed heap kept by the process.  Nothing is set
     where libc.so.6 does not load or has no mallopt (macOS, Windows, musl),

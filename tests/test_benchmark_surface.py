@@ -3,9 +3,10 @@
 The tracer wraps every entry point listed in ``tracing.BOUNDARIES`` at its
 ``pdmorse.<layer>`` home, the run record reads ``kernels.USE_NUMBA``, and the
 output checks import from the library.  The micro-benchmark scripts under
-``benchmarks/`` reach private names (``oracle._effective_engine``, and the
-engine's ``_q``, ``solve``, ``count_round``, ``phase``, ``_half_sweeps``,
-``_right_starts``, ``_matched`` and ``_blocks.m``), so each runs here once at
+``benchmarks/`` reach private names (``oracle._effective_engine``,
+``oracle._BlockTables`` and its ``fill``, and the engine's ``_q``, ``solve``,
+``count_round``, ``phase``, ``_half_sweeps``, ``_right_starts``, ``_matched``
+and ``_blocks.m`` and ``.energies``), so each runs here once at
 a small size, as do the ``src/`` code-line counter and the deck-0 byte
 comparison (``same_bytes.py``, which reads ``e2ebench/workloads``).  A
 deletion or rename that would break any of them fails here, not only when a
@@ -53,7 +54,7 @@ def test_output_checks_import():
 
 @pytest.mark.parametrize("script, args, labels", [
     ("bench_shooting.py", ["--points", "2001", "--repeats", "1"],
-     ["points", "propagators", "sweep", "block size", "engine build", "wall engine",
+     ["points", "propagators", "sweep", "block size", "engine build", "table fill", "wall engine",
       "counting sweep", "half-sweep pair", "batched round", "engine faults"]),
     ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
@@ -80,7 +81,7 @@ def test_benchmark_script_runs(script, args, labels):
     assert [re.split(r"\s*: ", line, maxsplit=1)[0] for line in lines] == labels
     if script == "bench_shooting.py":
         assert re.search(r"^block size +: (1|2|4|8|16) steps$", lines[3])
-        assert re.search(r"  m = 1, 4 levels$", lines[5])
+        assert re.search(r"  m = 1, 4 levels$", lines[6])
         assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-3])
         assert re.search(r" ms per energy, 13 energies\)$", lines[-2])
         assert re.search(r": \d+ minor page faults per engine build and solve$", lines[-1])

@@ -379,6 +379,74 @@ class TestSolver:
         assert len(set(engine._stair_e)) == len(engine._stair_e)
         assert window[1] in engine._stair_e
 
+    @pytest.mark.parametrize("domain", ["boundary", "singular"])
+    def test_low_levels_leave_the_window_top_uncounted(self, h2, domain, monkeypatch):
+        # H2 eta 0.2, levels 0-2 at 8001 points, as oracle-compare solves
+        # them: no bracket reaches the window top, so it is never counted;
+        # the rounds need at most half of the step table's blocks, the fill
+        # stops at the end of the pass that holds the last of them, and the
+        # energies are those of an engine whose table was filled whole first
+        mm = MassModel.for_molecule(h2, 0.2)
+        grid = GridSpec(*default_domain(h2, 0.2)[domain], 8001)
+        counted, needed = [], [0]
+        count_round, fill = oracle._ShootingEngine.count_round, oracle._BlockTables.fill
+
+        def counting(self, energies):
+            energies = list(energies)
+            counted.extend(energies)
+            return count_round(self, energies)
+
+        def filling(self, blocks=None):
+            needed.append(blocks)
+            fill(self, blocks)
+
+        monkeypatch.setattr(oracle._ShootingEngine, "count_round", counting)
+        monkeypatch.setattr(oracle._BlockTables, "fill", filling)
+        engine, (_, e_hi) = effective_engine(mm, h2, grid)
+        solved = engine.solve(range(3), 1e-6)
+        assert counted and e_hi not in counted
+        blocks = engine._blocks
+        nb, chunk = blocks._table.shape[-1], oracle.FILL_CHUNK // blocks.m
+        assert 0 < max(needed) <= nb // 2
+        assert blocks.filled == -(-max(needed) // chunk) * chunk < nb
+        monkeypatch.undo()
+        full, _ = effective_engine(mm, h2, grid)
+        full._blocks.fill()
+        assert bits(full.solve(range(3), 1e-6)) == bits(solved)
+
+    def test_levels_past_the_midpoint_count_the_window_top(self, lih):
+        # LiH eta 0, levels 0-12 at 2001 points: the upper levels' brackets
+        # reach the window top, which is counted, and the whole table is filled
+        mm = MassModel.for_molecule(lih, 0.0)
+        engine, (_, e_hi) = effective_engine(mm, lih, GridSpec(*reference_domain(lih, 0.0), 2001))
+        assert [n for n, _ in engine.solve(range(13), 1e-6)] == list(range(13))
+        assert e_hi in engine._stair_e
+        assert engine._blocks.filled == engine._blocks._table.shape[-1]
+
+    def test_window_of_one_level_is_not_bisected(self):
+        # a window that holds level 1 of the box alone: its midpoint is
+        # counted but leaves the staircase, the refinement runs on the whole
+        # window, and the energy and staircase are those of a solve that
+        # counts the window ends alone first
+        grid = GridSpec(0.0, 1.0, 1001)
+        window = (0.5 * (box_level(0) + box_level(1)), 0.5 * (box_level(1) + box_level(2)))
+        engine = engine_on(flat_potential, const_mass(1.0), grid, window)
+        tol = 1e-7
+        ((n, e),) = engine.solve([1], tol)
+        assert (n, e) == (1, 0.08251303686623324)
+        assert list(zip(engine._stair_e, engine._stair_n)) == [
+            (window[0], 1), (e - 0.5 * tol, 1), (e + 0.5 * tol, 2), (window[1], 2)]
+        assert window[0] in engine._matched and window[1] in engine._matched
+
+    @pytest.mark.parametrize("n", [-1, 12])
+    def test_unbracketed_level_names_both_window_ends(self, n):
+        # below the window and at its top: both messages give the counts at
+        # both ends, the top's included
+        engine = engine_on(flat_potential, const_mass(1.0), GridSpec(0.0, 1.0, 1001), BOX_WINDOW)
+        with pytest.raises(NoBracket) as raised:
+            engine.solve([0, n], 1e-7)
+        assert str(raised.value) == f"state n={n} not bracketed: nodes(0.0001)=0, nodes(3)=12"
+
     def test_step_budget_raises_nonconvergence(self, h2, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_BISECTIONS", 2)
         mm = MassModel.for_molecule(h2, 0.0)
@@ -581,6 +649,15 @@ class TestBlockedSweeps:
             table = engine.u_nodes if where == "node" else engine.u_mids
             np.testing.assert_equal(table[2500], value)
         assert engine._blocks.m == m
+        # rounds outside a solve fill the table and evaluate it (inf * 0 at
+        # e_mid on the +-inf grids) without a numpy warning
+        e_lo, e_mid, e_hi = engine._blocks.energies
+        energies = [e_lo, 0.5 * (e_lo + e_mid), e_mid, e_hi]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            engine.count_round(energies)
+            engine._half_sweeps(energies, engine._right_starts(np.array(energies)))
+        assert engine._blocks.filled == engine._blocks._table.shape[-1]
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["+inf", "-inf"])
     def test_infinite_point_solves_without_warnings(self, value):
@@ -739,12 +816,12 @@ class TestBatchedRounds:
 
 
 class TestOneStepTable:
-    """An engine builds its step table once; every sweep reads it."""
+    """An engine fills each step of its step table once; every sweep reads it."""
 
-    def test_sweeps_make_no_propagator_calls(self, h2, monkeypatch):
+    def test_each_step_is_filled_once(self, h2, monkeypatch):
         # a full solve on an m = 1 grid, and rounds on the spiked grid
-        # (m = 1) and on a smooth one (m = MAX_BLOCK): none of them calls
-        # rk4_propagators
+        # (m = 1) and on a smooth one (m = MAX_BLOCK), then a full fill:
+        # rk4_propagators sees each step of each engine once
         mm = MassModel.for_molecule(h2, 0.6)
         singular = oracle._effective_engine(mm, WEYL, h2,
                                             GridSpec(*reference_domain(h2, 0.6), 2001))
@@ -753,17 +830,22 @@ class TestOneStepTable:
         smooth, _ = TestBlockedSweeps._engine_at_the_bound(smooth_potential(5, 1.0), grid)
         assert singular._blocks.m == spiked._blocks.m == 1
         assert smooth._blocks.m == oracle.MAX_BLOCK
-        props = []
+        filled = []
         rk4 = kernels.rk4_propagators
-        monkeypatch.setattr(kernels, "rk4_propagators", lambda *a: props.append(1) or rk4(*a))
+        monkeypatch.setattr(kernels, "rk4_propagators",
+                            lambda *a: filled.append(a[1].size) or rk4(*a))
         solved = singular.solve(range(13), 1e-6)
-        for engine in (spiked, smooth):
-            e_lo, _, e_hi = engine._blocks.energies
-            inside = list(np.linspace(e_lo, e_hi, 9))
-            engine.count_round(inside)
-            engine._half_sweeps(inside, engine._right_starts(np.array(inside)))
-        assert props == []
         assert [n for n, _ in solved] == list(range(13))
+        for engine in (singular, spiked, smooth):
+            if engine is not singular:
+                e_lo, _, e_hi = engine._blocks.energies
+                inside = list(np.linspace(e_lo, e_hi, 9))
+                engine.count_round(inside)
+                engine._half_sweeps(inside, engine._right_starts(np.array(inside)))
+            engine._blocks.fill()
+            engine._blocks.fill()  # fills nothing more
+            assert sum(filled) == engine.u_mids.size
+            filled.clear()
 
     @pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
                                         (0.0, math.inf), (-math.inf, 0.0)])
@@ -776,9 +858,11 @@ def table_steps(engine, energies):
     """The engine's table evaluated at each energy, single steps in step order.
 
     Four (K, steps) arrays, by Horner's rule in the order of operations of
-    ``_BlockTables.rows``, so each entry has the bits the sweeps see.
+    ``_BlockTables.rows``, so each entry has the bits the sweeps see.  Fills
+    the whole table first.
     """
     blocks = engine._blocks
+    blocks.fill()
     d = (np.asarray(energies) - blocks.energies[1])[:, None]
     # (i, j, step in block, block) -> (entry, step), less the padding
     c2, f, c1 = (t.transpose(0, 1, 3, 2).reshape(4, -1)[:, :engine.u_mids.size]
@@ -818,20 +902,21 @@ class TestStepTableCoefficients:
 
     @pytest.mark.parametrize("points", [2001, 8001])
     def test_midpoint_is_rk4_propagators_and_m01_is_linear(self, points, monkeypatch):
-        # the build calls rk4_propagators only at e_mid, and its middle row
+        # a full fill calls rk4_propagators only at e_mid, and its middle row
         # holds those steps bit for bit; m01 = h + h^3 q_m/6 has no d^2 term
         calls = []
         rk4 = kernels.rk4_propagators
         monkeypatch.setattr(kernels, "rk4_propagators",
                             lambda *args: calls.append(args) or rk4(*args))
         for label, engine in default_engines(points):
+            calls.clear()
+            engine._blocks.fill()
             e_mid = engine._blocks.energies[1]
             q_nodes, q_mids = engine._q(e_mid)
             # chunks share their end nodes
             nodes = np.concatenate([q[0][:-1] for q in calls] + [calls[-1][0][-1:]])
             assert nodes.tobytes() == q_nodes.tobytes(), label
             assert np.concatenate([q[1] for q in calls]).tobytes() == q_mids.tobytes(), label
-            calls.clear()
             table = engine._blocks._table
             m, nb = table.shape[3:]
             steps = table[1].transpose(0, 1, 3, 2).reshape(4, nb * m)[:, :q_mids.size]
