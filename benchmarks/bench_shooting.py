@@ -1,30 +1,35 @@
 """Benchmark the shooting kernels and the oracle's two kinds of sweep.
 
-Times the closed-form propagator build and the step-by-step sweep over the
-whole grid at a trial energy.  Then it solves the 13 lowest H2 levels on an
-engine built as solve_states builds it, with its step table over the
-window (min U_eff, 0).  At 5e-7 eV above the ground level, where the oracle
-certifies it, it times one counting sweep (``count_round`` of one energy,
-on the staircase as the solve left it, so that the energy is swept and not
-looked up) and one refinement half-sweep pair (``phase``: the right start,
-both sweeps and their block products).  Times are the best of --repeats calls,
-in ms per call and ns per grid step.  The block size line gives the steps
-per block, and the engine build line times ``oracle._effective_engine`` on
-the grid: its U_eff and mass tables, block size and an empty step table,
-which the rounds of a solve fill as far as they reach.  The table fill line
-times the fill of a whole step table of that engine.  The wall engine line
-times an engine build and a 4-level solve (tol 1e-6 eV, as
-oracle-compare solves) on [-2.5, 10] A, a domain that reaches into the
-steep left wall, where blocks could grow the solution by more than
-exp(oracle.BLOCK_GROWTH) and the engine sweeps in blocks of m = 1 step; it
-prints that m.  The next two lines give the Python states (blocks or
-steps) per sweep, the iterations of ``kernels.sweep``.  The batched round line times one
-refinement round of 13 energies, 5e-7 eV above each level: their shared
-block-table evaluations and a half-sweep pair per energy, in ms per round
-and per energy.  The faults line gives the minor page faults of one engine
-build and 13-level solve, repeated after two alike in the same process: the
-pages the oracle's heap hands back to the kernel and faults in again
-(0 once ``oracle._keep_freed_heap`` has set glibc's thresholds).  Usage:
+Prints which loop ``kernels.sweep_row`` runs (``kernels.sweep_kernel``: the
+compiled library, or why the Python loop runs).  Times the closed-form
+propagator build over the whole grid at a trial energy, then the Python
+sweep (``kernels.sweep``) and the compiled one (``kernels.sweep_row``, where
+it built) step by step over those propagators, in us per call and ns per
+state, and in us per call over a single state, the fixed cost of a call.
+Then it solves the 13 lowest H2 levels on an engine built as solve_states
+builds it, with its step table over the window (min U_eff, 0).  At 5e-7 eV
+above the ground level, where the oracle certifies it, it times one counting
+sweep (``count_round`` of one energy, on the staircase as the solve left it,
+so that the energy is swept and not looked up) and one refinement half-sweep
+pair (``phase``: the right start, both sweeps and their block products).
+Times are the best of --repeats calls, in ms per call and ns per grid step.
+The block size line gives the steps per block, and the engine build line
+times ``oracle._effective_engine`` on the grid: its U_eff and mass tables,
+block size and an empty step table, which the rounds of a solve fill as far
+as they reach.  The table fill line times the fill of a whole step table of
+that engine.  The wall engine line times an engine build and a 4-level solve
+(tol 1e-6 eV, as oracle-compare solves) on [-2.5, 10] A, a domain that
+reaches into the steep left wall, where blocks could grow the solution by
+more than exp(oracle.BLOCK_GROWTH) and the engine sweeps in blocks of m = 1
+step; it prints that m.  The next two lines give the states (blocks or
+steps) per sweep, the iterations of ``kernels.sweep_row``.  The batched
+round line times one refinement round of 13 energies, 5e-7 eV above each
+level: their shared block-table evaluations and a half-sweep pair per
+energy, in ms per round and per energy.  The faults line gives the minor
+page faults of one engine build and 13-level solve, repeated after two alike
+in the same process: the pages the oracle's heap hands back to the kernel
+and faults in again (0 once ``oracle._keep_freed_heap`` has set glibc's
+thresholds).  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
@@ -60,14 +65,15 @@ def wall_engine(points: int):
 
 
 def sweep_states(fn) -> tuple[int, int]:
-    """(sweeps, Python states) of the kernels.sweep calls fn() makes."""
+    """(sweeps, states) of the kernels.sweep_row calls fn() makes."""
     states = []
-    sweep = kernels.sweep
-    kernels.sweep = lambda *args: states.append(len(args[0])) or sweep(*args)
+    sweep_row = kernels.sweep_row
+    kernels.sweep_row = lambda *args, **kw: (states.append(args[3] - args[2])
+                                             or sweep_row(*args, **kw))
     try:
         fn()
     finally:
-        kernels.sweep = sweep
+        kernels.sweep_row = sweep_row
     return len(states), sum(states)
 
 
@@ -84,6 +90,21 @@ def report(label: str, seconds: float, steps: int, note: str = "") -> None:
     print(f"{label:17s}: {seconds * 1e3:8.3f} ms  ({seconds / steps * 1e9:7.1f} ns/step){note}")
 
 
+def report_sweep(label: str, full, one, steps: int, repeats: int) -> None:
+    """full() sweeps all steps and one() a single step: us per call, ns per state."""
+    t_full, t_one = best_time(full, (), repeats), best_time(one, (), repeats)
+    print(f"{label:17s}: {t_full * 1e6:9.1f} us per call  ({t_full / steps * 1e9:6.1f} ns per "
+          f"state over {steps} states; {t_one * 1e6:.2f} us per 1-state call)")
+
+
+def python_sweep(rows):
+    return lambda: kernels.sweep(*rows, 0.0, 1.0)
+
+
+def compiled_sweep(rows):
+    blocks = np.stack(rows).reshape(1, 2, 2, -1)
+    return lambda: kernels.sweep_row(blocks, 0, 0, blocks.shape[3], 0.0, 1.0)
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -96,8 +117,17 @@ def main() -> None:
     props = kernels.rk4_propagators(*tables)
     steps = len(props[0])
     print(f"points           : {args.points} ({steps} steps)")
+    kernel = kernels.sweep_kernel()
+    print(f"kernel           : {kernel}")
     report("propagators", best_time(kernels.rk4_propagators, tables, args.repeats), steps)
-    report("sweep", best_time(kernels.sweep, (*props, 0.0, 1.0), args.repeats), steps)
+
+    first = [m[:1] for m in props]
+    report_sweep("sweep python", python_sweep(props), python_sweep(first), steps, args.repeats)
+    if kernel.startswith("compiled"):
+        report_sweep("sweep compiled", compiled_sweep(props), compiled_sweep(first), steps,
+                     args.repeats)
+    else:
+        print(f"{'sweep compiled':17s}: not built")
 
     near = [e + 5e-7 for _, e in engine.solve(range(LEVELS), 1e-7)]
     print(f"block size       : {engine._blocks.m} steps")

@@ -2,16 +2,33 @@
 
 The per-step RK4 propagators come from closed-form expressions in the
 coefficient table, evaluated with vectorized numpy; the only sequential
-piece is the 2x2 propagation sweep, one pure-Python loop.  It counts a node
-when phi changes sign strictly (+ -> 0 -> - counts none) and rescales
-(phi, phi') by 1e-250 once |phi| passes 1e250.  Each step tests the next
-phi against one open range: (0, 1e250) after a positive phi, (-1e250, 0)
-after a negative one, and the empty range after a zero or NaN phi (or
-before the first step).  Inside it the step can count no node and need no
-rescale, so it only moves (phi, phi'); any other step is the plain step,
-which counts, rescales and sets the range again.  A NaN next phi lies in no
-range, and NaN counts nothing, so every result is bit for bit that of the
-plain step alone.
+piece is the 2x2 propagation sweep.  It counts a node when phi changes sign
+strictly (+ -> 0 -> - counts none) and rescales (phi, phi') by 1e-250 once
+|phi| passes 1e250.  ``sweep`` is that loop in Python.  Each step tests the
+next phi against one open range: (0, 1e250) after a positive phi,
+(-1e250, 0) after a negative one, and the empty range after a zero or NaN
+phi (or before the first step).  Inside it the step can count no node and
+need no rescale, so it only moves (phi, phi'); any other step is the plain
+step, which counts, rescales and sets the range again.  A NaN next phi lies
+in no range, and NaN counts nothing, so every result is bit for bit that of
+the plain step alone.
+
+Compiled sweep (``sweep_row``).  The oracle's sweeps walk rows of the block
+arrays of ``block_products``.  ``sweep_row`` runs them in ``_sweep.c``, a C99
+copy of the plain step, which its first call builds with the system C
+compiler (sysconfig's CC, found on PATH) and the flags _FLAGS.  With
+-ffp-contract=off no product and sum fuse into one rounding, and with no
+-march and no fast-math every operation rounds to double as CPython's float
+operations do, so the compiled loop gives the Python loop's bits (NaN for
+NaN, whatever its payload).  The library is cached per user, in
+$XDG_CACHE_HOME/pdmorse (by default ~/.cache/pdmorse), as
+sweep-<CRC-32 of the platform, the compile command and the source>.so; it
+is compiled under a temporary name and moved into place with
+``os.replace``.  It is loaded with ctypes and used only after a
+known-answer check against ``sweep`` (``_check``).  If any step fails (no
+compiler, a compile error, an unwritable cache, a load error or a wrong
+answer), ``sweep_row`` runs ``sweep`` instead; ``sweep_kernel`` says which
+loop runs and why.  Nothing is built on import.
 
 Settled tail (Sturm comparison, Pryce 1993).  Suppose that from step t on
 every propagator entry is >= 0 (NaN counts as negative).  If phi, phi' >= 0
@@ -32,18 +49,30 @@ at most one; the factor 2 of margin covers the RK4 phase error, a relative
 O((kh)^4) per step.  A product of non-negative matrices is non-negative, so
 the settled-tail argument holds block by block.
 
-Run ``benchmarks/bench_shooting.py`` to time the propagators, the sweep and
-the oracle's counting and half-sweeps.
+Run ``benchmarks/bench_shooting.py`` to time the propagators, both sweeps
+and the oracle's counting and half-sweeps.
 """
 from __future__ import annotations
 
+import ctypes
+import math
+import operator
+import os
+from pathlib import Path
+
 import numpy as np
 
-USE_NUMBA = False  # recorded by e2ebench/run.py; there is no compiled path
+USE_NUMBA = False  # recorded by e2ebench/run.py; the compiled sweep is sweep_row's C loop
 
 # Renormalization threshold; rescaling both components leaves nodes and
 # log-derivatives unchanged while keeping the growing solution finite.
 _RESCALE_LIMIT = 1e250
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_FLOAT64 = np.dtype(np.float64)
+_ONE, _PAIR = ctypes.c_double * 1, ctypes.c_double * 2  # the loop's views of blocks and state
+_loop = None  # the compiled loop once built and checked, False where sweep runs instead
+_kernel = "not loaded"  # what sweep_kernel reports
 
 
 def settled(phi: float, dphi: float) -> bool:
@@ -116,9 +145,175 @@ def block_products(steps: np.ndarray):
     numpy form measured for these shapes) per halving of m, for all K
     energies at once.  Each block's product depends on that block's steps
     alone, so every energy gets, bit for bit, what it gets alone.  Each
-    level is a fresh array, and steps is left as it was.  Returns the four
-    (K, nb) entry arrays m00, m01, m10, m11, views whose rows are contiguous.
+    level is a fresh array, and steps is left as it was.  Returns the
+    C-contiguous (K, 2, 2, nb) array of the products, entry (i, j) of block
+    b at energy e, the block array that ``sweep_row`` walks.
     """
     while steps.shape[3] > 1:
         steps = np.einsum("eijkb,ejlkb->eilkb", steps[:, :, :, 1::2], steps[:, :, :, 0::2])
-    return steps[:, 0, 0, 0], steps[:, 0, 1, 0], steps[:, 1, 0, 0], steps[:, 1, 1, 0]
+    return np.ascontiguousarray(steps[:, :, :, 0])
+
+
+def sweep_row(blocks: np.ndarray, row: int, b0: int, b1: int, phi: float, dphi: float,
+              reverse: bool = False):
+    """``sweep`` over blocks b0 .. b1 - 1 of one row of a block array, in C where it builds.
+
+    blocks is a writable, C-contiguous float64 array of shape (K, 2, 2, nb),
+    as ``block_products`` returns; row and the block range must lie inside
+    it, or ValueError is raised before any loop runs.  Forward, the step
+    matrices are blocks[row, :, :, b] for b = b0 .. b1 - 1.  With reverse,
+    the walk takes b = b1 - 1 down to b0 with the adjugate's entries in the
+    order (m11, m01, m10, m00): from (0, +1) that is the oracle's right
+    half-sweep, whose phi' comes back negated.  Returns (phi, phi', nodes),
+    bit for bit what ``sweep`` gives over the same steps (the module
+    docstring): the compiled loop once the first call has built and checked
+    it, ``sweep`` itself where that failed (``sweep_kernel``).
+    """
+    if not (type(blocks) is np.ndarray and blocks.ndim == 4 and blocks.dtype == _FLOAT64
+            and blocks.flags.c_contiguous and blocks.flags.writeable
+            and blocks.shape[1] == blocks.shape[2] == 2):
+        raise ValueError("sweep_row needs a writable C-contiguous float64 array "
+                         "of shape (K, 2, 2, nb)")
+    row, b0, b1 = operator.index(row), operator.index(b0), operator.index(b1)
+    rows, _, _, nb = blocks.shape
+    if not (0 <= row < rows and 0 <= b0 <= b1 <= nb < 2**31):
+        raise ValueError(f"row {row} or blocks {b0}..{b1} outside an array of {rows} rows "
+                         f"of {nb} blocks")
+    loop = _loop if _loop is not None else _load()
+    if loop and b0 < b1:
+        return _compiled_row(loop, blocks, row, b0, b1, phi, dphi, reverse)
+    return _python_row(blocks, row, b0, b1, phi, dphi, reverse)
+
+
+def _compiled_row(loop, blocks, row, b0, b1, phi, dphi, reverse):
+    """``sweep_row`` in the compiled loop, on arguments it has checked."""
+    state = _PAIR(phi, dphi)
+    # ctypes passes a ctypes array as a pointer to its first element and the
+    # ints as C ints: loop has no argtypes, which would add a converter per
+    # argument to every call
+    nodes = loop(_ONE.from_buffer(blocks), blocks.shape[3], row, b0, b1, 1 if reverse else 0,
+                 state)
+    return state[0], state[1], nodes
+
+
+def _python_row(blocks, row, b0, b1, phi, dphi, reverse):
+    """``sweep_row`` in ``sweep``, over views of the row."""
+    entries = blocks[row, :, :, b0:b1]
+    if reverse:
+        return sweep(entries[1, 1, ::-1], entries[0, 1, ::-1], entries[1, 0, ::-1],
+                     entries[0, 0, ::-1], phi, dphi)
+    return sweep(entries[0, 0], entries[0, 1], entries[1, 0], entries[1, 1], phi, dphi)
+
+
+def sweep_kernel() -> str:
+    """Which loop ``sweep_row`` runs: "compiled <library>" or "python (<why>)".
+
+    Builds and checks the compiled loop first if no sweep has yet.
+    """
+    if _loop is None:
+        _load()
+    return _kernel
+
+
+def _load():
+    """Build, load and check the compiled loop once: the loop, or False if any step failed."""
+    global _loop, _kernel
+    try:
+        library = _build()
+        loop = ctypes.CDLL(str(library)).pdmorse_sweep_row
+        loop.restype = ctypes.c_int
+        _check(loop)
+    except Exception as exc:  # whatever failed, the Python loop serves
+        _loop, _kernel = False, f"python ({type(exc).__name__}: {exc})"
+    else:
+        _loop, _kernel = loop, f"compiled {library}"
+    return _loop
+
+
+def _compiler() -> str | None:
+    """Path of the system C compiler (the program of sysconfig's CC) on PATH, or None."""
+    import shlex
+    import shutil
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    return shutil.which(cc[0]) if cc else None
+
+
+def _build() -> Path:
+    """The compiled library in the per-user cache, compiled there first if it is missing."""
+    import sysconfig
+    import zlib
+
+    compiler = _compiler()
+    if compiler is None:
+        raise FileNotFoundError("no C compiler (sysconfig's CC) on PATH")
+    source = _SOURCE.read_bytes()
+    command = [compiler, *_FLAGS, "-x", "c", "-", "-o"]
+    # a CRC, not hashlib, whose OpenSSL adds megabytes to the process; the
+    # check guards against a wrong library.  The platform keeps hosts that
+    # share a home directory apart.
+    key = zlib.crc32("\0".join([sysconfig.get_platform(), *command]).encode() + source)
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pdmorse"
+    library = cache / f"sweep-{key:08x}.so"
+    if not library.is_file():
+        import subprocess
+        import tempfile
+
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(prefix="sweep-", suffix=".so.partial", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([*command, partial], input=source, capture_output=True,
+                           check=True, timeout=120)
+            os.replace(partial, library)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    return library
+
+
+def _check(loop) -> None:
+    """Known answers: the compiled loop must give ``sweep``'s results (NaN
+    where it gives NaN, otherwise the same bits), forward and in reverse,
+    over ranges of 1 to 24 blocks from 5 start states.  The rows: random
+    entries of mixed signs, signed zeros and magnitudes up to 1e200, two of
+    them with NaN and +-inf entries and half of them with a non-negative
+    tail; then the edge steps of the node rule and the rescale (+ -> 0 -> -,
+    a node on a rescale step, NaN, a landing on 1e250, a signed zero in
+    phi').  Raises ArithmeticError.  The random rows come from the stdlib
+    ``random``, which is loaded already; numpy.random would add megabytes
+    to the process."""
+    import random
+
+    rng = random.Random(19771012)
+    nb, rows = 24, []
+    for row in range(8):
+        top = (1.0, 60.0, 200.0)[row % 3]
+        entries = []
+        for i in range(4 * nb):
+            kind = rng.random() if row >= 6 else 0.04 + 0.96 * rng.random()
+            sign = 1.0 if row % 2 and i % nb >= nb // 2 else rng.choice((-1.0, 1.0))
+            entries.append(sign * (math.nan if kind < 0.02 else math.inf if kind < 0.04
+                                   else 0.0 if kind < 0.25
+                                   else 10.0 ** (-2.0 + (top + 2.0) * rng.random())))
+        rows.append(entries)
+    one = (1.0, 0.0, 0.0, 1.0)
+    for steps in (((0.0, 0.0, 0.0, 1.0), (1.0, -1.0, 0.0, 1.0)), ((-1e251, 0.0, 0.0, 1.0), one),
+                  ((1e251, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)),
+                  ((math.nan, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)),
+                  (one, (1e250, 0.0, 0.0, 1.0)), (one, (1.0, 0.0, 1.0, 1.0))):
+        rows.append([x for column in zip(*steps, *[one] * (nb - 2)) for x in column])
+    blocks = np.array(rows).reshape(len(rows), 2, 2, nb)
+    for row in range(len(rows)):
+        for b0, b1 in ((0, 1), (row % 8, row % 8 + 3), (2, 12), (0, nb)):
+            for phi in (0.0, 1.0, -1.0, 1e-300, math.nan):
+                for reverse in (False, True):
+                    got = _compiled_row(loop, blocks, row, b0, b1, phi, 1.0, reverse)
+                    want = _python_row(blocks, row, b0, b1, phi, 1.0, reverse)
+                    if got[2] != want[2] or not all(
+                            x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+                            or math.isnan(x) and math.isnan(y)
+                            for x, y in zip(got[:2], want[:2])):
+                        raise ArithmeticError(f"the compiled sweep gave {got} where sweep "
+                                              f"gives {want}")

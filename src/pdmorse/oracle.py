@@ -39,17 +39,18 @@ Solve strategy, shared by every requested level of one grid:
   energies of a round share their step matrices: one evaluation of the
   engine's step table per round, split only to keep each evaluation within
   TABLE_CHUNK steps (energies times steps); each energy then runs its own
-  ``kernels.sweep`` over rows of the shared arrays.  A count at an energy
-  already on the staircase is read from it, not swept again.  An H2
-  eta = 0.2, 2001-point solve of levels 0-12 makes 22 block-table
-  evaluations for 96 energies (one per sweep made 151) and 151 sweeps.
+  sweeps over its row of the shared block array (``kernels.sweep_row``).
+  A count at an energy already on the staircase is read from it, not swept
+  again.  An H2 eta = 0.2, 2001-point solve of levels 0-12 makes 22
+  block-table evaluations for 96 energies (one per sweep made 151) and 151
+  sweeps.
 * **Blocked sweeps.**  Each engine tabulates the RK4 step matrices over
   its energy window as quadratics in E: the steps at the window's midpoint
   and the exact linear and quadratic coefficients, in closed form from p
   and U.  Each evaluation first fills the table up to the furthest block it
   needs, in passes of FILL_CHUNK steps; the table is the only source of
   step matrices for its sweeps.  Sweeps walk products of
-  m <= MAX_BLOCK consecutive steps, one Python iteration per block.
+  m <= MAX_BLOCK consecutive steps, one loop iteration per block.
   m h sqrt(max(-q)) <= pi/2 over the window leaves at most one node per
   block (Sturm comparison), so every count is that of the step-by-step
   sweep.  One m serves every block and every sweep: a grid with a
@@ -264,11 +265,11 @@ class _BlockTables:
         evaluation serves as many energies as keep it within TABLE_CHUNK
         steps: Horner's rule fills one (K, 2, 2, m, nb) array, and one
         ``kernels.block_products`` tree multiplies the blocks of all K
-        energies.  Yields (ks, rows): row j of each of the four arrays rows
-        holds the block matrices of energy energies[ks[j]], bit for bit what
-        that energy alone gets, and column i spans the m steps from node
-        start + i m (past the last node, the identity padding).  Every
-        evaluation makes fresh arrays.
+        energies.  Yields (ks, blocks): row j of the (K, 2, 2, nb) array
+        blocks holds the block matrices of energy energies[ks[j]], bit for
+        bit what that energy alone gets, and block i spans the m steps from
+        node start + i m (past the last node, the identity padding).  Every
+        evaluation makes a fresh array.
         """
         m = self.m
         b0, ends = start // m, [-(-stop // m) for stop in stops]
@@ -403,17 +404,16 @@ class _ShootingEngine:
         while going:
             later: dict[int, list] = {}
             for start, sweeps in going.items():
-                for ks, rows in self._blocks.rows([s[0] for s in sweeps], start,
-                                                  [s[4] for s in sweeps]):
-                    end = rows[0].shape[1]
+                for ks, blocks in self._blocks.rows([s[0] for s in sweeps], start,
+                                                    [s[4] for s in sweeps]):
+                    end = blocks.shape[3]
                     reached = min(start + end * m, last)
                     for j, k in enumerate(ks):
                         E, phi, dphi, nodes, stop = sweeps[k]
                         cut = -(-(stop - start) // m)
                         for a, b in ((0, cut), (cut, end)):
                             if a < b and not (a and kernels.settled(phi, dphi)):
-                                phi, dphi, more = kernels.sweep(*(r[j, a:b] for r in rows),
-                                                                phi, dphi)
+                                phi, dphi, more = kernels.sweep_row(blocks, j, a, b, phi, dphi)
                                 nodes += more
                         if reached == last or kernels.settled(phi, dphi):
                             found[E] = nodes
@@ -499,8 +499,9 @@ class _ShootingEngine:
         (m10 up to rounding), and adj(AB) = adj(B) adj(A): the right
         half-sweep walks the adjugates of the forward blocks in reverse
         order.  The adjugate acts on (phi, -phi') as [[m11, m01], [m10, m00]]
-        does on (phi, phi'), so the sweep walks reversed views of the forward
-        rows from (0, +1) and the phi' it returns is negated.
+        does on (phi, phi'), so the sweep walks the forward blocks in reverse
+        with those entries (``kernels.sweep_row`` with reverse) from (0, +1),
+        and the phi' it returns is negated.
         """
         new = {}
         for E, start in zip(energies, starts):
@@ -508,15 +509,12 @@ class _ShootingEngine:
                 new.setdefault(E, start)
         es, stops = list(new), [int(start) for start in new.values()]
         m = self._blocks.m
-        for ks, rows in self._blocks.rows(es, 0, stops):
-            # reversed views: column c of a row moves to size - 1 - c
-            size, mid = rows[0].shape[1], self.i_match // m
-            m00, m01, m10, m11 = (r[:, ::-1] for r in rows)
+        mid = self.i_match // m
+        for ks, blocks in self._blocks.rows(es, 0, stops):
             for j, k in enumerate(ks):
-                end = -(-stops[k] // m)
-                phi, dphi, nodes = kernels.sweep(
-                    *(r[j, size - end:size - mid] for r in (m11, m01, m10, m00)), 0.0, 1.0)
-                self._matched[es[k]] = (kernels.sweep(*(r[j, :mid] for r in rows), 0.0, 1.0),
+                phi, dphi, nodes = kernels.sweep_row(blocks, j, mid, -(-stops[k] // m), 0.0, 1.0,
+                                                     reverse=True)
+                self._matched[es[k]] = (kernels.sweep_row(blocks, j, 0, mid, 0.0, 1.0),
                                         (phi, -dphi, nodes))
 
     def phase(self, E: float, k: float) -> float:

@@ -54,8 +54,9 @@ def test_output_checks_import():
 
 @pytest.mark.parametrize("script, args, labels", [
     ("bench_shooting.py", ["--points", "2001", "--repeats", "1"],
-     ["points", "propagators", "sweep", "block size", "engine build", "table fill", "wall engine",
-      "counting sweep", "half-sweep pair", "batched round", "engine faults"]),
+     ["points", "kernel", "propagators", "sweep python", "sweep compiled", "block size",
+      "engine build", "table fill", "wall engine", "counting sweep", "half-sweep pair",
+      "batched round", "engine faults"]),
     ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
       "_build_parser (cached)", "_build_parser (cold)", "cold import pdmorse",
@@ -80,8 +81,14 @@ def test_benchmark_script_runs(script, args, labels):
     lines = done.stdout.splitlines()
     assert [re.split(r"\s*: ", line, maxsplit=1)[0] for line in lines] == labels
     if script == "bench_shooting.py":
-        assert re.search(r"^block size +: (1|2|4|8|16) steps$", lines[3])
-        assert re.search(r"  m = 1, 4 levels$", lines[6])
+        assert re.search(r"^kernel +: (compiled .+\.so|python \(.+\))$", lines[1])
+        per_call = (r" us per call  \( *[\d.]+ ns per state over 2000 states; "
+                    r"[\d.]+ us per 1-state call\)$")
+        assert re.search(per_call, lines[3])
+        assert re.search(per_call if lines[1].startswith("kernel           : compiled")
+                         else r": not built$", lines[4])
+        assert re.search(r"^block size +: (1|2|4|8|16) steps$", lines[5])
+        assert re.search(r"  m = 1, 4 levels$", lines[8])
         assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-3])
         assert re.search(r" ms per energy, 13 energies\)$", lines[-2])
         assert re.search(r": \d+ minor page faults per engine build and solve$", lines[-1])

@@ -63,6 +63,26 @@ def assert_certified(engine, n, e, tol):
     assert engine.phase(e - tol, 1.0) < target < engine.phase(e + tol, 1.0)
 
 
+@pytest.fixture(params=["python", "compiled"])
+def sweep_loop(request, monkeypatch):
+    """The loop ``kernels.sweep_row`` runs in the test: ``kernels.sweep`` (the
+    loader's fallback, forced) or the compiled one, which must build wherever
+    a C compiler is on PATH (skipped where none is).  Returns
+    ``kernels.sweep_row``."""
+    if request.param == "python":
+        monkeypatch.setattr(kernels, "_loop", False)
+    elif kernels._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    else:
+        assert kernels.sweep_kernel().startswith("compiled"), kernels.sweep_kernel()
+    return kernels.sweep_row
+
+
+def one_row(cols):
+    """The step columns (m00, m01, m10, m11) as a one-row block array."""
+    return np.array(cols, dtype=float).reshape(1, 2, 2, -1)
+
+
 class TestUOrdering:
     def test_constant_mass_vanishes(self):
         mm = MassModel(m0=1.0, eta=0.0, beta=1.5)
@@ -203,10 +223,11 @@ class TestSolver:
 
     @pytest.mark.parametrize("eta", REFERENCE_ETAS)
     @pytest.mark.parametrize("name", ["H2", "LiH"])
-    def test_staircase_counts_match_reference_sweep(self, name, eta, monkeypatch):
+    def test_staircase_counts_match_reference_sweep(self, name, eta, sweep_loop, monkeypatch):
         # every count a real oracle-compare solve stores (both domains, the
         # certificates at E -+ tol/2 next to each level included) must equal
-        # the count of a full sweep of the reference loop at that energy
+        # the count of a full sweep of the reference loop at that energy, with
+        # either sweep loop
         visits = []
         count_round = oracle._ShootingEngine.count_round
 
@@ -223,6 +244,19 @@ class TestSolver:
         for engine, e, nodes in visits:
             props = kernels.rk4_propagators(*engine._q(e), engine.h)
             assert nodes == sweep_reference(*props, 0.0, 1.0)[2], (name, eta, e)
+
+    @pytest.mark.parametrize("name", ["H2", "LiH"])
+    def test_python_loop_gives_the_compiled_rows(self, name, monkeypatch):
+        # the whole oracle-compare row set, bit for bit, with the loader's
+        # fallback forced and with the compiled loop
+        if kernels._compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        assert kernels.sweep_kernel().startswith("compiled"), kernels.sweep_kernel()
+        mol = get_molecule(name)
+        compiled = [oracle_compare_rows(mol, eta, WEYL, 4, 2001) for eta in REFERENCE_ETAS]
+        monkeypatch.setattr(kernels, "_loop", False)
+        python = [oracle_compare_rows(mol, eta, WEYL, 4, 2001) for eta in REFERENCE_ETAS]
+        assert repr(python) == repr(compiled)
 
     def test_results_follow_request_order(self, h2):
         mm = MassModel.for_molecule(h2, 0.2)
@@ -500,9 +534,10 @@ class TestRightStart:
         engine, _ = effective_engine(mm, mol, grid)
         levels = solve_states(mm, WEYL, mol, grid, range(3))
         steps = []
-        sweep = kernels.sweep
-        monkeypatch.setattr(kernels, "sweep",
-                            lambda *args, **kw: steps.append(len(args[0])) or sweep(*args, **kw))
+        sweep_row = kernels.sweep_row
+        monkeypatch.setattr(kernels, "sweep_row",
+                            lambda *args, **kw: steps.append(args[3] - args[2])
+                            or sweep_row(*args, **kw))
         for _, e in levels:
             steps.clear()
             engine.phase(e + 1e-9, 1.0)
@@ -617,7 +652,9 @@ class TestBlockedSweeps:
                         product = steps[e, :, :, k, b] @ product
                     expected[:, :, e, b] = product
             before = steps.copy()
-            got = np.array(kernels.block_products(steps)).reshape(2, 2, 3, 5)
+            products = kernels.block_products(steps)
+            assert products.shape == (3, 2, 2, 5) and products.flags.c_contiguous
+            got = products.transpose(1, 2, 0, 3)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
             assert steps.tobytes() == before.tobytes()  # the input is left as it was
 
@@ -719,9 +756,10 @@ class TestBlockedSweeps:
         mm = MassModel.for_molecule(h2, 0.2)
         grid = GridSpec(*reference_domain(h2, 0.2), 8001)
         states = []
-        sweep = kernels.sweep
-        monkeypatch.setattr(kernels, "sweep",
-                            lambda *args: states.append(len(args[0])) or sweep(*args))
+        sweep_row = kernels.sweep_row
+        monkeypatch.setattr(kernels, "sweep_row",
+                            lambda *args, **kw: states.append(args[3] - args[2])
+                            or sweep_row(*args, **kw))
         solve_states(mm, WEYL, h2, grid, range(3), tol_ev=1e-6)
         assert sum(states) <= 4500, (len(states), sum(states))
 
@@ -738,10 +776,10 @@ class TestBatchedRounds:
 
     @staticmethod
     def _rows_by_energy(blocks, energies, b0, b1):
-        """The rows of blocks b0..b1-1 at each energy, from one ``rows`` call: {k: four rows}."""
+        """The rows of blocks b0..b1-1 at each energy, from one ``rows`` call: {k: (2, 2, nb)}."""
         m = blocks.m
-        return {k: [r[j] for r in rows]
-                for ks, rows in blocks.rows(energies, b0 * m, [b1 * m] * len(energies))
+        return {k: products[j]
+                for ks, products in blocks.rows(energies, b0 * m, [b1 * m] * len(energies))
                 for j, k in enumerate(ks)}
 
     def test_block_products_match_single_energy_evaluations(self):
@@ -758,9 +796,8 @@ class TestBatchedRounds:
             assert sorted(batched) == list(range(7))
             for k, e in enumerate(energies):
                 (alone,) = self._rows_by_energy(blocks, [e], b0, b1).values()
-                assert [r.shape for r in alone] == [(b1 - b0,)] * 4, (b0, b1)
-                for got, single in zip(batched[k], alone):
-                    assert got.tobytes() == single.tobytes(), (b0, b1, k)
+                assert alone.shape == (2, 2, b1 - b0), (b0, b1)
+                assert batched[k].tobytes() == alone.tobytes(), (b0, b1, k)
 
     def test_rows_outlive_the_next_evaluation(self):
         # every evaluation makes its own arrays: 7 energies over the whole
@@ -772,10 +809,9 @@ class TestBatchedRounds:
         nb = -(-(self.GRID.points - 1) // blocks.m)
         evaluations = blocks.rows(list(np.linspace(e_lo, e_hi, 7)), 0, [nb * blocks.m] * 7)
         ks, first = next(evaluations)
-        kept = [r.copy() for r in first]
+        kept = first.copy()
         assert len(ks) < 7 and len(list(evaluations)) >= 1
-        for got, want in zip(first, kept):
-            assert got.tobytes() == want.tobytes()
+        assert first.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("case, m", [("blocked", oracle.MAX_BLOCK), ("spiked", 1),
                                          ("step by step", 1)])
@@ -1195,12 +1231,16 @@ class TestKernels:
             return math.isnan(x) and math.isnan(y)
         return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
-    def test_sweep_matches_reference_bit_for_bit(self):
+    def test_sweep_matches_reference_bit_for_bit(self, sweep_loop):
+        # forward, and in reverse with the adjugate's entries (m11, m01, m10, m00)
         for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
-            ref = sweep_reference(*cols, phi0, dphi0)
-            got = kernels.sweep(*cols, phi0, dphi0)
-            assert got[2] == ref[2], (cols, phi0, dphi0)
-            assert self._same(got[0], ref[0]) and self._same(got[1], ref[1]), (cols, phi0)
+            blocks = one_row(cols)
+            a, b, c, e = (m[::-1] for m in cols)
+            for reverse, ref in ((False, sweep_reference(*cols, phi0, dphi0)),
+                                 (True, sweep_reference(e, b, c, a, phi0, dphi0))):
+                got = sweep_loop(blocks, 0, 0, len(a), phi0, dphi0, reverse)
+                assert got[2] == ref[2], (cols, phi0, dphi0, reverse)
+                assert self._same(got[0], ref[0]) and self._same(got[1], ref[1]), (cols, phi0)
 
     def test_reversed_adjugate_sweep_is_the_forward_sweep_of_swapped_entries(self):
         # the half-sweep's identity: adj = [[e, -b], [-c, a]] acts on
@@ -1215,15 +1255,16 @@ class TestKernels:
                 assert x == y or (math.isnan(x) and math.isnan(y)), (cols, phi0, dphi0)
 
     @pytest.mark.parametrize("chunk", [1, 3])
-    def test_count_stops_at_a_settled_state_in_the_tail(self, chunk):
+    def test_count_stops_at_a_settled_state_in_the_tail(self, chunk, sweep_loop):
         # count_round's order: sweep to one past the last step with a negative
         # (or NaN) entry, then on in chunks until phi and phi' share a sign
         for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
+            blocks, size = one_row(cols), len(cols[0])
             negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
             t = int(negative[-1]) + 1 if negative.size else 0
-            phi, dphi, nodes = kernels.sweep(*(m[:t] for m in cols), phi0, dphi0)
-            while t < len(cols[0]) and not kernels.settled(phi, dphi):
-                phi, dphi, more = kernels.sweep(*(m[t:t + chunk] for m in cols), phi, dphi)
+            phi, dphi, nodes = sweep_loop(blocks, 0, 0, t, phi0, dphi0)
+            while t < size and not kernels.settled(phi, dphi):
+                phi, dphi, more = sweep_loop(blocks, 0, t, min(t + chunk, size), phi, dphi)
                 nodes, t = nodes + more, t + chunk
             assert nodes == sweep_reference(*cols, phi0, dphi0)[2], (cols, phi0)
 
@@ -1242,11 +1283,16 @@ class TestKernels:
         # branch would give -0.0
         ([(1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 1.0, 1.0)], -1.0, 0),
     ])
-    def test_edge_steps_match_reference(self, steps, phi0, expected):
+    def test_edge_steps_match_reference(self, steps, phi0, expected, sweep_loop):
         cols = tuple(np.array(col) for col in zip(*steps))
         ref = sweep_reference(*cols, phi0, 1.0)
-        got = kernels.sweep(*cols, phi0, 1.0)
+        got = sweep_loop(one_row(cols), 0, 0, len(steps), phi0, 1.0)
         assert ref[2] == got[2] == expected
+        assert self._same(got[0], ref[0]) and self._same(got[1], ref[1])
+        # the same steps walked in reverse, as the adjugate's
+        a, b, c, e = (m[::-1] for m in cols)
+        got = sweep_loop(one_row((e, b, c, a)), 0, 0, len(steps), phi0, 1.0, reverse=True)
+        assert ref[2] == got[2]
         assert self._same(got[0], ref[0]) and self._same(got[1], ref[1])
 
     def test_rescaling_preserves_nodes(self):
