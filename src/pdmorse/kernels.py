@@ -21,14 +21,17 @@ compiler (sysconfig's CC, found on PATH) and the flags _FLAGS.  With
 -march and no fast-math every operation rounds to double as CPython's float
 operations do, so the compiled loop gives the Python loop's bits (NaN for
 NaN, whatever its payload).  The library is cached per user, in
-$XDG_CACHE_HOME/pdmorse (by default ~/.cache/pdmorse), as
-sweep-<CRC-32 of the platform, the compile command and the source>.so; it
-is compiled under a temporary name and moved into place with
-``os.replace``.  It is loaded with ctypes and used only after a
-known-answer check against ``sweep`` (``_check``).  If any step fails (no
-compiler, a compile error, an unwritable cache, a load error or a wrong
-answer), ``sweep_row`` runs ``sweep`` instead; ``sweep_kernel`` says which
-loop runs and why.  Nothing is built on import.
+$XDG_CACHE_HOME/pdmorse (~/.cache/pdmorse where that variable is unset or
+not an absolute path), as sweep-<CRC-32 of the platform, the compile
+command and the source>.so; it is compiled under a temporary name and
+moved into place with ``os.replace``.  The cache directory is made private
+(mode 0o700), and nothing is loaded unless the current user owns both the
+directory and the library (``_owned``).  The library is loaded with ctypes
+and used only after a known-answer check against ``sweep`` (``_check``).
+If any step fails (no compiler, a compile error, an unwritable cache, a
+cache or library of another user, a load error or a wrong answer),
+``sweep_row`` runs ``sweep`` instead; ``sweep_kernel`` says which loop
+runs and why.  Nothing is built on import.
 
 Settled tail (Sturm comparison, Pryce 1993).  Suppose that from step t on
 every propagator entry is >= 0 (NaN counts as negative).  If phi, phi' >= 0
@@ -158,9 +161,9 @@ def sweep_row(blocks: np.ndarray, row: int, b0: int, b1: int, phi: float, dphi: 
               reverse: bool = False):
     """``sweep`` over blocks b0 .. b1 - 1 of one row of a block array, in C where it builds.
 
-    blocks is a writable, C-contiguous float64 array of shape (K, 2, 2, nb),
-    as ``block_products`` returns; row and the block range must lie inside
-    it, or ValueError is raised before any loop runs.  Forward, the step
+    blocks is an aligned, writable, C-contiguous float64 array of shape
+    (K, 2, 2, nb), as ``block_products`` returns; row and the block range
+    must lie inside it, or ValueError is raised before any loop runs.  Forward, the step
     matrices are blocks[row, :, :, b] for b = b0 .. b1 - 1.  With reverse,
     the walk takes b = b1 - 1 down to b0 with the adjugate's entries in the
     order (m11, m01, m10, m00): from (0, +1) that is the oracle's right
@@ -170,9 +173,9 @@ def sweep_row(blocks: np.ndarray, row: int, b0: int, b1: int, phi: float, dphi: 
     it, ``sweep`` itself where that failed (``sweep_kernel``).
     """
     if not (type(blocks) is np.ndarray and blocks.ndim == 4 and blocks.dtype == _FLOAT64
-            and blocks.flags.c_contiguous and blocks.flags.writeable
+            and blocks.flags.c_contiguous and blocks.flags.aligned and blocks.flags.writeable
             and blocks.shape[1] == blocks.shape[2] == 2):
-        raise ValueError("sweep_row needs a writable C-contiguous float64 array "
+        raise ValueError("sweep_row needs an aligned, writable C-contiguous float64 array "
                          "of shape (K, 2, 2, nb)")
     row, b0, b1 = operator.index(row), operator.index(b0), operator.index(b1)
     rows, _, _, nb = blocks.shape
@@ -254,13 +257,15 @@ def _build() -> Path:
     # check guards against a wrong library.  The platform keeps hosts that
     # share a home directory apart.
     key = zlib.crc32("\0".join([sysconfig.get_platform(), *command]).encode() + source)
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pdmorse"
+    base = os.environ.get("XDG_CACHE_HOME", "")  # a relative one is ignored (XDG spec)
+    cache = (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "pdmorse"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    os.chmod(_owned(cache), 0o700)  # one made under umask 002 is group-writable
     library = cache / f"sweep-{key:08x}.so"
     if not library.is_file():
         import subprocess
         import tempfile
 
-        cache.mkdir(parents=True, exist_ok=True)
         fd, partial = tempfile.mkstemp(prefix="sweep-", suffix=".so.partial", dir=cache)
         os.close(fd)
         try:
@@ -270,7 +275,19 @@ def _build() -> Path:
         finally:
             if os.path.exists(partial):
                 os.unlink(partial)
-    return library
+    return _owned(library)
+
+
+def _owned(path: Path) -> Path:
+    """path if the current user owns it; PermissionError if another user does.
+
+    Anyone can work out the library's name, and ctypes runs a library's
+    initialisers on load, before ``_check`` compares anything."""
+    owner = path.stat().st_uid
+    if owner != os.getuid():
+        raise PermissionError(f"{path} belongs to uid {owner}, not to this user "
+                              f"(uid {os.getuid()})")
+    return path
 
 
 def _check(loop) -> None:

@@ -39,11 +39,12 @@ Solve strategy, shared by every requested level of one grid:
   energies of a round share their step matrices: one evaluation of the
   engine's step table per round, split only to keep each evaluation within
   TABLE_CHUNK steps (energies times steps); each energy then runs its own
-  sweeps over its row of the shared block array (``kernels.sweep_row``).
-  A count at an energy already on the staircase is read from it, not swept
-  again.  An H2 eta = 0.2, 2001-point solve of levels 0-12 makes 22
-  block-table evaluations for 96 energies (one per sweep made 151) and 151
-  sweeps.
+  sweeps over its row of the shared block array (``kernels.sweep_row``).  A
+  count walks its whole row of an evaluation in one call and tests for a
+  settled state only where that walk ends.  A count at an energy already on
+  the staircase is read from it, not swept again.  An H2 eta = 0.2,
+  2001-point solve of levels 0-12 makes 22 block-table evaluations for 96
+  energies (one per sweep made 151) and 151 sweeps.
 * **Blocked sweeps.**  Each engine tabulates the RK4 step matrices over
   its energy window as quadratics in E: the steps at the window's midpoint
   and the exact linear and quadratic coefficients, in closed form from p
@@ -57,9 +58,9 @@ Solve strategy, shared by every requested level of one grid:
   non-finite q at a window end, or with a block whose steps could grow the
   solution by more than exp(BLOCK_GROWTH), gets m = 1, and every energy a
   solve sweeps lies inside the window.  Sweep ends round up to block ends,
-  which only takes a count further into the settled tail or a right
-  half-sweep deeper into the forbidden region; the matching point is a
-  multiple of MAX_BLOCK.
+  and a count goes on to the end of its evaluation, which only takes it
+  further into the settled tail; a right half-sweep only goes deeper into
+  the forbidden region.  The matching point is a multiple of MAX_BLOCK.
 """
 from __future__ import annotations
 
@@ -86,10 +87,10 @@ SINGULARITY_MARGIN = 0.01  # Angstrom
 # changes the matching log-derivative by a relative exp(-2 depth):
 # exp(-40) = 4e-18, below half an ulp (1.1e-16).
 TAIL_MARGIN = 20.0
-# Steps a counting sweep takes into the settled tail before it first checks
-# for a settled state (then the rest of its evaluation, then chunks of 1, 2,
-# 4, ... times as many): on H2 and LiH such a sweep settles about 300 steps
-# into the tail on average.
+# Steps past the settled-tail start that a count's first evaluation reaches
+# (then 1, 2, 4, ... times as many steps per further evaluation, until the
+# count settles): on H2 and LiH such a sweep settles about 300 steps into
+# the tail on average.
 TAIL_CHUNK = 256
 # Nodes past the turning point that each right-start depth row adds at first
 # (then twice as many, ...): the levels of H2 and LiH reach TAIL_MARGIN
@@ -385,15 +386,18 @@ class _ShootingEngine:
 
         Every energy lies inside the window.  An energy already on the
         staircase is answered from it; the others are swept, sharing their
-        evaluations (``_BlockTables.rows``).  Each sweep runs TAIL_CHUNK steps
-        into the settled tail at its energy (rounded up to a block end), where
+        evaluations (``_BlockTables.rows``).  The first evaluation reaches at
+        least TAIL_CHUNK steps into the settled tail at each energy, where
         every q is >= 0 and so, for h > 0, every RK4 propagator entry is
-        >= 0; from the first state there with phi and phi' of one sign no
-        step can add a node (``kernels`` module docstring).  A sweep not yet
-        in such a state goes on through the rest of its evaluation, then,
-        together with the others still going from the same node, through
-        further evaluations of TAIL_CHUNK, twice as many, ... steps.  Every
-        count is that of the full sweep; each new one joins the staircase.
+        >= 0: from a state there with phi and phi' of one sign no step can
+        add a node, and every later state keeps those signs or turns NaN,
+        which counts nothing (``kernels`` module docstring).  Each sweep
+        walks its whole row of an evaluation in one ``kernels.sweep_row``
+        call and is tested for such a state where the walk ends.  A sweep
+        not yet in one goes on, together with the others still going from
+        the same node, through further evaluations of TAIL_CHUNK, twice as
+        many, ... steps.  Every count is that of the full sweep; each new
+        one joins the staircase.
         """
         last, m = self.u_nodes.size - 1, self._blocks.m
         wanted, size = set(energies), TAIL_CHUNK
@@ -409,12 +413,9 @@ class _ShootingEngine:
                     end = blocks.shape[3]
                     reached = min(start + end * m, last)
                     for j, k in enumerate(ks):
-                        E, phi, dphi, nodes, stop = sweeps[k]
-                        cut = -(-(stop - start) // m)
-                        for a, b in ((0, cut), (cut, end)):
-                            if a < b and not (a and kernels.settled(phi, dphi)):
-                                phi, dphi, more = kernels.sweep_row(blocks, j, a, b, phi, dphi)
-                                nodes += more
+                        E, phi, dphi, nodes, _ = sweeps[k]
+                        phi, dphi, more = kernels.sweep_row(blocks, j, 0, end, phi, dphi)
+                        nodes += more
                         if reached == last or kernels.settled(phi, dphi):
                             found[E] = nodes
                         else:
@@ -563,8 +564,8 @@ class _ShootingEngine:
         of every level still refining.  The right start is non-decreasing in
         E, so every point of a bracket starts its right half-sweep where its
         upper end does: at least TAIL_MARGIN deep, with no depth table per
-        round.  Returns {n: E}, with E None when the phase does not change
-        sign across the bracket.
+        round.  Returns {n: E} for the levels refined; a level whose phase
+        does not change sign across its bracket is left out.
         """
         im = self.i_match
         ends = sorted({e for bracket in brackets.values() for e in bracket})
@@ -576,7 +577,6 @@ class _ShootingEngine:
             # phase scale: the local wavenumber at the matching point mid-bracket
             k = math.sqrt(abs(self.p_nodes[im] * (self.u_nodes[im] - 0.5 * (lo + hi)))) or 1.0
             fa, fb = self.phase(lo, k) - target, self.phase(hi, k) - target
-            found[n] = None
             if fa < 0.0 < fb:
                 run = _anderson_bjorck(lo, fa, hi, fb, tol_ev)
                 runs[n] = (run, k, target, next(run))
@@ -636,8 +636,7 @@ class _ShootingEngine:
             lo, _, hi, _ = self._bracket(n)
             if hi - lo > tol_ev:
                 brackets[n] = (lo, hi)
-        refined = {n: e for n, e in self._refine(brackets, tol_ev, spend).items()
-                   if e is not None}
+        refined = self._refine(brackets, tol_ev, spend)
         half = 0.5 * tol_ev
         counts = self.count_round([min(max(e + s, e_lo), e_hi)
                                    for e in refined.values() for s in (-half, half)])

@@ -1,8 +1,9 @@
 """The compiled sweep's loader and the checks in front of it.
 
 ``kernels.sweep_row`` builds its C loop on first use.  Every way that can
-fail (no compiler, a compile error, an unwritable cache, a wrong answer in
-the known-answer check) leaves ``kernels.sweep`` in charge without raising;
+fail (no compiler, a compile error, an unwritable cache, a cache or library
+of another user, a wrong answer in the known-answer check) leaves
+``kernels.sweep`` in charge without raising;
 no argument that could index outside the block array reaches either loop;
 and importing the modules builds nothing.  Each failure is forced by
 monkeypatching what the loader reads.
@@ -101,6 +102,54 @@ class TestLoader:
         assert_python_loop_serves()
         assert "NotADirectoryError" in kernels.sweep_kernel()
 
+    @pytest.mark.parametrize("mode", [None, 0o777], ids=["new", "open"])
+    def test_cache_is_private(self, fresh_loader, compiler, mode):
+        # a cache directory the user owns is made private, also one made
+        # open before, and the library loads from it
+        if mode is not None:
+            fresh_loader.mkdir(parents=True)
+            os.chmod(fresh_loader, mode)
+        assert kernels.sweep_kernel().startswith("compiled "), kernels.sweep_kernel()
+        assert fresh_loader.stat().st_mode & 0o777 == 0o700
+
+    def test_cache_of_another_user(self, fresh_loader, compiler, monkeypatch):
+        other = os.getuid() + 1
+        monkeypatch.setattr(os, "getuid", lambda: other)
+        assert_python_loop_serves()
+        assert kernels.sweep_kernel().startswith(f"python (PermissionError: {fresh_loader} "
+                                                 "belongs to uid ")
+        assert list(fresh_loader.iterdir()) == []  # nothing was compiled into it
+
+    def test_library_of_another_user(self, fresh_loader, compiler, monkeypatch):
+        # the library, freshly compiled or cached, reads as another user's
+        stat = Path.stat
+
+        def foreign_library(path, *args, **kwargs):
+            result = stat(path, *args, **kwargs)
+            if path.suffix != ".so":
+                return result
+            fields = list(result)
+            fields[4] += 1  # st_uid
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(Path, "stat", foreign_library)
+        for _ in range(2):
+            monkeypatch.setattr(kernels, "_loop", None)
+            assert_python_loop_serves()
+            assert "PermissionError" in kernels.sweep_kernel()
+            assert ".so belongs to uid " in kernels.sweep_kernel()
+        assert len(list(fresh_loader.iterdir())) == 1
+
+    def test_relative_cache_home_is_ignored(self, fresh_loader, compiler, monkeypatch,
+                                            tmp_path):
+        # the XDG spec: a relative XDG_CACHE_HOME is invalid, so ~/.cache serves
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        assert kernels.sweep_kernel().startswith(
+            f"compiled {tmp_path / 'home' / '.cache' / 'pdmorse' / 'sweep-'}")
+        assert not (tmp_path / "relative").exists()
+
     def test_check_finds_a_flipped_bit(self, fresh_loader, compiler, monkeypatch):
         # a Python loop one bit off in phi: the compiled loop disagrees with it
         sweep = kernels.sweep
@@ -123,9 +172,10 @@ class TestArguments:
     @pytest.mark.parametrize("bad", [
         blocks().astype(np.float32), blocks().astype(">f8"), blocks().astype(np.int64),
         np.asfortranarray(blocks()), blocks()[..., ::2], blocks()[0], blocks()[..., None],
-        np.zeros((3, 2, 3, 40)), blocks().tolist()],
+        np.zeros((3, 2, 3, 40)), blocks().tolist(),
+        np.frombuffer(bytearray(97), offset=1).reshape(1, 2, 2, 3)],
         ids=["float32", "big-endian", "int64", "fortran", "strided", "3-d", "5-d", "2x3",
-             "list"])
+             "list", "unaligned"])
     def test_bad_arrays_raise_value_error(self, bad, monkeypatch):
         monkeypatch.setattr(kernels, "_loop", self._no_loop)
         monkeypatch.setattr(kernels, "sweep", self._no_loop)

@@ -751,7 +751,7 @@ class TestBlockedSweeps:
 
     def test_sweep_states_per_solve(self, h2, monkeypatch):
         # H2, eta 0.2, levels 0-2 on the 8001-point singular domain: with
-        # blocks of 16 the sweeps walk 3,729 Python states (blocks or steps);
+        # blocks of 16 the sweeps walk 3,273 states (blocks or steps);
         # sweeps that fell back to single steps would walk about 20x as many
         mm = MassModel.for_molecule(h2, 0.2)
         grid = GridSpec(*reference_domain(h2, 0.2), 8001)
@@ -837,6 +837,45 @@ class TestBatchedRounds:
             assert alone._right_starts(np.array([e]))[0] == start
             alone._half_sweeps([e], [start])
             assert bits(alone._matched[e]) == bits(batched._matched[e]), e
+
+    @pytest.mark.parametrize("case, m", [("H2", 8), ("spiked", 1)])
+    def test_count_walks_each_evaluation_once(self, h2, case, m, monkeypatch):
+        # a count round walks each energy's row of each evaluation in one
+        # sweep_row call, over all of its blocks, and still counts what the
+        # full reference sweep counts; on the spiked grid some counts go on
+        # past their first evaluation
+        if case == "H2":
+            engine, _ = effective_engine(MassModel.for_molecule(h2, 0.2), h2,
+                                         GridSpec(*reference_domain(h2, 0.2), 2001))
+        else:
+            engine, _ = TestBlockedSweeps._engine_at_the_bound(spiked_potential(self.GRID),
+                                                               self.GRID)
+        assert engine._blocks.m == m
+        evaluations, walks = [], []
+        rows, sweep_row = oracle._BlockTables.rows, kernels.sweep_row
+
+        def recording_rows(self, energies, start, stops):
+            for ks, blocks in rows(self, energies, start, stops):
+                evaluations.append((start, len(ks), blocks))
+                yield ks, blocks
+
+        def recording_row(blocks, row, b0, b1, *args, **kwargs):
+            walks.append((blocks, row, b0, b1))
+            return sweep_row(blocks, row, b0, b1, *args, **kwargs)
+
+        monkeypatch.setattr(oracle._BlockTables, "rows", recording_rows)
+        monkeypatch.setattr(kernels, "sweep_row", recording_row)
+        e_lo, _, e_hi = engine._blocks.energies
+        energies = list(np.linspace(e_lo, e_hi, 41)[1:-1])
+        counts = engine.count_round(energies)
+        expected = [(blocks, j, 0, blocks.shape[3])
+                    for _, size, blocks in evaluations for j in range(size)]
+        assert len(walks) == len(expected)
+        for walk, want in zip(walks, expected):
+            assert walk[0] is want[0] and walk[1:] == want[1:], (walk[1:], want[1:])
+        if case == "spiked":
+            assert any(start > 0 for start, _, _ in evaluations)
+        assert counts == [reference_count(engine, e) for e in energies]
 
     def test_block_table_evaluations_per_solve(self, h2, monkeypatch):
         # H2, eta 0.2, levels 0-12 on the 2001-point singular domain: one
@@ -1256,8 +1295,11 @@ class TestKernels:
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_count_stops_at_a_settled_state_in_the_tail(self, chunk, sweep_loop):
-        # count_round's order: sweep to one past the last step with a negative
-        # (or NaN) entry, then on in chunks until phi and phi' share a sign
+        # the rule count_round stops by: once a walk ends at or past one past
+        # the last step with a negative (or NaN) entry, a state with phi and
+        # phi' of one sign ends the count.  Here the first walk ends right
+        # there and each later walk a chunk further, so every chunk end is
+        # tested
         for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
             blocks, size = one_row(cols), len(cols[0])
             negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
