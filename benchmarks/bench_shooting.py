@@ -25,11 +25,14 @@ step; it prints that m.  The next two lines give the states (blocks or
 steps) per sweep, the iterations of ``kernels.sweep_row``.  The batched
 round line times one refinement round of 13 energies, 5e-7 eV above each
 level: their shared block-table evaluations and a half-sweep pair per
-energy, in ms per round and per energy.  The faults line gives the minor
-page faults of one engine build and 13-level solve, repeated after two alike
-in the same process: the pages the oracle's heap hands back to the kernel
-and faults in again (0 once ``oracle._keep_freed_heap`` has set glibc's
-thresholds).  Usage:
+energy, in ms per round and per energy.  The round evaluation line times
+that round's evaluations alone (``_BlockTables.rows``: Horner's rule and
+the block products, ``kernels.block_products``), once in the compiled
+library and once in numpy (the loader's fallback, forced).  The faults
+line gives the minor page faults of one engine build and 13-level solve,
+repeated after two alike in the same process: the pages the oracle's heap
+hands back to the kernel and faults in again (0 once
+``oracle._keep_freed_heap`` has set glibc's thresholds).  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
@@ -165,6 +168,23 @@ def main() -> None:
     seconds = best_time(round_of_levels, (), args.repeats)
     print(f"{'batched round':17s}: {seconds * 1e3:8.3f} ms  "
           f"({seconds / LEVELS * 1e3:.3f} ms per energy, {LEVELS} energies)")
+
+    stops = [int(start) for start in starts]
+
+    def evaluate_round():
+        for _ in blocks.rows(near, 0, stops):
+            pass
+
+    library = kernels._library
+    compiled = (f"{best_time(evaluate_round, (), args.repeats) * 1e3:.3f} ms"
+                if kernel.startswith("compiled") else "not built")
+    kernels._library = False
+    try:
+        numpy_s = best_time(evaluate_round, (), args.repeats)
+    finally:
+        kernels._library = library
+    print(f"{'round evaluation':17s}: compiled {compiled}, numpy {numpy_s * 1e3:.3f} ms per "
+          f"round ({len(list(blocks.rows(near, 0, stops)))} evaluations, {LEVELS} energies)")
 
     for _ in range(3):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

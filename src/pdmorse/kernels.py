@@ -13,24 +13,27 @@ step, which counts, rescales and sets the range again.  A NaN next phi lies
 in no range, and NaN counts nothing, so every result is bit for bit that of
 the plain step alone.
 
-Compiled sweep (``sweep_row``).  The oracle's sweeps walk rows of the block
-arrays of ``block_products``.  ``sweep_row`` runs them in ``_sweep.c``, a C99
-copy of the plain step, which its first call builds with the system C
-compiler (sysconfig's CC, found on PATH) and the flags _FLAGS.  With
--ffp-contract=off no product and sum fuse into one rounding, and with no
--march and no fast-math every operation rounds to double as CPython's float
-operations do, so the compiled loop gives the Python loop's bits (NaN for
-NaN, whatever its payload).  The library is cached per user, in
-$XDG_CACHE_HOME/pdmorse (~/.cache/pdmorse where that variable is unset or
-not an absolute path), as sweep-<CRC-32 of the platform, the compile
-command and the source>.so; it is compiled under a temporary name and
-moved into place with ``os.replace``.  The cache directory is made private
-(mode 0o700), and nothing is loaded unless the current user owns both the
-directory and the library (``_owned``).  The library is loaded with ctypes
-and used only after a known-answer check against ``sweep`` (``_check``).
-If any step fails (no compiler, a compile error, an unwritable cache, a
-cache or library of another user, a load error or a wrong answer),
-``sweep_row`` runs ``sweep`` instead; ``sweep_kernel`` says which loop
+Compiled library (``sweep_row``, ``block_products``).  The oracle's
+sweeps walk rows of the block arrays of ``block_products``.  ``_sweep.c``
+holds a C99 copy of the plain step, which ``sweep_row`` runs, and of
+``block_products``' Horner evaluation and product tree.  The first call of
+either builds it with the system C compiler (sysconfig's CC, found on PATH)
+and the flags _FLAGS.  With -ffp-contract=off no product and sum fuse into
+one rounding, and with no -march and no fast-math every operation rounds
+to double as CPython's float operations and numpy's element-wise ones do,
+so the compiled code gives the bits of the Python loop and of the numpy
+products (NaN for NaN, whatever its payload).  The library is cached per
+user, in $XDG_CACHE_HOME/pdmorse (~/.cache/pdmorse where that variable is
+unset or not an absolute path), as sweep-<CRC-32 of the platform, the
+compile command and the source>.so; it is compiled under a temporary name
+and moved into place with ``os.replace``.  The cache directory is made
+private (mode 0o700), and nothing is loaded unless the current user owns
+both the directory and the library (``_owned``).  The library is loaded
+with ctypes and used only after a known-answer check of both functions
+against ``sweep`` and the numpy products (``_check``).  If any step fails
+(no compiler, a compile error, an unwritable cache, a cache or library of
+another user, a load error or a wrong answer), ``sweep_row`` runs ``sweep``
+and ``block_products`` runs numpy instead; ``sweep_kernel`` says which code
 runs and why.  Nothing is built on import.
 
 Settled tail (Sturm comparison, Pryce 1993).  Suppose that from step t on
@@ -43,17 +46,19 @@ count may therefore stop at the first such state at or after t.  For h > 0
 all four entries are >= 0 wherever q >= 0 at a step's three points, as in
 the forbidden right tail.
 
-Blocks (:func:`block_products`).  The sweep may walk products of m
-consecutive step matrices instead of single steps; it then sees phi only at
-block ends.  That count equals the per-step count when no block holds two
-nodes.  By Sturm comparison, zeros of a solution of phi'' = q phi lie at
-least pi / sqrt(max(-q)) apart, so blocks with m h sqrt(max(-q)) <= pi/2 hold
-at most one; the factor 2 of margin covers the RK4 phase error, a relative
-O((kh)^4) per step.  A product of non-negative matrices is non-negative, so
-the settled-tail argument holds block by block.
+Blocks (:func:`block_products`).  The sweep may walk products of m <=
+MAX_BLOCK consecutive step matrices instead of single steps, each step
+evaluated from a table that holds its entries as quadratics in an energy
+offset; it then sees phi only at block ends.  That count equals the
+per-step count when no block holds two nodes.  By Sturm comparison, zeros
+of a solution of phi'' = q phi lie at least pi / sqrt(max(-q)) apart, so
+blocks with m h sqrt(max(-q)) <= pi/2 hold at most one; the factor 2 of
+margin covers the RK4 phase error, a relative O((kh)^4) per step.  A
+product of non-negative matrices is non-negative, so the settled-tail
+argument holds block by block.
 
-Run ``benchmarks/bench_shooting.py`` to time the propagators, both sweeps
-and the oracle's counting and half-sweeps.
+Run ``benchmarks/bench_shooting.py`` to time the propagators, both sweeps,
+both block evaluations and the oracle's counting and half-sweeps.
 """
 from __future__ import annotations
 
@@ -73,8 +78,10 @@ _RESCALE_LIMIT = 1e250
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _FLOAT64 = np.dtype(np.float64)
-_ONE, _PAIR = ctypes.c_double * 1, ctypes.c_double * 2  # the loop's views of blocks and state
-_loop = None  # the compiled loop once built and checked, False where sweep runs instead
+_ONE, _PAIR = ctypes.c_double * 1, ctypes.c_double * 2  # the C views of arrays and state
+# Most steps per block: the compiled product tree's buffer (MAX_BLOCK in _sweep.c).
+MAX_BLOCK = 16
+_library = None  # the compiled library once built and checked, False where Python serves
 _kernel = "not loaded"  # what sweep_kernel reports
 
 
@@ -138,20 +145,65 @@ def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     return m00, m01, m10, m11
 
 
-def block_products(steps: np.ndarray):
-    """Products of consecutive step matrices, one per block of m steps, at K energies.
+def block_products(table: np.ndarray, b0: int, b1: int, d: np.ndarray):
+    """Products of consecutive step matrices, one per block of m steps, at K energy offsets.
 
-    steps is a C-contiguous array of shape (K, 2, 2, m, nb): entry (i, j) of
-    step k of block b at energy e, with m a power of two and steps in sweep
-    order along k.  The product M_{m-1} ... M_1 M_0 of each block is taken
-    as a pairwise tree, one batched 2x2 product (``einsum``, the fastest
-    numpy form measured for these shapes) per halving of m, for all K
-    energies at once.  Each block's product depends on that block's steps
-    alone, so every energy gets, bit for bit, what it gets alone.  Each
-    level is a fresh array, and steps is left as it was.  Returns the
-    C-contiguous (K, 2, 2, nb) array of the products, entry (i, j) of block
-    b at energy e, the block array that ``sweep_row`` walks.
+    table is an aligned, writable, C-contiguous float64 array of shape
+    (3, 2, 2, m, nbt): the coefficients (c2, f, c1) of entry (i, j) of step
+    k of block b, with m a power of two up to MAX_BLOCK and steps in sweep
+    order along k; d is a 1-D float64 array of the K offsets; the blocks
+    b0 .. b1 - 1 must lie inside the table.  Anything else raises
+    ValueError before any code runs.  Each step entry at offset d is
+    ((c2 d) + c1) d + f (Horner's rule), and the product M_{m-1} ... M_1 M_0
+    of each block is taken as a pairwise tree, step 2 s + 1 times step 2 s
+    per halving of m, each product entry summed as
+    (0.0 + A[i,0] B[0,l]) + A[i,1] B[1,l].  That is the order of the numpy
+    code, one ``einsum`` per halving for all K offsets at once, whose sum
+    starts from +0.0.  The compiled library runs it once the first call has
+    built and checked it, numpy where that failed (``sweep_kernel``), with
+    the same bits (NaN for NaN).  Each block's product depends on that
+    block's steps alone, so every offset gets, bit for bit, what it gets
+    alone.  An inf * 0 gives NaN without a numpy warning.  Returns a fresh
+    C-contiguous (K, 2, 2, b1 - b0) array, entry (i, j) of block b0 + b at
+    offset e, the block array that ``sweep_row`` walks; table is left as it
+    was.
     """
+    if not (type(table) is np.ndarray and table.ndim == 5 and table.dtype == _FLOAT64
+            and table.flags.c_contiguous and table.flags.aligned and table.flags.writeable
+            and table.shape[:3] == (3, 2, 2)):
+        raise ValueError("block_products needs an aligned, writable C-contiguous float64 "
+                         "table of shape (3, 2, 2, m, nbt)")
+    m, nbt = table.shape[3:]
+    if not (0 < m <= MAX_BLOCK and m & (m - 1) == 0):
+        raise ValueError(f"{m} steps per block is not a power of two up to {MAX_BLOCK}")
+    if not (type(d) is np.ndarray and d.ndim == 1 and d.dtype == _FLOAT64):
+        raise ValueError("block_products needs the offsets as a 1-D float64 array")
+    b0, b1 = operator.index(b0), operator.index(b1)
+    if not 0 <= b0 <= b1 <= nbt < 2**31:
+        raise ValueError(f"blocks {b0}..{b1} outside a table of {nbt} blocks")
+    library = _library if _library is not None else _load()
+    if library and b0 < b1 and d.size:
+        return _compiled_products(library.pdmorse_block_rows, table, b0, b1, d)
+    return _numpy_products(table, b0, b1, d)
+
+
+def _compiled_products(rows, table, b0, b1, d):
+    """``block_products`` in the compiled library, on arguments it has checked."""
+    out = np.empty((d.size, 2, 2, b1 - b0))
+    rows(_ONE.from_buffer(table), table.shape[3], table.shape[4], b0, b1,
+         (ctypes.c_double * d.size)(*d.tolist()), d.size, _ONE.from_buffer(out))
+    return out
+
+
+def _numpy_products(table, b0, b1, d):
+    """``block_products`` in numpy, on arguments it has checked."""
+    c2, f, c1 = table[..., b0:b1]
+    d = d[:, None, None, None, None]
+    with np.errstate(invalid="ignore"):  # inf * 0, as on a grid with a non-finite U
+        steps = c2 * d  # Horner's rule, (c2 d + c1) d + f, in one array
+        steps += c1
+        steps *= d
+        steps += f
     while steps.shape[3] > 1:
         steps = np.einsum("eijkb,ejlkb->eilkb", steps[:, :, :, 1::2], steps[:, :, :, 0::2])
     return np.ascontiguousarray(steps[:, :, :, 0])
@@ -182,9 +234,9 @@ def sweep_row(blocks: np.ndarray, row: int, b0: int, b1: int, phi: float, dphi: 
     if not (0 <= row < rows and 0 <= b0 <= b1 <= nb < 2**31):
         raise ValueError(f"row {row} or blocks {b0}..{b1} outside an array of {rows} rows "
                          f"of {nb} blocks")
-    loop = _loop if _loop is not None else _load()
-    if loop and b0 < b1:
-        return _compiled_row(loop, blocks, row, b0, b1, phi, dphi, reverse)
+    library = _library if _library is not None else _load()
+    if library and b0 < b1:
+        return _compiled_row(library.pdmorse_sweep_row, blocks, row, b0, b1, phi, dphi, reverse)
     return _python_row(blocks, row, b0, b1, phi, dphi, reverse)
 
 
@@ -209,28 +261,31 @@ def _python_row(blocks, row, b0, b1, phi, dphi, reverse):
 
 
 def sweep_kernel() -> str:
-    """Which loop ``sweep_row`` runs: "compiled <library>" or "python (<why>)".
+    """What ``sweep_row`` and ``block_products`` run: "compiled <library>" or
+    "python (<why>)", where ``sweep`` and numpy serve.
 
-    Builds and checks the compiled loop first if no sweep has yet.
+    Builds and checks the compiled library first if no call has yet.
     """
-    if _loop is None:
+    if _library is None:
         _load()
     return _kernel
 
 
 def _load():
-    """Build, load and check the compiled loop once: the loop, or False if any step failed."""
-    global _loop, _kernel
+    """Build, load and check the compiled library once: the library, or False if any step
+    failed."""
+    global _library, _kernel
     try:
-        library = _build()
-        loop = ctypes.CDLL(str(library)).pdmorse_sweep_row
-        loop.restype = ctypes.c_int
-        _check(loop)
-    except Exception as exc:  # whatever failed, the Python loop serves
-        _loop, _kernel = False, f"python ({type(exc).__name__}: {exc})"
+        path = _build()
+        library = ctypes.CDLL(str(path))
+        library.pdmorse_sweep_row.restype = ctypes.c_int
+        library.pdmorse_block_rows.restype = None
+        _check(library)
+    except Exception as exc:  # whatever failed, sweep and numpy serve
+        _library, _kernel = False, f"python ({type(exc).__name__}: {exc})"
     else:
-        _loop, _kernel = loop, f"compiled {library}"
-    return _loop
+        _library, _kernel = library, f"compiled {path}"
+    return _library
 
 
 def _compiler() -> str | None:
@@ -290,20 +345,28 @@ def _owned(path: Path) -> Path:
     return path
 
 
-def _check(loop) -> None:
-    """Known answers: the compiled loop must give ``sweep``'s results (NaN
-    where it gives NaN, otherwise the same bits), forward and in reverse,
-    over ranges of 1 to 24 blocks from 5 start states.  The rows: random
-    entries of mixed signs, signed zeros and magnitudes up to 1e200, two of
-    them with NaN and +-inf entries and half of them with a non-negative
-    tail; then the edge steps of the node rule and the rescale (+ -> 0 -> -,
-    a node on a rescale step, NaN, a landing on 1e250, a signed zero in
-    phi').  Raises ArithmeticError.  The random rows come from the stdlib
-    ``random``, which is loaded already; numpy.random would add megabytes
-    to the process."""
+def _check(library) -> None:
+    """Known answers: both compiled functions must give the results of
+    ``sweep`` and of the numpy products, NaN where those give NaN and
+    otherwise the same bits (``_check_sweep``, ``_check_products``).  Raises
+    ArithmeticError.  The random entries come from the stdlib ``random``,
+    which is loaded already; numpy.random would add megabytes to the
+    process."""
     import random
 
     rng = random.Random(19771012)
+    _check_sweep(library.pdmorse_sweep_row, rng)
+    _check_products(library.pdmorse_block_rows, rng)
+
+
+def _check_sweep(loop, rng) -> None:
+    """The compiled loop against ``sweep``, forward and in reverse, over
+    ranges of 1 to 24 blocks from 5 start states.  The rows: random entries
+    of mixed signs, signed zeros and magnitudes up to 1e200, two of them
+    with NaN and +-inf entries and half of them with a non-negative tail;
+    then the edge steps of the node rule and the rescale (+ -> 0 -> -, a
+    node on a rescale step, NaN, a landing on 1e250, a signed zero in
+    phi')."""
     nb, rows = 24, []
     for row in range(8):
         top = (1.0, 60.0, 200.0)[row % 3]
@@ -334,3 +397,35 @@ def _check(loop) -> None:
                             for x, y in zip(got[:2], want[:2])):
                         raise ArithmeticError(f"the compiled sweep gave {got} where sweep "
                                               f"gives {want}")
+
+
+def _check_products(rows, rng) -> None:
+    """The compiled products against ``_numpy_products`` at the offsets
+    0, -0, 0.75, -1.5 and 3e-3 (so that inf * 0 gives NaN), over all three
+    blocks of a table, from block 1 and over block 1 alone.  The tables: for
+    m = 1, 2, 4, ..., MAX_BLOCK steps per block, random coefficients of
+    mixed signs, signed zeros, NaN, +-inf and magnitudes 0.1 to 10; then
+    steps [[-0, -0], [1, 1]] times [[1, 1], [1, 1]] (at d = -0), whose
+    product sums (-0)(1) + (-0)(1) from +0.0 to +0."""
+    d = np.array([0.0, -0.0, 0.75, -1.5, 3e-3])
+    tables = []
+    for m in (1 << k for k in range(MAX_BLOCK.bit_length())):
+        tables.append(np.array([
+            rng.choice((-1.0, 1.0)) * (math.nan if kind < 0.01 else math.inf if kind < 0.03
+                                       else 0.0 if kind < 0.25
+                                       else 10.0 ** (2.0 * rng.random() - 1.0))
+            for kind in (rng.random() for _ in range(12 * m * 3))]).reshape(3, 2, 2, m, 3))
+    edge = np.zeros((3, 2, 2, 2, 3))  # c2 = 0, c1 = 1, f = -0 in step 1, row 0
+    edge[2] = edge[1] = 1.0
+    edge[1, 0, :, 1] = -0.0
+    tables.append(edge)
+    for table in tables:
+        for b0, b1 in ((0, 3), (1, 3), (1, 2)):
+            got = _compiled_products(rows, table, b0, b1, d)
+            want = _numpy_products(table, b0, b1, d)
+            same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got)
+                                                                 & np.isnan(want))
+            if not same.all():
+                raise ArithmeticError(f"the compiled block products of {table.shape[3]} "
+                                      f"steps gave {float(got[~same][0])!r} where numpy "
+                                      f"gives {float(want[~same][0])!r}")

@@ -50,8 +50,11 @@ Solve strategy, shared by every requested level of one grid:
   and the exact linear and quadratic coefficients, in closed form from p
   and U.  Each evaluation first fills the table up to the furthest block it
   needs, in passes of FILL_CHUNK steps; the table is the only source of
-  step matrices for its sweeps.  Sweeps walk products of
-  m <= MAX_BLOCK consecutive steps, one loop iteration per block.
+  step matrices for its sweeps.  One ``kernels.block_products`` call per
+  evaluation then evaluates the steps at its energies by Horner's rule and
+  multiplies them into blocks of m <= MAX_BLOCK consecutive steps, in the
+  compiled library where it builds, in numpy otherwise, with the same
+  bits.  Sweeps walk those products, one loop iteration per block.
   m h sqrt(max(-q)) <= pi/2 over the window leaves at most one node per
   block (Sturm comparison), so every count is that of the step-by-step
   sweep.  One m serves every block and every sweep: a grid with a
@@ -100,7 +103,7 @@ DEPTH_CHUNK = 512
 # whose steps could grow the solution by more than exp(BLOCK_GROWTH) runs
 # step by step.  exp(50) = 5e21 keeps every block end far below the float
 # range above the sweep's 1e250 rescale threshold.
-MAX_BLOCK = 16
+MAX_BLOCK = kernels.MAX_BLOCK  # 16
 BLOCK_GROWTH = 50.0
 # Steps per evaluation of a round (its energies times their steps), so that
 # its largest array, four entries per step, is 256 KiB.
@@ -198,16 +201,17 @@ class _BlockTables:
         m11: c1 = -h^2 (p_m/3 + p_p/6) - h^4 (a_m p_p + a_p p_m)/24
              c2 = h^4 p_m p_p/24
 
-    Horner's rule evaluates it in two multiplications and two additions per
-    entry.  Blocks are m consecutive steps from the first; padding is
-    identity.  The engine picks an m that every block can serve
+    Blocks are m consecutive steps from the first; padding is identity.
+    The engine picks an m that every block can serve
     (``_ShootingEngine._block_size``), so the table has one use: the block
-    products of a round's energies inside the window (``rows``), each
-    evaluation in arrays of its own.  The table is allocated when it is
-    built and filled on first use (``fill``), from the first block on, in
-    passes of FILL_CHUNK steps, as far as the evaluations reach; each step
-    is filled once, with the same bits in any pass.  A non-finite U gives
-    NaN steps (and m = 1) without a numpy warning.
+    products of a round's energies inside the window (``rows``), for which
+    ``kernels.block_products`` evaluates each entry by Horner's rule, in two
+    multiplications and two additions, each evaluation in an array of its
+    own.  The table is allocated when it is built and filled on first use
+    (``fill``), from the first block on, in passes of FILL_CHUNK steps, as
+    far as the evaluations reach; each step is filled once, with the same
+    bits in any pass.  A non-finite U gives NaN steps (and m = 1) without a
+    numpy warning, in the fill and in the products (inf * 0 at e_mid).
     """
 
     def __init__(self, tables, h: float, energies, m: int):
@@ -264,9 +268,9 @@ class _BlockTables:
         stops[k], rounded up to the next multiple of m; the table is first
         filled that far.  Every energy lies inside the window.  Each
         evaluation serves as many energies as keep it within TABLE_CHUNK
-        steps: Horner's rule fills one (K, 2, 2, m, nb) array, and one
-        ``kernels.block_products`` tree multiplies the blocks of all K
-        energies.  Yields (ks, blocks): row j of the (K, 2, 2, nb) array
+        steps: one ``kernels.block_products`` call evaluates the steps at
+        all K energies, at d = E - e_mid, and multiplies their blocks.
+        Yields (ks, blocks): row j of the (K, 2, 2, nb) array
         blocks holds the block matrices of energy energies[ks[j]], bit for
         bit what that energy alone gets, and block i spans the m steps from
         node start + i m (past the last node, the identity padding).  Every
@@ -282,14 +286,8 @@ class _BlockTables:
         size = max(1, TABLE_CHUNK // (m * (last - b0)))
         for i in range(0, len(ends), size):
             ks = range(i, min(i + size, len(ends)))
-            d = np.array([energies[k] - self.energies[1] for k in ks])[:, None, None, None, None]
-            c2, f1, c1 = self._table[..., b0:max(ends[k] for k in ks)]
-            with np.errstate(invalid="ignore"):  # a non-finite U (then m = 1): inf * 0 at e_mid
-                x = c2 * d  # Horner's rule, (c2 d + c1) d + f1, in one array
-                x += c1
-                x *= d
-                x += f1
-            yield ks, kernels.block_products(x)
+            d = np.array([energies[k] - self.energies[1] for k in ks])
+            yield ks, kernels.block_products(self._table, b0, max(ends[k] for k in ks), d)
 
 
 def _secant(a: float, fa: float, b: float, fb: float) -> float:

@@ -6,8 +6,9 @@ central differences, integrals from the composite trapezoid or fixed-order
 Gauss-Legendre rules, RK4 propagators from composed stage matrices (also in
 extended precision),
 eigenvalues from plain per-level bisection on node counts, the node-counting
-sweep from a one-branch loop, CSV rows from per-cell formatting, and JSON
-spectra from ``json.dumps``.  The
+sweep from a one-branch loop, block products from scalar float arithmetic
+in the documented operation order, CSV rows from per-cell formatting, and
+JSON spectra from ``json.dumps``.  The
 Rodrigues expansion cross-checks the Jacobi recurrence, and the branch
 explorer spans all four (k-root, pi-sign) pairings of the quantization.
 
@@ -252,6 +253,26 @@ def sweep_reference(m00, m01, m10, m11, phi0: float, dphi0: float):
             phi *= 1e-250
             dphi *= 1e-250
     return phi, dphi, nodes
+
+
+def block_products_reference(table: np.ndarray, b0: int, b1: int, d) -> np.ndarray:
+    """The (K, 2, 2, b1 - b0) block products that ``kernels.block_products``
+    must match bit for bit, in Python floats: each step entry
+    ((c2 d) + c1) d + f, then each halving multiplies step 2 s + 1 by step
+    2 s with entry (i, l) = (0.0 + A[i][0] B[0][l]) + A[i][1] B[1][l]."""
+    m = table.shape[3]
+    out = np.empty((len(d), 2, 2, b1 - b0))
+    for e, offset in enumerate(float(x) for x in d):
+        for b in range(b0, b1):
+            coefficients = table[..., b].tolist()  # (c2, f, c1)[i][j][step]
+            steps = [[[((coefficients[0][i][j][s] * offset) + coefficients[2][i][j][s])
+                       * offset + coefficients[1][i][j][s] for j in range(2)]
+                      for i in range(2)] for s in range(m)]
+            while len(steps) > 1:
+                steps = [[[(0.0 + a[i][0] * c[0][l]) + a[i][1] * c[1][l] for l in range(2)]
+                          for i in range(2)] for a, c in zip(steps[1::2], steps[0::2])]
+            out[e, :, :, b - b0] = steps[0]
+    return out
 
 
 def make_z_grid(points: int) -> np.ndarray:

@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import (bisect_level, constant_mass_epsilon, fd_derivative, molecule_hbar2,
-                      potential_value, rk4_extended, rk4_propagators_matmul, sweep_reference,
-                      trapezoid, u_ordering)
+from _oracles import (bisect_level, block_products_reference, constant_mass_epsilon,
+                      fd_derivative, molecule_hbar2, potential_value, rk4_extended,
+                      rk4_propagators_matmul, sweep_reference, trapezoid, u_ordering)
 from pdmorse import (LI_KUHN, WEYL, AmbiguityOrdering, ConfigError, GridSpec, MassModel,
                      NoBracket, NonConvergence, default_domain, energy_ev,
                      get_molecule, physical_psi, reduce,
@@ -70,12 +70,19 @@ def sweep_loop(request, monkeypatch):
     a C compiler is on PATH (skipped where none is).  Returns
     ``kernels.sweep_row``."""
     if request.param == "python":
-        monkeypatch.setattr(kernels, "_loop", False)
+        monkeypatch.setattr(kernels, "_library", False)
     elif kernels._compiler() is None:
         pytest.skip("no C compiler on PATH")
     else:
         assert kernels.sweep_kernel().startswith("compiled"), kernels.sweep_kernel()
     return kernels.sweep_row
+
+
+@pytest.fixture
+def products_loop(sweep_loop):
+    """``kernels.block_products`` on the code ``sweep_loop`` picks: the numpy
+    products (the loader's fallback, forced) or the compiled library."""
+    return kernels.block_products
 
 
 def one_row(cols):
@@ -254,7 +261,7 @@ class TestSolver:
         assert kernels.sweep_kernel().startswith("compiled"), kernels.sweep_kernel()
         mol = get_molecule(name)
         compiled = [oracle_compare_rows(mol, eta, WEYL, 4, 2001) for eta in REFERENCE_ETAS]
-        monkeypatch.setattr(kernels, "_loop", False)
+        monkeypatch.setattr(kernels, "_library", False)
         python = [oracle_compare_rows(mol, eta, WEYL, 4, 2001) for eta in REFERENCE_ETAS]
         assert repr(python) == repr(compiled)
 
@@ -640,23 +647,27 @@ class TestBlockedSweeps:
             assert ([side[2] for side in engine._matched[e]]
                     == [side[2] for side in plain._matched[e]]), e
 
-    def test_block_products_match_sequential_products(self):
+    def test_block_products_match_sequential_products(self, products_loop):
+        # the pairwise tree against M_{m-1} ... M_1 M_0 taken one step at a
+        # time, at 3 offsets over blocks 1 .. 5 of a 6-block table
         rng = np.random.default_rng(7)
-        for m in (2, 4, 8, 16):
-            steps = rng.uniform(-2.0, 2.0, (3, 2, 2, m, 5))
-            expected = np.empty((2, 2, 3, 5))
+        d = rng.uniform(-1.0, 1.0, 3)
+        for m in (1, 2, 4, 8, 16):
+            table = rng.uniform(-2.0, 2.0, (3, 2, 2, m, 6))
+            c2, f, c1 = table
+            expected = np.empty((3, 2, 2, 5))
             for e in range(3):
-                for b in range(5):
+                steps = (c2 * d[e] + c1) * d[e] + f
+                for b in range(1, 6):
                     product = np.eye(2)
                     for k in range(m):
-                        product = steps[e, :, :, k, b] @ product
-                    expected[:, :, e, b] = product
-            before = steps.copy()
-            products = kernels.block_products(steps)
+                        product = steps[:, :, k, b] @ product
+                    expected[e, :, :, b - 1] = product
+            before = table.copy()
+            products = products_loop(table, 1, 6, d)
             assert products.shape == (3, 2, 2, 5) and products.flags.c_contiguous
-            got = products.transpose(1, 2, 0, 3)
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-            assert steps.tobytes() == before.tobytes()  # the input is left as it was
+            np.testing.assert_allclose(products, expected, rtol=1e-12, atol=1e-12)
+            assert table.tobytes() == before.tobytes()  # the table is left as it was
 
     def test_nan_and_wall_spikes_run_step_by_step(self):
         # a NaN midpoint and 1e12 eV spikes: the whole grid runs in blocks of
@@ -883,7 +894,8 @@ class TestBatchedRounds:
         evaluations = []
         products = kernels.block_products
         monkeypatch.setattr(kernels, "block_products",
-                            lambda steps: evaluations.append(len(steps)) or products(steps))
+                            lambda table, b0, b1, d: evaluations.append(len(d))
+                            or products(table, b0, b1, d))
         mm = MassModel.for_molecule(h2, 0.2)
         solve_states(mm, WEYL, h2, GridSpec(*reference_domain(h2, 0.2), 2001), range(13),
                      tol_ev=1e-6)
@@ -1280,6 +1292,37 @@ class TestKernels:
                 got = sweep_loop(blocks, 0, 0, len(a), phi0, dphi0, reverse)
                 assert got[2] == ref[2], (cols, phi0, dphi0, reverse)
                 assert self._same(got[0], ref[0]) and self._same(got[1], ref[1]), (cols, phi0)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+    def test_block_products_match_reference_bit_for_bit(self, m, products_loop):
+        # coefficients of mixed signs and signed zeros, with NaN and +-inf in
+        # blocks 4 and 5; offsets 0, -0 and inf make inf * 0 NaN and -0
+        # steps; the last block's second half is the identity padding of
+        # _BlockTables.  Ranges from block 0 and from later ones, some to
+        # the last block
+        rng = np.random.default_rng(2012 + m)
+        nbt = 7
+        kind = rng.random((3, 2, 2, m, nbt))
+        table = rng.choice([-1.0, 1.0], kind.shape) * 10.0 ** rng.uniform(-1.0, 1.0, kind.shape)
+        table[kind < 0.25] *= 0.0
+        special = np.zeros(kind.shape, dtype=bool)
+        special[..., 4:6] = True
+        table[special & (kind > 0.96)] = math.nan
+        table[special & (kind > 0.92) & (kind <= 0.96)] *= math.inf
+        table[..., m // 2:, -1] = oracle._PADDING
+        d = np.array([0.0, -0.0, 0.5, -1.25, 1e-3, math.inf])
+        results = []
+        for b0, b1 in ((0, nbt), (3, nbt), (2, 5), (nbt - 1, nbt), (1, 2)):
+            got = products_loop(table, b0, b1, d)
+            want = block_products_reference(table, b0, b1, d)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), (b0, b1)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), (b0, b1)
+            results.append(got)
+        values = np.concatenate([r.ravel() for r in results])
+        # past two steps an inf entry meets a zero or an opposite inf
+        assert np.isnan(values).any() and (m > 2 or np.isinf(values).any())
+        assert np.isfinite(values).mean() > 0.5
 
     def test_reversed_adjugate_sweep_is_the_forward_sweep_of_swapped_entries(self):
         # the half-sweep's identity: adj = [[e, -b], [-c, a]] acts on
