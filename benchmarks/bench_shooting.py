@@ -1,38 +1,38 @@
 """Benchmark the shooting kernels and the oracle's two kinds of sweep.
 
-Prints which loop ``kernels.sweep_row`` runs (``kernels.sweep_kernel``: the
-compiled library, or why the Python loop runs).  Times the closed-form
-propagator build over the whole grid at a trial energy, then the Python
-sweep (``kernels.sweep``) and the compiled one (``kernels.sweep_row``, where
-it built) step by step over those propagators, in us per call and ns per
-state, and in us per call over a single state, the fixed cost of a call.
-Then it solves the 13 lowest H2 levels on an engine built as solve_states
-builds it, with its step table over the window (min U_eff, 0).  At 5e-7 eV
-above the ground level, where the oracle certifies it, it times one counting
-sweep (``count_round`` of one energy, on the staircase as the solve left it,
-so that the energy is swept and not looked up) and one refinement half-sweep
-pair (``phase``: the right start, both sweeps and their block products).
-Times are the best of --repeats calls, in ms per call and ns per grid step.
-The block size line gives the steps per block, and the engine build line
-times ``oracle._effective_engine`` on the grid: its U_eff and mass tables,
-block size and an empty step table, which the rounds of a solve fill as far
-as they reach.  The table fill line times the fill of a whole step table of
-that engine.  The wall engine line times an engine build and a 4-level solve
-(tol 1e-6 eV, as oracle-compare solves) on [-2.5, 10] A, a domain that
-reaches into the steep left wall, where blocks could grow the solution by
-more than exp(oracle.BLOCK_GROWTH) and the engine sweeps in blocks of m = 1
-step; it prints that m.  The next two lines give the states (blocks or
-steps) per sweep, the iterations of ``kernels.sweep_row``.  The batched
-round line times one refinement round of 13 energies, 5e-7 eV above each
-level: their shared block-table evaluations and a half-sweep pair per
-energy, in ms per round and per energy.  The round evaluation line times
-that round's evaluations alone (``_BlockTables.rows``: Horner's rule and
-the block products, ``kernels.block_products``), once in the compiled
-library and once in numpy (the loader's fallback, forced).  The faults
-line gives the minor page faults of one engine build and 13-level solve,
-repeated after two alike in the same process: the pages the oracle's heap
-hands back to the kernel and faults in again (0 once
-``oracle._keep_freed_heap`` has set glibc's thresholds).  Usage:
+Prints which code ``kernels.walk`` runs (``kernels.sweep_kernel``: the
+compiled library, or why numpy and the Python loop run).  Times the
+closed-form propagator build over the whole grid at a trial energy, then
+the Python sweep (``kernels.sweep``) and the compiled walk
+(``kernels.walk``, where it built) step by step over those propagators, in
+us per call and ns per state, and in us per call over a single state, the
+fixed cost of a call.  The compiled walk reads the propagators from a
+table of one step per block, so each of its states also evaluates a step
+by Horner's rule.  Then it solves the 13 lowest H2 levels on an engine
+built as solve_states builds it, with its step table over the window
+(min U_eff, 0).  At 5e-7 eV above the ground level, where the oracle
+certifies it, it times one counting sweep (``count_round`` of one energy,
+on the staircase as the solve left it, so that the energy is swept and not
+looked up) and one refinement half-sweep pair (``phase``: the right start
+and both walks).  Times are the best of --repeats calls, in ms per call and
+ns per grid step.  The block size line gives the steps per block, and the
+engine build line times ``oracle._effective_engine`` on the grid: its U_eff
+and mass tables, block size and an empty step table, which the rounds of a
+solve fill as far as they reach.  The table fill line times the fill of a
+whole step table of that engine.  The wall engine line times an engine
+build and a 4-level solve (tol 1e-6 eV, as oracle-compare solves) on
+[-2.5, 10] A, a domain that reaches into the steep left wall, where blocks
+could grow the solution by more than exp(oracle.BLOCK_GROWTH) and the
+engine sweeps in blocks of m = 1 step; it prints that m.  The next two
+lines give the states (blocks or steps) per sweep, the blocks each walk of
+``kernels.walk`` takes.  The batched round line times one refinement round
+of 13 energies, 5e-7 eV above each level (``_half_sweeps``: a left and a
+right walk of all 13), once in the compiled library and once in numpy and
+the Python loop (the loader's fallback, forced), in ms per round and per
+energy.  The faults line gives the minor page faults of one engine build
+and 13-level solve, repeated after two alike in the same process: the
+pages the oracle's heap hands back to the kernel and faults in again (0
+once ``oracle._keep_freed_heap`` has set glibc's thresholds).  Usage:
 
     python benchmarks/bench_shooting.py [--points 8001] [--repeats 100]
 """
@@ -68,15 +68,15 @@ def wall_engine(points: int):
 
 
 def sweep_states(fn) -> tuple[int, int]:
-    """(sweeps, states) of the kernels.sweep_row calls fn() makes."""
+    """(sweeps, states) of the walks of the kernels.walk calls fn() makes."""
     states = []
-    sweep_row = kernels.sweep_row
-    kernels.sweep_row = lambda *args, **kw: (states.append(args[3] - args[2])
-                                             or sweep_row(*args, **kw))
+    walk = kernels.walk
+    kernels.walk = lambda table, b0, ends, *args, **kw: (states.extend(end - b0 for end in ends)
+                                                         or walk(table, b0, ends, *args, **kw))
     try:
         fn()
     finally:
-        kernels.sweep_row = sweep_row
+        kernels.walk = walk
     return len(states), sum(states)
 
 
@@ -105,8 +105,10 @@ def python_sweep(rows):
 
 
 def compiled_sweep(rows):
-    blocks = np.stack(rows).reshape(1, 2, 2, -1)
-    return lambda: kernels.sweep_row(blocks, 0, 0, blocks.shape[3], 0.0, 1.0)
+    """A walk over a table of one step per block, c2 = c1 = 0 and f the steps."""
+    table = np.zeros((3, 2, 2, 1, len(rows[0])))
+    table[1] = np.reshape(rows, (2, 2, 1, -1))
+    return lambda: kernels.walk(table, 0, [table.shape[4]], np.zeros(1), [(0.0, 1.0)])
 
 
 def main() -> None:
@@ -165,26 +167,16 @@ def main() -> None:
         engine._matched.clear()
         engine._half_sweeps(near, starts)
 
-    seconds = best_time(round_of_levels, (), args.repeats)
-    print(f"{'batched round':17s}: {seconds * 1e3:8.3f} ms  "
-          f"({seconds / LEVELS * 1e3:.3f} ms per energy, {LEVELS} energies)")
-
-    stops = [int(start) for start in starts]
-
-    def evaluate_round():
-        for _ in blocks.rows(near, 0, stops):
-            pass
-
     library = kernels._library
-    compiled = (f"{best_time(evaluate_round, (), args.repeats) * 1e3:.3f} ms"
+    compiled = (f"{best_time(round_of_levels, (), args.repeats) * 1e3:.3f} ms"
                 if kernel.startswith("compiled") else "not built")
     kernels._library = False
     try:
-        numpy_s = best_time(evaluate_round, (), args.repeats)
+        numpy_s = best_time(round_of_levels, (), args.repeats)
     finally:
         kernels._library = library
-    print(f"{'round evaluation':17s}: compiled {compiled}, numpy {numpy_s * 1e3:.3f} ms per "
-          f"round ({len(list(blocks.rows(near, 0, stops)))} evaluations, {LEVELS} energies)")
+    print(f"{'batched round':17s}: compiled {compiled}, numpy {numpy_s * 1e3:.3f} ms per round "
+          f"({numpy_s / LEVELS * 1e3:.3f} ms per energy in numpy, {LEVELS} energies)")
 
     for _ in range(3):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

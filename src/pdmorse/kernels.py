@@ -13,28 +13,28 @@ step, which counts, rescales and sets the range again.  A NaN next phi lies
 in no range, and NaN counts nothing, so every result is bit for bit that of
 the plain step alone.
 
-Compiled library (``sweep_row``, ``block_products``).  The oracle's
-sweeps walk rows of the block arrays of ``block_products``.  ``_sweep.c``
-holds a C99 copy of the plain step, which ``sweep_row`` runs, and of
-``block_products``' Horner evaluation and product tree.  The first call of
-either builds it with the system C compiler (sysconfig's CC, found on PATH)
-and the flags _FLAGS.  With -ffp-contract=off no product and sum fuse into
-one rounding, and with no -march and no fast-math every operation rounds
-to double as CPython's float operations and numpy's element-wise ones do,
-so the compiled code gives the bits of the Python loop and of the numpy
-products (NaN for NaN, whatever its payload).  The library is cached per
-user, in $XDG_CACHE_HOME/pdmorse (~/.cache/pdmorse where that variable is
-unset or not an absolute path), as sweep-<CRC-32 of the platform, the
-compile command and the source>.so; it is compiled under a temporary name
-and moved into place with ``os.replace``.  The cache directory is made
-private (mode 0o700), and nothing is loaded unless the current user owns
-both the directory and the library (``_owned``).  The library is loaded
-with ctypes and used only after a known-answer check of both functions
-against ``sweep`` and the numpy products (``_check``).  If any step fails
-(no compiler, a compile error, an unwritable cache, a cache or library of
-another user, a load error or a wrong answer), ``sweep_row`` runs ``sweep``
-and ``block_products`` runs numpy instead; ``sweep_kernel`` says which code
-runs and why.  Nothing is built on import.
+Compiled library (``walk``).  The oracle's sweeps walk products of the
+steps of its step table (Blocks, below), and ``walk`` makes each block's
+product and steps over it at once, so no array of products outlives a
+call.  ``_sweep.c`` holds a C99 copy of its Horner evaluation and product
+tree and of the plain step.  The first call builds it with the system C
+compiler (sysconfig's CC, found on PATH) and the flags _FLAGS.  With
+-ffp-contract=off no product and sum fuse into one rounding, and with no
+-march and no fast-math every operation rounds to double as CPython's
+float operations and numpy's element-wise ones do, so the compiled code
+gives the bits of the numpy products and the Python loop (NaN for NaN,
+whatever its payload).  The library is cached per user, in
+$XDG_CACHE_HOME/pdmorse (~/.cache/pdmorse where that variable is unset or
+not an absolute path), as sweep-<CRC-32 of the platform, the compile
+command and the source>.so; it is compiled under a temporary name and
+moved into place with ``os.replace``.  The cache directory is made private
+(mode 0o700), and nothing is loaded unless the current user owns both the
+directory and the library (``_owned``).  The library is loaded with ctypes
+and used only after a known-answer check against the numpy products and
+``sweep`` (``_check``).  If any step fails (no compiler, a compile error,
+an unwritable cache, a cache or library of another user, a load error or a
+wrong answer), ``walk`` runs numpy and ``sweep`` instead; ``sweep_kernel``
+says which code runs and why.  Nothing is built on import.
 
 Settled tail (Sturm comparison, Pryce 1993).  Suppose that from step t on
 every propagator entry is >= 0 (NaN counts as negative).  If phi, phi' >= 0
@@ -46,7 +46,7 @@ count may therefore stop at the first such state at or after t.  For h > 0
 all four entries are >= 0 wherever q >= 0 at a step's three points, as in
 the forbidden right tail.
 
-Blocks (:func:`block_products`).  The sweep may walk products of m <=
+Blocks (:func:`walk`).  The sweep may walk products of m <=
 MAX_BLOCK consecutive step matrices instead of single steps, each step
 evaluated from a table that holds its entries as quadratics in an energy
 offset; it then sees phi only at block ends.  That count equals the
@@ -57,8 +57,9 @@ margin covers the RK4 phase error, a relative O((kh)^4) per step.  A
 product of non-negative matrices is non-negative, so the settled-tail
 argument holds block by block.
 
-Run ``benchmarks/bench_shooting.py`` to time the propagators, both sweeps,
-both block evaluations and the oracle's counting and half-sweeps.
+Run ``benchmarks/bench_shooting.py`` to time the propagators, both sweeps
+and the oracle's counting sweeps, half-sweeps and rounds, compiled and in
+numpy.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-USE_NUMBA = False  # recorded by e2ebench/run.py; the compiled sweep is sweep_row's C loop
+USE_NUMBA = False  # recorded by e2ebench/run.py; the compiled sweep is walk's C loop
 
 # Renormalization threshold; rescaling both components leaves nodes and
 # log-derivatives unchanged while keeping the growing solution finite.
@@ -78,9 +79,12 @@ _RESCALE_LIMIT = 1e250
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _FLOAT64 = np.dtype(np.float64)
-_ONE, _PAIR = ctypes.c_double * 1, ctypes.c_double * 2  # the C views of arrays and state
+_ONE = ctypes.c_double * 1  # the C view of an array
 # Most steps per block: the compiled product tree's buffer (MAX_BLOCK in _sweep.c).
 MAX_BLOCK = 16
+# Steps per numpy evaluation of the fallback's products (its walks times
+# their steps), so that its largest array, four entries per step, is 256 KiB.
+TABLE_CHUNK = 8192
 _library = None  # the compiled library once built and checked, False where Python serves
 _kernel = "not loaded"  # what sweep_kernel reports
 
@@ -145,58 +149,96 @@ def rk4_propagators(q_nodes: np.ndarray, q_mids: np.ndarray, h: float):
     return m00, m01, m10, m11
 
 
-def block_products(table: np.ndarray, b0: int, b1: int, d: np.ndarray):
-    """Products of consecutive step matrices, one per block of m steps, at K energy offsets.
+def walk(table: np.ndarray, b0: int, ends, d: np.ndarray, states, reverse: bool = False):
+    """``sweep`` over products of consecutive step matrices, one per block of m steps,
+    at K energy offsets.
 
     table is an aligned, writable, C-contiguous float64 array of shape
     (3, 2, 2, m, nbt): the coefficients (c2, f, c1) of entry (i, j) of step
     k of block b, with m a power of two up to MAX_BLOCK and steps in sweep
-    order along k; d is a 1-D float64 array of the K offsets; the blocks
-    b0 .. b1 - 1 must lie inside the table.  Anything else raises
-    ValueError before any code runs.  Each step entry at offset d is
-    ((c2 d) + c1) d + f (Horner's rule), and the product M_{m-1} ... M_1 M_0
-    of each block is taken as a pairwise tree, step 2 s + 1 times step 2 s
-    per halving of m, each product entry summed as
-    (0.0 + A[i,0] B[0,l]) + A[i,1] B[1,l].  That is the order of the numpy
-    code, one ``einsum`` per halving for all K offsets at once, whose sum
-    starts from +0.0.  The compiled library runs it once the first call has
-    built and checked it, numpy where that failed (``sweep_kernel``), with
-    the same bits (NaN for NaN).  Each block's product depends on that
-    block's steps alone, so every offset gets, bit for bit, what it gets
-    alone.  An inf * 0 gives NaN without a numpy warning.  Returns a fresh
-    C-contiguous (K, 2, 2, b1 - b0) array, entry (i, j) of block b0 + b at
-    offset e, the block array that ``sweep_row`` walks; table is left as it
-    was.
+    order along k; d is a 1-D float64 array of the K offsets, ends the K
+    end blocks and states the K start states (phi, phi').  Walk e takes the
+    blocks b0 .. ends[e] - 1, which must lie inside the table.  Anything
+    else raises ValueError before any code runs.  Each step entry at offset
+    d[e] is ((c2 d) + c1) d + f (Horner's rule), and the product
+    M_{m-1} ... M_1 M_0 of each block is taken as a pairwise tree, step
+    2 s + 1 times step 2 s per halving of m, each product entry summed as
+    (0.0 + A[i,0] B[0,l]) + A[i,1] B[1,l]: the order of ``_numpy_products``,
+    one ``einsum`` per halving, whose sum starts from +0.0.  Each product is
+    then one step of ``sweep``.  With reverse, walk e takes the blocks
+    ends[e] - 1 down to b0 with each product's entries in the adjugate's
+    order (m11, m01, m10, m00): from (0, +1) that is the oracle's right
+    half-sweep, whose phi' comes back negated.
+
+    The compiled library runs it once the first call has built and checked
+    it, numpy and ``sweep`` where that failed (``sweep_kernel``), with the
+    same bits (NaN for NaN).  Each product depends on its block's steps and
+    its walk's offset alone, so every walk gives, bit for bit, what it gives
+    alone.  An inf * 0 gives NaN without a numpy warning.  Returns
+    [(phi, phi', nodes)], one per walk, bit for bit what ``sweep`` gives
+    over the products (the module docstring); table is left as it was.
     """
     if not (type(table) is np.ndarray and table.ndim == 5 and table.dtype == _FLOAT64
             and table.flags.c_contiguous and table.flags.aligned and table.flags.writeable
             and table.shape[:3] == (3, 2, 2)):
-        raise ValueError("block_products needs an aligned, writable C-contiguous float64 "
-                         "table of shape (3, 2, 2, m, nbt)")
+        raise ValueError("walk needs an aligned, writable C-contiguous float64 table of "
+                         "shape (3, 2, 2, m, nbt)")
     m, nbt = table.shape[3:]
     if not (0 < m <= MAX_BLOCK and m & (m - 1) == 0):
         raise ValueError(f"{m} steps per block is not a power of two up to {MAX_BLOCK}")
     if not (type(d) is np.ndarray and d.ndim == 1 and d.dtype == _FLOAT64):
-        raise ValueError("block_products needs the offsets as a 1-D float64 array")
-    b0, b1 = operator.index(b0), operator.index(b1)
-    if not 0 <= b0 <= b1 <= nbt < 2**31:
-        raise ValueError(f"blocks {b0}..{b1} outside a table of {nbt} blocks")
+        raise ValueError("walk needs the offsets as a 1-D float64 array")
+    b0, ends = operator.index(b0), [operator.index(end) for end in ends]
+    states = [(float(phi), float(dphi)) for phi, dphi in states]
+    if not len(ends) == len(states) == d.size:
+        raise ValueError(f"{len(ends)} ends and {len(states)} states for {d.size} offsets")
+    outside = [end for end in ends if not b0 <= end <= nbt]
+    if b0 < 0 or outside or nbt >= 2**31:
+        raise ValueError(f"blocks {b0}..{outside[0] if outside else b0} outside a table of "
+                         f"{nbt} blocks")
     library = _library if _library is not None else _load()
-    if library and b0 < b1 and d.size:
-        return _compiled_products(library.pdmorse_block_rows, table, b0, b1, d)
-    return _numpy_products(table, b0, b1, d)
+    if library and nbt:  # ctypes maps no view of an empty table
+        return _compiled_walk(library.pdmorse_walk, table, b0, ends, d, states, reverse)
+    return _numpy_walk(table, b0, ends, d, states, reverse)
 
 
-def _compiled_products(rows, table, b0, b1, d):
-    """``block_products`` in the compiled library, on arguments it has checked."""
-    out = np.empty((d.size, 2, 2, b1 - b0))
-    rows(_ONE.from_buffer(table), table.shape[3], table.shape[4], b0, b1,
-         (ctypes.c_double * d.size)(*d.tolist()), d.size, _ONE.from_buffer(out))
+def _compiled_walk(run, table, b0, ends, d, states, reverse):
+    """``walk`` in the compiled library, on arguments it has checked."""
+    k = len(ends)
+    out = (ctypes.c_double * (2 * k))(*[x for state in states for x in state])
+    nodes = (ctypes.c_int * k)()
+    # ctypes passes a ctypes array as a pointer to its first element and the
+    # ints as C ints: run has no argtypes, which would add a converter per
+    # argument to every call
+    run(_ONE.from_buffer(table), table.shape[3], table.shape[4], b0, (ctypes.c_int * k)(*ends),
+        (ctypes.c_double * k)(*d.tolist()), k, 1 if reverse else 0, out, nodes)
+    return list(zip(out[0::2], out[1::2], nodes))
+
+
+def _numpy_walk(table, b0, ends, d, states, reverse):
+    """``walk`` in numpy and ``sweep``, on arguments it has checked.
+
+    The walks go in groups of consecutive ones, as many as keep a group's
+    products within TABLE_CHUNK steps (one at least), each group's products
+    in one ``_numpy_products`` call; ``sweep`` then walks views of each
+    walk's products."""
+    size = max(1, TABLE_CHUNK // (table.shape[3] * max(1, max(ends, default=b0) - b0)))
+    out = []
+    for i in range(0, len(ends), size):
+        group = ends[i:i + size]
+        nb = max(group) - b0
+        (a, b), (c, e) = _numpy_products(table, b0, b0 + nb, d[i:i + size]).transpose(1, 2, 0, 3)
+        if reverse:  # the adjugate's entries, blocks from the last one down
+            a, b, c, e = (x[:, ::-1] for x in (e, b, c, a))
+        for j, (end, (phi, dphi)) in enumerate(zip(group, states[i:i + size])):
+            span = slice(nb - (end - b0), None) if reverse else slice(end - b0)
+            out.append(sweep(a[j, span], b[j, span], c[j, span], e[j, span], phi, dphi))
     return out
 
 
 def _numpy_products(table, b0, b1, d):
-    """``block_products`` in numpy, on arguments it has checked."""
+    """The products of blocks b0 .. b1 - 1 at the offsets d in numpy: a fresh C-contiguous
+    (K, 2, 2, b1 - b0) array, entry (i, j) of block b0 + b at offset e."""
     c2, f, c1 = table[..., b0:b1]
     d = d[:, None, None, None, None]
     with np.errstate(invalid="ignore"):  # inf * 0, as on a grid with a non-finite U
@@ -209,60 +251,9 @@ def _numpy_products(table, b0, b1, d):
     return np.ascontiguousarray(steps[:, :, :, 0])
 
 
-def sweep_row(blocks: np.ndarray, row: int, b0: int, b1: int, phi: float, dphi: float,
-              reverse: bool = False):
-    """``sweep`` over blocks b0 .. b1 - 1 of one row of a block array, in C where it builds.
-
-    blocks is an aligned, writable, C-contiguous float64 array of shape
-    (K, 2, 2, nb), as ``block_products`` returns; row and the block range
-    must lie inside it, or ValueError is raised before any loop runs.  Forward, the step
-    matrices are blocks[row, :, :, b] for b = b0 .. b1 - 1.  With reverse,
-    the walk takes b = b1 - 1 down to b0 with the adjugate's entries in the
-    order (m11, m01, m10, m00): from (0, +1) that is the oracle's right
-    half-sweep, whose phi' comes back negated.  Returns (phi, phi', nodes),
-    bit for bit what ``sweep`` gives over the same steps (the module
-    docstring): the compiled loop once the first call has built and checked
-    it, ``sweep`` itself where that failed (``sweep_kernel``).
-    """
-    if not (type(blocks) is np.ndarray and blocks.ndim == 4 and blocks.dtype == _FLOAT64
-            and blocks.flags.c_contiguous and blocks.flags.aligned and blocks.flags.writeable
-            and blocks.shape[1] == blocks.shape[2] == 2):
-        raise ValueError("sweep_row needs an aligned, writable C-contiguous float64 array "
-                         "of shape (K, 2, 2, nb)")
-    row, b0, b1 = operator.index(row), operator.index(b0), operator.index(b1)
-    rows, _, _, nb = blocks.shape
-    if not (0 <= row < rows and 0 <= b0 <= b1 <= nb < 2**31):
-        raise ValueError(f"row {row} or blocks {b0}..{b1} outside an array of {rows} rows "
-                         f"of {nb} blocks")
-    library = _library if _library is not None else _load()
-    if library and b0 < b1:
-        return _compiled_row(library.pdmorse_sweep_row, blocks, row, b0, b1, phi, dphi, reverse)
-    return _python_row(blocks, row, b0, b1, phi, dphi, reverse)
-
-
-def _compiled_row(loop, blocks, row, b0, b1, phi, dphi, reverse):
-    """``sweep_row`` in the compiled loop, on arguments it has checked."""
-    state = _PAIR(phi, dphi)
-    # ctypes passes a ctypes array as a pointer to its first element and the
-    # ints as C ints: loop has no argtypes, which would add a converter per
-    # argument to every call
-    nodes = loop(_ONE.from_buffer(blocks), blocks.shape[3], row, b0, b1, 1 if reverse else 0,
-                 state)
-    return state[0], state[1], nodes
-
-
-def _python_row(blocks, row, b0, b1, phi, dphi, reverse):
-    """``sweep_row`` in ``sweep``, over views of the row."""
-    entries = blocks[row, :, :, b0:b1]
-    if reverse:
-        return sweep(entries[1, 1, ::-1], entries[0, 1, ::-1], entries[1, 0, ::-1],
-                     entries[0, 0, ::-1], phi, dphi)
-    return sweep(entries[0, 0], entries[0, 1], entries[1, 0], entries[1, 1], phi, dphi)
-
-
 def sweep_kernel() -> str:
-    """What ``sweep_row`` and ``block_products`` run: "compiled <library>" or
-    "python (<why>)", where ``sweep`` and numpy serve.
+    """What ``walk`` runs: "compiled <library>" or "python (<why>)", where
+    numpy and ``sweep`` serve.
 
     Builds and checks the compiled library first if no call has yet.
     """
@@ -278,10 +269,9 @@ def _load():
     try:
         path = _build()
         library = ctypes.CDLL(str(path))
-        library.pdmorse_sweep_row.restype = ctypes.c_int
-        library.pdmorse_block_rows.restype = None
+        library.pdmorse_walk.restype = None
         _check(library)
-    except Exception as exc:  # whatever failed, sweep and numpy serve
+    except Exception as exc:  # whatever failed, numpy and sweep serve
         _library, _kernel = False, f"python ({type(exc).__name__}: {exc})"
     else:
         _library, _kernel = library, f"compiled {path}"
@@ -346,27 +336,47 @@ def _owned(path: Path) -> Path:
 
 
 def _check(library) -> None:
-    """Known answers: both compiled functions must give the results of
-    ``sweep`` and of the numpy products, NaN where those give NaN and
-    otherwise the same bits (``_check_sweep``, ``_check_products``).  Raises
-    ArithmeticError.  The random entries come from the stdlib ``random``,
-    which is loaded already; numpy.random would add megabytes to the
-    process."""
+    """Known answers: the compiled walk must give the results of
+    ``_numpy_walk``, NaN where it gives NaN and otherwise the same bits,
+    forward and in reverse.  Every call makes one walk per offset and start
+    state, and its odd walks end one block short, so some are empty.  The
+    tables:
+
+    * for m = 1, 2, 4, ..., MAX_BLOCK steps per block, three blocks of
+      random coefficients of mixed signs, signed zeros, NaN, +-inf and
+      magnitudes 0.1 to 10, at the offsets 0, -0, 0.75, -1.5 and 3e-3 (so
+      that inf * 0 gives NaN), over all three blocks, from block 1 and over
+      block 1 alone; then steps [[-0, -0], [1, 1]] times [[1, 1], [1, 1]]
+      (at d = -0), whose product sums (-0)(1) + (-0)(1) from +0.0 to +0.
+      The walks start from (1, 0), (0, 1) and (1, 1): over one block the
+      first two give the columns of its product;
+    * one step per block with c2 = c1 = 0 at d = -0, where each step is its
+      f bit for bit, over ranges of 1 to 24 blocks from (phi, 1) for phi in
+      0, 1, -1, 1e-300 and NaN: rows of random entries of mixed signs,
+      signed zeros and magnitudes up to 1e200, two of them with NaN and
+      +-inf entries and half of them with a non-negative tail; then the
+      edge steps of the node rule and the rescale (+ -> 0 -> -, a node on a
+      rescale step, NaN, a landing on 1e250, a signed zero in phi').
+
+    Raises ArithmeticError.  The random entries come from the stdlib
+    ``random``, which is loaded already; numpy.random would add megabytes
+    to the process."""
     import random
 
     rng = random.Random(19771012)
-    _check_sweep(library.pdmorse_sweep_row, rng)
-    _check_products(library.pdmorse_block_rows, rng)
-
-
-def _check_sweep(loop, rng) -> None:
-    """The compiled loop against ``sweep``, forward and in reverse, over
-    ranges of 1 to 24 blocks from 5 start states.  The rows: random entries
-    of mixed signs, signed zeros and magnitudes up to 1e200, two of them
-    with NaN and +-inf entries and half of them with a non-negative tail;
-    then the edge steps of the node rule and the rescale (+ -> 0 -> -, a
-    node on a rescale step, NaN, a landing on 1e250, a signed zero in
-    phi')."""
+    cases = []  # (table, offsets, block ranges, start states)
+    columns = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+    for m in (1 << k for k in range(MAX_BLOCK.bit_length())):
+        table = np.array([
+            rng.choice((-1.0, 1.0)) * (math.nan if kind < 0.01 else math.inf if kind < 0.03
+                                       else 0.0 if kind < 0.25
+                                       else 10.0 ** (2.0 * rng.random() - 1.0))
+            for kind in (rng.random() for _ in range(12 * m * 3))]).reshape(3, 2, 2, m, 3)
+        cases.append((table, (0.0, -0.0, 0.75, -1.5, 3e-3), ((0, 3), (1, 3), (1, 2)), columns))
+    edge = np.zeros((3, 2, 2, 2, 3))  # c2 = 0, c1 = 1, f = -0 in step 1, row 0
+    edge[2] = edge[1] = 1.0
+    edge[1, 0, :, 1] = -0.0
+    cases.append((edge, (-0.0,), ((0, 3), (1, 3), (1, 2)), columns))
     nb, rows = 24, []
     for row in range(8):
         top = (1.0, 60.0, 200.0)[row % 3]
@@ -384,48 +394,23 @@ def _check_sweep(loop, rng) -> None:
                   ((math.nan, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)),
                   (one, (1e250, 0.0, 0.0, 1.0)), (one, (1.0, 0.0, 1.0, 1.0))):
         rows.append([x for column in zip(*steps, *[one] * (nb - 2)) for x in column])
-    blocks = np.array(rows).reshape(len(rows), 2, 2, nb)
-    for row in range(len(rows)):
-        for b0, b1 in ((0, 1), (row % 8, row % 8 + 3), (2, 12), (0, nb)):
-            for phi in (0.0, 1.0, -1.0, 1e-300, math.nan):
-                for reverse in (False, True):
-                    got = _compiled_row(loop, blocks, row, b0, b1, phi, 1.0, reverse)
-                    want = _python_row(blocks, row, b0, b1, phi, 1.0, reverse)
-                    if got[2] != want[2] or not all(
-                            x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-                            or math.isnan(x) and math.isnan(y)
-                            for x, y in zip(got[:2], want[:2])):
-                        raise ArithmeticError(f"the compiled sweep gave {got} where sweep "
-                                              f"gives {want}")
-
-
-def _check_products(rows, rng) -> None:
-    """The compiled products against ``_numpy_products`` at the offsets
-    0, -0, 0.75, -1.5 and 3e-3 (so that inf * 0 gives NaN), over all three
-    blocks of a table, from block 1 and over block 1 alone.  The tables: for
-    m = 1, 2, 4, ..., MAX_BLOCK steps per block, random coefficients of
-    mixed signs, signed zeros, NaN, +-inf and magnitudes 0.1 to 10; then
-    steps [[-0, -0], [1, 1]] times [[1, 1], [1, 1]] (at d = -0), whose
-    product sums (-0)(1) + (-0)(1) from +0.0 to +0."""
-    d = np.array([0.0, -0.0, 0.75, -1.5, 3e-3])
-    tables = []
-    for m in (1 << k for k in range(MAX_BLOCK.bit_length())):
-        tables.append(np.array([
-            rng.choice((-1.0, 1.0)) * (math.nan if kind < 0.01 else math.inf if kind < 0.03
-                                       else 0.0 if kind < 0.25
-                                       else 10.0 ** (2.0 * rng.random() - 1.0))
-            for kind in (rng.random() for _ in range(12 * m * 3))]).reshape(3, 2, 2, m, 3))
-    edge = np.zeros((3, 2, 2, 2, 3))  # c2 = 0, c1 = 1, f = -0 in step 1, row 0
-    edge[2] = edge[1] = 1.0
-    edge[1, 0, :, 1] = -0.0
-    tables.append(edge)
-    for table in tables:
-        for b0, b1 in ((0, 3), (1, 3), (1, 2)):
-            got = _compiled_products(rows, table, b0, b1, d)
-            want = _numpy_products(table, b0, b1, d)
-            same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got)
-                                                                 & np.isnan(want))
-            if not same.all():
-                raise ArithmeticError(f"the compiled block products of {table.shape[3]} "
-                                      f"steps gave {float(got[~same][0])!r} where numpy "
-                                      f"gives {float(want[~same][0])!r}")
+    for row, entries in enumerate(rows):
+        table = np.zeros((3, 2, 2, 1, nb))
+        table[1] = np.reshape(entries, (2, 2, 1, nb))
+        cases.append((table, (-0.0,), ((0, 1), (row % 8, row % 8 + 3), (2, 12), (0, nb)),
+                      [(phi, 1.0) for phi in (0.0, 1.0, -1.0, 1e-300, math.nan)]))
+    for table, offsets, ranges, starts in cases:
+        d = np.repeat(offsets, len(starts))
+        states = starts * len(offsets)
+        for b0, b1 in ranges:
+            ends = [b1 - e % 2 for e in range(d.size)]
+            for reverse in (False, True):
+                got = _compiled_walk(library.pdmorse_walk, table, b0, ends, d, states, reverse)
+                want = _numpy_walk(table, b0, ends, d, states, reverse)
+                for x, y in zip(got, want):
+                    if x[2] != y[2] or not all(
+                            a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+                            or math.isnan(a) and math.isnan(b) for a, b in zip(x[:2], y[:2])):
+                        raise ArithmeticError(
+                            f"the compiled walk over blocks of {table.shape[3]} steps gave "
+                            f"{x} where numpy and sweep give {y}")

@@ -36,34 +36,32 @@ Solve strategy, shared by every requested level of one grid:
   one level, one count per bracket; the half-sweeps at every bracket end,
   then one Anderson-Bjorck iterate per unfinished level; the certificates
   of every level at once; bisection of every uncertified bracket.  The
-  energies of a round share their step matrices: one evaluation of the
-  engine's step table per round, split only to keep each evaluation within
-  TABLE_CHUNK steps (energies times steps); each energy then runs its own
-  sweeps over its row of the shared block array (``kernels.sweep_row``).  A
-  count walks its whole row of an evaluation in one call and tests for a
-  settled state only where that walk ends.  A count at an energy already on
-  the staircase is read from it, not swept again.  An H2 eta = 0.2,
-  2001-point solve of levels 0-12 makes 22 block-table evaluations for 96
-  energies (one per sweep made 151) and 151 sweeps.
+  energies of a round share their step table: one ``kernels.walk`` call
+  makes every sweep of a round that starts at one node, the left
+  half-sweeps in one call and the right ones in another.  A count tests
+  for a settled state only where its walk ends.  A count at an energy
+  already on the staircase is read from it, not swept again.  An H2
+  eta = 0.2, 2001-point solve of levels 0-12 makes 151 sweeps at 96
+  energies in 17 walk calls (one call per sweep made 151).
 * **Blocked sweeps.**  Each engine tabulates the RK4 step matrices over
   its energy window as quadratics in E: the steps at the window's midpoint
   and the exact linear and quadratic coefficients, in closed form from p
-  and U.  Each evaluation first fills the table up to the furthest block it
+  and U.  Each walk call first fills the table up to the furthest block it
   needs, in passes of FILL_CHUNK steps; the table is the only source of
-  step matrices for its sweeps.  One ``kernels.block_products`` call per
-  evaluation then evaluates the steps at its energies by Horner's rule and
-  multiplies them into blocks of m <= MAX_BLOCK consecutive steps, in the
-  compiled library where it builds, in numpy otherwise, with the same
-  bits.  Sweeps walk those products, one loop iteration per block.
+  step matrices for its sweeps.  ``kernels.walk`` then evaluates the steps
+  at each energy by Horner's rule, multiplies them into blocks of
+  m <= MAX_BLOCK consecutive steps and sweeps those products, one loop
+  iteration per block, in the compiled library where it builds, in numpy
+  and Python otherwise, with the same bits.
   m h sqrt(max(-q)) <= pi/2 over the window leaves at most one node per
   block (Sturm comparison), so every count is that of the step-by-step
   sweep.  One m serves every block and every sweep: a grid with a
   non-finite q at a window end, or with a block whose steps could grow the
   solution by more than exp(BLOCK_GROWTH), gets m = 1, and every energy a
   solve sweeps lies inside the window.  Sweep ends round up to block ends,
-  and a count goes on to the end of its evaluation, which only takes it
-  further into the settled tail; a right half-sweep only goes deeper into
-  the forbidden region.  The matching point is a multiple of MAX_BLOCK.
+  which only takes a count further into the settled tail and a right
+  half-sweep deeper into the forbidden region.  The matching point is a
+  multiple of MAX_BLOCK.
 """
 from __future__ import annotations
 
@@ -90,9 +88,9 @@ SINGULARITY_MARGIN = 0.01  # Angstrom
 # changes the matching log-derivative by a relative exp(-2 depth):
 # exp(-40) = 4e-18, below half an ulp (1.1e-16).
 TAIL_MARGIN = 20.0
-# Steps past the settled-tail start that a count's first evaluation reaches
-# (then 1, 2, 4, ... times as many steps per further evaluation, until the
-# count settles): on H2 and LiH such a sweep settles about 300 steps into
+# Steps past the settled-tail start that a count's first walk reaches (then
+# 1, 2, 4, ... times as many steps per further walk, until the count
+# settles): on H2 and LiH such a sweep settles about 300 steps into
 # the tail on average.
 TAIL_CHUNK = 256
 # Nodes past the turning point that each right-start depth row adds at first
@@ -105,9 +103,6 @@ DEPTH_CHUNK = 512
 # range above the sweep's 1e250 rescale threshold.
 MAX_BLOCK = kernels.MAX_BLOCK  # 16
 BLOCK_GROWTH = 50.0
-# Steps per evaluation of a round (its energies times their steps), so that
-# its largest array, four entries per step, is 256 KiB.
-TABLE_CHUNK = 8192
 # Steps per pass while a block table is filled: about 20 temporaries of this
 # many floats per pass, and the fill stops at most this many steps past the
 # furthest block a round needs.  Of 512 to 8K, 2K spent the least time
@@ -203,15 +198,15 @@ class _BlockTables:
 
     Blocks are m consecutive steps from the first; padding is identity.
     The engine picks an m that every block can serve
-    (``_ShootingEngine._block_size``), so the table has one use: the block
-    products of a round's energies inside the window (``rows``), for which
-    ``kernels.block_products`` evaluates each entry by Horner's rule, in two
-    multiplications and two additions, each evaluation in an array of its
-    own.  The table is allocated when it is built and filled on first use
-    (``fill``), from the first block on, in passes of FILL_CHUNK steps, as
-    far as the evaluations reach; each step is filled once, with the same
-    bits in any pass.  A non-finite U gives NaN steps (and m = 1) without a
-    numpy warning, in the fill and in the products (inf * 0 at e_mid).
+    (``_ShootingEngine._block_size``), so the table has one use: the walks
+    of a round's energies inside the window (``walk``), for which
+    ``kernels.walk`` evaluates each entry by Horner's rule, in two
+    multiplications and two additions.  The table is allocated when it is
+    built and filled on first use (``fill``), from the first block on, in
+    passes of FILL_CHUNK steps, as far as the walks reach; each step is
+    filled once, with the same bits in any pass.  A non-finite U gives NaN
+    steps (and m = 1) without a numpy warning, in the fill and in the walks
+    (inf * 0 at e_mid).
     """
 
     def __init__(self, tables, h: float, energies, m: int):
@@ -261,33 +256,15 @@ class _BlockTables:
                         by_block[i, j, c, b0 + full, :rest] = values[full * m:]
             self.filled = b1
 
-    def rows(self, energies, start: int, stops):
-        """Block matrices at each energy from node start on, in shared evaluations.
-
-        start is a multiple of m, and energy k needs the blocks up to node
-        stops[k], rounded up to the next multiple of m; the table is first
-        filled that far.  Every energy lies inside the window.  Each
-        evaluation serves as many energies as keep it within TABLE_CHUNK
-        steps: one ``kernels.block_products`` call evaluates the steps at
-        all K energies, at d = E - e_mid, and multiplies their blocks.
-        Yields (ks, blocks): row j of the (K, 2, 2, nb) array
-        blocks holds the block matrices of energy energies[ks[j]], bit for
-        bit what that energy alone gets, and block i spans the m steps from
-        node start + i m (past the last node, the identity padding).  Every
-        evaluation makes a fresh array.
-        """
-        m = self.m
-        b0, ends = start // m, [-(-stop // m) for stop in stops]
+    def walk(self, energies, b0: int, ends, states, reverse: bool = False):
+        """``kernels.walk`` at each energy, at d = E - e_mid, once the table is
+        filled up to the last of ends.  Every energy lies inside the window."""
         if not ends:
-            return
-        last = max(ends)
-        if last > self.filled:
-            self.fill(last)
-        size = max(1, TABLE_CHUNK // (m * (last - b0)))
-        for i in range(0, len(ends), size):
-            ks = range(i, min(i + size, len(ends)))
-            d = np.array([energies[k] - self.energies[1] for k in ks])
-            yield ks, kernels.block_products(self._table, b0, max(ends[k] for k in ks), d)
+            return []
+        if max(ends) > self.filled:
+            self.fill(max(ends))
+        d = np.array([E - self.energies[1] for E in energies])
+        return kernels.walk(self._table, b0, ends, d, states, reverse)
 
 
 def _secant(a: float, fa: float, b: float, fb: float) -> float:
@@ -383,42 +360,38 @@ class _ShootingEngine:
         """Interior nodes of the left-anchored solution at each energy: eigenvalues below it.
 
         Every energy lies inside the window.  An energy already on the
-        staircase is answered from it; the others are swept, sharing their
-        evaluations (``_BlockTables.rows``).  The first evaluation reaches at
-        least TAIL_CHUNK steps into the settled tail at each energy, where
-        every q is >= 0 and so, for h > 0, every RK4 propagator entry is
-        >= 0: from a state there with phi and phi' of one sign no step can
-        add a node, and every later state keeps those signs or turns NaN,
-        which counts nothing (``kernels`` module docstring).  Each sweep
-        walks its whole row of an evaluation in one ``kernels.sweep_row``
-        call and is tested for such a state where the walk ends.  A sweep
-        not yet in one goes on, together with the others still going from
-        the same node, through further evaluations of TAIL_CHUNK, twice as
-        many, ... steps.  Every count is that of the full sweep; each new
-        one joins the staircase.
+        staircase is answered from it; the others are swept, the sweeps
+        that start at one node in one ``_BlockTables.walk``.  Each sweep
+        first reaches at least TAIL_CHUNK steps into the settled tail at its
+        energy, where every q is >= 0 and so, for h > 0, every RK4
+        propagator entry is >= 0: from a state there with phi and phi' of
+        one sign no step can add a node, and every later state keeps those
+        signs or turns NaN, which counts nothing (``kernels`` module
+        docstring).  Each walk is tested for such a state where it ends.  A
+        sweep not yet in one goes on, together with the others still going
+        from the same node, by TAIL_CHUNK, twice as many, ... steps.  Every
+        count is that of the full sweep; each new one joins the staircase.
         """
         last, m = self.u_nodes.size - 1, self._blocks.m
         wanted, size = set(energies), TAIL_CHUNK
         found = {E: n for E, n in zip(self._stair_e, self._stair_n) if E in wanted}
         es = sorted(wanted - found.keys())
         tails = self._tail_start(es).tolist()
-        going = {0: [(E, 0.0, 1.0, 0, min(t + TAIL_CHUNK, last)) for E, t in zip(es, tails)]}
+        going = {0: [(E, (0.0, 1.0), 0, min(t + TAIL_CHUNK, last)) for E, t in zip(es, tails)]}
         while going:
             later: dict[int, list] = {}
             for start, sweeps in going.items():
-                for ks, blocks in self._blocks.rows([s[0] for s in sweeps], start,
-                                                    [s[4] for s in sweeps]):
-                    end = blocks.shape[3]
-                    reached = min(start + end * m, last)
-                    for j, k in enumerate(ks):
-                        E, phi, dphi, nodes, _ = sweeps[k]
-                        phi, dphi, more = kernels.sweep_row(blocks, j, 0, end, phi, dphi)
-                        nodes += more
-                        if reached == last or kernels.settled(phi, dphi):
-                            found[E] = nodes
-                        else:
-                            later.setdefault(reached, []).append(
-                                (E, phi, dphi, nodes, min(reached + size, last)))
+                ends = [-(-stop // m) for *_, stop in sweeps]
+                walks = self._blocks.walk([s[0] for s in sweeps], start // m, ends,
+                                          [s[1] for s in sweeps])
+                for (E, _, nodes, _), end, (phi, dphi, more) in zip(sweeps, ends, walks):
+                    nodes += more
+                    reached = min(end * m, last)
+                    if reached == last or kernels.settled(phi, dphi):
+                        found[E] = nodes
+                    else:
+                        later.setdefault(reached, []).append(
+                            (E, (phi, dphi), nodes, min(reached + size, last)))
             going = later
             size *= 2
         for E in es:
@@ -490,31 +463,29 @@ class _ShootingEngine:
         """Match the left and right solutions at the matching point at each new energy.
 
         ``_matched`` gets (phi, phi', nodes) of both sides.  Every energy
-        lies inside the window.  The energies not yet matched share their
-        evaluations (``_BlockTables.rows``).  The right half-sweep at
-        energies[k] starts at node starts[k], rounded up to a block end,
-        which only adds WKB depth.  The RK4 step from x + h back to x is the adjugate
+        lies inside the window.  The energies not yet matched share one
+        ``_BlockTables.walk`` per side.  The right half-sweep at energies[k]
+        starts at node starts[k], rounded up to a block end, which only adds
+        WKB depth.  The RK4 step from x + h back to x is the adjugate
         [[m11, -m01], [-m10, m00]] of the forward step over the same points
         (m10 up to rounding), and adj(AB) = adj(B) adj(A): the right
         half-sweep walks the adjugates of the forward blocks in reverse
         order.  The adjugate acts on (phi, -phi') as [[m11, m01], [m10, m00]]
         does on (phi, phi'), so the sweep walks the forward blocks in reverse
-        with those entries (``kernels.sweep_row`` with reverse) from (0, +1),
-        and the phi' it returns is negated.
+        with those entries (``kernels.walk`` with reverse) from (0, +1), and
+        the phi' it returns is negated.
         """
         new = {}
         for E, start in zip(energies, starts):
             if E not in self._matched:
                 new.setdefault(E, start)
-        es, stops = list(new), [int(start) for start in new.values()]
-        m = self._blocks.m
+        m, es, one = self._blocks.m, list(new), [(0.0, 1.0)] * len(new)
         mid = self.i_match // m
-        for ks, blocks in self._blocks.rows(es, 0, stops):
-            for j, k in enumerate(ks):
-                phi, dphi, nodes = kernels.sweep_row(blocks, j, mid, -(-stops[k] // m), 0.0, 1.0,
-                                                     reverse=True)
-                self._matched[es[k]] = (kernels.sweep_row(blocks, j, 0, mid, 0.0, 1.0),
-                                        (phi, -dphi, nodes))
+        left = self._blocks.walk(es, 0, [mid] * len(es), one)
+        right = self._blocks.walk(es, mid, [-(-int(start) // m) for start in new.values()], one,
+                                  reverse=True)
+        for E, sweep, (phi, dphi, nodes) in zip(es, left, right):
+            self._matched[E] = (sweep, (phi, -dphi, nodes))
 
     def phase(self, E: float, k: float) -> float:
         """Sum of the scaled left and right Pruefer phases at the matching point.

@@ -4,7 +4,7 @@ The tracer wraps every entry point listed in ``tracing.BOUNDARIES`` at its
 ``pdmorse.<layer>`` home, the run record reads ``kernels.USE_NUMBA``, and the
 output checks import from the library.  The micro-benchmark scripts under
 ``benchmarks/`` reach private names (``oracle._effective_engine``,
-``oracle._BlockTables`` and its ``fill`` and ``rows``, ``kernels._library``,
+``oracle._BlockTables`` and its ``fill``, ``kernels._library``,
 and the engine's ``_q``, ``solve``, ``count_round``, ``phase``,
 ``_half_sweeps``, ``_right_starts``, ``_matched`` and ``_blocks.m`` and
 ``.energies``), so each runs here once at
@@ -57,7 +57,7 @@ def test_output_checks_import():
     ("bench_shooting.py", ["--points", "2001", "--repeats", "1"],
      ["points", "kernel", "propagators", "sweep python", "sweep compiled", "block size",
       "engine build", "table fill", "wall engine", "counting sweep", "half-sweep pair",
-      "batched round", "round evaluation", "engine faults"]),
+      "batched round", "engine faults"]),
     ("bench_analytic.py", ["--repeats", "1", "--calls", "1"],
      ["attach_norm eta=0 n=12", "wavefunction_csv 256", "wavefunction_csv 1024",
       "_build_parser (cached)", "_build_parser (cold)", "cold import pdmorse",
@@ -90,10 +90,9 @@ def test_benchmark_script_runs(script, args, labels):
                          else r": not built$", lines[4])
         assert re.search(r"^block size +: (1|2|4|8|16) steps$", lines[5])
         assert re.search(r"  m = 1, 4 levels$", lines[8])
-        assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-4])
-        assert re.search(r" ms per energy, 13 energies\)$", lines[-3])
+        assert re.search(r" \d+ states per sweep over 2000 steps$", lines[-3])
         assert re.search(r": compiled ([\d.]+ ms|not built), numpy [\d.]+ ms per round "
-                         r"\(\d+ evaluations, 13 energies\)$", lines[-2])
+                         r"\([\d.]+ ms per energy in numpy, 13 energies\)$", lines[-2])
         assert re.search(r": \d+ minor page faults per engine build and solve$", lines[-1])
     if args[:1] == ["no-such-rev"]:
         assert (done.returncode, lines) == (1, ["oracle_deep seed 1: cannot extract no-such-rev"])

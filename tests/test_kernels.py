@@ -1,13 +1,12 @@
 """The compiled library's loader and the checks in front of it.
 
-``kernels.sweep_row`` and ``kernels.block_products`` build their C library
-on first use.  Every way that can fail (no compiler, a compile error, an
-unwritable cache, a cache or library of another user, a wrong answer in
-the known-answer check of either function) leaves ``kernels.sweep`` and
-the numpy products in charge without raising; no argument that could
-index outside an array reaches the C code or its fallback; and importing
-the modules builds nothing.  Each failure is forced by monkeypatching what
-the loader reads.
+``kernels.walk`` builds its C library on first use.  Every way that can
+fail (no compiler, a compile error, an unwritable cache, a cache or library
+of another user, a wrong answer in its known-answer check) leaves numpy and
+``kernels.sweep`` in charge without raising; no argument that could index
+outside an array reaches the C code or its fallback; and importing the
+modules builds nothing.  Each failure is forced by monkeypatching what the
+loader reads.
 """
 import json
 import os
@@ -41,34 +40,35 @@ def compiler():
         pytest.skip("no C compiler on PATH")
 
 
-def blocks():
-    return np.random.default_rng(5).uniform(-2.0, 2.0, (3, 2, 2, 40))
-
-
 def table(m=4):
     """A step table of 6 blocks of m steps: coefficients (c2, f, c1)."""
     return np.random.default_rng(6).uniform(-2.0, 2.0, (3, 2, 2, m, 6))
 
 
 OFFSETS = np.array([0.0, 0.5, -0.25])
+STATES = [(0.5, 1.0), (-1.0, 0.25), (0.0, 1.0)]
+ENDS = [6, 4, 1]  # from block 1: the last walk is empty
 
 
-def python_answer(array, row, b0, b1, reverse):
-    """What kernels.sweep gives over the same steps."""
-    m00, m01, m10, m11 = (array[row, i, j, b0:b1] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    if reverse:
-        return kernels.sweep(m11[::-1], m01[::-1], m10[::-1], m00[::-1], 0.5, 1.0)
-    return kernels.sweep(m00, m01, m10, m11, 0.5, 1.0)
+def numpy_answer(reverse):
+    """What ``_numpy_products`` and ``kernels.sweep`` give for the walks
+    from block 1 to ENDS at OFFSETS from STATES, one walk at a time."""
+    out = []
+    for e, end in enumerate(ENDS):
+        products = kernels._numpy_products(table(), 1, end, OFFSETS[e:e + 1])
+        m00, m01, m10, m11 = products[0].reshape(4, -1)
+        out.append(kernels.sweep(m11[::-1], m01[::-1], m10[::-1], m00[::-1], *STATES[e])
+                   if reverse else kernels.sweep(m00, m01, m10, m11, *STATES[e]))
+    return out
 
 
 def assert_python_loop_serves():
-    """The loader fell back: sweep_row runs kernels.sweep and says why."""
+    """The loader fell back: walk runs numpy and kernels.sweep and says why."""
     assert kernels.sweep_kernel().startswith("python (")
     assert kernels._library is False
-    array = blocks()
     for reverse in (False, True):
-        assert (repr(kernels.sweep_row(array, 1, 3, 37, 0.5, 1.0, reverse))
-                == repr(python_answer(array, 1, 3, 37, reverse)))
+        assert (repr(kernels.walk(table(), 1, ENDS, OFFSETS, STATES, reverse))
+                == repr(numpy_answer(reverse)))
 
 
 class TestLoader:
@@ -77,10 +77,9 @@ class TestLoader:
         (library,) = fresh_loader.iterdir()  # no partial file is left
         assert kernels.sweep_kernel() == f"compiled {library}"
         assert library.name.startswith("sweep-") and library.suffix == ".so"
-        array = blocks()
         for reverse in (False, True):
-            assert (repr(kernels.sweep_row(array, 2, 0, 40, 0.5, 1.0, reverse))
-                    == repr(python_answer(array, 2, 0, 40, reverse)))
+            assert (repr(kernels.walk(table(), 1, ENDS, OFFSETS, STATES, reverse))
+                    == repr(numpy_answer(reverse)))
         # a new process loads the cached library and compiles nothing
 
         def no_compile(*args, **kwargs):
@@ -98,7 +97,7 @@ class TestLoader:
 
     def test_compile_error(self, fresh_loader, compiler, monkeypatch, tmp_path):
         broken = tmp_path / "broken.c"
-        broken.write_text("int pdmorse_sweep_row(const double *blocks\n")
+        broken.write_text("void pdmorse_walk(const double *table\n")
         monkeypatch.setattr(kernels, "_SOURCE", broken)
         assert_python_loop_serves()
         assert "CalledProcessError" in kernels.sweep_kernel()
@@ -161,7 +160,8 @@ class TestLoader:
         assert not (tmp_path / "relative").exists()
 
     def test_check_finds_a_flipped_bit(self, fresh_loader, compiler, monkeypatch):
-        # a Python loop one bit off in phi: the compiled loop disagrees with it
+        # a Python loop one bit off in phi: the compiled walk disagrees with
+        # the numpy walk, which sweeps with it
         sweep = kernels.sweep
 
         def flipped(*args):
@@ -174,19 +174,18 @@ class TestLoader:
         assert kernels._library is False
 
     def test_check_finds_a_wrong_product(self, fresh_loader, compiler, monkeypatch, tmp_path):
-        # a library whose product sums start from the first product, not
-        # from +0.0: (-0)(1) + (-0)(1) gives -0, not einsum's +0.  The whole
-        # library falls back, the sweep with it
+        # a walk whose product sums start from the first product, not from
+        # +0.0: (-0)(1) + (-0)(1) gives -0, not einsum's +0, and the walk
+        # from (1, 1) over that product ends at -0, not +0
         source = kernels._SOURCE.read_text()
         assert source.count("= (0.0 + ") == 4
         wrong = tmp_path / "wrong.c"
         wrong.write_text(source.replace("= (0.0 + ", "= ("))
         monkeypatch.setattr(kernels, "_SOURCE", wrong)
         assert_python_loop_serves()
-        assert kernels.sweep_kernel().startswith(
-            "python (ArithmeticError: the compiled block products of "), kernels.sweep_kernel()
-        assert (kernels.block_products(table(), 0, 6, OFFSETS).tobytes()
-                == kernels._numpy_products(table(), 0, 6, OFFSETS).tobytes())
+        kernel = kernels.sweep_kernel()
+        assert kernel.startswith(
+            "python (ArithmeticError: the compiled walk over blocks of 2 steps gave "), kernel
 
 
 class TestArguments:
@@ -194,48 +193,16 @@ class TestArguments:
     def _no_loop(*args):
         raise AssertionError("a loop ran")
 
-    # a library stand-in whose functions fail the test if they are called
-    _NO_LIBRARY = types.SimpleNamespace(pdmorse_sweep_row=_no_loop,
-                                        pdmorse_block_rows=_no_loop)
+    # a library stand-in whose function fails the test if it is called
+    _NO_LIBRARY = types.SimpleNamespace(pdmorse_walk=_no_loop)
 
     @pytest.fixture
     def no_code_runs(self, monkeypatch):
-        """Neither the compiled functions nor their fallbacks may run."""
+        """Neither the compiled walk nor its fallback may run."""
         monkeypatch.setattr(kernels, "_library", self._NO_LIBRARY)
         monkeypatch.setattr(kernels, "sweep", self._no_loop)
         monkeypatch.setattr(kernels, "_numpy_products", self._no_loop)
-
-    @pytest.mark.parametrize("bad", [
-        blocks().astype(np.float32), blocks().astype(">f8"), blocks().astype(np.int64),
-        np.asfortranarray(blocks()), blocks()[..., ::2], blocks()[0], blocks()[..., None],
-        np.zeros((3, 2, 3, 40)), blocks().tolist(),
-        np.frombuffer(bytearray(97), offset=1).reshape(1, 2, 2, 3)],
-        ids=["float32", "big-endian", "int64", "fortran", "strided", "3-d", "5-d", "2x3",
-             "list", "unaligned"])
-    def test_bad_arrays_raise_value_error(self, bad, monkeypatch):
-        monkeypatch.setattr(kernels, "_library", self._NO_LIBRARY)
-        monkeypatch.setattr(kernels, "sweep", self._no_loop)
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            kernels.sweep_row(bad, 0, 0, 1, 0.0, 1.0)
-
-    def test_read_only_array_raises_value_error(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_library", self._NO_LIBRARY)
-        array = blocks()
-        array.flags.writeable = False
-        with pytest.raises(ValueError, match="writable"):
-            kernels.sweep_row(array, 0, 0, 1, 0.0, 1.0)
-
-    @pytest.mark.parametrize("row, b0, b1", [(-1, 0, 1), (3, 0, 1), (0, -1, 1), (0, 0, 41),
-                                             (0, 5, 4), (0, 41, 41)])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_indices_outside_raise_value_error(self, row, b0, b1, reverse, monkeypatch):
-        monkeypatch.setattr(kernels, "_library", self._NO_LIBRARY)
-        monkeypatch.setattr(kernels, "sweep", self._no_loop)
-        with pytest.raises(ValueError, match="outside"):
-            kernels.sweep_row(blocks(), row, b0, b1, 0.0, 1.0, reverse)
-
-    def test_empty_range_keeps_the_state(self):
-        assert repr(kernels.sweep_row(blocks(), 2, 40, 40, -0.0, 3, True)) == "(-0.0, 3.0, 0)"
+        monkeypatch.setattr(kernels, "_numpy_walk", self._no_loop)
 
     @pytest.mark.parametrize("bad", [
         table().astype(np.float32), table().astype(">f8"), table().astype(np.int64),
@@ -246,20 +213,20 @@ class TestArguments:
              "2 coefficients", "2x3", "list", "unaligned"])
     def test_bad_tables_raise_value_error(self, bad, no_code_runs):
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            kernels.block_products(bad, 0, 1, OFFSETS)
+            kernels.walk(bad, 0, ENDS, OFFSETS, STATES)
 
     def test_read_only_table_raises_value_error(self, no_code_runs):
         array = table()
         array.flags.writeable = False
         with pytest.raises(ValueError, match="writable"):
-            kernels.block_products(array, 0, 1, OFFSETS)
+            kernels.walk(array, 0, ENDS, OFFSETS, STATES)
 
     @pytest.mark.parametrize("m", [0, 3, 6, 12, 32])
     def test_block_sizes_outside_raise_value_error(self, m, no_code_runs):
         # the C tree keeps at most MAX_BLOCK = 16 step matrices and halves m
         # down to 1
         with pytest.raises(ValueError, match="not a power of two up to 16"):
-            kernels.block_products(np.zeros((3, 2, 2, m, 6)), 0, 1, OFFSETS)
+            kernels.walk(np.zeros((3, 2, 2, m, 6)), 0, ENDS, OFFSETS, STATES)
 
     @pytest.mark.parametrize("d", [OFFSETS[:, None], np.float64(0.5), OFFSETS.astype(np.float32),
                                    OFFSETS.astype(">f8"), OFFSETS.astype(np.int64),
@@ -267,19 +234,54 @@ class TestArguments:
                              ids=["2-d", "0-d", "float32", "big-endian", "int64", "list"])
     def test_bad_offsets_raise_value_error(self, d, no_code_runs):
         with pytest.raises(ValueError, match="1-D float64"):
-            kernels.block_products(table(), 0, 1, d)
+            kernels.walk(table(), 0, ENDS, d, STATES)
 
-    @pytest.mark.parametrize("b0, b1", [(-1, 1), (0, 7), (5, 4), (7, 7), (-2, -1)])
-    def test_blocks_outside_raise_value_error(self, b0, b1, no_code_runs):
-        with pytest.raises(ValueError, match="outside"):
-            kernels.block_products(table(), b0, b1, OFFSETS)
+    @pytest.mark.parametrize("ends, d, states", [
+        (ENDS[:2], OFFSETS, STATES), (ENDS, OFFSETS[:2], STATES), (ENDS, OFFSETS, STATES[:2]),
+        (ENDS + [6], OFFSETS, STATES), ([], OFFSETS, STATES), (ENDS, OFFSETS, [])],
+        ids=["ends", "offsets", "states", "one more end", "no ends", "no states"])
+    def test_mismatched_lengths_raise_value_error(self, ends, d, states, no_code_runs):
+        with pytest.raises(ValueError, match=r"\d ends and \d states for \d offsets"):
+            kernels.walk(table(), 0, ends, d, states)
+
+    @pytest.mark.parametrize("state", [(1.0,), (1.0, 2.0, 3.0), (), ("phi", 1.0)],
+                             ids=["single", "triple", "empty", "text"])
+    def test_bad_states_raise_value_error(self, state, no_code_runs):
+        with pytest.raises(ValueError):
+            kernels.walk(table(), 0, ENDS, OFFSETS, STATES[:2] + [state])
+
+    @pytest.mark.parametrize("b0, ends", [(1.0, ENDS), (1, [6.0, 4, 1]),
+                                          (1, [6, 4, np.float64(1)])],
+                             ids=["float b0", "float end", "numpy float end"])
+    def test_blocks_that_are_not_integers_raise_type_error(self, b0, ends, no_code_runs):
+        with pytest.raises(TypeError):
+            kernels.walk(table(), b0, ends, OFFSETS, STATES)
 
     @pytest.mark.parametrize("python", [False, True], ids=["compiled", "numpy"])
-    def test_empty_ranges_give_empty_arrays(self, python, monkeypatch):
+    def test_numpy_integers_serve_as_blocks(self, python, monkeypatch):
         if python:
             monkeypatch.setattr(kernels, "_library", False)
-        assert kernels.block_products(table(), 6, 6, OFFSETS).shape == (3, 2, 2, 0)
-        assert kernels.block_products(table(), 1, 4, OFFSETS[:0]).shape == (0, 2, 2, 3)
+        assert (repr(kernels.walk(table(), np.int64(1), np.array(ENDS), OFFSETS, STATES))
+                == repr(numpy_answer(False)))
+
+    @pytest.mark.parametrize("b0, ends", [(-1, [1, 1, 1]), (0, [7, 1, 1]), (5, [6, 4, 6]),
+                                          (7, [7, 7, 7]), (-2, [-1, -1, -1]), (0, [3, 3, -1])],
+                             ids=["b0 < 0", "end past the table", "end before b0",
+                                  "b0 past the table", "both < 0", "last end < 0"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_blocks_outside_raise_value_error(self, b0, ends, reverse, no_code_runs):
+        with pytest.raises(ValueError, match="outside"):
+            kernels.walk(table(), b0, ends, OFFSETS, STATES, reverse)
+
+    @pytest.mark.parametrize("blocks", [6, 0], ids=["at the end", "of an empty table"])
+    @pytest.mark.parametrize("python", [False, True], ids=["compiled", "numpy"])
+    def test_empty_walks_keep_the_state(self, python, blocks, monkeypatch):
+        if python:
+            monkeypatch.setattr(kernels, "_library", False)
+        array = table()[..., :blocks].copy()
+        assert (repr(kernels.walk(array, blocks, [blocks], OFFSETS[:1], [(-0.0, 3)], True))
+                == "[(-0.0, 3.0, 0)]")
+        assert kernels.walk(array, 0, [], OFFSETS[:0], []) == []
 
 
 def test_imports_start_no_compiler():

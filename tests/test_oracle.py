@@ -64,30 +64,43 @@ def assert_certified(engine, n, e, tol):
 
 
 @pytest.fixture(params=["python", "compiled"])
-def sweep_loop(request, monkeypatch):
-    """The loop ``kernels.sweep_row`` runs in the test: ``kernels.sweep`` (the
-    loader's fallback, forced) or the compiled one, which must build wherever
-    a C compiler is on PATH (skipped where none is).  Returns
-    ``kernels.sweep_row``."""
+def products_loop(request, monkeypatch):
+    """The code ``kernels.walk`` runs in the test: numpy and ``kernels.sweep``
+    (the loader's fallback, forced) or the compiled library, which must build
+    wherever a C compiler is on PATH (skipped where none is).  Returns
+    ``kernels.walk``."""
     if request.param == "python":
         monkeypatch.setattr(kernels, "_library", False)
     elif kernels._compiler() is None:
         pytest.skip("no C compiler on PATH")
     else:
         assert kernels.sweep_kernel().startswith("compiled"), kernels.sweep_kernel()
-    return kernels.sweep_row
+    return kernels.walk
+
+
+# the offset at which a step_table holds its steps bit for bit
+AT_STEPS = np.array([-0.0])
+
+
+def step_table(cols):
+    """The step columns (m00, m01, m10, m11) as a table of one step per block
+    with c2 = c1 = 0 and f the steps: at d = -0 Horner's rule gives
+    ((0 (-0)) + 0) (-0) + f = -0 + f, each step bit for bit, signed zeros,
+    NaN and +-inf included."""
+    table = np.zeros((3, 2, 2, 1, len(cols[0])))
+    table[1] = np.reshape(cols, (2, 2, 1, -1))
+    return table
 
 
 @pytest.fixture
-def products_loop(sweep_loop):
-    """``kernels.block_products`` on the code ``sweep_loop`` picks: the numpy
-    products (the loader's fallback, forced) or the compiled library."""
-    return kernels.block_products
-
-
-def one_row(cols):
-    """The step columns (m00, m01, m10, m11) as a one-row block array."""
-    return np.array(cols, dtype=float).reshape(1, 2, 2, -1)
+def sweep_loop(products_loop):
+    """A sweep of step columns on the code ``products_loop`` picks: one walk
+    of a ``step_table`` from block b0 to b1 at AT_STEPS.  Returns (phi,
+    phi', nodes)."""
+    def sweep(cols, b0, b1, phi, dphi, reverse=False):
+        (result,) = products_loop(step_table(cols), b0, [b1], AT_STEPS, [(phi, dphi)], reverse)
+        return result
+    return sweep
 
 
 class TestUOrdering:
@@ -541,10 +554,11 @@ class TestRightStart:
         engine, _ = effective_engine(mm, mol, grid)
         levels = solve_states(mm, WEYL, mol, grid, range(3))
         steps = []
-        sweep_row = kernels.sweep_row
-        monkeypatch.setattr(kernels, "sweep_row",
-                            lambda *args, **kw: steps.append(args[3] - args[2])
-                            or sweep_row(*args, **kw))
+        walk = kernels.walk
+        monkeypatch.setattr(kernels, "walk",
+                            lambda table, b0, ends, *args, **kw:
+                            steps.extend((end - b0) * table.shape[3] for end in ends)
+                            or walk(table, b0, ends, *args, **kw))
         for _, e in levels:
             steps.clear()
             engine.phase(e + 1e-9, 1.0)
@@ -649,24 +663,25 @@ class TestBlockedSweeps:
 
     def test_block_products_match_sequential_products(self, products_loop):
         # the pairwise tree against M_{m-1} ... M_1 M_0 taken one step at a
-        # time, at 3 offsets over blocks 1 .. 5 of a 6-block table
+        # time, at 3 offsets over blocks 1 .. 5 of a 6-block table: a walk
+        # over one block from (1, 0) gives the product's first column and
+        # one from (0, 1) its second
         rng = np.random.default_rng(7)
         d = rng.uniform(-1.0, 1.0, 3)
         for m in (1, 2, 4, 8, 16):
             table = rng.uniform(-2.0, 2.0, (3, 2, 2, m, 6))
             c2, f, c1 = table
-            expected = np.empty((3, 2, 2, 5))
+            before = table.copy()
             for e in range(3):
                 steps = (c2 * d[e] + c1) * d[e] + f
                 for b in range(1, 6):
                     product = np.eye(2)
                     for k in range(m):
                         product = steps[:, :, k, b] @ product
-                    expected[e, :, :, b - 1] = product
-            before = table.copy()
-            products = products_loop(table, 1, 6, d)
-            assert products.shape == (3, 2, 2, 5) and products.flags.c_contiguous
-            np.testing.assert_allclose(products, expected, rtol=1e-12, atol=1e-12)
+                    walks = products_loop(table, b, [b + 1] * 2, d[[e, e]],
+                                          [(1.0, 0.0), (0.0, 1.0)])
+                    got = np.array([walk[:2] for walk in walks]).T
+                    np.testing.assert_allclose(got, product, rtol=1e-12, atol=1e-12)
             assert table.tobytes() == before.tobytes()  # the table is left as it was
 
     def test_nan_and_wall_spikes_run_step_by_step(self):
@@ -762,15 +777,16 @@ class TestBlockedSweeps:
 
     def test_sweep_states_per_solve(self, h2, monkeypatch):
         # H2, eta 0.2, levels 0-2 on the 8001-point singular domain: with
-        # blocks of 16 the sweeps walk 3,273 states (blocks or steps);
+        # blocks of 16 the sweeps walk 3,217 states (blocks or steps);
         # sweeps that fell back to single steps would walk about 20x as many
         mm = MassModel.for_molecule(h2, 0.2)
         grid = GridSpec(*reference_domain(h2, 0.2), 8001)
         states = []
-        sweep_row = kernels.sweep_row
-        monkeypatch.setattr(kernels, "sweep_row",
-                            lambda *args, **kw: states.append(args[3] - args[2])
-                            or sweep_row(*args, **kw))
+        walk = kernels.walk
+        monkeypatch.setattr(kernels, "walk",
+                            lambda table, b0, ends, *args, **kw:
+                            states.extend(end - b0 for end in ends)
+                            or walk(table, b0, ends, *args, **kw))
         solve_states(mm, WEYL, h2, grid, range(3), tol_ev=1e-6)
         assert sum(states) <= 4500, (len(states), sum(states))
 
@@ -786,16 +802,14 @@ class TestBatchedRounds:
     GRID = GridSpec(0.0, 1.0, 4001)
 
     @staticmethod
-    def _rows_by_energy(blocks, energies, b0, b1):
-        """The rows of blocks b0..b1-1 at each energy, from one ``rows`` call: {k: (2, 2, nb)}."""
-        m = blocks.m
-        return {k: products[j]
-                for ks, products in blocks.rows(energies, b0 * m, [b1 * m] * len(energies))
-                for j, k in enumerate(ks)}
+    def _walks(blocks, energies, b0, ends, reverse=False):
+        """``_BlockTables.walk`` at each energy from (0, 1)."""
+        return blocks.walk(energies, b0, ends, [(0.0, 1.0)] * len(energies), reverse)
 
-    def test_block_products_match_single_energy_evaluations(self):
-        # rows of K energies against rows of each energy alone, over ranges
-        # at the start, inside and at the end of the grid
+    def test_walks_match_single_energy_walks(self):
+        # walks of K energies against walks of each energy alone, forward
+        # and in reverse, over ranges at the start, inside and at the end of
+        # the grid, with every other walk one block short
         engine, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(
             smooth_potential(5, 1.0), self.GRID)
         blocks = engine._blocks
@@ -803,26 +817,34 @@ class TestBatchedRounds:
         energies = list(np.linspace(e_lo, e_hi, 7))
         nb = -(-(self.GRID.points - 1) // blocks.m)
         for b0, b1 in ((0, 50), (0, nb), (56, 60), (150, 200), (nb - 1, nb)):
-            batched = self._rows_by_energy(blocks, energies, b0, b1)
-            assert sorted(batched) == list(range(7))
-            for k, e in enumerate(energies):
-                (alone,) = self._rows_by_energy(blocks, [e], b0, b1).values()
-                assert alone.shape == (2, 2, b1 - b0), (b0, b1)
-                assert batched[k].tobytes() == alone.tobytes(), (b0, b1, k)
+            ends = [b1 - k % 2 for k in range(7)]
+            for reverse in (False, True):
+                batched = self._walks(blocks, energies, b0, ends, reverse)
+                for k, e in enumerate(energies):
+                    alone = self._walks(blocks, [e], b0, ends[k:k + 1], reverse)
+                    assert bits(alone) == bits(batched[k:k + 1]), (b0, b1, k, reverse)
 
-    def test_rows_outlive_the_next_evaluation(self):
-        # every evaluation makes its own arrays: 7 energies over the whole
-        # grid take several evaluations, and the rows of the first are
-        # unchanged after the rest
+    def test_numpy_walk_bounds_its_evaluations(self, monkeypatch):
+        # the fallback evaluates 7 energies over a whole 8001-point table in
+        # groups whose products hold at most TABLE_CHUNK steps, and each
+        # walk gives the bits of a walk of its energy alone
+        grid = GridSpec(0.0, 1.0, 8001)
         engine, (e_lo, e_hi) = TestBlockedSweeps._engine_at_the_bound(
-            smooth_potential(5, 1.0), self.GRID)
+            smooth_potential(5, 1.0), grid)
         blocks = engine._blocks
-        nb = -(-(self.GRID.points - 1) // blocks.m)
-        evaluations = blocks.rows(list(np.linspace(e_lo, e_hi, 7)), 0, [nb * blocks.m] * 7)
-        ks, first = next(evaluations)
-        kept = first.copy()
-        assert len(ks) < 7 and len(list(evaluations)) >= 1
-        assert first.tobytes() == kept.tobytes()
+        nb = blocks._table.shape[-1]
+        assert blocks.m == oracle.MAX_BLOCK and nb * blocks.m >= grid.points - 1
+        monkeypatch.setattr(kernels, "_library", False)
+        groups = []
+        products = kernels._numpy_products
+        monkeypatch.setattr(kernels, "_numpy_products",
+                            lambda table, b0, b1, d: groups.append(d.size * blocks.m * (b1 - b0))
+                            or products(table, b0, b1, d))
+        energies = list(np.linspace(e_lo, e_hi, 7))
+        walks = self._walks(blocks, energies, 0, [nb] * 7)
+        assert len(groups) >= 2 and max(groups) <= kernels.TABLE_CHUNK, groups
+        for k, e in enumerate(energies):
+            assert bits(self._walks(blocks, [e], 0, [nb])) == bits(walks[k:k + 1]), k
 
     @pytest.mark.parametrize("case, m", [("blocked", oracle.MAX_BLOCK), ("spiked", 1),
                                          ("step by step", 1)])
@@ -850,11 +872,13 @@ class TestBatchedRounds:
             assert bits(alone._matched[e]) == bits(batched._matched[e]), e
 
     @pytest.mark.parametrize("case, m", [("H2", 8), ("spiked", 1)])
-    def test_count_walks_each_evaluation_once(self, h2, case, m, monkeypatch):
-        # a count round walks each energy's row of each evaluation in one
-        # sweep_row call, over all of its blocks, and still counts what the
-        # full reference sweep counts; on the spiked grid some counts go on
-        # past their first evaluation
+    def test_count_walks_from_each_node_in_one_call(self, h2, case, m, monkeypatch):
+        # a count round makes one walk call per node its sweeps start from;
+        # each sweep walks from node 0 to its own first stop, TAIL_CHUNK
+        # steps into its settled tail (rounded up to a block end), and goes
+        # on from where it stopped, and the counts are those of the full
+        # reference sweep; on the spiked grid some counts go on past their
+        # first walk
         if case == "H2":
             engine, _ = effective_engine(MassModel.for_molecule(h2, 0.2), h2,
                                          GridSpec(*reference_domain(h2, 0.2), 2001))
@@ -862,44 +886,43 @@ class TestBatchedRounds:
             engine, _ = TestBlockedSweeps._engine_at_the_bound(spiked_potential(self.GRID),
                                                                self.GRID)
         assert engine._blocks.m == m
-        evaluations, walks = [], []
-        rows, sweep_row = oracle._BlockTables.rows, kernels.sweep_row
-
-        def recording_rows(self, energies, start, stops):
-            for ks, blocks in rows(self, energies, start, stops):
-                evaluations.append((start, len(ks), blocks))
-                yield ks, blocks
-
-        def recording_row(blocks, row, b0, b1, *args, **kwargs):
-            walks.append((blocks, row, b0, b1))
-            return sweep_row(blocks, row, b0, b1, *args, **kwargs)
-
-        monkeypatch.setattr(oracle._BlockTables, "rows", recording_rows)
-        monkeypatch.setattr(kernels, "sweep_row", recording_row)
-        e_lo, _, e_hi = engine._blocks.energies
+        e_lo, e_mid, e_hi = engine._blocks.energies
         energies = list(np.linspace(e_lo, e_hi, 41)[1:-1])
+        by_offset = {e - e_mid: e for e in energies}
+        calls, walks = [], {e: [] for e in energies}  # walks: (b0, end) by energy
+        walk = kernels.walk
+
+        def recording(table, b0, ends, d, states, reverse=False):
+            calls.append((len(walks[by_offset[d[0]]]), b0))  # (its sweeps' walk index, b0)
+            for offset, end in zip(d.tolist(), ends):
+                walks[by_offset[offset]].append((b0, end))
+            return walk(table, b0, ends, d, states, reverse)
+
+        monkeypatch.setattr(kernels, "walk", recording)
         counts = engine.count_round(energies)
-        expected = [(blocks, j, 0, blocks.shape[3])
-                    for _, size, blocks in evaluations for j in range(size)]
-        assert len(walks) == len(expected)
-        for walk, want in zip(walks, expected):
-            assert walk[0] is want[0] and walk[1:] == want[1:], (walk[1:], want[1:])
+        assert len(calls) == len(set(calls)), calls
+        last = engine.u_nodes.size - 1
+        for e, tail in zip(energies, engine._tail_start(energies).tolist()):
+            (b0, end), *rest = walks[e]
+            assert (b0, end) == (0, -(-min(tail + oracle.TAIL_CHUNK, last) // m)), e
+            for before, after in zip(walks[e], rest):
+                assert after[0] == before[1] < after[1], e
         if case == "spiked":
-            assert any(start > 0 for start, _, _ in evaluations)
+            assert any(len(w) > 1 for w in walks.values())
         assert counts == [reference_count(engine, e) for e in energies]
 
-    def test_block_table_evaluations_per_solve(self, h2, monkeypatch):
+    def test_walk_calls_per_solve(self, h2, monkeypatch):
         # H2, eta 0.2, levels 0-12 on the 2001-point singular domain: one
-        # evaluation per sweep made 151; rounds share them among 96 energies
-        evaluations = []
-        products = kernels.block_products
-        monkeypatch.setattr(kernels, "block_products",
-                            lambda table, b0, b1, d: evaluations.append(len(d))
-                            or products(table, b0, b1, d))
+        # call per sweep made 151; rounds share them among 96 energies
+        calls = []
+        walk = kernels.walk
+        monkeypatch.setattr(kernels, "walk",
+                            lambda table, b0, ends, *args, **kw: calls.append(len(ends))
+                            or walk(table, b0, ends, *args, **kw))
         mm = MassModel.for_molecule(h2, 0.2)
         solve_states(mm, WEYL, h2, GridSpec(*reference_domain(h2, 0.2), 2001), range(13),
                      tol_ev=1e-6)
-        assert len(evaluations) <= 30 < sum(evaluations), evaluations
+        assert len(calls) <= 20 < sum(calls), calls
 
 
 class TestOneStepTable:
@@ -945,7 +968,7 @@ def table_steps(engine, energies):
     """The engine's table evaluated at each energy, single steps in step order.
 
     Four (K, steps) arrays, by Horner's rule in the order of operations of
-    ``_BlockTables.rows``, so each entry has the bits the sweeps see.  Fills
+    ``kernels.walk``, so each entry has the bits the sweeps see.  Fills
     the whole table first.
     """
     blocks = engine._blocks
@@ -1285,21 +1308,23 @@ class TestKernels:
     def test_sweep_matches_reference_bit_for_bit(self, sweep_loop):
         # forward, and in reverse with the adjugate's entries (m11, m01, m10, m00)
         for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
-            blocks = one_row(cols)
             a, b, c, e = (m[::-1] for m in cols)
             for reverse, ref in ((False, sweep_reference(*cols, phi0, dphi0)),
                                  (True, sweep_reference(e, b, c, a, phi0, dphi0))):
-                got = sweep_loop(blocks, 0, 0, len(a), phi0, dphi0, reverse)
+                got = sweep_loop(cols, 0, len(a), phi0, dphi0, reverse)
                 assert got[2] == ref[2], (cols, phi0, dphi0, reverse)
                 assert self._same(got[0], ref[0]) and self._same(got[1], ref[1]), (cols, phi0)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
-    def test_block_products_match_reference_bit_for_bit(self, m, products_loop):
+    def test_walks_match_reference_bit_for_bit(self, m, products_loop):
         # coefficients of mixed signs and signed zeros, with NaN and +-inf in
         # blocks 4 and 5; offsets 0, -0 and inf make inf * 0 NaN and -0
         # steps; the last block's second half is the identity padding of
         # _BlockTables.  Ranges from block 0 and from later ones, some to
-        # the last block
+        # the last block, forward and in reverse; the odd walks end one block
+        # short, so the single-block ranges have empty walks.  Every walk
+        # must give what the reference products, swept by the reference
+        # loop, give, and the walks of one call what each gives alone
         rng = np.random.default_rng(2012 + m)
         nbt = 7
         kind = rng.random((3, 2, 2, m, nbt))
@@ -1310,16 +1335,26 @@ class TestKernels:
         table[special & (kind > 0.96)] = math.nan
         table[special & (kind > 0.92) & (kind <= 0.96)] *= math.inf
         table[..., m // 2:, -1] = oracle._PADDING
-        d = np.array([0.0, -0.0, 0.5, -1.25, 1e-3, math.inf])
-        results = []
+        d = np.repeat([0.0, -0.0, 0.5, -1.25, 1e-3, math.inf], 3)
+        states = [(1.0, 0.0), (0.0, 1.0), (-0.5, 2.0)] * 6
+        before = table.copy()
+        products = []
         for b0, b1 in ((0, nbt), (3, nbt), (2, 5), (nbt - 1, nbt), (1, 2)):
-            got = products_loop(table, b0, b1, d)
-            want = block_products_reference(table, b0, b1, d)
-            nan = np.isnan(want)
-            assert np.array_equal(np.isnan(got), nan), (b0, b1)
-            assert got[~nan].tobytes() == want[~nan].tobytes(), (b0, b1)
-            results.append(got)
-        values = np.concatenate([r.ravel() for r in results])
+            ends = [b1 - e % 2 for e in range(d.size)]
+            reference = block_products_reference(table, b0, b1, d)
+            products.append(reference)
+            for reverse in (False, True):
+                got = products_loop(table, b0, ends, d, states, reverse)
+                for e, (end, state) in enumerate(zip(ends, states)):
+                    a, b, c, f = reference[e].reshape(4, -1)[:, :end - b0]
+                    want = (sweep_reference(f[::-1], b[::-1], c[::-1], a[::-1], *state) if reverse
+                            else sweep_reference(a, b, c, f, *state))
+                    same = self._same(got[e][0], want[0]) and self._same(got[e][1], want[1])
+                    assert got[e][2] == want[2] and same, (b0, end, e, reverse, got[e], want)
+                    alone = products_loop(table, b0, [end], d[e:e + 1], [state], reverse)
+                    assert bits(alone) == bits(got[e:e + 1]), (b0, end, e, reverse)
+        assert table.tobytes() == before.tobytes()  # the table is left as it was
+        values = np.concatenate([r.ravel() for r in products])
         # past two steps an inf entry meets a zero or an opposite inf
         assert np.isnan(values).any() and (m > 2 or np.isinf(values).any())
         assert np.isfinite(values).mean() > 0.5
@@ -1344,12 +1379,12 @@ class TestKernels:
         # there and each later walk a chunk further, so every chunk end is
         # tested
         for cols, phi0, dphi0 in self._random_tables(10_000, seed=2010):
-            blocks, size = one_row(cols), len(cols[0])
+            size = len(cols[0])
             negative = np.flatnonzero(~np.logical_and.reduce([m >= 0.0 for m in cols]))
             t = int(negative[-1]) + 1 if negative.size else 0
-            phi, dphi, nodes = sweep_loop(blocks, 0, 0, t, phi0, dphi0)
+            phi, dphi, nodes = sweep_loop(cols, 0, t, phi0, dphi0)
             while t < size and not kernels.settled(phi, dphi):
-                phi, dphi, more = sweep_loop(blocks, 0, t, min(t + chunk, size), phi, dphi)
+                phi, dphi, more = sweep_loop(cols, t, min(t + chunk, size), phi, dphi)
                 nodes, t = nodes + more, t + chunk
             assert nodes == sweep_reference(*cols, phi0, dphi0)[2], (cols, phi0)
 
@@ -1371,12 +1406,12 @@ class TestKernels:
     def test_edge_steps_match_reference(self, steps, phi0, expected, sweep_loop):
         cols = tuple(np.array(col) for col in zip(*steps))
         ref = sweep_reference(*cols, phi0, 1.0)
-        got = sweep_loop(one_row(cols), 0, 0, len(steps), phi0, 1.0)
+        got = sweep_loop(cols, 0, len(steps), phi0, 1.0)
         assert ref[2] == got[2] == expected
         assert self._same(got[0], ref[0]) and self._same(got[1], ref[1])
         # the same steps walked in reverse, as the adjugate's
         a, b, c, e = (m[::-1] for m in cols)
-        got = sweep_loop(one_row((e, b, c, a)), 0, 0, len(steps), phi0, 1.0, reverse=True)
+        got = sweep_loop((e, b, c, a), 0, len(steps), phi0, 1.0, reverse=True)
         assert ref[2] == got[2]
         assert self._same(got[0], ref[0]) and self._same(got[1], ref[1])
 
