@@ -256,8 +256,8 @@ def sweep_reference(m00, m01, m10, m11, phi0: float, dphi0: float):
 
 
 def block_products_reference(table: np.ndarray, b0: int, b1: int, d) -> np.ndarray:
-    """The (K, 2, 2, b1 - b0) block products that ``kernels.block_products``
-    must match bit for bit, in Python floats: each step entry
+    """The (K, 2, 2, b1 - b0) block products that ``kernels.walk`` must
+    make and sweep bit for bit, in Python floats: each step entry
     ((c2 d) + c1) d + f, then each halving multiplies step 2 s + 1 by step
     2 s with entry (i, l) = (0.0 + A[i][0] B[0][l]) + A[i][1] B[1][l]."""
     m = table.shape[3]
